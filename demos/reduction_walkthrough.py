@@ -18,8 +18,7 @@ g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3)]
 occ = detect(g)
 print("found:", occ)
 
-instance = reduce(g, occ)
-plan = instance.plan
+plan = reduce(g, occ)
 print(f"sub-case {plan.tag}/{plan.subcase}, "
       f"{len(plan.children)} child graph(s)")
 for child in plan.children:

@@ -7,7 +7,7 @@ irreducible core by exact search, rewrites the pieces' decompositions back
 up, and verifies the result end to end.
 """
 
-from .graphs import Edge, Graph, VertexMap, edge
+from .graphs import Edge, Graph, edge
 from .paths import (
     Path,
     PathDecomposition,
@@ -42,7 +42,6 @@ from .reductions import (
     LiftError,
     LiftPlan,
     Occurrence,
-    ReducedInstance,
     ReductionError,
     check_structure,
     detect,
@@ -85,13 +84,11 @@ __all__ = [
     "Occurrence",
     "Path",
     "PathDecomposition",
-    "ReducedInstance",
     "ReductionError",
     "SUBCASES",
     "SolveError",
     "SolveResult",
     "SolveTrace",
-    "VertexMap",
     "VerifyReport",
     "Violation",
     "add_path",

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph
 from .paths import verify
-from .reductions import (
-    check_structure,
-    detect,
-    detect_c1,
-    detect_c2,
-    detect_c3,
-    detect_c4,
-    detect_c5,
-)
+from .reductions import _DETECTORS, check_structure, detect, is_exceptional_clique
 from .solver import SolveError, solve, solve_base
 
 FLOOR_SEARCH_LIMIT = 7
@@ -145,7 +137,7 @@ def run_check(
         verified = False
         paths = None
         try:
-            if detect(g) is None and not _exceptional_clique(g):
+            if detect(g) is None and not is_exceptional_clique(g):
                 if not check_structure(g):
                     report.findings.append(
                         Finding(
@@ -229,11 +221,10 @@ def run_floor_search(
 def run_scan(graphs: list[tuple[str, Graph]]) -> BatchReport:
     """Report which configurations occur in each graph, without solving."""
     report = BatchReport("scan")
-    detectors = (detect_c1, detect_c2, detect_c3, detect_c4, detect_c5)
     for graph_id, g in graphs:
         start = time.perf_counter()
         histogram = {}
-        for detector in detectors:
+        for detector in _DETECTORS:
             occ = detector(g)
             if occ is not None:
                 histogram[occ.tag] = 1
@@ -246,7 +237,3 @@ def run_scan(graphs: list[tuple[str, Graph]]) -> BatchReport:
             )
         )
     return report
-
-
-def _exceptional_clique(g: Graph) -> bool:
-    return (g.n, g.m) in ((3, 3), (5, 10))

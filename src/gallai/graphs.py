@@ -1,14 +1,23 @@
 """Immutable simple graphs and the structural queries the reductions rely on.
 
-Vertices are the integers ``0..n-1``.  Adjacency is stored as one bitmask per
-vertex, which keeps degree/common-neighbour/connectivity queries cheap at the
+Vertices are nonnegative integer ids.  A graph built directly
+(``Graph(n, masks)``, ``Graph.from_edges``, the parsers) has the ids
+``0..n-1``.  A graph derived from another one keeps its parent's ids:
+deleting vertices leaves the other ids as they are, and contracting an edge
+keeps the smaller of its two ids.  So a reduction's child graphs, and every
+path found in them, are already in the ids of the input graph.  ``n`` counts
+the vertices; in a derived graph the largest id can be ``n`` or more.
+graph6 and the census take graphs on ``0..n-1`` only.
+
+Adjacency is stored as one bitmask per vertex, keyed by id in ascending
+order, which keeps degree/common-neighbour/connectivity queries cheap at the
 sizes this library targets (a few dozen vertices).  Every mutating operation
 returns a new ``Graph``; values are safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import KeysView
 from typing import Iterable, Iterator, Sequence
 
 
@@ -20,57 +29,8 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class VertexMap:
-    """Relabelling produced by a vertex deletion or an edge contraction.
-
-    ``forward`` maps surviving old ids to new ids.  It is injective except
-    when ``merged`` is set, in which case both endpoints of the contracted
-    edge map to the same new id.
-    """
-
-    forward: dict[int, int]
-    merged: tuple[Edge, int] | None = None
-
-    def new_id(self, old: int) -> int:
-        return self.forward[old]
-
-    def old_ids(self, new: int) -> tuple[int, ...]:
-        """All preimages of a new id (two of them for the merged vertex)."""
-        return tuple(sorted(o for o, x in self.forward.items() if x == new))
-
-    def old_id(self, new: int) -> int:
-        """The unique preimage of a new id; raises on the merged vertex."""
-        olds = self.old_ids(new)
-        if len(olds) != 1:
-            raise ValueError(f"new id {new} has {len(olds)} preimages")
-        return olds[0]
-
-    def compose(self, later: "VertexMap") -> "VertexMap":
-        """Map of applying ``self`` first and ``later`` second."""
-        forward = {
-            old: later.forward[mid]
-            for old, mid in self.forward.items()
-            if mid in later.forward
-        }
-        merged = None
-        if self.merged is not None:
-            (a, b), mid = self.merged
-            if mid in later.forward:
-                merged = ((a, b), later.forward[mid])
-        if later.merged is not None:
-            if merged is not None:
-                raise ValueError("cannot compose two contractions")
-            (a, b), new = later.merged
-            olds = [o for o, mid in self.forward.items() if mid in (a, b)]
-            if len(olds) != 2:
-                raise ValueError("contracted pair lost under composition")
-            merged = (edge(olds[0], olds[1]), new)
-        return VertexMap(forward, merged)
-
-
 class Graph:
-    """A finite simple undirected graph on vertices ``0..n-1``."""
+    """A finite simple undirected graph on a set of integer vertex ids."""
 
     __slots__ = ("n", "_adj")
 
@@ -89,7 +49,7 @@ class Graph:
                 if not adj_masks[u] & (1 << v):
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", tuple(adj_masks))
+        object.__setattr__(self, "_adj", dict(enumerate(adj_masks)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -112,7 +72,7 @@ class Graph:
         return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash(tuple(self._adj.items()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
@@ -121,43 +81,43 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(mask.bit_count() for mask in self._adj) // 2
+        return sum(mask.bit_count() for mask in self._adj.values()) // 2
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v].bit_count()
+        return self.neighbor_mask(v).bit_count()
 
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max degree of the empty graph is undefined")
-        return max(mask.bit_count() for mask in self._adj)
+        return max(mask.bit_count() for mask in self._adj.values())
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(_bits(self._adj[v]))
+        return tuple(_bits(self.neighbor_mask(v)))
 
     def neighbor_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} is not in the graph") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._adj[u] & (1 << v))
+        self.neighbor_mask(v)  # raises if v is not a vertex
+        return bool(self.neighbor_mask(u) & (1 << v))
 
     def edges(self) -> Iterator[Edge]:
         """All edges, ascending by (u, v)."""
-        for u in range(self.n):
-            for v in _bits(self._adj[u] >> (u + 1), offset=u + 1):
+        for u, mask in self._adj.items():
+            for v in _bits(mask >> (u + 1), offset=u + 1):
                 yield (u, v)
 
-    def vertices(self) -> range:
-        return range(self.n)
+    def vertices(self) -> KeysView[int]:
+        """The vertex ids, ascending, as a set-like view."""
+        return self._adj.keys()
 
     def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
         if u == v:
             raise ValueError("common neighbours of a vertex with itself")
-        return tuple(_bits(self._adj[u] & self._adj[v]))
+        return tuple(_bits(self.neighbor_mask(u) & self.neighbor_mask(v)))
 
     # -- connectivity -----------------------------------------------------
 
@@ -165,8 +125,8 @@ class Graph:
         """Connected components, ascending by smallest member."""
         seen = 0
         out = []
-        for start in range(self.n):
-            if seen & (1 << start):
+        for start in self._adj:
+            if seen >> start & 1:
                 continue
             comp = self._reach(start)
             seen |= comp
@@ -174,7 +134,7 @@ class Graph:
         return out
 
     def component_mask(self, start: int) -> int:
-        self._check_vertex(start)
+        self.neighbor_mask(start)  # raises if start is not a vertex
         return self._reach(start)
 
     def is_connected(self) -> bool:
@@ -196,11 +156,11 @@ class Graph:
 
         Iterative low-link computation, linear in n + m.
         """
-        disc = [-1] * self.n
-        low = [0] * self.n
+        disc = dict.fromkeys(self._adj, -1)
+        low = dict.fromkeys(self._adj, 0)
         out: set[Edge] = set()
         timer = 0
-        for root in range(self.n):
+        for root in self._adj:
             if disc[root] != -1:
                 continue
             # stack entries: (vertex, parent, iterator over neighbours)
@@ -230,44 +190,39 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def delete_vertices(self, drop: Iterable[int]) -> tuple["Graph", VertexMap]:
-        """Induced subgraph on the surviving vertices, ids compacted."""
+    def delete_vertices(self, drop: Iterable[int]) -> "Graph":
+        """Induced subgraph on the surviving vertices, on the same ids."""
         dropped = set(drop)
-        for v in dropped:
-            self._check_vertex(v)
-        keep = [v for v in range(self.n) if v not in dropped]
-        forward = {old: new for new, old in enumerate(keep)}
-        masks = [0] * len(keep)
-        for old in keep:
-            new = forward[old]
-            for w in _bits(self._adj[old]):
-                if w in forward:
-                    masks[new] |= 1 << forward[w]
-        return Graph(len(keep), masks), VertexMap(forward)
+        unknown = dropped - self._adj.keys()
+        if unknown:
+            raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
+        kept = ~sum(1 << v for v in dropped)
+        return _derived(
+            {v: mask & kept for v, mask in self._adj.items() if v not in dropped}
+        )
 
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError(f"self-loop at {u}")
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
-        masks = list(self._adj)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        return Graph(self.n, masks)
+        adj = dict(self._adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        return _derived(adj)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
-        masks = list(self._adj)
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        return Graph(self.n, masks)
+        adj = dict(self._adj)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        return _derived(adj)
 
-    def contract_edge(self, u: int, v: int) -> tuple["Graph", VertexMap]:
+    def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge whose ends share no neighbour.
 
-        The merged vertex takes the compacted slot of min(u, v); ids above
-        max(u, v) shift down by one.
+        The merged vertex keeps the id min(u, v); the id max(u, v) is gone.
         """
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
@@ -276,26 +231,19 @@ class Graph:
                 f"contracting ({u}, {v}) would create a parallel edge"
             )
         a, b = edge(u, v)
-        keep = [x for x in range(self.n) if x != b]
-        forward = {old: new for new, old in enumerate(keep)}
-        c = forward[a]
-        forward[b] = c
-        masks = [0] * len(keep)
-        for old in range(self.n):
-            if old in (a, b):
-                continue
-            new = forward[old]
-            for w in _bits(self._adj[old]):
-                masks[new] |= 1 << forward[w]
-        merged_mask = (self._adj[a] | self._adj[b]) & ~(1 << a) & ~(1 << b)
-        for w in _bits(merged_mask):
-            masks[c] |= 1 << forward[w]
-        return Graph(len(keep), masks), VertexMap(forward, ((a, b), c))
+        a_bit, b_bit = 1 << a, 1 << b
+        adj = dict(self._adj)
+        del adj[b]
+        adj[a] = (self._adj[a] | self._adj[b]) & ~a_bit & ~b_bit
+        for w in _bits(self._adj[b] & ~a_bit):
+            adj[w] = adj[w] & ~b_bit | a_bit
+        return _derived(adj)
 
-    def induced_even_subgraph(self) -> tuple["Graph", VertexMap]:
+    def induced_even_subgraph(self) -> "Graph":
         """Subgraph induced by the vertices of even degree."""
-        odd = [v for v in range(self.n) if self.degree(v) % 2 == 1]
-        return self.delete_vertices(odd)
+        return self.delete_vertices(
+            v for v, mask in self._adj.items() if mask.bit_count() % 2 == 1
+        )
 
     # -- predicates --------------------------------------------------------
 
@@ -309,9 +257,15 @@ class Graph:
         k = (self.n - 1) // 2
         return self.m >= self.n * (self.n - 1) // 2 - (k - 1)
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+
+def _derived(adj: dict[int, int]) -> Graph:
+    """Graph on ``adj`` (ids ascending, symmetric), built without the
+    checks of ``Graph.__init__``: every caller derives it from a valid
+    graph."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", len(adj))
+    object.__setattr__(g, "_adj", adj)
+    return g
 
 
 def _bits(mask: int, offset: int = 0) -> Iterator[int]:

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, edge
+from .search import residual_lower_bound
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,7 @@ def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
     """Check a decomposition against a graph, reporting every violation."""
     violations: list[Violation] = []
     used: Counter[Edge] = Counter()
+    vertices = g.vertices()
     for i, p in enumerate(d.paths):
         seen: set[int] = set()
         for v in p.vertices:
@@ -114,7 +116,7 @@ def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
                 )
             seen.add(v)
         for a, b in zip(p.vertices, p.vertices[1:]):
-            ok = 0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)
+            ok = a in vertices and b in vertices and g.has_edge(a, b)
             if not ok:
                 violations.append(
                     Violation("non_edge", f"path {i} steps over ({a}, {b})")
@@ -145,8 +147,7 @@ def lower_bound(g: Graph) -> int:
     """max(half the odd-degree vertices, edges over the longest path length)."""
     if g.m == 0:
         raise ValueError("lower bound of an edgeless graph is undefined")
-    odd = sum(1 for v in range(g.n) if g.degree(v) % 2 == 1)
-    return max((odd + 1) // 2, -(-g.m // (g.n - 1)))
+    return residual_lower_bound(frozenset(g.edges()))
 
 
 # -- editing moves --------------------------------------------------------

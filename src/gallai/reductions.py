@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Union
 
-from .graphs import Edge, Graph, VertexMap, edge
+from .graphs import Edge, Graph, edge
 from .paths import (
     Path,
     PathDecomposition,
@@ -192,7 +192,7 @@ SUBCASES = {
 
 
 def detect_c1(g: Graph) -> C1 | None:
-    for u in range(g.n):
+    for u in g.vertices():
         if g.degree(u) == 2:
             v, w = g.neighbors(u)
             if not g.has_edge(v, w):
@@ -242,7 +242,7 @@ def detect_c4(g: Graph) -> C4 | None:
 
 
 def detect_c5(g: Graph) -> C5 | None:
-    for a in range(g.n):
+    for a in g.vertices():
         for b in g.neighbors(a):
             if b <= a:
                 continue
@@ -278,11 +278,10 @@ def detect(g: Graph) -> Occurrence | None:
 
 @dataclass(frozen=True)
 class Child:
-    """One reduced graph plus the relabelling that produced it; synthetic
-    edges (present in the child but not the parent) are in child ids."""
+    """One reduced graph, on its parent's vertex ids, and its synthetic
+    edges (present in the child but not in the parent)."""
 
     graph: Graph
-    vmap: VertexMap
     synthetic: tuple[Edge, ...] = ()
 
 
@@ -295,28 +294,17 @@ class LiftPlan:
     anchors: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
-    children: tuple[tuple[Graph, VertexMap], ...]
-    plan: LiftPlan
-
-
-def _child(
-    g: Graph, keep: set[int], synthetic_parent: tuple[Edge, ...] = ()
-) -> Child:
-    """Induced child on ``keep`` plus synthetic edges given in parent ids."""
-    sub, vmap = g.delete_vertices(set(range(g.n)) - keep)
-    synthetic = []
-    for a, b in synthetic_parent:
+def _child(g: Graph, keep: set[int], synthetic: tuple[Edge, ...] = ()) -> Child:
+    """Induced child on ``keep`` plus the given synthetic edges."""
+    sub = g.delete_vertices(g.vertices() - keep)
+    for a, b in synthetic:
         if g.has_edge(a, b):
             raise ReductionError(f"synthetic edge ({a}, {b}) exists in parent")
-        ca, cb = vmap.new_id(a), vmap.new_id(b)
-        sub = sub.add_edge(ca, cb)
-        synthetic.append(edge(ca, cb))
-    return Child(sub, vmap, tuple(synthetic))
+        sub = sub.add_edge(a, b)
+    return Child(sub, tuple(edge(a, b) for a, b in synthetic))
 
 
-def _finish(plan: LiftPlan) -> ReducedInstance:
+def _finish(plan: LiftPlan) -> LiftPlan:
     g = plan.parent
     total = 0
     for child in plan.children:
@@ -329,12 +317,10 @@ def _finish(plan: LiftPlan) -> ReducedInstance:
         total += child.graph.n
     if total > g.n:
         raise ReductionError(f"{plan.tag}/{plan.subcase}: children too large")
-    return ReducedInstance(
-        tuple((c.graph, c.vmap) for c in plan.children), plan
-    )
+    return plan
 
 
-def reduce(g: Graph, occ: Occurrence) -> ReducedInstance:
+def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
     """Build the reduced graph(s) and the plan for lifting back."""
     occ.validate(g)
     build = {
@@ -351,7 +337,7 @@ def reduce(g: Graph, occ: Occurrence) -> ReducedInstance:
 
 
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
-    keep = set(range(g.n)) - {occ.u}
+    keep = g.vertices() - {occ.u}
     child = _child(g, keep, (edge(occ.v, occ.w),))
     anchors = {"u": occ.u, "v": occ.v, "w": occ.w}
     return LiftPlan("C1", "splice", g, (child,), anchors)
@@ -359,8 +345,9 @@ def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
 
 def _lift_c1(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
-    d = _translate(decomps[0], plan.children[0].vmap)
-    return _replace_edge(d, edge(a["v"], a["w"]), (a["v"], a["u"], a["w"]))
+    return _replace_edge(
+        decomps[0], edge(a["v"], a["w"]), (a["v"], a["u"], a["w"])
+    )
 
 
 # -- C2: solve the two sides and join two of their paths ---------------------
@@ -372,7 +359,7 @@ def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
     if len(comps) != 2:
         raise ReductionError(f"{occ}: deleting the edge left {len(comps)} parts")
     side_u = next(set(c) for c in comps if occ.u in c)
-    side_v = set(range(g.n)) - side_u
+    side_v = g.vertices() - side_u
     child_u = _child(cut, side_u)
     child_v = _child(cut, side_v)
     anchors = {"u": occ.u, "v": occ.v}
@@ -381,8 +368,7 @@ def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
 
 def _lift_c2(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
-    du = _translate(decomps[0], plan.children[0].vmap)
-    dv = _translate(decomps[1], plan.children[1].vmap)
+    du, dv = decomps
     ends_u = paths_ending_at(du, a["u"])
     ends_v = paths_ending_at(dv, a["v"])
     if not ends_u or not ends_v:
@@ -422,7 +408,7 @@ _C3_TO_FRONT = {0: (False, False), 1: (True, False), 2: (True, True), 3: (False,
 
 def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
     present = [g.has_edge(*e) for e in _c3_ring_edges(occ)]
-    keep = set(range(g.n)) - {occ.u, occ.v}
+    keep = g.vertices() - {occ.u, occ.v}
     if sum(present) <= 1:
         if sum(present) == 1:
             occ = _c3_relabel(occ, *_C3_TO_FRONT[present.index(True)])
@@ -465,7 +451,7 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
 def _lift_c3(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
     u, v, x, y, ue, ve = (a[k] for k in ("u", "v", "x", "y", "u_extra", "v_extra"))
-    d = _translate(decomps[0], plan.children[0].vmap)
+    d = decomps[0]
     if plan.subcase == "sparse_ring":
         if len(plan.children[0].synthetic) == 3:
             d = _lift_c3_sparse_with_bridge(plan, d)
@@ -533,21 +519,13 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
         raise ReductionError(f"{occ}: exactly two common neighbours (C3 present)")
     if len(commons) == 3:
         return _reduce_c4_triple(g, occ, commons)
-    if len(_components_without(g, {u})) >= 3:
+    if len(g.delete_vertices({u}).components()) >= 3:
         return _reduce_c4_hub(g, occ, u, v)
-    if len(_components_without(g, {v})) >= 3:
+    if len(g.delete_vertices({v}).components()) >= 3:
         return _reduce_c4_hub(g, occ, v, u)
-    if len(_components_without(g, {u, v})) >= 4:
+    if len(g.delete_vertices({u, v}).components()) >= 4:
         return _reduce_c4_four(g, occ)
     return _reduce_c4_paired(g, occ)
-
-
-def _components_without(g: Graph, drop: set[int]) -> list[tuple[int, ...]]:
-    """Components of g minus ``drop``, each given in parent ids."""
-    sub, vmap = g.delete_vertices(drop)
-    return [
-        tuple(sorted(vmap.old_id(x) for x in comp)) for comp in sub.components()
-    ]
 
 
 def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
@@ -562,7 +540,7 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
     (y,) = set(first) & set(second)
     (x,) = set(first) - {y}
     (z,) = set(second) - {y}
-    keep = set(range(g.n)) - {occ.u, occ.v}
+    keep = g.vertices() - {occ.u, occ.v}
     child = _child(g, keep, (edge(x, y), edge(y, z)))
     anchors = {"u": occ.u, "v": occ.v, "x": x, "y": y, "z": z}
     return LiftPlan("C4", "triple_common", g, (child,), anchors)
@@ -570,7 +548,7 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
 
 def _reduce_c4_hub(g: Graph, occ: C4, hub: int, other: int) -> LiftPlan:
     side = sorted(set(g.neighbors(hub)) - {other})
-    comps = _components_without(g, {hub})
+    comps = g.delete_vertices({hub}).components()
     lone = [c for c in comps if other not in c]
     main = [c for c in comps if other in c]
     if len(lone) != 2 or len(main) != 1:
@@ -590,7 +568,7 @@ def _reduce_c4_four(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
     ts = set(g.neighbors(u)) - {v}
     ws = set(g.neighbors(v)) - {u}
-    comps = _components_without(g, {u, v})
+    comps = g.delete_vertices({u, v}).components()
     if len(comps) != 4:
         raise ReductionError(f"{occ}: expected exactly four components")
     both = [c for c in comps if set(c) & ts and set(c) & ws]
@@ -617,7 +595,7 @@ def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
     ts = sorted(set(g.neighbors(u)) - {v})
     ws = sorted(set(g.neighbors(v)) - {u})
-    keep = set(range(g.n)) - {u, v}
+    keep = g.vertices() - {u, v}
     for t1, t2 in itertools.combinations(ts, 2):
         if g.has_edge(t1, t2):
             continue
@@ -641,23 +619,24 @@ def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
 def _lift_c4(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
     if plan.subcase == "triple_common":
-        d = _translate(decomps[0], plan.children[0].vmap)
-        d = _replace_edge(d, edge(a["x"], a["y"]), (a["x"], a["u"], a["y"]))
+        d = _replace_edge(
+            decomps[0], edge(a["x"], a["y"]), (a["x"], a["u"], a["y"])
+        )
         d = _replace_edge(d, edge(a["y"], a["z"]), (a["y"], a["v"], a["z"]))
         return add_path(d, Path((a["x"], a["v"], a["u"], a["z"])))
     if plan.subcase == "hub_split":
         return _lift_c4_hub(plan, decomps)
     if plan.subcase == "four_components":
-        near = _translate(decomps[0], plan.children[0].vmap)
-        far = _translate(decomps[1], plan.children[1].vmap)
+        near, far = decomps
         near = _replace_edge(near, edge(a["t1"], a["t2"]), (a["t1"], a["u"], a["t2"]))
         near = _replace_edge(near, edge(a["w1"], a["w2"]), (a["w1"], a["v"], a["w2"]))
         far = _replace_edge(
             far, edge(a["t3"], a["w3"]), (a["t3"], a["u"], a["v"], a["w3"])
         )
         return PathDecomposition(near.paths + far.paths)
-    d = _translate(decomps[0], plan.children[0].vmap)
-    d = _replace_edge(d, edge(a["t1"], a["t2"]), (a["t1"], a["u"], a["t2"]))
+    d = _replace_edge(
+        decomps[0], edge(a["t1"], a["t2"]), (a["t1"], a["u"], a["t2"])
+    )
     d = _replace_edge(d, edge(a["w1"], a["w2"]), (a["w1"], a["v"], a["w2"]))
     return add_path(d, Path((a["t3"], a["u"], a["v"], a["w3"])))
 
@@ -665,8 +644,7 @@ def _lift_c4(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposit
 def _lift_c4_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
     hub, other, t1, t2, t3 = a["hub"], a["other"], a["t1"], a["t2"], a["t3"]
-    pair = _translate(decomps[0], plan.children[0].vmap)
-    rest = _translate(decomps[1], plan.children[1].vmap)
+    pair, rest = decomps
     host = _path_with_edge(pair, edge(t1, t2))
     left, right = _split_on_edge(host, edge(t1, t2))
     if left[-1] == t1:
@@ -710,7 +688,7 @@ def _reduce_c5_common3(g: Graph, a: int, b: int) -> LiftPlan:
     missing = [
         (p, q) for p, q in itertools.combinations(trio, 2) if not g.has_edge(p, q)
     ]
-    keep = set(range(g.n)) - {a, b}
+    keep = g.vertices() - {a, b}
     if len(missing) >= 2:
         center = next(s for s in trio if sum(s in pair for pair in missing) >= 2)
         o1, o2 = sorted(set(trio) - {center})
@@ -733,11 +711,7 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     if g.degree(v) != 2:
         v, w = w, v
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
-    trimmed, drop_map = g.delete_vertices({v})
-    merged, contract_map = trimmed.contract_edge(
-        drop_map.new_id(u), drop_map.new_id(w)
-    )
-    child = Child(merged, drop_map.compose(contract_map))
+    child = Child(g.delete_vertices({v}).contract_edge(u, w))
     anchors = {"u": u, "v": v, "w": w, "x1": x1, "x2": x2}
     return LiftPlan("C5", "degree_two", g, (child,), anchors)
 
@@ -764,16 +738,9 @@ def _reduce_c5_dense(g: Graph, occ: C5) -> LiftPlan:
 def _reduce_c5_hub(
     g: Graph, u: int, v: int, w: int, x1: int, x2: int
 ) -> LiftPlan:
-    trimmed, drop_map = g.delete_vertices({u})
-    merged, contract_map = trimmed.contract_edge(
-        drop_map.new_id(v), drop_map.new_id(w)
-    )
-    vmap = drop_map.compose(contract_map)
-    assert vmap.merged is not None
-    s = vmap.merged[1]
-    cx2 = vmap.new_id(x2)
-    final = merged.add_edge(s, cx2)
-    child = Child(final, vmap, (edge(s, cx2),))
+    merged = g.delete_vertices({u}).contract_edge(v, w)
+    s = min(v, w)
+    child = Child(merged.add_edge(s, x2), (edge(s, x2),))
     anchors = {"u": u, "v": v, "w": w, "x1": x1, "x2": x2}
     return LiftPlan("C5", "hub_contraction", g, (child,), anchors)
 
@@ -785,7 +752,7 @@ def _reduce_c5_bridges(
     x1, x2 = sorted(nb for c, nb in outer if c == u)
     y1, y2 = sorted(nb for c, nb in outer if c == v)
     z1, z2 = sorted(nb for c, nb in outer if c == w)
-    comps = _components_without(g, {u, v, w})
+    comps = g.delete_vertices({u, v, w}).components()
     if len(comps) != 6:
         raise ReductionError(f"{occ}: expected six satellite components")
     home = {}
@@ -805,15 +772,13 @@ def _reduce_c5_bridges(
 def _lift_c5(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
     if plan.subcase == "two_gaps":
-        d = _translate(decomps[0], plan.children[0].vmap)
         u, v, c = a["u"], a["v"], a["center"]
-        d = _replace_edge(d, edge(a["o1"], c), (a["o1"], u, c))
+        d = _replace_edge(decomps[0], edge(a["o1"], c), (a["o1"], u, c))
         d = _replace_edge(d, edge(c, a["o2"]), (c, v, a["o2"]))
         return add_path(d, Path((a["o1"], v, u, a["o2"])))
     if plan.subcase == "one_gap":
-        d = _translate(decomps[0], plan.children[0].vmap)
         u, v, x, y = a["u"], a["v"], a["x"], a["y"]
-        d = _replace_edge(d, edge(x, y), (x, u, v, y))
+        d = _replace_edge(decomps[0], edge(x, y), (x, u, v, y))
         return add_path(d, Path((x, v, a["apex"], u, y)))
     if plan.subcase == "common_triangle":
         return _lift_c5_triangle(plan, decomps)
@@ -840,14 +805,14 @@ def _lift_c5_triangle(
     u, v = a["u"], a["v"]
     trio = (a["c1"], a["c2"], a["c3"])
     child = plan.children[0]
-    d = _translate(decomps[0], child.vmap)
+    d = decomps[0]
 
     def holder(e: Edge) -> int:
         return _find_edge_index(d, e)[0]
 
     roles = None
     for wr, xr, yr in itertools.permutations(trio):
-        if child.graph.degree(child.vmap.new_id(wr)) != 2:
+        if child.graph.degree(wr) != 2:
             continue
         if holder(edge(xr, wr)) == holder(edge(wr, yr)):
             continue
@@ -915,10 +880,9 @@ def _lift_c5_degree_two(
 ) -> PathDecomposition:
     a = plan.anchors
     u, v, w, x1, x2 = a["u"], a["v"], a["w"], a["x1"], a["x2"]
-    child = plan.children[0]
-    # The merged vertex plays w; its edges towards x1/x2 stand for parent
-    # edges at u.
-    d = _translate_merged_as(decomps[0], child.vmap, w)
+    # The merged vertex kept the id min(u, w) and plays w; its edges towards
+    # x1/x2 stand for parent edges at u.
+    d = _renamed(decomps[0], min(u, w), w)
     hinge = None
     for p in d.paths:
         for i, vertex in enumerate(p.vertices):
@@ -938,40 +902,22 @@ def _lift_c5_degree_two(
     return PathDecomposition(rest + (first, second))
 
 
-def _translate_merged_as(
-    d: PathDecomposition, vmap: VertexMap, stand_in: int
-) -> PathDecomposition:
-    """Translate a contracted child's paths, reading the merged vertex as
-    ``stand_in`` everywhere."""
-    if vmap.merged is None:
-        raise LiftError("child was not produced by a contraction")
-    merged_new = vmap.merged[1]
-    inverse = {new: old for old, new in vmap.forward.items() if new != merged_new}
-    inverse[merged_new] = stand_in
-    return PathDecomposition(
-        tuple(Path(tuple(inverse[x] for x in p.vertices)) for p in d.paths)
-    )
-
-
 def _lift_c5_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
     g = plan.parent
     u, v, w, x1, x2 = a["u"], a["v"], a["w"], a["x1"], a["x2"]
-    child = plan.children[0]
-    s = child.vmap.merged[1]
-    inverse = {new: old for old, new in child.vmap.forward.items() if new != s}
+    s = min(v, w)  # the merged vertex
     v_side = set(g.neighbors(v)) - {u, w}
     w_side = set(g.neighbors(w)) - {u, v}
 
-    def side(child_vertex: int) -> str:
-        old = inverse[child_vertex]
-        if old == x2:
+    def side(vertex: int) -> str:
+        if vertex == x2:
             return "x"
-        if old in v_side:
+        if vertex in v_side:
             return "v"
-        if old in w_side:
+        if vertex in w_side:
             return "w"
-        raise LiftError(f"unexpected neighbour {old} of the merged pair")
+        raise LiftError(f"unexpected neighbour {vertex} of the merged pair")
 
     crossings = 0
     translated: list[Path] = []
@@ -979,7 +925,7 @@ def _lift_c5_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomp
         vertices: list[int] = []
         for i, cv in enumerate(p.vertices):
             if cv != s:
-                vertices.append(inverse[cv])
+                vertices.append(cv)
                 continue
             before = p.vertices[i - 1] if i > 0 else None
             after = p.vertices[i + 1] if i + 1 < len(p) else None
@@ -1074,9 +1020,7 @@ def _edges_as_path(edges: set[Edge]) -> tuple[int, ...] | None:
 def _lift_c5_bridges(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
     a = plan.anchors
     u, v, w = a["u"], a["v"], a["w"]
-    first = _translate(decomps[0], plan.children[0].vmap)
-    second = _translate(decomps[1], plan.children[1].vmap)
-    third = _translate(decomps[2], plan.children[2].vmap)
+    first, second, third = decomps
     first = _replace_edge(first, edge(a["x1"], a["y1"]), (a["x1"], u, v, a["y1"]))
     second = _replace_edge(
         second, edge(a["x2"], a["y2"]), (a["x2"], u, w, v, a["y2"])
@@ -1140,7 +1084,10 @@ def lift(
         if not report.good:
             raise LiftError("child decomposition is valid but not good")
         total += len(decomp)
-    lifted = _LIFTERS[plan.tag](plan, children_decomps)
+    try:
+        lifted = _LIFTERS[plan.tag](plan, children_decomps)
+    except ValueError as exc:
+        raise LiftError(f"{plan.tag}/{plan.subcase} recipe failed: {exc}") from exc
     report = verify(plan.parent, lifted)
     if not report.valid:
         raise LiftError(f"lifted decomposition invalid:\n{report}")
@@ -1168,27 +1115,28 @@ def check_structure(g: Graph) -> bool:
         raise ValueError("graph must be connected")
     if g.n and g.max_degree() > 5:
         raise ValueError("maximum degree exceeds 5")
-    if _is_clique(g, 3) or _is_clique(g, 5):
+    if is_exceptional_clique(g):
         raise ValueError("K3 and K5 are excluded")
     if detect(g) is not None:
         raise ValueError("graph still contains a configuration")
-    core, _ = g.induced_even_subgraph()
-    return core.is_forest()
+    return g.induced_even_subgraph().is_forest()
 
 
-def _is_clique(g: Graph, size: int) -> bool:
-    return g.n == size and g.m == size * (size - 1) // 2
+def is_exceptional_clique(g: Graph) -> bool:
+    """K3 or K5: the two cliques ``solve`` covers from fixed templates and
+    ``check_structure`` excludes."""
+    return (g.n, g.m) in ((3, 3), (5, 10))
 
 
 # -- shared helpers --------------------------------------------------------------
 
 
-def _translate(d: PathDecomposition, vmap: VertexMap) -> PathDecomposition:
-    if vmap.merged is not None:
-        raise LiftError("plain translation cannot undo a contraction")
-    inverse = {new: old for old, new in vmap.forward.items()}
+def _renamed(d: PathDecomposition, old: int, new: int) -> PathDecomposition:
+    """The paths of ``d`` with vertex ``old`` read as ``new``."""
     return PathDecomposition(
-        tuple(Path(tuple(inverse[x] for x in p.vertices)) for p in d.paths)
+        tuple(
+            Path(tuple(new if x == old else x for x in p.vertices)) for p in d.paths
+        )
     )
 
 

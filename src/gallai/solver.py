@@ -3,9 +3,11 @@
 ``solve`` recursively shrinks the graph through the reducible
 configurations, handles the two exceptional cliques directly, and resolves
 irreducible graphs by exact bounded search (their even-degree core is a
-forest, so a decomposition into floor(n/2) paths exists and the search is
-guaranteed a target).  Every lift is re-verified on the way back up, so a
-returned result is always checked end to end.
+forest, so a decomposition into ceil(n/2) paths exists and the search is
+guaranteed a target).  Child graphs keep their parent's vertex ids, so
+every decomposition is in the ids of the input graph.  Every lift is
+re-verified on the way back up, so a returned result is always checked end
+to end.
 
 ``min_decomposition`` is the independent oracle: iterative deepening on the
 exact search, starting from the combinatorial lower bound.
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 from .paths import Path, PathDecomposition, lower_bound, verify
-from .reductions import check_structure, detect, lift, reduce
+from .reductions import (
+    check_structure,
+    detect,
+    is_exceptional_clique,
+    lift,
+    reduce,
+)
 from .search import BudgetExhaustedError, cover_with_paths
 
 __all__ = [
@@ -60,14 +68,17 @@ class SolveResult:
     verified: bool
 
 
-_K3_PATHS = ((0, 1, 2), (0, 2))
-_K5_PATHS = ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0, 3))
+# Templates for K3 and K5, by position in the ascending vertex ids.
+_CLIQUE_PATHS = {
+    3: ((0, 1, 2), (0, 2)),
+    5: ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0, 3)),
+}
 
 
-def _clique_decomposition(g: Graph, template) -> PathDecomposition:
-    order = tuple(range(g.n))
+def _clique_decomposition(g: Graph) -> PathDecomposition:
+    order = tuple(g.vertices())
     return PathDecomposition(
-        tuple(Path(tuple(order[i] for i in seq)) for seq in template)
+        tuple(Path(tuple(order[i] for i in seq)) for seq in _CLIQUE_PATHS[g.n])
     )
 
 
@@ -90,12 +101,9 @@ def _solve(g: Graph, budget: int | None) -> SolveResult:
         return SolveResult(
             PathDecomposition(()), SolveTrace((), ("trivial",)), True
         )
-    if g.n == 3 and g.m == 3:
-        d = _clique_decomposition(g, _K3_PATHS)
-        return SolveResult(d, SolveTrace((), ("K3",)), True)
-    if g.n == 5 and g.m == 10:
-        d = _clique_decomposition(g, _K5_PATHS)
-        return SolveResult(d, SolveTrace((), ("K5",)), True)
+    if is_exceptional_clique(g):
+        d = _clique_decomposition(g)
+        return SolveResult(d, SolveTrace((), (f"K{g.n}",)), True)
     occ = detect(g)
     if occ is None:
         if not check_structure(g):
@@ -111,8 +119,7 @@ def _solve(g: Graph, budget: int | None) -> SolveResult:
                 "this contradicts the decomposition guarantee"
             )
         return SolveResult(d, SolveTrace((), (f"search(k={k})",)), True)
-    instance = reduce(g, occ)
-    plan = instance.plan
+    plan = reduce(g, occ)
     child_results = [_solve(child.graph, budget) for child in plan.children]
     lifted = lift(occ, plan, [r.decomposition for r in child_results])
     step = ReductionStep(g.n, plan.tag, plan.subcase)

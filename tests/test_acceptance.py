@@ -168,8 +168,7 @@ def test_criterion_5_lift_round_trip_suite():
         occ = detect(g)
         if occ is None:
             continue
-        instance = reduce(g, occ)
-        plan = instance.plan
+        plan = reduce(g, occ)
         decomps = [solve(child.graph).decomposition for child in plan.children]
         lifted = lift(occ, plan, decomps)
         report = verify(g, lifted)
@@ -181,12 +180,10 @@ def test_criterion_5_lift_round_trip_suite():
     # constructed fixtures close any sub-cases random generation misses
     for g, occ, tag, subcase in subcase_fixtures():
         occ = occ if occ is not None else detect(g)
-        instance = reduce(g, occ)
-        assert (instance.plan.tag, instance.plan.subcase) == (tag, subcase)
-        decomps = [
-            solve(child.graph).decomposition for child in instance.plan.children
-        ]
-        lifted = lift(occ, instance.plan, decomps)
+        plan = reduce(g, occ)
+        assert (plan.tag, plan.subcase) == (tag, subcase)
+        decomps = [solve(child.graph).decomposition for child in plan.children]
+        lifted = lift(occ, plan, decomps)
         assert verify(g, lifted).valid
         covered.add((tag, subcase))
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import gallai.batch
+import gallai.reductions
 from gallai import (
     enumerate_connected,
     parse_graph6,
@@ -202,6 +203,20 @@ def test_cli_scan_internal(capsys):
 
 def test_cli_unreadable_file(capsys):
     assert main(["solve", "/nonexistent/file"]) == 2
+
+
+def test_cli_solve_recipe_value_error_is_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # A ValueError inside a lift recipe is a bug in the recipe, not bad
+    # input: it surfaces as a LiftError and exit status 1, not 2.
+    def broken(*args):
+        raise ValueError("editing move refused")
+
+    monkeypatch.setattr(gallai.reductions, "replace_subpath", broken)
+    path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
+    assert main(["solve", path]) == 1
+    assert "editing move refused" in capsys.readouterr().err
 
 
 def test_cli_graph6_file_header(tmp_path, capsys):

@@ -134,19 +134,16 @@ def test_detectors_are_deterministic():
 def round_trip(g, occ, expected_subcase):
     """reduce, solve the children, lift, verify, check the accounting."""
     occ.validate(g)
-    instance = reduce(g, occ)
-    plan = instance.plan
+    plan = reduce(g, occ)
     assert plan.subcase == expected_subcase
-    assert all(child.is_connected() for child, _ in instance.children)
-    assert all(child.n < g.n for child, _ in instance.children)
-    assert sum(child.n for child, _ in instance.children) <= g.n
+    assert all(child.graph.is_connected() for child in plan.children)
+    assert all(child.graph.n < g.n for child in plan.children)
+    assert sum(child.graph.n for child in plan.children) <= g.n
     for child in plan.children:
+        assert child.graph.vertices() <= g.vertices()  # parent ids kept
         for a, b in child.synthetic:
             assert child.graph.has_edge(a, b)
-            olds_a = child.vmap.old_ids(a)
-            olds_b = child.vmap.old_ids(b)
-            if len(olds_a) == 1 and len(olds_b) == 1:
-                assert not g.has_edge(olds_a[0], olds_b[0])
+            assert not g.has_edge(a, b)
     decomps = [solve(child.graph).decomposition for child in plan.children]
     lifted = lift(occ, plan, decomps)
     report = verify(g, lifted)
@@ -164,9 +161,9 @@ def test_c1_round_trip():
 def test_c2_round_trip():
     g = two_cliques_with_bridge()
     occ = detect(g)
-    instance = reduce(g, occ)
-    decomps = [solve(c.graph).decomposition for c in instance.plan.children]
-    lifted = lift(occ, instance.plan, decomps)
+    plan = reduce(g, occ)
+    decomps = [solve(c.graph).decomposition for c in plan.children]
+    lifted = lift(occ, plan, decomps)
     assert len(lifted) == sum(len(d) for d in decomps) - 1
     assert verify(g, lifted).valid
 
@@ -297,9 +294,9 @@ def test_c5_bridge_spread_round_trip_direct():
         (u, v), (u, w), (v, w), (u, x1), (u, x2),
         (v, y1), (v, y2), (w, z1), (w, z2),
     ])
-    instance = reduce(g, C5(u, v, w))
-    assert instance.plan.subcase == "bridge_spread"
-    assert len(instance.plan.children) == 3
+    plan = reduce(g, C5(u, v, w))
+    assert plan.subcase == "bridge_spread"
+    assert len(plan.children) == 3
     round_trip(g, C5(u, v, w), "bridge_spread")
 
 
@@ -318,11 +315,9 @@ def test_c5_bridge_spread_with_fat_satellites():
 
 
 # -- rare lift branches, driven by hand-built child decompositions -----------
-
-
-def child_ids(plan):
-    vmap = plan.children[0].vmap
-    return vmap, (vmap.merged[1] if vmap.merged else None)
+#
+# Child graphs keep the parent's vertex ids; a contracted pair keeps the
+# smaller of its two ids.
 
 
 def test_c5_hub_contraction_two_crossings_and_extension():
@@ -334,22 +329,17 @@ def test_c5_hub_contraction_two_crossings_and_extension():
         (v, y1), (v, y2), (w, z1), (w, z2),
     ])
     occ = C5(u, v, w)
-    plan = reduce(g, occ).plan
-    vmap, s = child_ids(plan)
-    cid = vmap.new_id
+    plan = reduce(g, occ)
+    s = min(v, w)
 
     # two paths crossing straight through the merged pair
-    crossing = decomposition(
-        (cid(y1), s, cid(z1)), (cid(y2), s, cid(z2)), (cid(x1), cid(x2), s)
-    )
+    crossing = decomposition((y1, s, z1), (y2, s, z2), (x1, x2, s))
     lifted = lift(occ, plan, [crossing])
     assert verify(g, lifted).good
 
     # same-side crossings leave a non-path residue, forcing the corner
     # extension step
-    bent = decomposition(
-        (cid(y1), s, cid(y2)), (cid(z1), s, cid(z2)), (cid(x1), cid(x2), s)
-    )
+    bent = decomposition((y1, s, y2), (z1, s, z2), (x1, x2, s))
     lifted = lift(occ, plan, [bent])
     assert verify(g, lifted).good
 
@@ -361,25 +351,19 @@ def test_c5_common_triangle_repair_fallback():
     g = Graph.from_edges(7, k5 + [(3, 5), (4, 6)])
     occ = detect(g)
     assert isinstance(occ, C5)
-    plan = reduce(g, occ).plan
+    plan = reduce(g, occ)
     assert plan.subcase == "common_triangle"
-    vmap, _ = child_ids(plan)
-    cid = vmap.new_id
 
     # both edges at the only degree-2 triangle vertex share one path: no
     # role assignment works and the exact local re-partition must kick in
-    blocked = decomposition(
-        (cid(5), cid(3), cid(2), cid(4), cid(6)), (cid(3), cid(4))
-    )
+    blocked = decomposition((5, 3, 2, 4, 6), (3, 4))
     assert verify(plan.children[0].graph, blocked).good
     lifted = lift(occ, plan, [blocked])
     assert verify(g, lifted).good
     assert len(lifted) == len(blocked) + 1
 
     # a separated decomposition goes through the ordinary recipe
-    free = decomposition(
-        (cid(5), cid(3), cid(2)), (cid(2), cid(4), cid(6)), (cid(3), cid(4))
-    )
+    free = decomposition((5, 3, 2), (2, 4, 6), (3, 4))
     lifted = lift(occ, plan, [free])
     assert verify(g, lifted).good
 
@@ -391,12 +375,10 @@ def test_c3_sparse_bridge_collisions():
         6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]
     )
     occ = detect(g)
-    plan = reduce(g, occ).plan
+    plan = reduce(g, occ)
     assert plan.subcase == "sparse_ring"
     assert len(plan.children[0].synthetic) == 3
-    vmap, _ = child_ids(plan)
-    cid = vmap.new_id
-    x, y, ue, ve = cid(2), cid(3), cid(4), cid(5)
+    x, y, ue, ve = 2, 3, 4, 5
 
     for child_decomp in (
         decomposition((ve, x, y, ue)),                # both collisions
@@ -415,17 +397,16 @@ def test_c5_degree_two_both_branches():
         7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)]
     )
     occ = C5(0, 1, 2)
-    plan = reduce(g, occ).plan
+    plan = reduce(g, occ)
     assert plan.subcase == "degree_two"
-    vmap, c = child_ids(plan)
-    cid = vmap.new_id
+    c = 0  # u = 0 and w = 2 merge into the smaller id
 
-    split_sides = decomposition((cid(3), c, cid(5)), (cid(4), c, cid(6)))
+    split_sides = decomposition((3, c, 5), (4, c, 6))
     lifted = lift(occ, plan, [split_sides])
     assert verify(g, lifted).good
     assert len(lifted) == 2
 
-    hinged = decomposition((cid(3), c, cid(4)), (cid(5), c, cid(6)))
+    hinged = decomposition((3, c, 4), (5, c, 6))
     lifted = lift(occ, plan, [hinged])
     assert verify(g, lifted).good
     assert len(lifted) == 3
@@ -476,15 +457,13 @@ def test_c5_dense_reductions_on_random_satellites():
         occ = C5(0, 1, 2)
         try:
             occ.validate(g)
-            instance = reduce(g, occ)
+            plan = reduce(g, occ)
         except ReductionError:
             continue
-        decomps = [
-            solve(child.graph).decomposition for child in instance.plan.children
-        ]
-        lifted = lift(occ, instance.plan, decomps)
+        decomps = [solve(child.graph).decomposition for child in plan.children]
+        lifted = lift(occ, plan, decomps)
         assert verify(g, lifted).valid
-        seen[instance.plan.subcase] += 1
+        seen[plan.subcase] += 1
     assert seen["hub_contraction"] > 0
     assert seen["bridge_spread"] > 0
 
@@ -550,16 +529,13 @@ def test_every_occurrence_round_trips_on_random_graphs():
             continue
         for occ in _all_occurrences(g):
             try:
-                instance = reduce(g, occ)
+                plan = reduce(g, occ)
             except ReductionError as exc:
                 if any(marker in str(exc) for marker in skip_markers):
                     continue
                 raise
-            decomps = [
-                solve(child.graph).decomposition
-                for child in instance.plan.children
-            ]
-            lifted = lift(occ, instance.plan, decomps)
+            decomps = [solve(child.graph).decomposition for child in plan.children]
+            lifted = lift(occ, plan, decomps)
             assert verify(g, lifted).valid
             trips += 1
     assert trips > 100
@@ -590,11 +566,11 @@ def test_reduce_c4_rejects_priority_violations():
 def test_lift_rejects_bad_child_decomposition():
     g = cycle(4)
     occ = detect(g)
-    instance = reduce(g, occ)
+    plan = reduce(g, occ)
     from gallai import LiftError, PathDecomposition
 
     with pytest.raises(LiftError):
-        lift(occ, instance.plan, [PathDecomposition(())])
+        lift(occ, plan, [PathDecomposition(())])
 
 
 # -- structure of irreducible graphs -----------------------------------------
