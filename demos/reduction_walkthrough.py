@@ -3,7 +3,8 @@
 The example graph is a 4-cycle with a pendant triangle.  Its degree-2
 cycle vertices have non-adjacent neighbours, so the highest-priority
 configuration applies: delete the vertex, bridge its neighbours, solve the
-smaller graph, then splice the vertex back into the bridging edge.
+smaller graph, then lift the bridging edge along its route back through
+the vertex.
 """
 
 from gallai import Graph, detect, lift, reduce, solve, verify
@@ -23,7 +24,7 @@ print(f"sub-case {plan.tag}/{plan.subcase}, "
       f"{len(plan.children)} child graph(s)")
 for child in plan.children:
     print("  child edges:", list(child.graph.edges()),
-          "synthetic:", list(child.synthetic))
+          "synthetic:", list(child.synthetic), "routes:", list(child.routes))
 
 child_solutions = [solve(child.graph) for child in plan.children]
 for sol in child_solutions:

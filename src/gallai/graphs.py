@@ -133,10 +133,6 @@ class Graph:
             out.append(tuple(_bits(comp)))
         return out
 
-    def component_mask(self, start: int) -> int:
-        self.neighbor_mask(start)  # raises if start is not a vertex
-        return self._reach(start)
-
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 

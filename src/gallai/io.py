@@ -9,6 +9,8 @@ space-separated vertex ids.
 
 from __future__ import annotations
 
+import math
+
 from .graphs import Graph
 from .paths import Path, PathDecomposition
 
@@ -49,21 +51,18 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError(
             f"{kind} graph6 body: {len(body)} bytes for order {n}"
         )
-    bits = 0
-    for value in body:
-        bits = (bits << 6) | value
     pad = need_bytes * 6 - need_bits
-    if bits & ((1 << pad) - 1):
+    if body and body[-1] & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits")
-    bits >>= pad
     masks = [0] * n
-    position = need_bits - 1  # bit 0 of the stream is the highest bit left
-    for col in range(1, n):
-        for row in range(col):
-            if bits >> position & 1:
+    for i, value in enumerate(body):
+        if not value:
+            continue
+        for bit in range(6):
+            if value >> (5 - bit) & 1:
+                row, col = _pair_at(6 * i + bit)
                 masks[row] |= 1 << col
                 masks[col] |= 1 << row
-            position -= 1
     return Graph(n, masks)
 
 
@@ -71,25 +70,25 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n > _EXTENDED_LIMIT:
         raise FormatError(f"order {n} exceeds the supported graph6 range")
+    if n and max(g.vertices()) != n - 1:
+        raise ValueError("graph6 needs the vertex ids 0..n-1")
     if n <= 62:
         header = chr(63 + n)
     else:
         header = "~" + "".join(
             chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)
         )
-    bits = 0
-    count = 0
-    for col in range(1, n):
-        for row in range(col):
-            bits = (bits << 1) | (1 if g.has_edge(row, col) else 0)
-            count += 1
-    pad = (-count) % 6
-    bits <<= pad
-    body = "".join(
-        chr(63 + (bits >> shift & 63))
-        for shift in range((count + pad) - 6, -6, -6)
-    )
-    return header + body
+    values = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for row, col in g.edges():
+        position = col * (col - 1) // 2 + row
+        values[position // 6] |= 32 >> position % 6
+    return header + "".join(chr(63 + value) for value in values)
+
+
+def _pair_at(position: int) -> tuple[int, int]:
+    """The (row, col) pair, row < col, at a bit position of the body."""
+    col = (1 + math.isqrt(8 * position + 1)) // 2
+    return position - col * (col - 1) // 2, col
 
 
 def parse_edgelist(text: str) -> Graph:

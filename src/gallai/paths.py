@@ -123,11 +123,10 @@ def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
                 )
             else:
                 used[edge(a, b)] += 1
-    for e, count in sorted(used.items()):
-        if count > 1:
-            violations.append(
-                Violation("duplicate_edge", f"edge {e} covered {count} times")
-            )
+    for e in sorted(e for e, count in used.items() if count > 1):
+        violations.append(
+            Violation("duplicate_edge", f"edge {e} covered {used[e]} times")
+        )
     for e in g.edges():
         if e not in used:
             violations.append(Violation("uncovered_edge", f"edge {e} uncovered"))

@@ -20,17 +20,22 @@ rewrite recipes are only guaranteed to apply when the earlier
 configurations are absent, so ``reduce`` re-checks the facts it relies on
 and fails loudly rather than patching around a priority violation.
 
-Each reduction records a ``LiftPlan`` naming the sub-case it chose;
-``lift`` replays the matching rewrite recipe on the children's
-decompositions, verifies the result, and enforces the sub-case's path
-accounting before returning it.
+Each reduction records a ``LiftPlan`` naming the sub-case it chose.  In
+ten of the fifteen sub-cases the plan is data: every synthetic child edge
+is stated as its route through the removed vertices, and a few fixed paths
+are added; one function lifts them all.  The other five sub-cases, and
+the sparse ring when it needs the x-y bridge, name a rewrite recipe of
+their own.  ``lift`` verifies the result against the
+parent and enforces the sub-case's path accounting before returning it;
+the children's decompositions are not verified again, since each is the
+already verified output of the ``lift`` below it or a base case.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Iterator, Union
 
 from .graphs import Edge, Graph, edge
 from .paths import (
@@ -226,19 +231,27 @@ def detect_c4(g: Graph) -> C4 | None:
     for u, v in g.edges():
         if g.degree(u) != 4 or g.degree(v) != 4:
             continue
-        ts = sorted(set(g.neighbors(u)) - {v})
-        ws = sorted(set(g.neighbors(v)) - {u})
-        for t1, t2 in itertools.combinations(ts, 2):
-            if g.has_edge(t1, t2):
-                continue
-            (t3,) = set(ts) - {t1, t2}
-            for w1, w2 in itertools.combinations(ws, 2):
-                if g.has_edge(w1, w2):
-                    continue
-                (w3,) = set(ws) - {w1, w2}
-                if t3 != w3:
-                    return C4(u, v, t1, t2, t3, w1, w2, w3)
+        labels = next(_c4_labellings(g, u, v), None)
+        if labels is not None:
+            return C4(u, v, *labels)
     return None
+
+
+def _c4_labellings(g: Graph, u: int, v: int) -> Iterator[tuple[int, ...]]:
+    """Every ``(t1, t2, t3, w1, w2, w3)`` naming a C4 at the edge uv, in
+    ascending order of the non-adjacent pairs."""
+    ts = sorted(set(g.neighbors(u)) - {v})
+    ws = sorted(set(g.neighbors(v)) - {u})
+    for t1, t2 in itertools.combinations(ts, 2):
+        if g.has_edge(t1, t2):
+            continue
+        (t3,) = set(ts) - {t1, t2}
+        for w1, w2 in itertools.combinations(ws, 2):
+            if g.has_edge(w1, w2):
+                continue
+            (w3,) = set(ws) - {w1, w2}
+            if t3 != w3:
+                yield t1, t2, t3, w1, w2, w3
 
 
 def detect_c5(g: Graph) -> C5 | None:
@@ -276,32 +289,50 @@ def detect(g: Graph) -> Occurrence | None:
 # -- reduction plumbing ------------------------------------------------------
 
 
+Route = tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Child:
-    """One reduced graph, on its parent's vertex ids, and its synthetic
-    edges (present in the child but not in the parent)."""
+    """One reduced graph, on its parent's vertex ids.
+
+    A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
+    walk through removed vertices.  Its ends are a synthetic edge (present
+    in the child but not in the parent), except in the C3 full ring, whose
+    route reroutes a real edge that an added path then covers again.
+    """
 
     graph: Graph
+    routes: tuple[Route, ...] = ()
     synthetic: tuple[Edge, ...] = ()
 
 
 @dataclass(frozen=True)
 class LiftPlan:
+    """How to lift the children's decompositions back to ``parent``: by the
+    children's routes plus the ``added`` paths, or, where ``recipe`` is
+    set, by that bespoke rewrite reading ``anchors``."""
+
     tag: str
     subcase: str
     parent: Graph
     children: tuple[Child, ...]
+    added: tuple[Route, ...] = ()
+    recipe: Callable[..., PathDecomposition] | None = None
     anchors: dict[str, int] = field(default_factory=dict)
 
 
-def _child(g: Graph, keep: set[int], synthetic: tuple[Edge, ...] = ()) -> Child:
-    """Induced child on ``keep`` plus the given synthetic edges."""
+def _child(g: Graph, keep: set[int], routes: tuple[Route, ...] = ()) -> Child:
+    """Induced child on ``keep`` plus an edge joining the ends of each route
+    that are not adjacent in ``g``."""
     sub = g.delete_vertices(g.vertices() - keep)
-    for a, b in synthetic:
-        if g.has_edge(a, b):
-            raise ReductionError(f"synthetic edge ({a}, {b}) exists in parent")
-        sub = sub.add_edge(a, b)
-    return Child(sub, tuple(edge(a, b) for a, b in synthetic))
+    synthetic = []
+    for route in routes:
+        e = edge(route[0], route[-1])
+        if not g.has_edge(*e):
+            sub = sub.add_edge(*e)
+            synthetic.append(e)
+    return Child(sub, routes, tuple(synthetic))
 
 
 def _finish(plan: LiftPlan) -> LiftPlan:
@@ -337,17 +368,8 @@ def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
 
 
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
-    keep = g.vertices() - {occ.u}
-    child = _child(g, keep, (edge(occ.v, occ.w),))
-    anchors = {"u": occ.u, "v": occ.v, "w": occ.w}
-    return LiftPlan("C1", "splice", g, (child,), anchors)
-
-
-def _lift_c1(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    return _replace_edge(
-        decomps[0], edge(a["v"], a["w"]), (a["v"], a["u"], a["w"])
-    )
+    child = _child(g, g.vertices() - {occ.u}, ((occ.v, occ.u, occ.w),))
+    return LiftPlan("C1", "splice", g, (child,))
 
 
 # -- C2: solve the two sides and join two of their paths ---------------------
@@ -363,7 +385,9 @@ def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
     child_u = _child(cut, side_u)
     child_v = _child(cut, side_v)
     anchors = {"u": occ.u, "v": occ.v}
-    return LiftPlan("C2", "join", g, (child_u, child_v), anchors)
+    return LiftPlan(
+        "C2", "join", g, (child_u, child_v), recipe=_lift_c2, anchors=anchors
+    )
 
 
 def _lift_c2(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
@@ -383,23 +407,15 @@ def _lift_c2(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposit
 # -- C3: bypass two degree-4 endpoints around their common pair --------------
 
 
-def _c3_relabel(occ: C3, swap_xy: bool, swap_uv: bool) -> C3:
+def _c3_relabel(occ: C3, swap_xy: bool, swap_uv: bool) -> tuple[int, ...]:
+    """``(u, v, x, y, u_extra, v_extra)`` after the given swaps."""
     u, v, x, y, ue, ve = occ.u, occ.v, occ.x, occ.y, occ.u_extra, occ.v_extra
     if swap_xy:
         x, y = y, x
     if swap_uv:
         u, v = v, u
         ue, ve = ve, ue
-    return C3(u, v, x, y, ue, ve)
-
-
-def _c3_ring_edges(occ: C3) -> tuple[Edge, Edge, Edge, Edge]:
-    return (
-        edge(occ.x, occ.u_extra),
-        edge(occ.u_extra, occ.y),
-        edge(occ.y, occ.v_extra),
-        edge(occ.v_extra, occ.x),
-    )
+    return u, v, x, y, ue, ve
 
 
 # Relabelling (swap x/y, swap u/v) carrying ring position i to position 0.
@@ -407,79 +423,50 @@ _C3_TO_FRONT = {0: (False, False), 1: (True, False), 2: (True, True), 3: (False,
 
 
 def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
-    present = [g.has_edge(*e) for e in _c3_ring_edges(occ)]
-    keep = g.vertices() - {occ.u, occ.v}
-    if sum(present) <= 1:
-        if sum(present) == 1:
-            occ = _c3_relabel(occ, *_C3_TO_FRONT[present.index(True)])
-        synthetic = [edge(occ.u_extra, occ.y), edge(occ.v_extra, occ.x)]
-        # When the two bypass edges do not reconnect the remainder, the
-        # x-y bridge is guaranteed absent from the parent and restores
-        # connectivity.
-        if not _child(g, keep, tuple(synthetic)).graph.is_connected():
-            synthetic.append(edge(occ.x, occ.y))
-        child = _child(g, keep, tuple(synthetic))
-        subcase = "sparse_ring"
-    elif sum(present) == 4:
-        child = _child(g, keep)
-        subcase = "full_ring"
-    else:
-        chosen = None
+    u, v, x, y, ue, ve = _c3_relabel(occ, False, False)
+    present = [g.has_edge(a, b) for a, b in ((x, ue), (ue, y), (y, ve), (ve, x))]
+    keep = g.vertices() - {u, v}
+    if sum(present) == 4:
+        child = _child(g, keep, ((x, v, u, ue),))
+        return LiftPlan("C3", "full_ring", g, (child,), ((ue, x, u, y, v, ve),))
+    if sum(present) >= 2:
         for i, has in enumerate(present):
             if has:
                 continue
-            candidate = _c3_relabel(occ, *_C3_TO_FRONT[i])
-            trial = _child(g, keep, (edge(candidate.x, candidate.u_extra),))
-            if trial.graph.is_connected():
-                chosen, occ = trial, candidate
-                break
-        if chosen is None:
-            raise ReductionError(f"{occ}: no missing ring edge reconnects")
-        child = chosen
-        subcase = "partial_ring"
-    anchors = {
-        "u": occ.u,
-        "v": occ.v,
-        "x": occ.x,
-        "y": occ.y,
-        "u_extra": occ.u_extra,
-        "v_extra": occ.v_extra,
-    }
-    return LiftPlan("C3", subcase, g, (child,), anchors)
-
-
-def _lift_c3(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    u, v, x, y, ue, ve = (a[k] for k in ("u", "v", "x", "y", "u_extra", "v_extra"))
-    d = decomps[0]
-    if plan.subcase == "sparse_ring":
-        if len(plan.children[0].synthetic) == 3:
-            d = _lift_c3_sparse_with_bridge(plan, d)
-        else:
-            d = _replace_edge(d, edge(ve, x), (x, v, ve))
-            d = _replace_edge(d, edge(ue, y), (ue, u, y))
-            d = add_path(d, Path((x, u, v, y)))
-    elif plan.subcase == "full_ring":
-        d = _replace_edge(d, edge(x, ue), (x, v, u, ue))
-        d = add_path(d, Path((ue, x, u, y, v, ve)))
-    else:  # partial_ring
-        d = _replace_edge(d, edge(x, ue), (x, v, u, ue))
-        d = add_path(d, Path((x, u, y, v, ve)))
-    return d
+            u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[i])
+            child = _child(g, keep, ((x, v, u, ue),))
+            if child.graph.is_connected():
+                added = ((x, u, y, v, ve),)
+                return LiftPlan("C3", "partial_ring", g, (child,), added)
+        raise ReductionError(f"{occ}: no missing ring edge reconnects")
+    front = present.index(True) if any(present) else 0
+    u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[front])
+    routes = ((x, v, ve), (ue, u, y))
+    child = _child(g, keep, routes)
+    if child.graph.is_connected():
+        return LiftPlan("C3", "sparse_ring", g, (child,), ((x, u, v, y),))
+    # The two bypass edges do not reconnect the remainder, so the x-y
+    # bridge is guaranteed absent from the parent and restores
+    # connectivity.
+    child = _child(g, keep, routes + ((x, u, v, y),))
+    return LiftPlan(
+        "C3", "sparse_ring", g, (child,), recipe=_lift_c3_sparse_with_bridge
+    )
 
 
 def _lift_c3_sparse_with_bridge(
-    plan: LiftPlan, d: PathDecomposition
+    plan: LiftPlan, decomps: list[PathDecomposition]
 ) -> PathDecomposition:
     """Sparse ring when the child also carries the synthetic x-y edge.
 
-    Each synthetic edge is normally bypassed in place, but when the path
-    holding x-y also holds a second synthetic edge at x or y, the bypasses
+    Each synthetic edge is normally routed in place, but when the path
+    holding x-y also holds a second synthetic edge at x or y, the routes
     would revisit an inserted vertex.  That host is then split into two
     paths carrying the same coverage, which still gains at most one path.
     """
-    a = plan.anchors
-    u, v, x, y, ue, ve = (a[k] for k in ("u", "v", "x", "y", "u_extra", "v_extra"))
+    routes = plan.children[0].routes
+    (x, v, ve), (ue, u, y), _ = routes
+    d = decomps[0]
     host = _path_with_edge(d, edge(x, y))
     hv = host.vertices
     if hv.index(x) > hv.index(y):
@@ -502,9 +489,7 @@ def _lift_c3_sparse_with_bridge(
         part_b = Path((v, u, x) + hv[:i][::-1])
         d = PathDecomposition(rest + (part_a, part_b))
         return _replace_edge(d, edge(ve, x), (x, v, ve))
-    d = _replace_edge(d, edge(x, y), (x, u, v, y))
-    d = _replace_edge(d, edge(ve, x), (x, v, ve))
-    return _replace_edge(d, edge(ue, y), (ue, u, y))
+    return _apply_routes(d, routes)
 
 
 # -- C4: peel off two adjacent degree-4 vertices ------------------------------
@@ -540,10 +525,9 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
     (y,) = set(first) & set(second)
     (x,) = set(first) - {y}
     (z,) = set(second) - {y}
-    keep = g.vertices() - {occ.u, occ.v}
-    child = _child(g, keep, (edge(x, y), edge(y, z)))
-    anchors = {"u": occ.u, "v": occ.v, "x": x, "y": y, "z": z}
-    return LiftPlan("C4", "triple_common", g, (child,), anchors)
+    u, v = occ.u, occ.v
+    child = _child(g, g.vertices() - {u, v}, ((x, u, y), (y, v, z)))
+    return LiftPlan("C4", "triple_common", g, (child,), ((x, v, u, z),))
 
 
 def _reduce_c4_hub(g: Graph, occ: C4, hub: int, other: int) -> LiftPlan:
@@ -558,10 +542,12 @@ def _reduce_c4_hub(g: Graph, occ: C4, hub: int, other: int) -> LiftPlan:
     if any(len(ts) != 1 for ts in t_lone) or len(t_main) != 1:
         raise ReductionError(f"{occ}: hub neighbours spread unexpectedly")
     t1, t2, t3 = t_lone[0][0], t_lone[1][0], t_main[0]
-    pair = _child(g, set(lone[0]) | set(lone[1]), (edge(t1, t2),))
+    pair = _child(g, set(lone[0]) | set(lone[1]), ((t1, hub, t2),))
     rest = _child(g, set(main[0]))
     anchors = {"hub": hub, "other": other, "t1": t1, "t2": t2, "t3": t3}
-    return LiftPlan("C4", "hub_split", g, (pair, rest), anchors)
+    return LiftPlan(
+        "C4", "hub_split", g, (pair, rest), recipe=_lift_c4_hub, anchors=anchors
+    )
 
 
 def _reduce_c4_four(g: Graph, occ: C4) -> LiftPlan:
@@ -582,63 +568,20 @@ def _reduce_c4_four(g: Graph, occ: C4) -> LiftPlan:
     (w2,) = set(both[1]) & ws
     (t3,) = set(only_t[0]) & ts
     (w3,) = set(only_w[0]) & ws
-    near = _child(g, set(both[0]) | set(both[1]), (edge(t1, t2), edge(w1, w2)))
-    far = _child(g, set(only_t[0]) | set(only_w[0]), (edge(t3, w3),))
-    anchors = {
-        "u": u, "v": v, "t1": t1, "t2": t2, "t3": t3,
-        "w1": w1, "w2": w2, "w3": w3,
-    }
-    return LiftPlan("C4", "four_components", g, (near, far), anchors)
+    near = _child(g, set(both[0]) | set(both[1]), ((t1, u, t2), (w1, v, w2)))
+    far = _child(g, set(only_t[0]) | set(only_w[0]), ((t3, u, v, w3),))
+    return LiftPlan("C4", "four_components", g, (near, far))
 
 
 def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
-    ts = sorted(set(g.neighbors(u)) - {v})
-    ws = sorted(set(g.neighbors(v)) - {u})
     keep = g.vertices() - {u, v}
-    for t1, t2 in itertools.combinations(ts, 2):
-        if g.has_edge(t1, t2):
-            continue
-        (t3,) = set(ts) - {t1, t2}
-        for w1, w2 in itertools.combinations(ws, 2):
-            if g.has_edge(w1, w2):
-                continue
-            (w3,) = set(ws) - {w1, w2}
-            if t3 == w3:
-                continue
-            child = _child(g, keep, (edge(t1, t2), edge(w1, w2)))
-            if child.graph.is_connected():
-                anchors = {
-                    "u": u, "v": v, "t1": t1, "t2": t2, "t3": t3,
-                    "w1": w1, "w2": w2, "w3": w3,
-                }
-                return LiftPlan("C4", "paired_nonedges", g, (child,), anchors)
+    for t1, t2, t3, w1, w2, w3 in _c4_labellings(g, u, v):
+        child = _child(g, keep, ((t1, u, t2), (w1, v, w2)))
+        if child.graph.is_connected():
+            added = ((t3, u, v, w3),)
+            return LiftPlan("C4", "paired_nonedges", g, (child,), added)
     raise ReductionError(f"{occ}: no reconnecting relabelling exists")
-
-
-def _lift_c4(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    if plan.subcase == "triple_common":
-        d = _replace_edge(
-            decomps[0], edge(a["x"], a["y"]), (a["x"], a["u"], a["y"])
-        )
-        d = _replace_edge(d, edge(a["y"], a["z"]), (a["y"], a["v"], a["z"]))
-        return add_path(d, Path((a["x"], a["v"], a["u"], a["z"])))
-    if plan.subcase == "hub_split":
-        return _lift_c4_hub(plan, decomps)
-    if plan.subcase == "four_components":
-        near, far = decomps
-        near = _replace_edge(near, edge(a["t1"], a["t2"]), (a["t1"], a["u"], a["t2"]))
-        near = _replace_edge(near, edge(a["w1"], a["w2"]), (a["w1"], a["v"], a["w2"]))
-        far = _replace_edge(
-            far, edge(a["t3"], a["w3"]), (a["t3"], a["u"], a["v"], a["w3"])
-        )
-        return PathDecomposition(near.paths + far.paths)
-    d = _replace_edge(
-        decomps[0], edge(a["t1"], a["t2"]), (a["t1"], a["u"], a["t2"])
-    )
-    d = _replace_edge(d, edge(a["w1"], a["w2"]), (a["w1"], a["v"], a["w2"]))
-    return add_path(d, Path((a["t3"], a["u"], a["v"], a["w3"])))
 
 
 def _lift_c4_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
@@ -692,18 +635,19 @@ def _reduce_c5_common3(g: Graph, a: int, b: int) -> LiftPlan:
     if len(missing) >= 2:
         center = next(s for s in trio if sum(s in pair for pair in missing) >= 2)
         o1, o2 = sorted(set(trio) - {center})
-        child = _child(g, keep, (edge(center, o1), edge(center, o2)))
-        anchors = {"u": a, "v": b, "center": center, "o1": o1, "o2": o2}
-        return LiftPlan("C5", "two_gaps", g, (child,), anchors)
+        child = _child(g, keep, ((o1, a, center), (center, b, o2)))
+        return LiftPlan("C5", "two_gaps", g, (child,), ((o1, b, a, o2),))
     if len(missing) == 1:
         x, y = missing[0]
         (apex,) = set(trio) - {x, y}
-        child = _child(g, keep, (edge(x, y),))
-        anchors = {"u": a, "v": b, "x": x, "y": y, "apex": apex}
-        return LiftPlan("C5", "one_gap", g, (child,), anchors)
+        child = _child(g, keep, ((x, a, b, y),))
+        return LiftPlan("C5", "one_gap", g, (child,), ((x, b, apex, a, y),))
     child = _child(g, keep)
     anchors = {"u": a, "v": b, "c1": trio[0], "c2": trio[1], "c3": trio[2]}
-    return LiftPlan("C5", "common_triangle", g, (child,), anchors)
+    return LiftPlan(
+        "C5", "common_triangle", g, (child,), recipe=_lift_c5_triangle,
+        anchors=anchors,
+    )
 
 
 def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
@@ -713,7 +657,10 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
     child = Child(g.delete_vertices({v}).contract_edge(u, w))
     anchors = {"u": u, "v": v, "w": w, "x1": x1, "x2": x2}
-    return LiftPlan("C5", "degree_two", g, (child,), anchors)
+    return LiftPlan(
+        "C5", "degree_two", g, (child,), recipe=_lift_c5_degree_two,
+        anchors=anchors,
+    )
 
 
 def _reduce_c5_dense(g: Graph, occ: C5) -> LiftPlan:
@@ -739,10 +686,13 @@ def _reduce_c5_hub(
     g: Graph, u: int, v: int, w: int, x1: int, x2: int
 ) -> LiftPlan:
     merged = g.delete_vertices({u}).contract_edge(v, w)
-    s = min(v, w)
-    child = Child(merged.add_edge(s, x2), (edge(s, x2),))
+    s = min(v, w)  # the merged vertex, read as v or w by the lift
+    child = Child(merged.add_edge(s, x2), ((s, u, x2),), (edge(s, x2),))
     anchors = {"u": u, "v": v, "w": w, "x1": x1, "x2": x2}
-    return LiftPlan("C5", "hub_contraction", g, (child,), anchors)
+    return LiftPlan(
+        "C5", "hub_contraction", g, (child,), recipe=_lift_c5_hub,
+        anchors=anchors,
+    )
 
 
 def _reduce_c5_bridges(
@@ -759,34 +709,10 @@ def _reduce_c5_bridges(
     for vertex in (x1, x2, y1, y2, z1, z2):
         (comp,) = [c for c in comps if vertex in c]
         home[vertex] = set(comp)
-    first = _child(g, home[x1] | home[y1], (edge(x1, y1),))
-    second = _child(g, home[x2] | home[y2], (edge(x2, y2),))
-    third = _child(g, home[z1] | home[z2], (edge(z1, z2),))
-    anchors = {
-        "u": u, "v": v, "w": w,
-        "x1": x1, "x2": x2, "y1": y1, "y2": y2, "z1": z1, "z2": z2,
-    }
-    return LiftPlan("C5", "bridge_spread", g, (first, second, third), anchors)
-
-
-def _lift_c5(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    if plan.subcase == "two_gaps":
-        u, v, c = a["u"], a["v"], a["center"]
-        d = _replace_edge(decomps[0], edge(a["o1"], c), (a["o1"], u, c))
-        d = _replace_edge(d, edge(c, a["o2"]), (c, v, a["o2"]))
-        return add_path(d, Path((a["o1"], v, u, a["o2"])))
-    if plan.subcase == "one_gap":
-        u, v, x, y = a["u"], a["v"], a["x"], a["y"]
-        d = _replace_edge(decomps[0], edge(x, y), (x, u, v, y))
-        return add_path(d, Path((x, v, a["apex"], u, y)))
-    if plan.subcase == "common_triangle":
-        return _lift_c5_triangle(plan, decomps)
-    if plan.subcase == "degree_two":
-        return _lift_c5_degree_two(plan, decomps)
-    if plan.subcase == "hub_contraction":
-        return _lift_c5_hub(plan, decomps)
-    return _lift_c5_bridges(plan, decomps)
+    first = _child(g, home[x1] | home[y1], ((x1, u, v, y1),))
+    second = _child(g, home[x2] | home[y2], ((x2, u, w, v, y2),))
+    third = _child(g, home[z1] | home[z2], ((z1, w, z2),))
+    return LiftPlan("C5", "bridge_spread", g, (first, second, third))
 
 
 def _lift_c5_triangle(
@@ -1017,47 +943,33 @@ def _edges_as_path(edges: set[Edge]) -> tuple[int, ...] | None:
     return tuple(sequence)
 
 
-def _lift_c5_bridges(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    u, v, w = a["u"], a["v"], a["w"]
-    first, second, third = decomps
-    first = _replace_edge(first, edge(a["x1"], a["y1"]), (a["x1"], u, v, a["y1"]))
-    second = _replace_edge(
-        second, edge(a["x2"], a["y2"]), (a["x2"], u, w, v, a["y2"])
-    )
-    third = _replace_edge(third, edge(a["z1"], a["z2"]), (a["z1"], w, a["z2"]))
-    return PathDecomposition(first.paths + second.paths + third.paths)
-
-
 # -- lifting ------------------------------------------------------------------
 
 
-_LIFTERS = {
-    "C1": _lift_c1,
-    "C2": _lift_c2,
-    "C3": _lift_c3,
-    "C4": _lift_c4,
-    "C5": _lift_c5,
-}
+def _lift_routes(
+    plan: LiftPlan, decomps: list[PathDecomposition]
+) -> PathDecomposition:
+    """Route each child's edges through the removed vertices, concatenate
+    the children's paths in order and append the plan's added paths."""
+    paths: tuple[Path, ...] = ()
+    for child, d in zip(plan.children, decomps):
+        paths += _apply_routes(d, child.routes).paths
+    d = PathDecomposition(paths)
+    for added in plan.added:
+        d = add_path(d, Path(added))
+    return d
 
-# Paths gained relative to the children's total, per sub-case; a range
-# (lo, hi) where the recipe itself branches.
+
+# Paths each bespoke recipe gains relative to the children's total, as a
+# range (lo, hi) where the recipe itself branches.  A plan lifted by its
+# routes gains exactly its added paths.
 _COUNT_DELTA = {
-    ("C1", "splice"): (0, 0),
     ("C2", "join"): (-1, -1),
-    ("C3", "sparse_ring"): (0, 1),
-    ("C3", "full_ring"): (1, 1),
-    ("C3", "partial_ring"): (1, 1),
-    ("C4", "triple_common"): (1, 1),
+    ("C3", "sparse_ring"): (0, 1),  # with the x-y bridge
     ("C4", "hub_split"): (0, 0),
-    ("C4", "four_components"): (0, 0),
-    ("C4", "paired_nonedges"): (1, 1),
-    ("C5", "two_gaps"): (1, 1),
-    ("C5", "one_gap"): (1, 1),
     ("C5", "common_triangle"): (1, 1),
     ("C5", "degree_two"): (0, 1),
     ("C5", "hub_contraction"): (1, 1),
-    ("C5", "bridge_spread"): (0, 0),
 }
 
 
@@ -1068,30 +980,29 @@ def lift(
 ) -> PathDecomposition:
     """Rewrite good child decompositions into one for the parent graph.
 
-    The children must verify valid and good against their child graphs; the
-    result is verified against the parent and must obey the sub-case's path
-    accounting, so a bad recipe fails here instead of corrupting a solve.
+    The children's decompositions are taken as they come: in ``solve`` each
+    is the output of the ``lift`` below it, already verified there, or a
+    base case.  The result is verified against the parent and must obey the
+    sub-case's path accounting, so a bad recipe or a bad child decomposition
+    fails here instead of corrupting a solve.
     """
     if occ.tag != plan.tag:
         raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
     if len(children_decomps) != len(plan.children):
         raise LiftError("one decomposition per child is required")
-    total = 0
-    for child, decomp in zip(plan.children, children_decomps):
-        report = verify(child.graph, decomp)
-        if not report.valid:
-            raise LiftError(f"child decomposition invalid:\n{report}")
-        if not report.good:
-            raise LiftError("child decomposition is valid but not good")
-        total += len(decomp)
+    total = sum(len(d) for d in children_decomps)
+    if plan.recipe is None:
+        recipe, lo, hi = _lift_routes, len(plan.added), len(plan.added)
+    else:
+        recipe = plan.recipe
+        lo, hi = _COUNT_DELTA[(plan.tag, plan.subcase)]
     try:
-        lifted = _LIFTERS[plan.tag](plan, children_decomps)
+        lifted = recipe(plan, children_decomps)
     except ValueError as exc:
         raise LiftError(f"{plan.tag}/{plan.subcase} recipe failed: {exc}") from exc
     report = verify(plan.parent, lifted)
     if not report.valid:
         raise LiftError(f"lifted decomposition invalid:\n{report}")
-    lo, hi = _COUNT_DELTA[(plan.tag, plan.subcase)]
     if not (total + lo <= len(lifted) <= total + hi):
         raise LiftError(
             f"{plan.tag}/{plan.subcase} produced {len(lifted)} paths "
@@ -1161,6 +1072,14 @@ def _replace_edge(
 ) -> PathDecomposition:
     host = _path_with_edge(d, e)
     return replace_subpath(d, host, Path(e), Path(via))
+
+
+def _apply_routes(
+    d: PathDecomposition, routes: tuple[Route, ...]
+) -> PathDecomposition:
+    for route in routes:
+        d = _replace_edge(d, edge(route[0], route[-1]), route)
+    return d
 
 
 def _split_on_edge(p: Path, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:

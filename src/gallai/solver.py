@@ -5,9 +5,10 @@ configurations, handles the two exceptional cliques directly, and resolves
 irreducible graphs by exact bounded search (their even-degree core is a
 forest, so a decomposition into ceil(n/2) paths exists and the search is
 guaranteed a target).  Child graphs keep their parent's vertex ids, so
-every decomposition is in the ids of the input graph.  Every lift is
-re-verified on the way back up, so a returned result is always checked end
-to end.
+every decomposition is in the ids of the input graph.  Each lift verifies
+its own result against the graph it was applied to, once per level, and
+``solve`` verifies the final decomposition against the input, so a
+returned result is always checked end to end.
 
 ``min_decomposition`` is the independent oracle: iterative deepening on the
 exact search, starting from the combinatorial lower bound.

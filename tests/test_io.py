@@ -58,12 +58,25 @@ def test_graph6_errors():
 
 
 def test_graph6_big_order_header():
-    g = Graph.from_edges(80, [(i, i + 1) for i in range(79)])
-    line = write_graph6(g)
-    assert line.startswith("~")
-    assert parse_graph6(line) == g
-    ref = nx.from_graph6_bytes(line.encode("ascii"))
-    assert ref.number_of_nodes() == 80
+    # Orders above 62 take the four-byte header; the 1500-cycle also
+    # makes a body of about 187k bytes.
+    for g in (
+        Graph.from_edges(80, [(i, i + 1) for i in range(79)]),
+        cycle(1500),
+    ):
+        line = write_graph6(g)
+        assert line.startswith("~")
+        assert parse_graph6(line) == g
+        ref = nx.from_graph6_bytes(line.encode("ascii"))
+        assert ref.number_of_nodes() == g.n
+        assert sorted(tuple(sorted(e)) for e in ref.edges()) == sorted(g.edges())
+
+
+def test_write_graph6_needs_ids_up_to_order():
+    # A derived graph keeps its parent's ids; graph6 cannot express them.
+    g = cycle(4).delete_vertices({1})
+    with pytest.raises(ValueError):
+        write_graph6(g)
 
 
 def test_parse_edgelist():

@@ -573,6 +573,41 @@ def test_lift_rejects_bad_child_decomposition():
         lift(occ, plan, [PathDecomposition(())])
 
 
+def test_lift_rejects_added_path_reusing_a_covered_edge():
+    import dataclasses
+
+    from gallai import LiftError
+
+    g = complete_graph(5).delete_edge(3, 4)
+    occ = detect(g)
+    plan = reduce(g, occ)
+    assert plan.subcase == "one_gap" and plan.recipe is None
+    decomps = [solve(child.graph).decomposition for child in plan.children]
+    assert verify(g, lift(occ, plan, decomps)).good
+    # An added path made of the route's first edge covers that edge twice.
+    route = plan.children[0].routes[0]
+    broken = dataclasses.replace(plan, added=(route[:2],))
+    with pytest.raises(LiftError):
+        lift(occ, broken, decomps)
+
+
+def test_lift_rejects_non_edge_in_an_untouched_child_path():
+    from gallai import LiftError, decomposition
+
+    g = cycle(6)
+    occ = C1(0, 1, 5)
+    plan = reduce(g, occ)
+    child = plan.children[0].graph
+    assert plan.children[0].synthetic == ((1, 5),)
+    assert verify(child, decomposition((5, 1, 2, 3), (3, 4, 5))).good
+    # The second path steps over the non-edge 2-4 and misses 4-5; the route
+    # only rewrites the first path, so the check at this level must catch it.
+    bad = decomposition((5, 1, 2, 3), (3, 4), (4, 2))
+    assert not verify(child, bad).valid
+    with pytest.raises(LiftError, match="lifted decomposition invalid"):
+        lift(occ, plan, [bad])
+
+
 # -- structure of irreducible graphs -----------------------------------------
 
 
