@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph
 from .paths import verify
-from .reductions import _DETECTORS, check_structure, detect, is_exceptional_clique
+from .reductions import (
+    _DETECTORS,
+    ReductionError,
+    check_structure,
+    detect,
+    is_exceptional_clique,
+)
 from .solver import SolveError, solve, solve_base
 
 FLOOR_SEARCH_LIMIT = 7
@@ -120,7 +126,12 @@ def run_check(
     graphs: list[tuple[str, Graph]], budget: int | None = None
 ) -> BatchReport:
     """Solve and verify every graph; check the even-core structure of the
-    irreducible ones."""
+    irreducible ones.
+
+    A graph whose solve fails (a rejected input, a reduction or lift that
+    breaks its own check, or recursion too deep) gets an ``error`` finding
+    and a failed record, and the run goes on with the next graph.
+    """
     report = BatchReport("check")
     for graph_id, g in graphs:
         start = time.perf_counter()
@@ -158,7 +169,7 @@ def run_check(
                 report.findings.append(
                     Finding("verify_failure", graph_id, str(outcome))
                 )
-        except SolveError as exc:
+        except (SolveError, ReductionError, RecursionError) as exc:
             report.findings.append(Finding("error", graph_id, str(exc)))
         report.records.append(
             GraphRecord(

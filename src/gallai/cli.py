@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: solve, verify, check, floor-search, scan.  Exit statuses:
-0 success, 1 verification or structural failure, 2 input error, 3 search
-budget exhausted.
+0 success, 1 verification, structural or internal failure, 2 input error,
+3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -233,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except ReductionError as exc:
         print(f"gallai: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except RecursionError as exc:
+        print(f"gallai: internal failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

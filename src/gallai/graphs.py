@@ -17,7 +17,7 @@ returns a new ``Graph``; values are safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import KeysView
+from collections.abc import KeysView, Mapping
 from typing import Iterable, Iterator, Sequence
 
 
@@ -113,6 +113,14 @@ class Graph:
     def vertices(self) -> KeysView[int]:
         """The vertex ids, ascending, as a set-like view."""
         return self._adj.keys()
+
+    def adjacency(self) -> Mapping[int, int]:
+        """Each vertex id's neighbour mask, ascending by id.
+
+        The graph's own table, for loops that test many adjacencies; it is
+        read only, like the graph.
+        """
+        return self._adj
 
     def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
         if u == v:

@@ -9,7 +9,6 @@ rewrite decompositions; each one checks its own preconditions loudly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, edge
@@ -103,33 +102,52 @@ class VerifyReport:
 
 
 def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
-    """Check a decomposition against a graph, reporting every violation."""
+    """Check a decomposition against a graph, reporting every violation.
+
+    The check is one pass over the path steps: each step is looked up in the
+    graph's adjacency masks, and each graph edge it covers is tallied under
+    one key however often it is covered.  So every edge is covered exactly
+    when there are ``g.m`` keys, and the graph's edges are listed only when
+    there are fewer, to name the uncovered ones.  Violations are reported
+    per path (repeated vertices, then non-edges, in path order), then
+    duplicated edges ascending, then uncovered edges ascending.
+    """
     violations: list[Violation] = []
-    used: Counter[Edge] = Counter()
-    vertices = g.vertices()
+    used: dict[Edge, int] = {}
+    adj = g.adjacency()
     for i, p in enumerate(d.paths):
-        seen: set[int] = set()
-        for v in p.vertices:
-            if v in seen:
-                violations.append(
-                    Violation("repeated_vertex", f"path {i} revisits {v}")
-                )
-            seen.add(v)
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            ok = a in vertices and b in vertices and g.has_edge(a, b)
-            if not ok:
+        vs = p.vertices
+        if len(set(vs)) != len(vs):
+            seen: set[int] = set()
+            for v in vs:
+                if v in seen:
+                    violations.append(
+                        Violation("repeated_vertex", f"path {i} revisits {v}")
+                    )
+                seen.add(v)
+        steps = iter(vs)
+        a = next(steps)
+        mask_a = adj.get(a)
+        for b in steps:
+            mask_b = adj.get(b)
+            # An id outside the graph, negative ones too, has no mask and
+            # is never used as a shift.
+            if mask_a is None or mask_b is None or not mask_a >> b & 1:
                 violations.append(
                     Violation("non_edge", f"path {i} steps over ({a}, {b})")
                 )
             else:
-                used[edge(a, b)] += 1
+                e = (a, b) if a < b else (b, a)
+                used[e] = used.get(e, 0) + 1
+            a, mask_a = b, mask_b
     for e in sorted(e for e, count in used.items() if count > 1):
         violations.append(
             Violation("duplicate_edge", f"edge {e} covered {used[e]} times")
         )
-    for e in g.edges():
-        if e not in used:
-            violations.append(Violation("uncovered_edge", f"edge {e} uncovered"))
+    if len(used) != g.m:
+        for e in g.edges():
+            if e not in used:
+                violations.append(Violation("uncovered_edge", f"edge {e} uncovered"))
     valid = not violations
     good = valid and len(d.paths) <= (g.n + 1) // 2
     return VerifyReport(valid, tuple(violations), len(d.paths), good)
@@ -153,8 +171,9 @@ def lower_bound(g: Graph) -> int:
 
 
 def _index_of(d: PathDecomposition, p: Path) -> int:
+    back = p.reversed()
     for i, q in enumerate(d.paths):
-        if q == p or q == p.reversed():
+        if q == p or q == back:
             return i
     raise ValueError(f"path {p.vertices} is not in the decomposition")
 
@@ -238,7 +257,11 @@ def split_at(d: PathDecomposition, p: Path, u: int) -> PathDecomposition:
 
 def add_path(d: PathDecomposition, r: Path) -> PathDecomposition:
     """Add r, whose edges must be disjoint from the decomposition's."""
-    taken = set(d.edges())
+    # Only a path sharing a vertex with r can hold one of r's edges.
+    on_r = set(r.vertices)
+    taken = {
+        e for p in d.paths if not on_r.isdisjoint(p.vertices) for e in p.edges()
+    }
     clash = [e for e in r.edges() if e in taken]
     if clash:
         raise ValueError(f"added path reuses covered edges {clash}")

@@ -1052,9 +1052,11 @@ def _renamed(d: PathDecomposition, old: int, new: int) -> PathDecomposition:
 
 
 def _find_edge_index(d: PathDecomposition, e: Edge) -> tuple[int, int]:
+    a, b = e
     hits = [
         (i, j)
         for i, p in enumerate(d.paths)
+        if a in p.vertices and b in p.vertices
         for j, f in enumerate(p.edges())
         if f == e
     ]

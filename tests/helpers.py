@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
-from gallai import Graph
+from gallai import Graph, PathDecomposition, VerifyReport, Violation, edge
 
 
 def complete_graph(n: int) -> Graph:
@@ -36,6 +37,41 @@ def two_cliques_with_bridge(k: int = 4) -> Graph:
     edges += [(a + k, b + k) for a, b in itertools.combinations(range(k), 2)]
     edges.append((0, k))
     return Graph.from_edges(2 * k, edges)
+
+
+def reference_verify(g: Graph, d: PathDecomposition) -> VerifyReport:
+    """The straightforward verifier ``paths.verify`` must agree with,
+    report for report: every step goes through ``has_edge`` and every edge
+    of the graph is looked up."""
+    violations: list[Violation] = []
+    used: Counter = Counter()
+    vertices = g.vertices()
+    for i, p in enumerate(d.paths):
+        seen: set[int] = set()
+        for v in p.vertices:
+            if v in seen:
+                violations.append(
+                    Violation("repeated_vertex", f"path {i} revisits {v}")
+                )
+            seen.add(v)
+        for a, b in zip(p.vertices, p.vertices[1:]):
+            ok = a in vertices and b in vertices and g.has_edge(a, b)
+            if not ok:
+                violations.append(
+                    Violation("non_edge", f"path {i} steps over ({a}, {b})")
+                )
+            else:
+                used[edge(a, b)] += 1
+    for e in sorted(e for e, count in used.items() if count > 1):
+        violations.append(
+            Violation("duplicate_edge", f"edge {e} covered {used[e]} times")
+        )
+    for e in g.edges():
+        if e not in used:
+            violations.append(Violation("uncovered_edge", f"edge {e} uncovered"))
+    valid = not violations
+    good = valid and len(d.paths) <= (g.n + 1) // 2
+    return VerifyReport(valid, tuple(violations), len(d.paths), good)
 
 
 def delete_edges(g: Graph, edges) -> Graph:

@@ -4,6 +4,7 @@ import pytest
 
 import gallai.batch
 import gallai.reductions
+import gallai.solver
 from gallai import (
     enumerate_connected,
     parse_graph6,
@@ -42,6 +43,40 @@ def test_run_check_reports_are_deterministic():
         a.pop("seconds"), b.pop("seconds")
     assert first["records"] == second["records"]
     assert first["findings"] == second["findings"]
+
+
+def _refuse_edit(*args):
+    raise ValueError("editing move refused")
+
+
+def _too_deep(*args):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, message",
+    [
+        (gallai.reductions, "replace_subpath", _refuse_edit, "editing move refused"),
+        (gallai.solver, "_solve", _too_deep, "maximum recursion depth exceeded"),
+    ],
+    ids=["lift_error", "recursion_error"],
+)
+def test_run_check_records_a_failed_solve_and_goes_on(
+    monkeypatch, module, name, broken, message
+):
+    # A LiftError (here from a recipe whose editing move fails) or a
+    # RecursionError on one graph is that graph's finding, not the run's end.
+    monkeypatch.setattr(module, name, broken)
+    items = census_items(5)
+    report = run_check(items)
+    assert [r.graph_id for r in report.records] == [gid for gid, _ in items]
+    assert not report.ok
+    assert report.findings
+    assert all(f.kind == "error" and message in f.message for f in report.findings)
+    failed = {f.graph_id for f in report.findings}
+    for record in report.records:
+        assert record.verified == (record.graph_id not in failed)
+        assert (record.paths is None) == (record.graph_id in failed)
 
 
 def test_run_floor_search_classifies_failures():
@@ -217,6 +252,18 @@ def test_cli_solve_recipe_value_error_is_internal_failure(
     path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
     assert main(["solve", path]) == 1
     assert "editing move refused" in capsys.readouterr().err
+
+
+def test_cli_solve_recursion_error_is_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # Too deep a reduction chain is an internal failure: one line on
+    # stderr and exit status 1, no traceback.
+    monkeypatch.setattr(gallai.solver, "_solve", _too_deep)
+    path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
+    assert main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "gallai: internal failure: maximum recursion depth exceeded\n"
 
 
 def test_cli_graph6_file_header(tmp_path, capsys):

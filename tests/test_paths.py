@@ -18,7 +18,14 @@ from gallai import (
     split_at,
     verify,
 )
-from helpers import complete_graph, cycle, path_graph, petersen, star
+from helpers import (
+    complete_graph,
+    cycle,
+    path_graph,
+    petersen,
+    reference_verify,
+    star,
+)
 
 
 def test_path_invariants():
@@ -124,6 +131,23 @@ def test_add_path():
     assert len(d) == 1
     with pytest.raises(ValueError):
         add_path(d, path(1, 0))
+
+
+def test_add_path_finds_a_clash_in_a_later_path():
+    d = decomposition((0, 1), (2, 3), (6, 7), (3, 4, 5))
+    with pytest.raises(ValueError, match=r"\(4, 5\)"):
+        add_path(d, path(8, 5, 4))
+
+
+def test_add_path_allows_sharing_vertices_without_sharing_edges():
+    d = decomposition((0, 1, 2), (3, 4))
+    # r meets the first path at both of its ends and the second at one,
+    # but none of its edges is on either.
+    grown = add_path(d, path(0, 2, 4))
+    assert grown.paths[-1] == path(0, 2, 4)
+    assert verify(
+        Graph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 2), (2, 4)]), grown
+    ).valid
 
 
 def test_lower_bound():
@@ -235,3 +259,59 @@ def test_editing_moves_preserve_validity(n, rng):
         rejoined = extend(withdrawn, left, right)
         assert verify(g, rejoined).valid
         assert len(rejoined) == len(d)
+
+
+# -- verify against the straightforward reference ------------------------------
+
+
+def _corrupted(
+    rng: random.Random, g: Graph, d: PathDecomposition, outside: list[int]
+) -> PathDecomposition:
+    """``d`` with a few random faults: repeated vertices, steps to ids not
+    in ``g``, non-edges, edges covered twice, and paths dropped."""
+    paths = [list(p.vertices) for p in d.paths]
+    ids = sorted(g.vertices())
+    for _ in range(rng.randrange(0, 4)):
+        fault = rng.randrange(5)
+        if fault == 0 and paths:
+            p = rng.choice(paths)
+            p.insert(rng.randrange(len(p) + 1), rng.choice(p))
+        elif fault == 1 and paths:
+            p = rng.choice(paths)
+            p.insert(rng.randrange(len(p) + 1), rng.choice(outside))
+        elif fault == 2 and len(ids) >= 2:
+            paths.append(rng.sample(ids, 2))
+        elif fault == 3 and paths:
+            p = rng.choice(paths)
+            at = rng.randrange(len(p) - 1)
+            paths.append(p[at : at + rng.randrange(2, 4)][::-1])
+        elif fault == 4 and paths:
+            paths.pop(rng.randrange(len(paths)))
+    return PathDecomposition(tuple(Path(tuple(p)) for p in paths if len(p) >= 2))
+
+
+def test_verify_matches_the_reference_on_corrupted_decompositions():
+    rng = random.Random(4242)
+    kinds: set[str] = set()
+    derived = outside_steps = valid = 0
+    for _ in range(1500):
+        g = _random_graph(rng, rng.randrange(2, 11))
+        if rng.random() < 0.4 and g.n > 3:
+            drop = rng.sample(sorted(g.vertices()), rng.randrange(1, 3))
+            g = g.delete_vertices(drop)
+            derived += 1
+        top = max(g.vertices())
+        gaps = [v for v in range(top) if v not in g.vertices()]
+        outside = [-3, -1, top + 1, top + 9] + gaps
+        d = _corrupted(rng, g, _random_decomposition(rng, g), outside)
+        report = verify(g, d)
+        expected = reference_verify(g, d)
+        assert report.violations == expected.violations
+        assert report.path_count == expected.path_count
+        assert report.good == expected.good
+        kinds |= {v.kind for v in report.violations}
+        valid += report.valid
+        if any(v not in g.vertices() for p in d.paths for v in p.vertices):
+            outside_steps += 1
+    assert kinds == {"repeated_vertex", "non_edge", "duplicate_edge", "uncovered_edge"}
+    assert derived > 100 and outside_steps > 100 and valid > 100

@@ -608,6 +608,20 @@ def test_lift_rejects_non_edge_in_an_untouched_child_path():
         lift(occ, plan, [bad])
 
 
+def test_lift_rejects_routed_edge_in_two_child_paths():
+    from gallai import LiftError, decomposition
+
+    g = cycle(6)
+    occ = C1(0, 1, 5)
+    plan = reduce(g, occ)
+    assert plan.children[0].synthetic == ((1, 5),)
+    # The routed edge 1-5 is in the first and the last path; the path
+    # between them shares neither of its ends.
+    bad = decomposition((5, 1, 2), (2, 3, 4), (4, 5, 1))
+    with pytest.raises(LiftError, match=r"edge \(1, 5\) occurs 2 times"):
+        lift(occ, plan, [bad])
+
+
 # -- structure of irreducible graphs -----------------------------------------
 
 
