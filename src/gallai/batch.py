@@ -5,6 +5,8 @@ input order), aggregate counters, and a findings list.  A finding is
 anything that contradicts the guarantees this library is built around: a
 failed verification, a cyclic even-degree core on an irreducible graph, or
 a graph that misses the floor(n/2) target without being an odd semi-clique.
+A graph whose solve fails, or runs out of search budget, is a finding of
+that graph too, and the run goes on with the next one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .reductions import (
     detect,
     is_exceptional_clique,
 )
+from .search import BudgetExhaustedError
 from .solver import SolveError, solve, solve_base
 
 FLOOR_SEARCH_LIMIT = 7
@@ -29,7 +32,8 @@ FLOOR_SEARCH_LIMIT = 7
 
 @dataclass(frozen=True)
 class Finding:
-    kind: str  # verify_failure | structure_violation | floor_gap | error
+    # verify_failure | structure_violation | floor_gap | error | budget
+    kind: str
     graph_id: str
     message: str
 
@@ -130,7 +134,8 @@ def run_check(
 
     A graph whose solve fails (a rejected input, a reduction or lift that
     breaks its own check, or recursion too deep) gets an ``error`` finding
-    and a failed record, and the run goes on with the next graph.
+    and a failed record, and the run goes on with the next graph; one whose
+    search runs out of ``budget`` gets a ``budget`` finding the same way.
     """
     report = BatchReport("check")
     for graph_id, g in graphs:
@@ -171,6 +176,8 @@ def run_check(
                 )
         except (SolveError, ReductionError, RecursionError) as exc:
             report.findings.append(Finding("error", graph_id, str(exc)))
+        except BudgetExhaustedError as exc:
+            report.findings.append(Finding("budget", graph_id, str(exc)))
         report.records.append(
             GraphRecord(
                 graph_id, g.n, g.m, g.max_degree(), _bound(g), paths,

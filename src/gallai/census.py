@@ -1,19 +1,31 @@
-"""Small-graph enumeration with brute-force isomorphism rejection.
+"""Small-graph enumeration by canonical augmentation.
 
 The canonical form of a graph is the lexicographically smallest upper
 triangle bit-string (column-major, the graph6 bit order) over all vertex
 relabellings.  The minimum is found by branch and bound rather than by
 trying all n! permutations outright, but the value is exactly that minimum,
-so the canonical string doubles as a stable graph id.  The enumerator grows
-connected graphs one vertex at a time and dedups by canonical form; it is
-deliberately naive and capped at 8 vertices — larger orders are expected to
-arrive as graph6 streams from an external generator.
+so the canonical string doubles as a stable graph id.
+
+The enumerator grows connected graphs one vertex at a time by canonical
+augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998).  A child C of a canonical parent P is P plus a new vertex x
+joined to some of P's vertices, and it is kept only if x is C's canonical
+deletion: among the vertices whose removal leaves C connected, x has the
+largest invariant (degree, then sorted neighbour degrees), and among the
+vertices tied with it, the least first-vertex string, the smallest
+bit-string over the orders that put that vertex first.  Equal first-vertex
+strings mean the same automorphism orbit, so the rule does not depend on
+labels, and every isomorphism class arises from exactly one parent.  Only
+the kept children are labelled canonically; those of one parent that are
+isomorphic to each other are merged by canonical form.  The enumerator is
+capped at 8 vertices; larger orders are expected to arrive as graph6
+streams from an external generator.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph
-from .io import write_graph6
+from .io import parse_graph6, write_graph6
 
 ENUMERATION_LIMIT = 8
 
@@ -30,12 +42,21 @@ def relabeled(g: Graph, order: tuple[int, ...]) -> Graph:
     return Graph(g.n, masks)
 
 
-def canonical_order(g: Graph) -> tuple[int, ...]:
-    """Relabelling order achieving the minimal adjacency bit-string."""
-    n = g.n
+def canonical_order(g: Graph, first: int | None = None) -> tuple[int, ...]:
+    """Relabelling order achieving the minimal adjacency bit-string; with
+    ``first``, the minimum over the orders that put ``first`` in slot 0."""
+    return _least_labelling([g.neighbor_mask(v) for v in range(g.n)], first)[1]
+
+
+def _least_labelling(
+    adj: list[int], first: int | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The minimal bit-string of the graph with neighbour masks ``adj``,
+    as its columns (see ``descend``), and an order achieving it; with
+    ``first``, the minimum over the orders that start with ``first``."""
+    n = len(adj)
     if n <= 1:
-        return tuple(range(n))
-    adj = [g.neighbor_mask(v) for v in range(n)]
+        return (0,) * n, tuple(range(n))
     best_cols: list[int] | None = None
     best_order: list[int] | None = None
 
@@ -98,9 +119,14 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
             placed.pop()
             cols.pop()
 
-    descend([], [], [(v, 0) for v in range(n)], True)
-    assert best_order is not None
-    return tuple(best_order)
+    if first is None:
+        descend([], [], [(v, 0) for v in range(n)], True)
+    else:
+        mask = adj[first]
+        cand = [(w, mask >> w & 1) for w in range(n) if w != first]
+        descend([first], [0], cand, True)
+    assert best_cols is not None and best_order is not None
+    return tuple(best_cols), tuple(best_order)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -114,7 +140,8 @@ def canonical_form(g: Graph) -> str:
 
 def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
     """One canonically labelled representative per isomorphism class of
-    connected graphs on ``n`` vertices with maximum degree <= ``max_deg``."""
+    connected graphs on ``n`` vertices with maximum degree <= ``max_deg``,
+    sorted by canonical form."""
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > ENUMERATION_LIMIT:
@@ -145,10 +172,63 @@ def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
                 for v in range(parent.n):
                     if subset >> v & 1:
                         masks[v] |= 1 << new
-                child = Graph(n, masks)
-                form = canonical_form(child)
+                if not _is_canonical_deletion(masks):
+                    continue
+                # children whose subsets lie in one orbit of the parent's
+                # automorphisms are isomorphic and all pass the test
+                form = canonical_form(Graph(n, masks))
                 if form not in found:
-                    found[form] = canonical_graph(child)
+                    found[form] = parse_graph6(form)
         result = tuple(found[form] for form in sorted(found))
     _census_cache[key] = result
     return result
+
+
+def _is_canonical_deletion(masks: list[int]) -> bool:
+    """Whether the last vertex x of the connected graph with adjacency
+    ``masks`` lies in the orbit of its canonical deletion.
+
+    The canonical deletion is, among the vertices whose removal leaves the
+    graph connected, those with the largest invariant (degree, then sorted
+    neighbour degrees), then among these the ones with the least
+    first-vertex string.  Removing x leaves the parent, so x qualifies.
+    """
+    n = len(masks)
+    x = n - 1
+    degrees = [mask.bit_count() for mask in masks]
+
+    def invariant(v: int) -> tuple[int, list[int]]:
+        mask = masks[v]
+        return degrees[v], sorted(degrees[u] for u in range(n) if mask >> u & 1)
+
+    mine = invariant(x)
+    tied = []
+    for v in range(x):
+        if degrees[v] < mine[0]:
+            continue
+        theirs = invariant(v)
+        if theirs < mine or _is_cut_vertex(masks, v):
+            continue
+        if theirs > mine:
+            return False
+        tied.append(v)
+    if not tied:
+        return True
+    least = _least_labelling(masks, x)[0]
+    return all(least <= _least_labelling(masks, v)[0] for v in tied)
+
+
+def _is_cut_vertex(masks: list[int], v: int) -> bool:
+    """Whether removing ``v`` disconnects the graph with adjacency ``masks``."""
+    rest = ((1 << len(masks)) - 1) & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        u = 0
+        while frontier >> u:
+            if frontier >> u & 1:
+                reach |= masks[u]
+            u += 1
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest

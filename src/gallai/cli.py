@@ -129,6 +129,8 @@ def _cmd_check(args) -> int:
         graphs = _enumerated(args.max_n)
     report = run_check(graphs, args.budget)
     _emit_report(report, args)
+    if any(f.kind == "budget" for f in report.findings):
+        return EXIT_BUDGET
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 

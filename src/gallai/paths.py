@@ -69,9 +69,6 @@ class PathDecomposition:
     def __iter__(self):
         return iter(self.paths)
 
-    def edges(self) -> list[Edge]:
-        return [e for p in self.paths for e in p.edges()]
-
 
 def decomposition(*paths: Path | tuple[int, ...]) -> PathDecomposition:
     return PathDecomposition(

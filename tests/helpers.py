@@ -6,7 +6,15 @@ import itertools
 import random
 from collections import Counter
 
-from gallai import Graph, PathDecomposition, VerifyReport, Violation, edge
+from gallai import (
+    Graph,
+    PathDecomposition,
+    VerifyReport,
+    Violation,
+    canonical_form,
+    canonical_graph,
+    edge,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -72,6 +80,45 @@ def reference_verify(g: Graph, d: PathDecomposition) -> VerifyReport:
     valid = not violations
     good = valid and len(d.paths) <= (g.n + 1) // 2
     return VerifyReport(valid, tuple(violations), len(d.paths), good)
+
+
+_reference_census: dict[tuple[int, int], tuple[Graph, ...]] = {}
+
+
+def reference_enumerate(n: int, max_deg: int) -> tuple[Graph, ...]:
+    """The straightforward enumerator ``census.enumerate_connected`` must
+    agree with, tuple for tuple: it extends every graph of the order below
+    by a new vertex in every allowed way, labels every child canonically
+    and keeps one graph per canonical form."""
+    key = (n, max_deg)
+    if key in _reference_census:
+        return _reference_census[key]
+    if n == 1:
+        result = (Graph(1, [0]),)
+    else:
+        found: dict[str, Graph] = {}
+        new = n - 1
+        for parent in reference_enumerate(n - 1, max_deg):
+            open_mask = 0
+            for v in range(parent.n):
+                if parent.degree(v) < max_deg:
+                    open_mask |= 1 << v
+            base = [parent.neighbor_mask(v) for v in range(parent.n)]
+            for subset in range(1, 1 << parent.n):
+                if subset & ~open_mask or subset.bit_count() > max_deg:
+                    continue
+                masks = base.copy()
+                masks.append(subset)
+                for v in range(parent.n):
+                    if subset >> v & 1:
+                        masks[v] |= 1 << new
+                child = Graph(n, masks)
+                form = canonical_form(child)
+                if form not in found:
+                    found[form] = canonical_graph(child)
+        result = tuple(found[form] for form in sorted(found))
+    _reference_census[key] = result
+    return result
 
 
 def delete_edges(g: Graph, edges) -> Graph:

@@ -204,6 +204,25 @@ def test_cli_check_internal_and_report(tmp_path, capsys):
     }
 
 
+def test_cli_check_budget_exhaustion_keeps_every_record(tmp_path, capsys):
+    # A graph whose search runs out of budget is a `budget` finding of that
+    # graph; the other graphs are still checked and the report is written.
+    report_path = tmp_path / "report.json"
+    argv = ["check", "--max-n", "5", "--budget", "1", "--report", str(report_path)]
+    assert main(argv) == 3
+    document = json.loads(report_path.read_text())
+    ids = [gid for gid, _ in census_items(5)]
+    assert [r["graph_id"] for r in document["records"]] == ids
+    findings = document["findings"]
+    assert findings
+    assert {f["kind"] for f in findings} == {"budget"}
+    failed = {f["graph_id"] for f in findings}
+    for record in document["records"]:
+        assert (record["paths"] is None) == (record["graph_id"] in failed)
+        assert record["verified"] == (record["graph_id"] not in failed)
+    assert "FINDING budget" in capsys.readouterr().out
+
+
 def test_cli_check_stream(tmp_path, capsys):
     lines = [write_graph6(g) for g in enumerate_connected(5, 5)]
     path = write(tmp_path, "n5.g6", "\n".join(lines) + "\n")

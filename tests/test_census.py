@@ -1,14 +1,37 @@
+import hashlib
+import itertools
 import random
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
-from gallai import Graph, canonical_form, canonical_graph, enumerate_connected
-from gallai.census import relabeled
-from helpers import all_labeled_graphs, complete_graph, cycle, path_graph, petersen
+from gallai import (
+    Graph,
+    canonical_form,
+    canonical_graph,
+    enumerate_connected,
+    write_graph6,
+)
+from gallai.census import _is_canonical_deletion, canonical_order, relabeled
+from helpers import (
+    all_labeled_graphs,
+    complete_graph,
+    cycle,
+    path_graph,
+    petersen,
+    reference_enumerate,
+)
 
 # Published counts of connected graphs up to isomorphism.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# SHA-256 over the graph6 line of every graph with n <= 8 and max degree
+# <= 5, in enumeration order: the census's canonical ids and their order,
+# as the enumerator that labelled every child produced them.
+CENSUS_GRAPH6_DIGEST = (
+    "49a529ed8755b1f9fc84b871c05184bdc50d8baa79d8f2e28272760f6e0c1461"
+)
 
 
 def test_tiny_census_examples():
@@ -57,12 +80,76 @@ def test_enumeration_limit():
         enumerate_connected(0, 5)
 
 
+def test_enumeration_matches_the_naive_reference():
+    for n in range(1, 8):
+        for cap in sorted({3, 5, n - 1}):
+            assert enumerate_connected(n, cap) == reference_enumerate(n, cap)
+
+
+def test_census_graph6_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in enumerate_connected(n, 5):
+            digest.update(write_graph6(g).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == CENSUS_GRAPH6_DIGEST
+
+
+def test_first_vertex_search_finds_the_least_string_and_the_orbits():
+    # With `first`, the search must return the least string over the
+    # orders that start with that vertex; two vertices get equal strings
+    # exactly when an automorphism maps one to the other.
+    for n in range(1, 7):
+        for g in enumerate_connected(n, 5):
+            strings = {}
+            for v in range(n):
+                rest = [u for u in range(n) if u != v]
+                brute = min(
+                    write_graph6(relabeled(g, (v, *perm)))
+                    for perm in itertools.permutations(rest)
+                )
+                order = canonical_order(g, first=v)
+                assert order[0] == v
+                strings[v] = write_graph6(relabeled(g, order))
+                assert strings[v] == brute
+            orbit_of = {v: orbit for orbit in _orbits(g) for v in orbit}
+            for a, b in itertools.product(range(n), repeat=2):
+                assert (strings[a] == strings[b]) == (b in orbit_of[a])
+
+
+def _orbits(g):
+    nx_graph = nx.Graph(list(g.edges()))
+    nx_graph.add_nodes_from(range(g.n))
+    orbit = {v: {v} for v in range(g.n)}
+    for iso in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter():
+        for a, b in iso.items():
+            orbit[a].add(b)
+    return {frozenset(members) for members in orbit.values()}
+
+
+def test_canonical_deletion_is_one_orbit_whatever_the_labels():
+    # Put each vertex last in turn, the others in a random order: the
+    # deletion test must accept exactly the vertices of one orbit, the same
+    # one under every labelling, so each graph has exactly one parent.
+    rng = random.Random(11)
+    graphs = [g for n in range(2, 7) for g in enumerate_connected(n, 5)]
+    graphs += list(enumerate_connected(7, 5))[::7]
+    for g in graphs:
+        accepted = set()
+        for v in range(g.n):
+            for _ in range(2):
+                rest = [u for u in range(g.n) if u != v]
+                rng.shuffle(rest)
+                child = relabeled(g, (*rest, v))
+                masks = [child.neighbor_mask(u) for u in range(g.n)]
+                if child.delete_vertices([g.n - 1]).is_connected():
+                    if _is_canonical_deletion(masks):
+                        accepted.add(v)
+        assert frozenset(accepted) in _orbits(g)
+
+
 def test_canonical_form_is_the_true_permutation_minimum():
     # Brute force over every permutation; the branch-and-bound must agree.
-    import itertools
-
-    from gallai import write_graph6
-
     def brute_minimum(g):
         return min(
             write_graph6(relabeled(g, perm))

@@ -65,7 +65,8 @@ def test_valid_decomposition_covers_all_edges_once():
     d = decomposition((0, 1, 2), (2, 3, 0))
     report = verify(cycle(4), d)
     assert report.valid
-    assert sorted(d.edges()) == sorted(cycle(4).edges())
+    covered = [e for p in d.paths for e in p.edges()]
+    assert sorted(covered) == sorted(cycle(4).edges())
 
 
 def test_is_good():
