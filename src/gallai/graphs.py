@@ -9,10 +9,13 @@ path found in them, are already in the ids of the input graph.  ``n`` counts
 the vertices; in a derived graph the largest id can be ``n`` or more.
 graph6 and the census take graphs on ``0..n-1`` only.
 
-Adjacency is stored as one bitmask per vertex, keyed by id in ascending
-order, which keeps degree/common-neighbour/connectivity queries cheap at the
-sizes this library targets (a few dozen vertices).  Every mutating operation
-returns a new ``Graph``; values are safe to share between threads.
+Adjacency is stored as one sorted tuple of neighbour ids per vertex, keyed
+by id in ascending order, and the edge count ``m`` is kept alongside it.
+Degrees are at most 5 in the graphs the solver takes, so a degree is a
+``len``, an adjacency test a short tuple scan, and a derived graph copies
+the table and rewrites only the tuples of the vertices it touches.  Every
+mutating operation returns a new ``Graph``; values are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -32,9 +35,13 @@ def edge(u: int, v: int) -> Edge:
 class Graph:
     """A finite simple undirected graph on a set of integer vertex ids."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "m", "_adj")
+
+    n: int
+    m: int
 
     def __init__(self, n: int, adj_masks: Sequence[int]):
+        """Graph on ``0..n-1`` where bit u of ``adj_masks[v]`` marks uv."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(adj_masks) != n:
@@ -44,26 +51,34 @@ class Graph:
                 raise ValueError(f"neighbour of {v} out of range")
             if mask & (1 << v):
                 raise ValueError(f"self-loop at {v}")
-        for v, mask in enumerate(adj_masks):
-            for u in _bits(mask):
-                if not adj_masks[u] & (1 << v):
+        adj = {v: _neighbours_in(mask) for v, mask in enumerate(adj_masks)}
+        for v, nbrs in adj.items():
+            for u in nbrs:
+                if not adj_masks[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", dict(enumerate(adj_masks)))
+        _init(self, adj, sum(map(len, adj.values())) // 2)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
-        masks = [0] * n
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if masks[u] & (1 << v):
+            # scan the shorter list: linear in m for bounded degrees
+            a, b = (u, v) if len(nbrs[u]) <= len(nbrs[v]) else (v, u)
+            if b in nbrs[a]:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, masks)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            m += 1
+        if n < 0:  # after the edges, which name a bad edge first
+            raise ValueError("vertex count must be nonnegative")
+        g = object.__new__(cls)
+        _init(g, {v: tuple(sorted(vs)) for v, vs in enumerate(nbrs)}, m)
+        return g
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -79,43 +94,48 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def m(self) -> int:
-        return sum(mask.bit_count() for mask in self._adj.values()) // 2
-
     def degree(self, v: int) -> int:
-        return self.neighbor_mask(v).bit_count()
+        try:
+            return len(self._adj[v])
+        except KeyError:
+            raise ValueError(f"vertex {v} is not in the graph") from None
 
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max degree of the empty graph is undefined")
-        return max(mask.bit_count() for mask in self._adj.values())
+        return max(map(len, self._adj.values()))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.neighbor_mask(v)))
-
-    def neighbor_mask(self, v: int) -> int:
+        """The neighbours of ``v``, ascending."""
         try:
             return self._adj[v]
         except KeyError:
             raise ValueError(f"vertex {v} is not in the graph") from None
 
+    def neighbor_mask(self, v: int) -> int:
+        """The neighbours of ``v`` as a bitmask (bit u set for each u)."""
+        mask = 0
+        for u in self.neighbors(v):
+            mask |= 1 << u
+        return mask
+
     def has_edge(self, u: int, v: int) -> bool:
-        self.neighbor_mask(v)  # raises if v is not a vertex
-        return bool(self.neighbor_mask(u) & (1 << v))
+        self.neighbors(v)  # raises if v is not a vertex
+        return v in self.neighbors(u)
 
     def edges(self) -> Iterator[Edge]:
         """All edges, ascending by (u, v)."""
-        for u, mask in self._adj.items():
-            for v in _bits(mask >> (u + 1), offset=u + 1):
-                yield (u, v)
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
+                if v > u:
+                    yield (u, v)
 
     def vertices(self) -> KeysView[int]:
         """The vertex ids, ascending, as a set-like view."""
         return self._adj.keys()
 
-    def adjacency(self) -> Mapping[int, int]:
-        """Each vertex id's neighbour mask, ascending by id.
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Each vertex id's ascending neighbour tuple, ascending by id.
 
         The graph's own table, for loops that test many adjacencies; it is
         read only, like the graph.
@@ -125,50 +145,73 @@ class Graph:
     def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
         if u == v:
             raise ValueError("common neighbours of a vertex with itself")
-        return tuple(_bits(self.neighbor_mask(u) & self.neighbor_mask(v)))
+        nu, nv = self.neighbors(u), self.neighbors(v)
+        return tuple(w for w in nu if w in nv)
 
     # -- connectivity -----------------------------------------------------
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components, ascending by smallest member."""
-        seen = 0
-        out = []
-        for start in self._adj:
-            if seen >> start & 1:
-                continue
-            comp = self._reach(start)
-            seen |= comp
-            out.append(tuple(_bits(comp)))
-        return out
+        seen: set[int] = set()
+        return [
+            tuple(sorted(self._reach(start, seen)))
+            for start in self._adj
+            if start not in seen
+        ]
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        if not self._adj:
+            return False
+        return len(self._reach(next(iter(self._adj)), set())) == self.n
 
-    def _reach(self, start: int) -> int:
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in _bits(frontier):
-                grown |= self._adj[v]
-            frontier = grown & ~comp
-            comp |= grown
+    def _reach(self, start: int, seen: set[int]) -> list[int]:
+        """The vertices joined to ``start`` and not in ``seen``, which
+        gains them."""
+        adj = self._adj
+        seen.add(start)
+        comp = [start]
+        for v in comp:  # grows while it is walked: a breadth-first search
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
         return comp
+
+    def is_bridge(self, u: int, v: int) -> bool:
+        """Whether removing the edge uv disconnects u from v.
+
+        A breadth-first search from u that stops when it reaches v by
+        another edge.
+        """
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge ({u}, {v}) not present")
+        adj = self._adj
+        frontier = [w for w in adj[u] if w != v]
+        seen = {u, *frontier}
+        for x in frontier:
+            for w in adj[x]:
+                if w == v:
+                    return False
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return True
 
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count.
 
         Iterative low-link computation, linear in n + m.
         """
-        disc = dict.fromkeys(self._adj, -1)
-        low = dict.fromkeys(self._adj, 0)
+        adj = self._adj
+        disc = dict.fromkeys(adj, -1)
+        low = dict.fromkeys(adj, 0)
         out: set[Edge] = set()
         timer = 0
-        for root in self._adj:
+        for root in adj:
             if disc[root] != -1:
                 continue
             # stack entries: (vertex, parent, iterator over neighbours)
-            stack = [(root, -1, iter(self.neighbors(root)))]
+            stack = [(root, -1, iter(adj[root]))]
             disc[root] = low[root] = timer
             timer += 1
             while stack:
@@ -178,7 +221,7 @@ class Graph:
                     if disc[w] == -1:
                         disc[w] = low[w] = timer
                         timer += 1
-                        stack.append((w, v, iter(self.neighbors(w))))
+                        stack.append((w, v, iter(adj[w])))
                         advanced = True
                         break
                     if w != parent:
@@ -200,10 +243,19 @@ class Graph:
         unknown = dropped - self._adj.keys()
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
-        kept = ~sum(1 << v for v in dropped)
-        return _derived(
-            {v: mask & kept for v, mask in self._adj.items() if v not in dropped}
-        )
+        adj = dict(self._adj)
+        removed = 0  # edges with an end in ``dropped``, each counted once
+        touched: set[int] = set()
+        for v in dropped:
+            for w in adj.pop(v):
+                if w not in dropped:
+                    touched.add(w)
+                    removed += 1
+                elif w < v:
+                    removed += 1
+        for w in touched:
+            adj[w] = tuple(x for x in adj[w] if x not in dropped)
+        return _derived(adj, self.m - removed)
 
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
@@ -211,17 +263,17 @@ class Graph:
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
         adj = dict(self._adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return _derived(adj)
+        adj[u] = tuple(sorted(adj[u] + (v,)))
+        adj[v] = tuple(sorted(adj[v] + (u,)))
+        return _derived(adj, self.m + 1)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
         adj = dict(self._adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return _derived(adj)
+        adj[u] = tuple(x for x in adj[u] if x != v)
+        adj[v] = tuple(x for x in adj[v] if x != u)
+        return _derived(adj, self.m - 1)
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge whose ends share no neighbour.
@@ -230,23 +282,24 @@ class Graph:
         """
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
-        if self._adj[u] & self._adj[v]:
+        if self.common_neighbors(u, v):
             raise ValueError(
                 f"contracting ({u}, {v}) would create a parallel edge"
             )
         a, b = edge(u, v)
-        a_bit, b_bit = 1 << a, 1 << b
         adj = dict(self._adj)
         del adj[b]
-        adj[a] = (self._adj[a] | self._adj[b]) & ~a_bit & ~b_bit
-        for w in _bits(self._adj[b] & ~a_bit):
-            adj[w] = adj[w] & ~b_bit | a_bit
-        return _derived(adj)
+        merged = self._adj[a] + self._adj[b]
+        adj[a] = tuple(sorted(x for x in merged if x != a and x != b))
+        for w in self._adj[b]:
+            if w != a:
+                adj[w] = tuple(sorted(a if x == b else x for x in adj[w]))
+        return _derived(adj, self.m - 1)
 
     def induced_even_subgraph(self) -> "Graph":
         """Subgraph induced by the vertices of even degree."""
         return self.delete_vertices(
-            v for v, mask in self._adj.items() if mask.bit_count() % 2 == 1
+            v for v, nbrs in self._adj.items() if len(nbrs) % 2 == 1
         )
 
     # -- predicates --------------------------------------------------------
@@ -262,18 +315,42 @@ class Graph:
         return self.m >= self.n * (self.n - 1) // 2 - (k - 1)
 
 
-def _derived(adj: dict[int, int]) -> Graph:
-    """Graph on ``adj`` (ids ascending, symmetric), built without the
-    checks of ``Graph.__init__``: every caller derives it from a valid
-    graph."""
-    g = object.__new__(Graph)
+def _init(g: Graph, adj: dict[int, tuple[int, ...]], m: int) -> None:
     object.__setattr__(g, "n", len(adj))
+    object.__setattr__(g, "m", m)
     object.__setattr__(g, "_adj", adj)
+
+
+def _derived(adj: dict[int, tuple[int, ...]], m: int) -> Graph:
+    """Graph on ``adj`` (ids ascending, tuples sorted, symmetric, ``m``
+    edges), built without the checks of ``Graph.__init__``: every caller
+    derives it from a valid graph."""
+    g = object.__new__(Graph)
+    _init(g, adj, m)
     return g
 
 
-def _bits(mask: int, offset: int = 0) -> Iterator[int]:
+def _bits(mask: int) -> tuple[int, ...]:
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1 + offset
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+def _small_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """``_bits(mask)`` for every mask below ``2**width``, by mask."""
+    table: list[tuple[int, ...]] = [()]
+    for bit in range(width):
+        table += [nbrs + (bit,) for nbrs in table]
+    return tuple(table)
+
+
+# Every small graph (the census, parsed graph6 lines of order <= 10) shares
+# these tuples instead of holding one per vertex.
+_SMALL = _small_table(10)
+
+
+def _neighbours_in(mask: int) -> tuple[int, ...]:
+    return _SMALL[mask] if mask < len(_SMALL) else _bits(mask)

@@ -102,12 +102,13 @@ def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
     """Check a decomposition against a graph, reporting every violation.
 
     The check is one pass over the path steps: each step is looked up in the
-    graph's adjacency masks, and each graph edge it covers is tallied under
-    one key however often it is covered.  So every edge is covered exactly
-    when there are ``g.m`` keys, and the graph's edges are listed only when
-    there are fewer, to name the uncovered ones.  Violations are reported
-    per path (repeated vertices, then non-edges, in path order), then
-    duplicated edges ascending, then uncovered edges ascending.
+    neighbour tuple of its first vertex, and each graph edge it covers is
+    tallied under one key however often it is covered.  So every edge is
+    covered exactly when there are ``g.m`` keys, and the graph's edges are
+    listed only when there are fewer, to name the uncovered ones.
+    Violations are reported per path (repeated vertices, then non-edges, in
+    path order), then duplicated edges ascending, then uncovered edges
+    ascending.
     """
     violations: list[Violation] = []
     used: dict[Edge, int] = {}
@@ -124,19 +125,16 @@ def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
                 seen.add(v)
         steps = iter(vs)
         a = next(steps)
-        mask_a = adj.get(a)
         for b in steps:
-            mask_b = adj.get(b)
-            # An id outside the graph, negative ones too, has no mask and
-            # is never used as a shift.
-            if mask_a is None or mask_b is None or not mask_a >> b & 1:
+            # an id outside the graph has no neighbours and is no neighbour
+            if b not in adj.get(a, ()):
                 violations.append(
                     Violation("non_edge", f"path {i} steps over ({a}, {b})")
                 )
             else:
                 e = (a, b) if a < b else (b, a)
                 used[e] = used.get(e, 0) + 1
-            a, mask_a = b, mask_b
+            a = b
     for e in sorted(e for e, count in used.items() if count > 1):
         violations.append(
             Violation("duplicate_edge", f"edge {e} covered {used[e]} times")

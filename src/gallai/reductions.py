@@ -90,7 +90,7 @@ class C2:
             raise ReductionError(f"{self} is not an edge")
         if g.degree(self.u) % 2 or g.degree(self.v) % 2:
             raise ReductionError(f"{self}: endpoint of odd degree")
-        if edge(self.u, self.v) not in g.bridges():
+        if not g.is_bridge(self.u, self.v):
             raise ReductionError(f"{self} is not a cut edge")
 
 
@@ -206,17 +206,24 @@ def detect_c1(g: Graph) -> C1 | None:
 
 
 def detect_c2(g: Graph) -> C2 | None:
-    cut = g.bridges()
-    for u, v in g.edges():
-        if (u, v) in cut and g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
+    for u, v in sorted(g.bridges()):
+        if g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
             return C2(u, v)
     return None
 
 
+def _degree_four_edges(g: Graph) -> Iterator[Edge]:
+    """The edges whose ends both have degree 4, ascending by (u, v)."""
+    adj = g.adjacency()
+    for u, nbrs in adj.items():
+        if len(nbrs) == 4:
+            for v in nbrs:
+                if v > u and len(adj[v]) == 4:
+                    yield u, v
+
+
 def detect_c3(g: Graph) -> C3 | None:
-    for u, v in g.edges():
-        if g.degree(u) != 4 or g.degree(v) != 4:
-            continue
+    for u, v in _degree_four_edges(g):
         commons = g.common_neighbors(u, v)
         if len(commons) != 2:
             continue
@@ -228,9 +235,7 @@ def detect_c3(g: Graph) -> C3 | None:
 
 
 def detect_c4(g: Graph) -> C4 | None:
-    for u, v in g.edges():
-        if g.degree(u) != 4 or g.degree(v) != 4:
-            continue
+    for u, v in _degree_four_edges(g):
         labels = next(_c4_labellings(g, u, v), None)
         if labels is not None:
             return C4(u, v, *labels)
@@ -497,7 +502,7 @@ def _lift_c3_sparse_with_bridge(
 
 def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
-    if edge(u, v) in g.bridges():
+    if g.is_bridge(u, v):
         raise ReductionError(f"{occ}: the edge is a cut edge (C2 was skipped)")
     commons = g.common_neighbors(u, v)
     if len(commons) == 2:

@@ -156,6 +156,18 @@ def random_connected_graph(
     return Graph.from_edges(n, sorted(edges))
 
 
+def random_cubic_graph(rng: random.Random, n: int) -> Graph:
+    """A random simple 3-regular graph on ``n`` (even) vertices: random
+    pairings of three stubs per vertex, drawn until one has no loop or
+    double edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {edge(a, b) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
 def all_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices (for oracle cross-checks)."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -262,3 +274,146 @@ def subcase_fixtures():
         ),
     ]
     return fixtures
+
+
+class MaskGraph:
+    """The adjacency-mask graph that ``Graph`` must agree with, query for
+    query and error message for error message: one big-int neighbour mask
+    per vertex id, every count and list recomputed from the masks."""
+
+    def __init__(self, n: int, adj_masks) -> None:
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        if len(adj_masks) != n:
+            raise ValueError("adjacency length does not match vertex count")
+        for v, mask in enumerate(adj_masks):
+            if mask >> n:
+                raise ValueError(f"neighbour of {v} out of range")
+            if mask & (1 << v):
+                raise ValueError(f"self-loop at {v}")
+        for v, mask in enumerate(adj_masks):
+            for u in _mask_bits(mask):
+                if not adj_masks[u] & (1 << v):
+                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        self.adj = dict(enumerate(adj_masks))
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "MaskGraph":
+        masks = [0] * n
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+            if masks[u] & (1 << v):
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(n, masks)
+
+    @property
+    def m(self) -> int:
+        return sum(mask.bit_count() for mask in self.adj.values()) // 2
+
+    def neighbor_mask(self, v: int) -> int:
+        try:
+            return self.adj[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} is not in the graph") from None
+
+    def degree(self, v: int) -> int:
+        return self.neighbor_mask(v).bit_count()
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return _mask_bits(self.neighbor_mask(v))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        self.neighbor_mask(v)
+        return bool(self.neighbor_mask(u) & (1 << v))
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, mask in self.adj.items()
+                for v in _mask_bits(mask) if v > u]
+
+    def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
+        if u == v:
+            raise ValueError("common neighbours of a vertex with itself")
+        return _mask_bits(self.neighbor_mask(u) & self.neighbor_mask(v))
+
+    def components(self) -> list[tuple[int, ...]]:
+        seen = 0
+        out = []
+        for start in self.adj:
+            if seen >> start & 1:
+                continue
+            comp = frontier = 1 << start
+            while frontier:
+                grown = 0
+                for v in _mask_bits(frontier):
+                    grown |= self.adj[v]
+                frontier = grown & ~comp
+                comp |= grown
+            seen |= comp
+            out.append(_mask_bits(comp))
+        return out
+
+    def is_connected(self) -> bool:
+        return len(self.components()) == 1
+
+    def bridges(self) -> set[tuple[int, int]]:
+        """Edges whose removal adds a component, by removing each one."""
+        parts = len(self.components())
+        return {e for e in self.edges()
+                if len(self.delete_edge(*e).components()) > parts}
+
+    def _derived(self, adj: dict[int, int]) -> "MaskGraph":
+        g = object.__new__(MaskGraph)
+        g.adj = adj
+        return g
+
+    def delete_vertices(self, drop) -> "MaskGraph":
+        dropped = set(drop)
+        unknown = dropped - self.adj.keys()
+        if unknown:
+            raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
+        kept = ~sum(1 << v for v in dropped)
+        return self._derived(
+            {v: mask & kept for v, mask in self.adj.items() if v not in dropped}
+        )
+
+    def add_edge(self, u: int, v: int) -> "MaskGraph":
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if self.has_edge(u, v):
+            raise ValueError(f"edge ({u}, {v}) already present")
+        adj = dict(self.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        return self._derived(adj)
+
+    def delete_edge(self, u: int, v: int) -> "MaskGraph":
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge ({u}, {v}) not present")
+        adj = dict(self.adj)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        return self._derived(adj)
+
+    def contract_edge(self, u: int, v: int) -> "MaskGraph":
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge ({u}, {v}) not present")
+        if self.adj[u] & self.adj[v]:
+            raise ValueError(
+                f"contracting ({u}, {v}) would create a parallel edge"
+            )
+        a, b = edge(u, v)
+        adj = dict(self.adj)
+        del adj[b]
+        adj[a] = (self.adj[a] | self.adj[b]) & ~(1 << a) & ~(1 << b)
+        for w in _mask_bits(self.adj[b] & ~(1 << a)):
+            adj[w] = adj[w] & ~(1 << b) | 1 << a
+        return self._derived(adj)
+
+
+def _mask_bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

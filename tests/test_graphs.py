@@ -1,9 +1,20 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
-from gallai import Graph, canonical_form, enumerate_connected
-from helpers import complete_graph, cycle, path_graph, petersen, star, two_cliques_with_bridge
+from gallai import Graph, canonical_form, edge, enumerate_connected
+from helpers import (
+    MaskGraph,
+    complete_graph,
+    cycle,
+    path_graph,
+    petersen,
+    random_connected_graph,
+    star,
+    two_cliques_with_bridge,
+)
 
 
 def test_degree():
@@ -190,3 +201,143 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(2, [2, 0])  # asymmetric adjacency
+
+
+# -- against networkx and the adjacency-mask reference ----------------------
+
+
+def _same_error(ours, theirs, call):
+    """``call`` raises the same ValueError on both graphs (or classes)."""
+    with pytest.raises(ValueError) as got:
+        call(ours)
+    with pytest.raises(ValueError) as want:
+        call(theirs)
+    assert str(got.value) == str(want.value)
+
+
+def _assert_agrees(g: Graph, ref: MaskGraph, nxg: nx.Graph, order: int):
+    assert g.n == len(ref.adj) == nxg.number_of_nodes()
+    assert list(g.vertices()) == list(ref.adj) == sorted(nxg)
+    edges = list(g.edges())
+    assert edges == ref.edges() == sorted(edge(*e) for e in nxg.edges)
+    assert g.m == len(edges) == ref.m  # the kept count against a recount
+    for v in g.vertices():
+        assert g.degree(v) == ref.degree(v) == nxg.degree(v)
+        assert g.neighbors(v) == ref.neighbors(v) == tuple(sorted(nxg[v]))
+        assert g.neighbor_mask(v) == ref.neighbor_mask(v)
+    assert g.components() == ref.components() == sorted(
+        tuple(sorted(c)) for c in nx.connected_components(nxg)
+    )
+    cut = g.bridges()
+    assert cut == ref.bridges() == {edge(*e) for e in nx.bridges(nxg)}
+    assert [g.is_bridge(*e) for e in edges] == [e in cut for e in edges]
+    assert g.is_connected() == ref.is_connected() == (
+        g.n > 0 and nx.is_connected(nxg)
+    )
+    # the same graph built another way is equal and hashes equal
+    twin = Graph.from_edges(order, edges).delete_vertices(
+        set(range(order)) - set(g.vertices())
+    )
+    assert twin == g and hash(twin) == hash(g)
+    if edges:
+        assert g.delete_edge(*edges[0]) != g
+
+
+def test_derived_graphs_agree_with_networkx_and_masks():
+    rng = random.Random(606)
+    checked = 0
+    for _ in range(60):
+        g = random_connected_graph(rng, 6, 16)
+        if g is None:
+            continue
+        order = g.n
+        ref = MaskGraph.from_edges(order, g.edges())
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(order))
+        for _ in range(14):
+            _assert_agrees(g, ref, nxg, order)
+            checked += 1
+            ids = sorted(g.vertices())
+            if len(ids) < 3:
+                break
+            u, v = rng.sample(ids, 2)
+            absent = rng.choice([-1, order, *(set(range(order)) - set(ids))])
+            for call in (
+                lambda h: h.degree(absent),
+                lambda h: h.has_edge(u, absent),
+                lambda h: h.add_edge(absent, u),
+                lambda h: h.add_edge(u, u),
+                lambda h: h.delete_vertices({u, absent}),
+                lambda h: h.common_neighbors(u, u),
+            ):
+                _same_error(g, ref, call)
+            kind = rng.choice(("delete", "add", "remove", "contract"))
+            if kind == "delete":
+                drop = set(rng.sample(ids, rng.randint(1, 2)))
+                g, ref = g.delete_vertices(drop), ref.delete_vertices(drop)
+                nxg.remove_nodes_from(drop)
+            elif not g.has_edge(u, v):
+                for call in (
+                    lambda h: h.delete_edge(u, v),
+                    lambda h: h.contract_edge(u, v),
+                ):
+                    _same_error(g, ref, call)
+                if kind == "add":
+                    g, ref = g.add_edge(u, v), ref.add_edge(u, v)
+                    nxg.add_edge(u, v)
+            else:
+                _same_error(g, ref, lambda h: h.add_edge(v, u))
+                if kind == "remove":
+                    g, ref = g.delete_edge(u, v), ref.delete_edge(u, v)
+                    nxg.remove_edge(u, v)
+                elif g.common_neighbors(u, v):
+                    _same_error(g, ref, lambda h: h.contract_edge(u, v))
+                elif kind == "contract":
+                    g, ref = g.contract_edge(u, v), ref.contract_edge(u, v)
+                    a, b = edge(u, v)
+                    nxg = nx.contracted_nodes(nxg, a, b, self_loops=False)
+    assert checked > 500
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        (-1, []),
+        (2, [2]),
+        (2, [4, 0]),
+        (2, [1, 0]),
+        (2, [2, 0]),
+        (3, [2, 5, 0]),
+        (12, [1 << 11] + [0] * 11),
+    ],
+)
+def test_mask_constructor_errors_are_unchanged(n, masks):
+    _same_error(Graph, MaskGraph, lambda cls: cls(n, masks))
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (-1, []),
+        (-1, [(0, 1)]),
+        (2, [(0, 0)]),
+        (2, [(0, 2)]),
+        (2, [(-1, 0)]),
+        (2, [(0, 1), (1, 0)]),
+        (3, [(0, 1), (1, 2), (2, 1), (0, 5)]),
+        (3, [(0, 1), (0, 3), (1, 0)]),
+    ],
+)
+def test_edge_list_constructor_errors_are_unchanged(n, edges):
+    _same_error(Graph, MaskGraph, lambda cls: cls.from_edges(n, edges))
+
+
+def test_mask_and_edge_constructors_agree():
+    rng = random.Random(8)
+    for n in (0, 1, 9, 10, 11, 40):
+        pairs = [p for p in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.3]
+        ref = MaskGraph.from_edges(n, pairs)
+        g = Graph(n, [ref.neighbor_mask(v) for v in range(n)])
+        assert g == Graph.from_edges(n, reversed(pairs))
+        assert g.m == ref.m and list(g.edges()) == ref.edges()
