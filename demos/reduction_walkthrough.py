@@ -7,7 +7,8 @@ smaller graph, then lift the bridging edge along its route back through
 the vertex.
 """
 
-from gallai import Graph, detect, lift, reduce, solve, verify
+from gallai import Graph, detect, solve, verify
+from gallai.reductions import lift, reduce
 
 #     4---5
 #      \ /

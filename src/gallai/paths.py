@@ -1,10 +1,10 @@
-"""Paths, path decompositions, the verifier, and the four editing moves.
+"""Paths, path decompositions, and the verifier.
 
 A decomposition is *valid* against a graph when its paths are simple, every
 step is an edge, and the path edges partition the edge set exactly.  It is
-*good* when it is valid and uses at most ceil(n/2) paths.  The editing moves
-(replace a subpath, extend, split, add) are the only ways the lifting rules
-rewrite decompositions; each one checks its own preconditions loudly.
+*good* when it is valid and uses at most ceil(n/2) paths.  The lifting rules
+build their rewrites from ``add_path`` and ``paths_ending_at`` here and from
+splices of their own in ``reductions``; ``lift`` verifies every result.
 """
 
 from __future__ import annotations
@@ -148,13 +148,6 @@ def verify(g: Graph, d: PathDecomposition) -> VerifyReport:
     return VerifyReport(valid, tuple(violations), len(d.paths), good)
 
 
-def is_good(g: Graph, d: PathDecomposition) -> bool:
-    report = verify(g, d)
-    if not report.valid:
-        raise ValueError(f"decomposition is not valid:\n{report}")
-    return report.good
-
-
 def lower_bound(g: Graph) -> int:
     """max(half the odd-degree vertices, edges over the longest path length)."""
     if g.m == 0:
@@ -162,92 +155,7 @@ def lower_bound(g: Graph) -> int:
     return residual_lower_bound(frozenset(g.edges()))
 
 
-# -- editing moves --------------------------------------------------------
-
-
-def _index_of(d: PathDecomposition, p: Path) -> int:
-    back = p.reversed()
-    for i, q in enumerate(d.paths):
-        if q == p or q == back:
-            return i
-    raise ValueError(f"path {p.vertices} is not in the decomposition")
-
-
-def _find_subpath(p: Path, q: Path) -> tuple[int, int]:
-    """Start/end indices of q as a contiguous subpath of p (either direction)."""
-    vs, target = p.vertices, q.vertices
-    for cand in (target, target[::-1]):
-        for i in range(len(vs) - len(cand) + 1):
-            if vs[i : i + len(cand)] == cand:
-                return i, i + len(cand) - 1
-    raise ValueError(f"{q.vertices} is not a subpath of {p.vertices}")
-
-
-def _as_path_or_none(vertices: tuple[int, ...]) -> Path | None:
-    return Path(vertices) if len(vertices) >= 2 else None
-
-
-def replace_subpath(
-    d: PathDecomposition, p: Path, q: Path, r: Path
-) -> PathDecomposition:
-    """Replace the subpath q of p with r (same endpoints), keeping p simple."""
-    i = _index_of(d, p)
-    host = d.paths[i]
-    lo, hi = _find_subpath(host, q)
-    seg = host.vertices[lo : hi + 1]
-    if r.vertices[0] == seg[0] and r.vertices[-1] == seg[-1]:
-        middle = r.vertices
-    elif r.vertices[-1] == seg[0] and r.vertices[0] == seg[-1]:
-        middle = r.vertices[::-1]
-    else:
-        raise ValueError(
-            f"replacement {r.vertices} does not share endpoints with {seg}"
-        )
-    merged = host.vertices[:lo] + middle + host.vertices[hi + 1 :]
-    if len(set(merged)) != len(merged):
-        raise ValueError("replacement does not leave a simple path")
-    return PathDecomposition(d.paths[:i] + (Path(merged),) + d.paths[i + 1 :])
-
-
-def extend(d: PathDecomposition, p: Path, r: Path) -> PathDecomposition:
-    """Extend p with r, which shares exactly one endpoint with p."""
-    i = _index_of(d, p)
-    host = d.paths[i]
-    h0, h1 = host.ends
-    r0, r1 = r.ends
-    if r0 == h1:
-        merged = host.vertices + r.vertices[1:]
-    elif r1 == h1:
-        merged = host.vertices + r.vertices[-2::-1]
-    elif r0 == h0:
-        merged = r.vertices[:0:-1] + host.vertices
-    elif r1 == h0:
-        merged = r.vertices[:-1] + host.vertices
-    else:
-        raise ValueError(
-            f"extension {r.vertices} shares no endpoint with {host.vertices}"
-        )
-    if len(set(merged)) != len(merged):
-        raise ValueError("extension revisits a vertex")
-    return PathDecomposition(d.paths[:i] + (Path(merged),) + d.paths[i + 1 :])
-
-
-def split_at(d: PathDecomposition, p: Path, u: int) -> PathDecomposition:
-    """Split p at u into the two sides of u; an empty side is dropped."""
-    i = _index_of(d, p)
-    host = d.paths[i]
-    if u not in host.vertices:
-        raise ValueError(f"{u} does not lie on {host.vertices}")
-    at = host.vertices.index(u)
-    parts = [
-        part
-        for part in (
-            _as_path_or_none(host.vertices[: at + 1]),
-            _as_path_or_none(host.vertices[at:]),
-        )
-        if part is not None
-    ]
-    return PathDecomposition(d.paths[:i] + tuple(parts) + d.paths[i + 1 :])
+# -- helpers for the lifts ------------------------------------------------
 
 
 def add_path(d: PathDecomposition, r: Path) -> PathDecomposition:

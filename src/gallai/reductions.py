@@ -38,15 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 from .graphs import Edge, Graph, edge
-from .paths import (
-    Path,
-    PathDecomposition,
-    add_path,
-    extend,
-    paths_ending_at,
-    replace_subpath,
-    verify,
-)
+from .paths import Path, PathDecomposition, add_path, paths_ending_at, verify
 from .search import cover_with_paths
 
 
@@ -174,8 +166,6 @@ class C5:
 
 
 Occurrence = Union[C1, C2, C3, C4, C5]
-
-CONFIGURATION_TAGS = ("C1", "C2", "C3", "C4", "C5")
 
 SUBCASES = {
     "C1": ("splice",),
@@ -509,12 +499,13 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
         raise ReductionError(f"{occ}: exactly two common neighbours (C3 present)")
     if len(commons) == 3:
         return _reduce_c4_triple(g, occ, commons)
-    if len(g.delete_vertices({u}).components()) >= 3:
-        return _reduce_c4_hub(g, occ, u, v)
-    if len(g.delete_vertices({v}).components()) >= 3:
-        return _reduce_c4_hub(g, occ, v, u)
-    if len(g.delete_vertices({u, v}).components()) >= 4:
-        return _reduce_c4_four(g, occ)
+    for hub, other in ((u, v), (v, u)):
+        comps = g.delete_vertices({hub}).components()
+        if len(comps) >= 3:
+            return _reduce_c4_hub(g, occ, hub, other, comps)
+    comps = g.delete_vertices({u, v}).components()
+    if len(comps) >= 4:
+        return _reduce_c4_four(g, occ, comps)
     return _reduce_c4_paired(g, occ)
 
 
@@ -535,9 +526,10 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
     return LiftPlan("C4", "triple_common", g, (child,), ((x, v, u, z),))
 
 
-def _reduce_c4_hub(g: Graph, occ: C4, hub: int, other: int) -> LiftPlan:
+def _reduce_c4_hub(
+    g: Graph, occ: C4, hub: int, other: int, comps: list[tuple[int, ...]]
+) -> LiftPlan:
     side = sorted(set(g.neighbors(hub)) - {other})
-    comps = g.delete_vertices({hub}).components()
     lone = [c for c in comps if other not in c]
     main = [c for c in comps if other in c]
     if len(lone) != 2 or len(main) != 1:
@@ -555,11 +547,10 @@ def _reduce_c4_hub(g: Graph, occ: C4, hub: int, other: int) -> LiftPlan:
     )
 
 
-def _reduce_c4_four(g: Graph, occ: C4) -> LiftPlan:
+def _reduce_c4_four(g: Graph, occ: C4, comps: list[tuple[int, ...]]) -> LiftPlan:
     u, v = occ.u, occ.v
     ts = set(g.neighbors(u)) - {v}
     ws = set(g.neighbors(v)) - {u}
-    comps = g.delete_vertices({u, v}).components()
     if len(comps) != 4:
         raise ReductionError(f"{occ}: expected exactly four components")
     both = [c for c in comps if set(c) & ts and set(c) & ws]
@@ -900,7 +891,7 @@ def _extend_into_residual(
     d: PathDecomposition, residual: set[Edge], corners: tuple[int, int, int]
 ) -> tuple[PathDecomposition, set[Edge]]:
     u, v, w = corners
-    for host in d.paths:
+    for i, host in enumerate(d.paths):
         for endpoint in dict.fromkeys(host.ends):
             if endpoint not in corners:
                 continue
@@ -912,10 +903,10 @@ def _extend_into_residual(
                     continue
                 if _edges_as_path(residual - {candidate}) is None:
                     continue
-                return (
-                    extend(d, host, Path((endpoint, other))),
-                    residual - {candidate},
-                )
+                vs = host.vertices
+                grown = vs + (other,) if vs[-1] == endpoint else (other,) + vs
+                paths = d.paths[:i] + (Path(grown),) + d.paths[i + 1 :]
+                return PathDecomposition(paths), residual - {candidate}
     raise LiftError("no corner extension straightens the residual")
 
 
@@ -1077,8 +1068,15 @@ def _path_with_edge(d: PathDecomposition, e: Edge) -> Path:
 def _replace_edge(
     d: PathDecomposition, e: Edge, via: tuple[int, ...]
 ) -> PathDecomposition:
-    host = _path_with_edge(d, e)
-    return replace_subpath(d, host, Path(e), Path(via))
+    """Splice the route ``via`` in place of the edge ``e``, whose ends are
+    the route's ends."""
+    i, j = _find_edge_index(d, e)
+    vs = d.paths[i].vertices
+    middle = via if via[0] == vs[j] else via[::-1]
+    merged = vs[:j] + middle + vs[j + 2 :]
+    if len(set(merged)) != len(merged):
+        raise ValueError("replacement does not leave a simple path")
+    return PathDecomposition(d.paths[:i] + (Path(merged),) + d.paths[i + 1 :])
 
 
 def _apply_routes(

@@ -28,17 +28,7 @@ from .reductions import (
     lift,
     reduce,
 )
-from .search import BudgetExhaustedError, cover_with_paths
-
-__all__ = [
-    "SolveError",
-    "SolveResult",
-    "SolveTrace",
-    "BudgetExhaustedError",
-    "min_decomposition",
-    "solve",
-    "solve_base",
-]
+from .search import cover_with_paths
 
 
 class SolveError(RuntimeError):

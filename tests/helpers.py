@@ -6,15 +6,9 @@ import itertools
 import random
 from collections import Counter
 
-from gallai import (
-    Graph,
-    PathDecomposition,
-    VerifyReport,
-    Violation,
-    canonical_form,
-    canonical_graph,
-    edge,
-)
+from gallai import Graph, PathDecomposition, VerifyReport, Violation, canonical_form
+from gallai.census import canonical_graph
+from gallai.graphs import edge
 
 
 def complete_graph(n: int) -> Graph:
@@ -185,7 +179,7 @@ def subcase_fixtures():
     shadowed by the detection priority (such graphs always contain a C4
     too), so they carry explicit occurrences.
     """
-    from gallai import C5
+    from gallai.reductions import C5
 
     k5 = complete_graph(5)
     fixtures = [

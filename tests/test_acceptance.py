@@ -14,18 +14,16 @@ import pytest
 from gallai import (
     detect,
     enumerate_connected,
-    lift,
     min_decomposition,
     parse_graph6,
-    reduce,
     run_check,
     run_floor_search,
     solve,
-    solve_base,
     verify,
     write_graph6,
 )
-from gallai.reductions import SUBCASES, check_structure
+from gallai.reductions import SUBCASES, check_structure, lift, reduce
+from gallai.solver import solve_base
 import gallai.batch
 from helpers import (
     complete_graph,

@@ -56,7 +56,7 @@ def _too_deep(*args):
 @pytest.mark.parametrize(
     "module, name, broken, message",
     [
-        (gallai.reductions, "replace_subpath", _refuse_edit, "editing move refused"),
+        (gallai.reductions, "_replace_edge", _refuse_edit, "editing move refused"),
         (gallai.solver, "_solve", _too_deep, "maximum recursion depth exceeded"),
     ],
     ids=["lift_error", "recursion_error"],
@@ -64,7 +64,7 @@ def _too_deep(*args):
 def test_run_check_records_a_failed_solve_and_goes_on(
     monkeypatch, module, name, broken, message
 ):
-    # A LiftError (here from a recipe whose editing move fails) or a
+    # A LiftError (here from a recipe whose route splice fails) or a
     # RecursionError on one graph is that graph's finding, not the run's end.
     monkeypatch.setattr(module, name, broken)
     items = census_items(5)
@@ -267,7 +267,7 @@ def test_cli_solve_recipe_value_error_is_internal_failure(
     def broken(*args):
         raise ValueError("editing move refused")
 
-    monkeypatch.setattr(gallai.reductions, "replace_subpath", broken)
+    monkeypatch.setattr(gallai.reductions, "_replace_edge", broken)
     path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
     assert main(["solve", path]) == 1
     assert "editing move refused" in capsys.readouterr().err

@@ -6,14 +6,13 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from gallai import (
-    Graph,
-    canonical_form,
+from gallai import Graph, canonical_form, enumerate_connected, write_graph6
+from gallai.census import (
+    _is_canonical_deletion,
     canonical_graph,
-    enumerate_connected,
-    write_graph6,
+    canonical_order,
+    relabeled,
 )
-from gallai.census import _is_canonical_deletion, canonical_order, relabeled
 from helpers import (
     all_labeled_graphs,
     complete_graph,

@@ -4,7 +4,8 @@ import random
 import networkx as nx
 import pytest
 
-from gallai import Graph, canonical_form, edge, enumerate_connected
+from gallai import Graph, canonical_form, enumerate_connected
+from gallai.graphs import edge
 from helpers import (
     MaskGraph,
     complete_graph,

@@ -4,7 +4,6 @@ import pytest
 from gallai import (
     FormatError,
     Graph,
-    decomposition,
     enumerate_connected,
     format_decomposition,
     parse_decomposition,
@@ -12,6 +11,7 @@ from gallai import (
     parse_graph6,
     write_graph6,
 )
+from gallai.paths import decomposition
 from helpers import complete_graph, cycle, petersen
 
 

@@ -4,20 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gallai import (
-    Graph,
-    Path,
-    PathDecomposition,
-    add_path,
-    decomposition,
-    extend,
-    is_good,
-    lower_bound,
-    path,
-    replace_subpath,
-    split_at,
-    verify,
-)
+from gallai import Graph, Path, PathDecomposition, verify
+from gallai.paths import add_path, decomposition, lower_bound, path
 from helpers import (
     complete_graph,
     cycle,
@@ -69,15 +57,6 @@ def test_valid_decomposition_covers_all_edges_once():
     assert sorted(covered) == sorted(cycle(4).edges())
 
 
-def test_is_good():
-    assert is_good(complete_graph(3), decomposition((0, 1, 2), (0, 2)))
-    k5_three = decomposition((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0, 3))
-    assert is_good(complete_graph(5), k5_three)
-    assert is_good(path_graph(2), decomposition((0, 1)))
-    with pytest.raises(ValueError):
-        is_good(complete_graph(3), decomposition((0, 1)))
-
-
 def test_goodness_threshold():
     # 3 paths are good for K5 (ceil(5/2) = 3), 4 are not.
     k5 = complete_graph(5)
@@ -86,45 +65,6 @@ def test_goodness_threshold():
     four = decomposition((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0), (0, 3))
     report = verify(k5, four)
     assert report.valid and not report.good
-
-
-def test_replace_subpath():
-    d = decomposition((1, 3), (0, 1), (0, 3))
-    d2 = replace_subpath(d, path(1, 3), path(1, 3), path(1, 0, 3))
-    assert path(1, 0, 3) in d2.paths
-    d = decomposition((5, 4, 6))
-    d2 = replace_subpath(d, path(5, 4, 6), path(4, 6), path(4, 7, 6))
-    assert d2.paths == (path(5, 4, 7, 6),)
-    with pytest.raises(ValueError):
-        replace_subpath(d, path(5, 4, 6), path(4, 6), path(4, 8, 5))
-    with pytest.raises(ValueError):
-        # reinserting a vertex already on the host is not simple
-        replace_subpath(d, path(5, 4, 6), path(4, 6), path(4, 5, 6))
-
-
-def test_extend():
-    d = decomposition((9, 1), (3, 4))
-    d2 = extend(d, path(9, 1), path(1, 2))
-    assert path(9, 1, 2) in d2.paths
-    d3 = extend(d2, path(9, 1, 2), path(5, 9))
-    assert path(5, 9, 1, 2) in d3.paths or path(2, 1, 9, 5) in d3.paths
-    with pytest.raises(ValueError):
-        extend(d, path(9, 1), path(2, 3))
-    with pytest.raises(ValueError):
-        extend(d, path(9, 1), path(1, 9))
-
-
-def test_split_at():
-    d = decomposition((0, 1, 2))
-    parts = split_at(d, path(0, 1, 2), 1)
-    assert set(parts.paths) == {path(0, 1), path(1, 2)}
-    d = decomposition((0, 1, 2, 3))
-    parts = split_at(d, path(0, 1, 2, 3), 1)
-    assert set(parts.paths) == {path(0, 1), path(1, 2, 3)}
-    unchanged = split_at(d, path(0, 1, 2, 3), 0)
-    assert unchanged.paths == (path(0, 1, 2, 3),)
-    with pytest.raises(ValueError):
-        split_at(d, path(0, 1, 2, 3), 9)
 
 
 def test_add_path():
@@ -209,22 +149,6 @@ def test_random_decompositions_verify(n, rng):
 def test_editing_moves_preserve_validity(n, rng):
     g = _random_graph(rng, n)
     d = _random_decomposition(rng, g)
-    before = len(d)
-
-    # split at an interior vertex, where one exists
-    long_paths = [p for p in d.paths if len(p) >= 3]
-    if long_paths:
-        p = rng.choice(long_paths)
-        at = p.vertices[rng.randrange(1, len(p) - 1)]
-        split = split_at(d, p, at)
-        assert verify(g, split).valid
-        assert len(split) == before + 1
-
-    # splitting at an endpoint never changes anything
-    p = rng.choice(list(d.paths))
-    same = split_at(d, p, p.vertices[0])
-    assert verify(g, same).valid
-    assert len(same) == before
 
     # moving one edge out to a fresh single-edge path keeps validity
     p = rng.choice(list(d.paths))
@@ -236,30 +160,10 @@ def test_editing_moves_preserve_validity(n, rng):
         )
         assert verify(g, reshaped).valid
 
-    # replacing a subpath with itself is the identity
-    p = rng.choice(list(d.paths))
-    q = Path(p.vertices[:2])
-    assert verify(g, replace_subpath(d, p, q, q)).valid
-
     # removing a path and adding it back restores a valid decomposition
     p = rng.choice(list(d.paths))
     without = PathDecomposition(tuple(q for q in d.paths if q != p))
     assert verify(g, add_path(without, p)).valid
-
-    # splitting, withdrawing one side, and extending with it round-trips
-    long_paths = [p for p in d.paths if len(p) >= 3]
-    if long_paths:
-        p = long_paths[0]
-        at = p.vertices[1]
-        pieces = split_at(d, p, at)
-        left = Path(p.vertices[:2])
-        right = Path(p.vertices[1:])
-        withdrawn = PathDecomposition(
-            tuple(q for q in pieces.paths if q != right)
-        )
-        rejoined = extend(withdrawn, left, right)
-        assert verify(g, rejoined).valid
-        assert len(rejoined) == len(d)
 
 
 # -- verify against the straightforward reference ------------------------------

@@ -2,26 +2,21 @@ import itertools
 
 import pytest
 
-from gallai import (
+from gallai import Graph, ReductionError, detect, enumerate_connected, solve, verify
+from gallai.reductions import (
     C1,
     C2,
     C3,
     C4,
     C5,
-    Graph,
-    ReductionError,
     check_structure,
-    detect,
     detect_c1,
     detect_c2,
     detect_c3,
     detect_c4,
     detect_c5,
-    enumerate_connected,
     lift,
     reduce,
-    solve,
-    verify,
 )
 from helpers import complete_graph, cycle, path_graph, petersen, two_cliques_with_bridge
 
@@ -321,7 +316,7 @@ def test_c5_bridge_spread_with_fat_satellites():
 
 
 def test_c5_hub_contraction_two_crossings_and_extension():
-    from gallai import decomposition
+    from gallai.paths import decomposition
 
     u, v, w, x1, x2, y1, y2, z1, z2 = range(9)
     g = Graph.from_edges(9, [
@@ -345,7 +340,7 @@ def test_c5_hub_contraction_two_crossings_and_extension():
 
 
 def test_c5_common_triangle_repair_fallback():
-    from gallai import decomposition
+    from gallai.paths import decomposition
 
     k5 = list(complete_graph(5).edges())
     g = Graph.from_edges(7, k5 + [(3, 5), (4, 6)])
@@ -369,7 +364,7 @@ def test_c5_common_triangle_repair_fallback():
 
 
 def test_c3_sparse_bridge_collisions():
-    from gallai import decomposition
+    from gallai.paths import decomposition
 
     g = Graph.from_edges(
         6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]
@@ -391,7 +386,7 @@ def test_c3_sparse_bridge_collisions():
 
 
 def test_c5_degree_two_both_branches():
-    from gallai import decomposition
+    from gallai.paths import decomposition
 
     g = Graph.from_edges(
         7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)]
@@ -592,7 +587,8 @@ def test_lift_rejects_added_path_reusing_a_covered_edge():
 
 
 def test_lift_rejects_non_edge_in_an_untouched_child_path():
-    from gallai import LiftError, decomposition
+    from gallai import LiftError
+    from gallai.paths import decomposition
 
     g = cycle(6)
     occ = C1(0, 1, 5)
@@ -609,7 +605,8 @@ def test_lift_rejects_non_edge_in_an_untouched_child_path():
 
 
 def test_lift_rejects_routed_edge_in_two_child_paths():
-    from gallai import LiftError, decomposition
+    from gallai import LiftError
+    from gallai.paths import decomposition
 
     g = cycle(6)
     occ = C1(0, 1, 5)
@@ -620,6 +617,52 @@ def test_lift_rejects_routed_edge_in_two_child_paths():
     bad = decomposition((5, 1, 2), (2, 3, 4), (4, 5, 1))
     with pytest.raises(LiftError, match=r"edge \(1, 5\) occurs 2 times"):
         lift(occ, plan, [bad])
+
+
+# -- the route splice ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "host, e, route, spliced",
+    [
+        ((0, 1, 2, 3), (0, 1), (0, 5, 1), (0, 5, 1, 2, 3)),
+        ((0, 1, 2, 3), (1, 2), (1, 5, 2), (0, 1, 5, 2, 3)),
+        ((0, 1, 2, 3), (2, 3), (2, 5, 3), (0, 1, 2, 5, 3)),
+        ((3, 2, 1, 0), (1, 2), (1, 5, 6, 2), (3, 2, 6, 5, 1, 0)),
+    ],
+    ids=["first", "middle", "last", "descending_host"],
+)
+@pytest.mark.parametrize("backwards", [False, True], ids=["forward", "backward"])
+def test_replace_edge_splices_the_route_in_place(host, e, route, spliced, backwards):
+    from gallai.paths import decomposition
+    from gallai.reductions import _replace_edge
+
+    d = decomposition((8, 9), host, (7, 4))
+    via = route[::-1] if backwards else route
+    out = _replace_edge(d, e, via)
+    # the host keeps its index and orientation; the other paths are untouched
+    assert [p.vertices for p in out.paths] == [(8, 9), spliced, (7, 4)]
+
+
+def test_replace_edge_rejects_a_route_that_revisits_a_vertex():
+    from gallai import LiftError
+    from gallai.paths import decomposition
+    from gallai.reductions import _replace_edge
+
+    d = decomposition((0, 1, 2, 3))
+    with pytest.raises(ValueError, match="does not leave a simple path"):
+        _replace_edge(d, (1, 2), (1, 3, 2))
+
+    # Inside lift the same failure is a recipe fault: the C1 route 1-0-5
+    # meets a child path that already holds vertex 0.
+    g = cycle(6)
+    occ = C1(0, 1, 5)
+    plan = reduce(g, occ)
+    assert plan.children[0].routes == ((1, 0, 5),)
+    bad = decomposition((0, 5, 1, 2, 3), (3, 4, 5))
+    with pytest.raises(LiftError, match="recipe failed") as caught:
+        lift(occ, plan, [bad])
+    assert "does not leave a simple path" in str(caught.value)
 
 
 # -- structure of irreducible graphs -----------------------------------------

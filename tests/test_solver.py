@@ -9,12 +9,12 @@ from gallai import (
     Graph,
     SolveError,
     enumerate_connected,
-    lower_bound,
     min_decomposition,
     solve,
-    solve_base,
     verify,
 )
+from gallai.paths import lower_bound
+from gallai.solver import solve_base
 from helpers import complete_graph, cycle, path_graph, petersen, star
 
 

@@ -1,0 +1,69 @@
+"""The package exports the documented API and nothing else."""
+
+import gallai
+
+API = [
+    "BatchReport",
+    "BudgetExhaustedError",
+    "Finding",
+    "FormatError",
+    "Graph",
+    "GraphRecord",
+    "LiftError",
+    "Path",
+    "PathDecomposition",
+    "ReductionError",
+    "SUBCASES",
+    "SolveError",
+    "SolveResult",
+    "SolveTrace",
+    "VerifyReport",
+    "Violation",
+    "canonical_form",
+    "detect",
+    "enumerate_connected",
+    "format_decomposition",
+    "min_decomposition",
+    "parse_decomposition",
+    "parse_edgelist",
+    "parse_graph6",
+    "run_check",
+    "run_floor_search",
+    "run_scan",
+    "solve",
+    "verify",
+    "write_graph6",
+]
+
+# Names the benchmark (perfbench/) reads from the package itself.
+BENCH_NAMES = [
+    "Graph",
+    "detect",
+    "SUBCASES",
+    "solve",
+    "verify",
+    "run_check",
+    "enumerate_connected",
+    "parse_graph6",
+    "write_graph6",
+    "format_decomposition",
+    "SolveError",
+    "LiftError",
+    "BudgetExhaustedError",
+]
+
+
+def test_all_is_the_documented_api():
+    assert sorted(gallai.__all__) == API
+
+
+def test_every_exported_name_resolves():
+    namespace: dict = {}
+    exec("from gallai import *", namespace)
+    for name in gallai.__all__:
+        assert namespace[name] is getattr(gallai, name)
+
+
+def test_bench_names_stay_exported():
+    missing = [name for name in BENCH_NAMES if name not in gallai.__all__]
+    assert not missing
