@@ -25,7 +25,7 @@ from .reductions import (
     is_exceptional_clique,
 )
 from .search import BudgetExhaustedError
-from .solver import SolveError, solve, solve_base
+from .solver import SolveError, check_input, solve, solve_base
 
 FLOOR_SEARCH_LIMIT = 7
 
@@ -132,8 +132,9 @@ def run_check(
     """Solve and verify every graph; check the even-core structure of the
     irreducible ones.
 
-    A graph whose solve fails (a rejected input, a reduction or lift that
-    breaks its own check, or recursion too deep) gets an ``error`` finding
+    A graph whose solve fails (an input outside the contract, a reduction
+    or lift that breaks its own check, or recursion too deep), or an
+    irreducible graph outside the contract, gets an ``error`` finding
     and a failed record, and the run goes on with the next graph; one whose
     search runs out of ``budget`` gets a ``budget`` finding the same way.
     """
@@ -154,6 +155,8 @@ def run_check(
         paths = None
         try:
             if detect(g) is None and not is_exceptional_clique(g):
+                # check_structure assumes the contract that solve checks
+                check_input(g)
                 if not check_structure(g):
                     report.findings.append(
                         Finding(
@@ -246,8 +249,8 @@ def run_scan(graphs: list[tuple[str, Graph]]) -> BatchReport:
             occ = detector(g)
             if occ is not None:
                 histogram[occ.tag] = 1
-        first = detect(g)
-        note = first.tag if first is not None else "irreducible"
+        # the detectors run in priority order, so the first tag is detect's
+        note = next(iter(histogram), "irreducible")
         report.records.append(
             GraphRecord(
                 graph_id, g.n, g.m, g.max_degree() if g.n else 0, _bound(g),

@@ -165,31 +165,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
+    def common(p, *options):
+        if "format" in options:
             p.add_argument(
                 "--format",
                 choices=("auto", "graph6", "edgelist"),
                 default="auto",
                 help="input format (default: auto-detect)",
             )
-        p.add_argument("--budget", type=int, default=None,
-                       help="search node budget (default: unlimited)")
-        p.add_argument("--report", metavar="PATH", default=None,
-                       help="also write a JSON report document")
+        if "budget" in options:
+            p.add_argument("--budget", type=int, default=None,
+                           help="search node budget (default: unlimited)")
+        if "report" in options:
+            p.add_argument("--report", metavar="PATH", default=None,
+                           help="also write a JSON report document")
 
     p = sub.add_parser("solve", help="decompose each input graph")
     p.add_argument("input", nargs="?", default="-",
                    help="graph file or - for stdin")
     p.add_argument("--trace", action="store_true",
                    help="print the reduction steps")
-    common(p)
+    common(p, "format", "budget")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a decomposition against a graph")
     p.add_argument("graph", help="graph file")
     p.add_argument("decomposition", help="decomposition file")
-    common(p)
+    common(p, "format")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph6 stream; omitted = internal enumeration")
     p.add_argument("--max-n", type=int, default=7,
                    help=f"internal enumeration cap (<= {ENUMERATION_LIMIT})")
-    common(p)
+    common(p, "format", "budget", "report")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser(
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=6,
                    help=f"enumeration cap (<= {FLOOR_SEARCH_LIMIT})")
-    common(p, with_input=False)
+    common(p, "budget", "report")
     p.set_defaults(func=_cmd_floor_search)
 
     p = sub.add_parser("scan", help="configuration histogram only")
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph6 stream; omitted = internal enumeration")
     p.add_argument("--max-n", type=int, default=7,
                    help=f"internal enumeration cap (<= {ENUMERATION_LIMIT})")
-    common(p)
+    common(p, "format", "report")
     p.set_defaults(func=_cmd_scan)
 
     return parser

@@ -3,8 +3,8 @@
 A decomposition is *valid* against a graph when its paths are simple, every
 step is an edge, and the path edges partition the edge set exactly.  It is
 *good* when it is valid and uses at most ceil(n/2) paths.  The lifting rules
-build their rewrites from ``add_path`` and ``paths_ending_at`` here and from
-splices of their own in ``reductions``; ``lift`` verifies every result.
+find their host paths with ``paths_ending_at`` here and build their rewrites
+in ``reductions``; ``lift`` verifies every result.
 """
 
 from __future__ import annotations
@@ -156,19 +156,6 @@ def lower_bound(g: Graph) -> int:
 
 
 # -- helpers for the lifts ------------------------------------------------
-
-
-def add_path(d: PathDecomposition, r: Path) -> PathDecomposition:
-    """Add r, whose edges must be disjoint from the decomposition's."""
-    # Only a path sharing a vertex with r can hold one of r's edges.
-    on_r = set(r.vertices)
-    taken = {
-        e for p in d.paths if not on_r.isdisjoint(p.vertices) for e in p.edges()
-    }
-    clash = [e for e in r.edges() if e in taken]
-    if clash:
-        raise ValueError(f"added path reuses covered edges {clash}")
-    return PathDecomposition(d.paths + (r,))
 
 
 def paths_ending_at(d: PathDecomposition, v: int) -> list[Path]:

@@ -20,25 +20,29 @@ rewrite recipes are only guaranteed to apply when the earlier
 configurations are absent, so ``reduce`` re-checks the facts it relies on
 and fails loudly rather than patching around a priority violation.
 
-Each reduction records a ``LiftPlan`` naming the sub-case it chose.  In
-ten of the fifteen sub-cases the plan is data: every synthetic child edge
-is stated as its route through the removed vertices, and a few fixed paths
-are added; one function lifts them all.  The other five sub-cases, and
-the sparse ring when it needs the x-y bridge, name a rewrite recipe of
-their own.  ``lift`` verifies the result against the
-parent and enforces the sub-case's path accounting before returning it;
-the children's decompositions are not verified again, since each is the
-already verified output of the ``lift`` below it or a base case.
+Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
+one interface for every sub-case: a ``rewrite`` that turns one
+decomposition per child into one for the parent, and the ``gain`` range of
+paths that rewrite adds, both bound where the sub-case is built.  In ten
+of the fifteen sub-cases the rewrite is ``_lift_routes`` bound to the
+children and a few added paths: every synthetic child edge is stated as
+its route through the removed vertices.  The other five sub-cases, and the
+sparse ring when it needs the x-y bridge, bind a recipe of their own to
+the vertices it reads.  ``lift`` verifies the result against the parent
+and enforces the plan's gain before returning it; the children's
+decompositions are not verified again, since each is the already verified
+output of the ``lift`` below it or a base case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .graphs import Edge, Graph, edge
-from .paths import Path, PathDecomposition, add_path, paths_ending_at, verify
+from .paths import Path, PathDecomposition, paths_ending_at, verify
 from .search import cover_with_paths
 
 
@@ -304,17 +308,26 @@ class Child:
 
 @dataclass(frozen=True)
 class LiftPlan:
-    """How to lift the children's decompositions back to ``parent``: by the
-    children's routes plus the ``added`` paths, or, where ``recipe`` is
-    set, by that bespoke rewrite reading ``anchors``."""
+    """How to lift the children's decompositions back to ``parent``:
+    ``rewrite`` takes one decomposition per child and returns one for the
+    parent with between ``gain[0]`` and ``gain[1]`` more paths than the
+    children's together."""
 
     tag: str
     subcase: str
     parent: Graph
     children: tuple[Child, ...]
-    added: tuple[Route, ...] = ()
-    recipe: Callable[..., PathDecomposition] | None = None
-    anchors: dict[str, int] = field(default_factory=dict)
+    rewrite: Callable[[list[PathDecomposition]], PathDecomposition]
+    gain: tuple[int, int]
+
+
+def _routed(
+    tag: str, subcase: str, g: Graph, children: tuple[Child, ...],
+    *added: Route,
+) -> LiftPlan:
+    """A plan lifted by its children's routes plus the ``added`` paths."""
+    rewrite = functools.partial(_lift_routes, children, added)
+    return LiftPlan(tag, subcase, g, children, rewrite, (len(added), len(added)))
 
 
 def _child(g: Graph, keep: set[int], routes: tuple[Route, ...] = ()) -> Child:
@@ -364,7 +377,7 @@ def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
 
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
     child = _child(g, g.vertices() - {occ.u}, ((occ.v, occ.u, occ.w),))
-    return LiftPlan("C1", "splice", g, (child,))
+    return _routed("C1", "splice", g, (child,))
 
 
 # -- C2: solve the two sides and join two of their paths ---------------------
@@ -379,21 +392,18 @@ def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
     side_v = g.vertices() - side_u
     child_u = _child(cut, side_u)
     child_v = _child(cut, side_v)
-    anchors = {"u": occ.u, "v": occ.v}
-    return LiftPlan(
-        "C2", "join", g, (child_u, child_v), recipe=_lift_c2, anchors=anchors
-    )
+    rewrite = functools.partial(_lift_c2, occ.u, occ.v)
+    return LiftPlan("C2", "join", g, (child_u, child_v), rewrite, (-1, -1))
 
 
-def _lift_c2(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
+def _lift_c2(u: int, v: int, decomps: list[PathDecomposition]) -> PathDecomposition:
     du, dv = decomps
-    ends_u = paths_ending_at(du, a["u"])
-    ends_v = paths_ending_at(dv, a["v"])
+    ends_u = paths_ending_at(du, u)
+    ends_v = paths_ending_at(dv, v)
     if not ends_u or not ends_v:
         raise LiftError("no path ends at a cut-edge endpoint of odd degree")
     pu, pv = ends_u[0], ends_v[0]
-    joined = Path(_oriented(pu, last=a["u"]) + _oriented(pv, first=a["v"]))
+    joined = Path(_oriented(pu, last=u) + _oriented(pv, first=v))
     rest_u = tuple(p for p in du.paths if p != pu)
     rest_v = tuple(p for p in dv.paths if p != pv)
     return PathDecomposition(rest_u + rest_v + (joined,))
@@ -423,7 +433,7 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
     keep = g.vertices() - {u, v}
     if sum(present) == 4:
         child = _child(g, keep, ((x, v, u, ue),))
-        return LiftPlan("C3", "full_ring", g, (child,), ((ue, x, u, y, v, ve),))
+        return _routed("C3", "full_ring", g, (child,), (ue, x, u, y, v, ve))
     if sum(present) >= 2:
         for i, has in enumerate(present):
             if has:
@@ -431,26 +441,24 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
             u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[i])
             child = _child(g, keep, ((x, v, u, ue),))
             if child.graph.is_connected():
-                added = ((x, u, y, v, ve),)
-                return LiftPlan("C3", "partial_ring", g, (child,), added)
+                return _routed("C3", "partial_ring", g, (child,), (x, u, y, v, ve))
         raise ReductionError(f"{occ}: no missing ring edge reconnects")
     front = present.index(True) if any(present) else 0
     u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[front])
     routes = ((x, v, ve), (ue, u, y))
     child = _child(g, keep, routes)
     if child.graph.is_connected():
-        return LiftPlan("C3", "sparse_ring", g, (child,), ((x, u, v, y),))
+        return _routed("C3", "sparse_ring", g, (child,), (x, u, v, y))
     # The two bypass edges do not reconnect the remainder, so the x-y
     # bridge is guaranteed absent from the parent and restores
     # connectivity.
     child = _child(g, keep, routes + ((x, u, v, y),))
-    return LiftPlan(
-        "C3", "sparse_ring", g, (child,), recipe=_lift_c3_sparse_with_bridge
-    )
+    rewrite = functools.partial(_lift_c3_sparse_with_bridge, child.routes)
+    return LiftPlan("C3", "sparse_ring", g, (child,), rewrite, (0, 1))
 
 
 def _lift_c3_sparse_with_bridge(
-    plan: LiftPlan, decomps: list[PathDecomposition]
+    routes: tuple[Route, ...], decomps: list[PathDecomposition]
 ) -> PathDecomposition:
     """Sparse ring when the child also carries the synthetic x-y edge.
 
@@ -459,7 +467,6 @@ def _lift_c3_sparse_with_bridge(
     would revisit an inserted vertex.  That host is then split into two
     paths carrying the same coverage, which still gains at most one path.
     """
-    routes = plan.children[0].routes
     (x, v, ve), (ue, u, y), _ = routes
     d = decomps[0]
     host = _path_with_edge(d, edge(x, y))
@@ -523,7 +530,7 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
     (z,) = set(second) - {y}
     u, v = occ.u, occ.v
     child = _child(g, g.vertices() - {u, v}, ((x, u, y), (y, v, z)))
-    return LiftPlan("C4", "triple_common", g, (child,), ((x, v, u, z),))
+    return _routed("C4", "triple_common", g, (child,), (x, v, u, z))
 
 
 def _reduce_c4_hub(
@@ -541,10 +548,8 @@ def _reduce_c4_hub(
     t1, t2, t3 = t_lone[0][0], t_lone[1][0], t_main[0]
     pair = _child(g, set(lone[0]) | set(lone[1]), ((t1, hub, t2),))
     rest = _child(g, set(main[0]))
-    anchors = {"hub": hub, "other": other, "t1": t1, "t2": t2, "t3": t3}
-    return LiftPlan(
-        "C4", "hub_split", g, (pair, rest), recipe=_lift_c4_hub, anchors=anchors
-    )
+    rewrite = functools.partial(_lift_c4_hub, hub, other, t1, t2, t3)
+    return LiftPlan("C4", "hub_split", g, (pair, rest), rewrite, (0, 0))
 
 
 def _reduce_c4_four(g: Graph, occ: C4, comps: list[tuple[int, ...]]) -> LiftPlan:
@@ -566,7 +571,7 @@ def _reduce_c4_four(g: Graph, occ: C4, comps: list[tuple[int, ...]]) -> LiftPlan
     (w3,) = set(only_w[0]) & ws
     near = _child(g, set(both[0]) | set(both[1]), ((t1, u, t2), (w1, v, w2)))
     far = _child(g, set(only_t[0]) | set(only_w[0]), ((t3, u, v, w3),))
-    return LiftPlan("C4", "four_components", g, (near, far))
+    return _routed("C4", "four_components", g, (near, far))
 
 
 def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
@@ -575,14 +580,14 @@ def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g, u, v):
         child = _child(g, keep, ((t1, u, t2), (w1, v, w2)))
         if child.graph.is_connected():
-            added = ((t3, u, v, w3),)
-            return LiftPlan("C4", "paired_nonedges", g, (child,), added)
+            return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
     raise ReductionError(f"{occ}: no reconnecting relabelling exists")
 
 
-def _lift_c4_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    hub, other, t1, t2, t3 = a["hub"], a["other"], a["t1"], a["t2"], a["t3"]
+def _lift_c4_hub(
+    hub: int, other: int, t1: int, t2: int, t3: int,
+    decomps: list[PathDecomposition],
+) -> PathDecomposition:
     pair, rest = decomps
     host = _path_with_edge(pair, edge(t1, t2))
     left, right = _split_on_edge(host, edge(t1, t2))
@@ -632,18 +637,15 @@ def _reduce_c5_common3(g: Graph, a: int, b: int) -> LiftPlan:
         center = next(s for s in trio if sum(s in pair for pair in missing) >= 2)
         o1, o2 = sorted(set(trio) - {center})
         child = _child(g, keep, ((o1, a, center), (center, b, o2)))
-        return LiftPlan("C5", "two_gaps", g, (child,), ((o1, b, a, o2),))
+        return _routed("C5", "two_gaps", g, (child,), (o1, b, a, o2))
     if len(missing) == 1:
         x, y = missing[0]
         (apex,) = set(trio) - {x, y}
         child = _child(g, keep, ((x, a, b, y),))
-        return LiftPlan("C5", "one_gap", g, (child,), ((x, b, apex, a, y),))
+        return _routed("C5", "one_gap", g, (child,), (x, b, apex, a, y))
     child = _child(g, keep)
-    anchors = {"u": a, "v": b, "c1": trio[0], "c2": trio[1], "c3": trio[2]}
-    return LiftPlan(
-        "C5", "common_triangle", g, (child,), recipe=_lift_c5_triangle,
-        anchors=anchors,
-    )
+    rewrite = functools.partial(_lift_c5_triangle, a, b, tuple(trio), child.graph)
+    return LiftPlan("C5", "common_triangle", g, (child,), rewrite, (1, 1))
 
 
 def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
@@ -652,11 +654,8 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
         v, w = w, v
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
     child = Child(g.delete_vertices({v}).contract_edge(u, w))
-    anchors = {"u": u, "v": v, "w": w, "x1": x1, "x2": x2}
-    return LiftPlan(
-        "C5", "degree_two", g, (child,), recipe=_lift_c5_degree_two,
-        anchors=anchors,
-    )
+    rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
+    return LiftPlan("C5", "degree_two", g, (child,), rewrite, (0, 1))
 
 
 def _reduce_c5_dense(g: Graph, occ: C5) -> LiftPlan:
@@ -684,11 +683,8 @@ def _reduce_c5_hub(
     merged = g.delete_vertices({u}).contract_edge(v, w)
     s = min(v, w)  # the merged vertex, read as v or w by the lift
     child = Child(merged.add_edge(s, x2), ((s, u, x2),), (edge(s, x2),))
-    anchors = {"u": u, "v": v, "w": w, "x1": x1, "x2": x2}
-    return LiftPlan(
-        "C5", "hub_contraction", g, (child,), recipe=_lift_c5_hub,
-        anchors=anchors,
-    )
+    rewrite = functools.partial(_lift_c5_hub, g, u, v, w, x1, x2)
+    return LiftPlan("C5", "hub_contraction", g, (child,), rewrite, (1, 1))
 
 
 def _reduce_c5_bridges(
@@ -708,11 +704,12 @@ def _reduce_c5_bridges(
     first = _child(g, home[x1] | home[y1], ((x1, u, v, y1),))
     second = _child(g, home[x2] | home[y2], ((x2, u, w, v, y2),))
     third = _child(g, home[z1] | home[z2], ((z1, w, z2),))
-    return LiftPlan("C5", "bridge_spread", g, (first, second, third))
+    return _routed("C5", "bridge_spread", g, (first, second, third))
 
 
 def _lift_c5_triangle(
-    plan: LiftPlan, decomps: list[PathDecomposition]
+    u: int, v: int, trio: tuple[int, int, int], child: Graph,
+    decomps: list[PathDecomposition],
 ) -> PathDecomposition:
     """Both removed corners see all of the triangle {c1, c2, c3}.
 
@@ -723,10 +720,6 @@ def _lift_c5_triangle(
     candidate w share one path), fall back to an exact re-partition of the
     affected paths, which keeps the same accounting.
     """
-    a = plan.anchors
-    u, v = a["u"], a["v"]
-    trio = (a["c1"], a["c2"], a["c3"])
-    child = plan.children[0]
     d = decomps[0]
 
     def holder(e: Edge) -> int:
@@ -734,7 +727,7 @@ def _lift_c5_triangle(
 
     roles = None
     for wr, xr, yr in itertools.permutations(trio):
-        if child.graph.degree(wr) != 2:
+        if child.degree(wr) != 2:
             continue
         if holder(edge(xr, wr)) == holder(edge(wr, yr)):
             continue
@@ -743,7 +736,7 @@ def _lift_c5_triangle(
         roles = (wr, xr, yr)
         break
     if roles is None:
-        return _lift_c5_triangle_repair(plan, d)
+        return _lift_c5_triangle_repair(u, v, trio, d)
     wr, xr, yr = roles
 
     # Reroute the path through x-w to end at u instead of w.
@@ -776,11 +769,8 @@ _REPAIR_BUDGET = 2_000_000
 
 
 def _lift_c5_triangle_repair(
-    plan: LiftPlan, translated: PathDecomposition
+    u: int, v: int, trio: tuple[int, int, int], translated: PathDecomposition
 ) -> PathDecomposition:
-    a = plan.anchors
-    u, v = a["u"], a["v"]
-    trio = (a["c1"], a["c2"], a["c3"])
     tri_edges = {edge(p, q) for p, q in itertools.combinations(trio, 2)}
     hosts = []
     for p in translated.paths:
@@ -798,10 +788,8 @@ def _lift_c5_triangle_repair(
 
 
 def _lift_c5_degree_two(
-    plan: LiftPlan, decomps: list[PathDecomposition]
+    u: int, v: int, w: int, x1: int, x2: int, decomps: list[PathDecomposition]
 ) -> PathDecomposition:
-    a = plan.anchors
-    u, v, w, x1, x2 = a["u"], a["v"], a["w"], a["x1"], a["x2"]
     # The merged vertex kept the id min(u, w) and plays w; its edges towards
     # x1/x2 stand for parent edges at u.
     d = _renamed(decomps[0], min(u, w), w)
@@ -824,10 +812,10 @@ def _lift_c5_degree_two(
     return PathDecomposition(rest + (first, second))
 
 
-def _lift_c5_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomposition:
-    a = plan.anchors
-    g = plan.parent
-    u, v, w, x1, x2 = a["u"], a["v"], a["w"], a["x1"], a["x2"]
+def _lift_c5_hub(
+    g: Graph, u: int, v: int, w: int, x1: int, x2: int,
+    decomps: list[PathDecomposition],
+) -> PathDecomposition:
     s = min(v, w)  # the merged vertex
     v_side = set(g.neighbors(v)) - {u, w}
     w_side = set(g.neighbors(w)) - {u, v}
@@ -884,7 +872,7 @@ def _lift_c5_hub(plan: LiftPlan, decomps: list[PathDecomposition]) -> PathDecomp
         sequence = _edges_as_path(residual)
         if sequence is None:
             raise LiftError("residual edges do not form a path")
-    return add_path(d, Path(sequence))
+    return PathDecomposition(d.paths + (Path(sequence),))
 
 
 def _extend_into_residual(
@@ -943,30 +931,16 @@ def _edges_as_path(edges: set[Edge]) -> tuple[int, ...] | None:
 
 
 def _lift_routes(
-    plan: LiftPlan, decomps: list[PathDecomposition]
+    children: tuple[Child, ...],
+    added: tuple[Route, ...],
+    decomps: list[PathDecomposition],
 ) -> PathDecomposition:
     """Route each child's edges through the removed vertices, concatenate
-    the children's paths in order and append the plan's added paths."""
+    the children's paths in order and append the ``added`` paths."""
     paths: tuple[Path, ...] = ()
-    for child, d in zip(plan.children, decomps):
+    for child, d in zip(children, decomps):
         paths += _apply_routes(d, child.routes).paths
-    d = PathDecomposition(paths)
-    for added in plan.added:
-        d = add_path(d, Path(added))
-    return d
-
-
-# Paths each bespoke recipe gains relative to the children's total, as a
-# range (lo, hi) where the recipe itself branches.  A plan lifted by its
-# routes gains exactly its added paths.
-_COUNT_DELTA = {
-    ("C2", "join"): (-1, -1),
-    ("C3", "sparse_ring"): (0, 1),  # with the x-y bridge
-    ("C4", "hub_split"): (0, 0),
-    ("C5", "common_triangle"): (1, 1),
-    ("C5", "degree_two"): (0, 1),
-    ("C5", "hub_contraction"): (1, 1),
-}
+    return PathDecomposition(paths + tuple(Path(r) for r in added))
 
 
 def lift(
@@ -978,22 +952,18 @@ def lift(
 
     The children's decompositions are taken as they come: in ``solve`` each
     is the output of the ``lift`` below it, already verified there, or a
-    base case.  The result is verified against the parent and must obey the
-    sub-case's path accounting, so a bad recipe or a bad child decomposition
-    fails here instead of corrupting a solve.
+    base case.  The result is verified against the parent and must gain a
+    number of paths in the plan's ``gain`` range, so a bad rewrite or a bad
+    child decomposition fails here instead of corrupting a solve.
     """
     if occ.tag != plan.tag:
         raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
     if len(children_decomps) != len(plan.children):
         raise LiftError("one decomposition per child is required")
     total = sum(len(d) for d in children_decomps)
-    if plan.recipe is None:
-        recipe, lo, hi = _lift_routes, len(plan.added), len(plan.added)
-    else:
-        recipe = plan.recipe
-        lo, hi = _COUNT_DELTA[(plan.tag, plan.subcase)]
+    lo, hi = plan.gain
     try:
-        lifted = recipe(plan, children_decomps)
+        lifted = plan.rewrite(children_decomps)
     except ValueError as exc:
         raise LiftError(f"{plan.tag}/{plan.subcase} recipe failed: {exc}") from exc
     report = verify(plan.parent, lifted)

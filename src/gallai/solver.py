@@ -16,7 +16,6 @@ exact search, starting from the combinatorial lower bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -73,28 +72,38 @@ def _clique_decomposition(g: Graph) -> PathDecomposition:
     )
 
 
-def solve(g: Graph, budget: int | None = None) -> SolveResult:
-    """Decompose a connected graph with max degree <= 5 into at most
-    ceil(n/2) paths, verified."""
+def check_input(g: Graph) -> None:
+    """Raise ``SolveError`` unless ``g`` is connected with max degree <= 5."""
     if not g.is_connected():
         raise SolveError("graph is not connected")
     if g.n and g.m and g.max_degree() > 5:
         raise SolveError("max degree exceeds 5")
-    result = _solve(g, budget)
-    report = verify(g, result.decomposition)
+
+
+def solve(g: Graph, budget: int | None = None) -> SolveResult:
+    """Decompose a connected graph with max degree <= 5 into at most
+    ceil(n/2) paths, verified."""
+    check_input(g)
+    steps: list[ReductionStep] = []
+    bases: list[str] = []
+    d = _solve(g, budget, steps, bases)
+    report = verify(g, d)
     if not (report.valid and report.good):
         raise SolveError(f"internal error: final decomposition not good:\n{report}")
-    return result
+    return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)), True)
 
 
-def _solve(g: Graph, budget: int | None) -> SolveResult:
+def _solve(
+    g: Graph, budget: int | None, steps: list[ReductionStep], bases: list[str]
+) -> PathDecomposition:
+    """Decompose ``g``, appending its reductions to ``steps`` and its base
+    cases to ``bases``, both in pre-order."""
     if g.m == 0:
-        return SolveResult(
-            PathDecomposition(()), SolveTrace((), ("trivial",)), True
-        )
+        bases.append("trivial")
+        return PathDecomposition(())
     if is_exceptional_clique(g):
-        d = _clique_decomposition(g)
-        return SolveResult(d, SolveTrace((), (f"K{g.n}",)), True)
+        bases.append(f"K{g.n}")
+        return _clique_decomposition(g)
     occ = detect(g)
     if occ is None:
         if not check_structure(g):
@@ -109,18 +118,12 @@ def _solve(g: Graph, budget: int | None) -> SolveResult:
                 f"exact search found no decomposition into {k} paths; "
                 "this contradicts the decomposition guarantee"
             )
-        return SolveResult(d, SolveTrace((), (f"search(k={k})",)), True)
+        bases.append(f"search(k={k})")
+        return d
     plan = reduce(g, occ)
-    child_results = [_solve(child.graph, budget) for child in plan.children]
-    lifted = lift(occ, plan, [r.decomposition for r in child_results])
-    step = ReductionStep(g.n, plan.tag, plan.subcase)
-    steps = (step,) + tuple(
-        itertools.chain.from_iterable(r.trace.steps for r in child_results)
-    )
-    bases = tuple(
-        itertools.chain.from_iterable(r.trace.base_cases for r in child_results)
-    )
-    return SolveResult(lifted, SolveTrace(steps, bases), True)
+    steps.append(ReductionStep(g.n, plan.tag, plan.subcase))
+    decomps = [_solve(child.graph, budget, steps, bases) for child in plan.children]
+    return lift(occ, plan, decomps)
 
 
 def solve_base(

@@ -6,6 +6,8 @@ import gallai.batch
 import gallai.reductions
 import gallai.solver
 from gallai import (
+    Graph,
+    detect,
     enumerate_connected,
     parse_graph6,
     run_check,
@@ -13,7 +15,7 @@ from gallai import (
     run_scan,
     write_graph6,
 )
-from gallai.cli import main
+from gallai.cli import build_parser, main
 from helpers import complete_graph, cycle, path_graph, petersen, two_cliques_with_bridge
 
 
@@ -115,6 +117,42 @@ def test_run_scan_histogram():
     assert record.note == "C1"
     pet_report = run_scan([("petersen", path_graph(2))])
     assert pet_report.records[0].note == "irreducible"
+    # The note is the configuration detect finds first.
+    items = census_items(6)
+    for (_, g), record in zip(items, run_scan(items).records):
+        first = detect(g)
+        assert record.note == (first.tag if first else "irreducible")
+
+
+def _out_of_contract_stream():
+    """Two irreducible graphs outside the contract, then a good one."""
+    triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    star = Graph.from_edges(7, [(0, i) for i in range(1, 7)])
+    return [write_graph6(g) for g in (triangles, star, cycle(4))]
+
+
+def test_run_check_records_an_irreducible_graph_outside_the_contract():
+    lines = _out_of_contract_stream()
+    assert all(detect(parse_graph6(line)) is None for line in lines[:2])
+    report = run_check([(line, parse_graph6(line)) for line in lines])
+    assert [r.graph_id for r in report.records] == lines
+    assert [(f.kind, f.graph_id, f.message) for f in report.findings] == [
+        ("error", lines[0], "graph is not connected"),
+        ("error", lines[1], "max degree exceeds 5"),
+    ]
+    assert [r.verified for r in report.records] == [False, False, True]
+
+
+def test_cli_check_reports_an_irreducible_graph_outside_the_contract(
+    tmp_path, capsys
+):
+    lines = _out_of_contract_stream()
+    path = write(tmp_path, "bad.g6", "\n".join(lines) + "\n")
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "graphs=3" in out and "findings=2" in out
+    assert f"FINDING error {lines[0]}: graph is not connected" in out
+    assert f"FINDING error {lines[1]}: max degree exceeds 5" in out
 
 
 # -- command line -------------------------------------------------------------
@@ -289,3 +327,38 @@ def test_cli_graph6_file_header(tmp_path, capsys):
     g = two_cliques_with_bridge()
     path = write(tmp_path, "h.g6", ">>graph6<<" + write_graph6(g) + "\n")
     assert main(["solve", path]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "g.txt", "--report", "r.json"],
+        ["verify", "g.txt", "d.txt", "--budget", "5"],
+        ["verify", "g.txt", "d.txt", "--report", "r.json"],
+        ["scan", "--budget", "5"],
+    ],
+    ids=["solve_report", "verify_budget", "verify_report", "scan_budget"],
+)
+def test_cli_rejects_options_that_nothing_reads(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "g.txt", "--format", "edgelist", "--trace", "--budget", "5"],
+        ["verify", "g.txt", "d.txt", "--format", "graph6"],
+        ["check", "g.g6", "--max-n", "4", "--format", "graph6", "--budget", "5",
+         "--report", "r.json"],
+        ["floor-search", "--max-n", "4", "--budget", "5", "--report", "r.json"],
+        ["scan", "g.g6", "--max-n", "4", "--format", "graph6",
+         "--report", "r.json"],
+    ],
+    ids=["solve", "verify", "check", "floor_search", "scan"],
+)
+def test_cli_parses_every_remaining_option(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai import Graph, Path, PathDecomposition, verify
-from gallai.paths import add_path, decomposition, lower_bound, path
+from gallai.paths import decomposition, lower_bound, path
 from helpers import (
     complete_graph,
     cycle,
@@ -65,30 +65,6 @@ def test_goodness_threshold():
     four = decomposition((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0), (0, 3))
     report = verify(k5, four)
     assert report.valid and not report.good
-
-
-def test_add_path():
-    d = add_path(PathDecomposition(()), path(0, 1))
-    assert len(d) == 1
-    with pytest.raises(ValueError):
-        add_path(d, path(1, 0))
-
-
-def test_add_path_finds_a_clash_in_a_later_path():
-    d = decomposition((0, 1), (2, 3), (6, 7), (3, 4, 5))
-    with pytest.raises(ValueError, match=r"\(4, 5\)"):
-        add_path(d, path(8, 5, 4))
-
-
-def test_add_path_allows_sharing_vertices_without_sharing_edges():
-    d = decomposition((0, 1, 2), (3, 4))
-    # r meets the first path at both of its ends and the second at one,
-    # but none of its edges is on either.
-    grown = add_path(d, path(0, 2, 4))
-    assert grown.paths[-1] == path(0, 2, 4)
-    assert verify(
-        Graph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 2), (2, 4)]), grown
-    ).valid
 
 
 def test_lower_bound():
@@ -159,11 +135,6 @@ def test_editing_moves_preserve_validity(n, rng):
             tuple(q for q in d.paths if q != p) + (rest, head)
         )
         assert verify(g, reshaped).valid
-
-    # removing a path and adding it back restores a valid decomposition
-    p = rng.choice(list(d.paths))
-    without = PathDecomposition(tuple(q for q in d.paths if q != p))
-    assert verify(g, add_path(without, p)).valid
 
 
 # -- verify against the straightforward reference ------------------------------

@@ -571,18 +571,56 @@ def test_lift_rejects_bad_child_decomposition():
 def test_lift_rejects_added_path_reusing_a_covered_edge():
     import dataclasses
 
-    from gallai import LiftError
+    from gallai import LiftError, Path, PathDecomposition
 
     g = complete_graph(5).delete_edge(3, 4)
     occ = detect(g)
     plan = reduce(g, occ)
-    assert plan.subcase == "one_gap" and plan.recipe is None
+    assert plan.subcase == "one_gap"
     decomps = [solve(child.graph).decomposition for child in plan.children]
     assert verify(g, lift(occ, plan, decomps)).good
-    # An added path made of the route's first edge covers that edge twice.
-    route = plan.children[0].routes[0]
-    broken = dataclasses.replace(plan, added=(route[:2],))
-    with pytest.raises(LiftError):
+    # A rewrite that also adds a path made of the route's first edge covers
+    # that edge twice; the check at this level names it.
+    a, b = sorted(plan.children[0].routes[0][:2])
+
+    def clashing(ds):
+        return PathDecomposition(plan.rewrite(ds).paths + (Path((a, b)),))
+
+    broken = dataclasses.replace(plan, rewrite=clashing)
+    with pytest.raises(
+        LiftError, match=rf"duplicate_edge: edge \({a}, {b}\) covered 2 times"
+    ):
+        lift(occ, broken, decomps)
+
+
+@pytest.mark.parametrize(
+    "g, subcase",
+    [
+        (complete_graph(5).delete_edge(3, 4), "one_gap"),  # lifted by routes
+        (two_cliques_with_bridge(), "join"),  # a recipe of its own
+    ],
+    ids=["route", "recipe"],
+)
+def test_lift_enforces_the_plan_gain(g, subcase):
+    import dataclasses
+
+    from gallai import LiftError
+
+    occ = detect(g)
+    plan = reduce(g, occ)
+    assert plan.subcase == subcase
+    decomps = [solve(child.graph).decomposition for child in plan.children]
+    total = sum(len(d) for d in decomps)
+    produced = len(lift(occ, plan, decomps))
+    lo, hi = plan.gain
+    assert total + lo <= produced <= total + hi
+    # The same rewrite checked against a range it does not meet.
+    broken = dataclasses.replace(plan, gain=(hi + 1, hi + 2))
+    with pytest.raises(
+        LiftError,
+        match=rf"{subcase} produced {produced} paths from {total}, "
+        rf"outside \[{total + hi + 1}, {total + hi + 2}\]",
+    ):
         lift(occ, broken, decomps)
 
 

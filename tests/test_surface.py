@@ -1,6 +1,11 @@
-"""The package exports the documented API and nothing else."""
+"""The package exports the documented API and nothing else, and keeps
+every name the benchmark's tracer hooks."""
+
+import importlib.util
+from pathlib import Path
 
 import gallai
+from gallai.graphs import Graph
 
 API = [
     "BatchReport",
@@ -66,4 +71,30 @@ def test_every_exported_name_resolves():
 
 def test_bench_names_stay_exported():
     missing = [name for name in BENCH_NAMES if name not in gallai.__all__]
+    assert not missing
+
+
+def _tracer():
+    """perfbench/tracer.py, loaded from its file (it imports only the
+    standard library)."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_resolve():
+    tracer = _tracer()
+    assert tracer._MODULE_HOOKS and tracer._GRAPH_METHODS
+    missing = []
+    for module, attr, _ in tracer._MODULE_HOOKS:
+        owner = importlib.import_module(f"gallai.{module}")
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{module}.{attr}")
+    missing += [
+        f"Graph.{method}"
+        for method in tracer._GRAPH_METHODS
+        if not callable(getattr(Graph, method, None))
+    ]
     assert not missing
