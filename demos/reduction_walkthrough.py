@@ -35,7 +35,8 @@ lifted = lift(occ, plan, [s.decomposition for s in child_solutions])
 print("lifted decomposition:", [p.vertices for p in lifted])
 print("verifier says:", verify(g, lifted))
 
-# The full solver does exactly this, recursively, and records each step.
+# The full solver does this at every level, on a work stack of pending
+# reductions, lifting in place, and records each step.
 result = solve(g)
 print("solve trace:", [(s.order, s.tag, s.subcase) for s in result.trace.steps],
       "base:", result.trace.base_cases)

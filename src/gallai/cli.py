@@ -24,7 +24,7 @@ from .io import (
 from .paths import verify
 from .reductions import ReductionError
 from .search import BudgetExhaustedError
-from .solver import SolveError, solve
+from .solver import InternalError, SolveError, solve
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -229,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InternalError, RecursionError) as exc:
+        print(f"gallai: internal failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except (FormatError, FileNotFoundError, ValueError, SolveError) as exc:
         print(f"gallai: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -237,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except ReductionError as exc:
         print(f"gallai: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except RecursionError as exc:
-        print(f"gallai: internal failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

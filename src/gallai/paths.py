@@ -1,14 +1,21 @@
-"""Paths, path decompositions, and the verifier.
+"""Paths, path decompositions, the verifier, and the path store.
 
 A decomposition is *valid* against a graph when its paths are simple, every
 step is an edge, and the path edges partition the edge set exactly.  It is
-*good* when it is valid and uses at most ceil(n/2) paths.  The lifting rules
-find their host paths with ``paths_ending_at`` here and build their rewrites
-in ``reductions``; ``lift`` verifies every result.
+*good* when it is valid and uses at most ceil(n/2) paths.
+
+The lifts in ``reductions`` rewrite decompositions in place through a
+``PathStore``: a decomposition kept as path ids mapped to vertex tuples,
+with an index from each covered edge to the id of its path.  Every edit
+checks what it changes against the store's graph (an edge it removes must
+be indexed, an edge it adds must be an edge of the graph that no path
+covers yet, a vertex it adds to a path must not be on it), so an edit
+costs the length of the paths it touches, not a pass over the graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, edge
@@ -155,8 +162,165 @@ def lower_bound(g: Graph) -> int:
     return residual_lower_bound(frozenset(g.edges()))
 
 
-# -- helpers for the lifts ------------------------------------------------
+# -- the path store ---------------------------------------------------------
 
 
-def paths_ending_at(d: PathDecomposition, v: int) -> list[Path]:
-    return [p for p in d.paths if v in p.ends]
+# Path ids come from one counter, so a path added later has a larger id:
+# the ids of a store ascend in its path order, and ``first_ending_at``
+# picks the earliest path by its id.
+_path_ids = itertools.count()
+
+
+class PathStore:
+    """A decomposition under in-place rewriting.
+
+    ``paths`` maps stable path ids to vertex tuples in path order and
+    ``owner`` maps each covered edge to the id of its path; both are read
+    directly and changed only through the methods, which keep them in
+    step.  A path rewritten in place keeps its id and position, a taken
+    path drops out, and an appended path goes last.  ``graph`` is the
+    graph the edits are checked against; a lift points it at the parent
+    graph before it edits.  Every failed check raises ``ValueError``.
+    """
+
+    __slots__ = ("graph", "paths", "owner")
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        self.paths: dict[int, tuple[int, ...]] = {}
+        self.owner: dict[Edge, int] = {}
+
+    @classmethod
+    def load(cls, graph: Graph, d: PathDecomposition) -> "PathStore":
+        """A store holding ``d``, checked to be a decomposition of
+        ``graph``: every path is appended with the edit checks, and the
+        paths must cover all ``graph.m`` edges."""
+        store = cls(graph)
+        for p in d.paths:
+            store.append(p.vertices)
+        if len(store.owner) != graph.m:
+            raise ValueError(f"paths cover {len(store.owner)} of {graph.m} edges")
+        return store
+
+    @classmethod
+    def wrap(cls, graph: Graph, d: PathDecomposition) -> "PathStore":
+        """A store holding ``d`` unchecked, except that no edge may be on
+        two paths (the index holds one path per edge).  Non-edges and
+        repeated vertices are left for a verification of the result."""
+        store = cls(graph)
+        owner = store.owner
+        for p in d.paths:
+            pid = next(_path_ids)
+            vs = store.paths[pid] = p.vertices
+            for a, b in zip(vs, vs[1:]):
+                e = (a, b) if a < b else (b, a)
+                if e in owner:
+                    copies = sum(e in q.edges() for q in d.paths)
+                    raise ValueError(
+                        f"edge {e} occurs {copies} times in the decomposition"
+                    )
+                owner[e] = pid
+        return store
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def decomposition(self) -> PathDecomposition:
+        return PathDecomposition(tuple(Path(vs) for vs in self.paths.values()))
+
+    def merge(self, other: "PathStore") -> None:
+        """Move the paths of ``other``, a store on disjoint edges built
+        after this one, behind this store's paths."""
+        if other.paths and self.paths:
+            if next(iter(other.paths)) < next(reversed(self.paths)):
+                raise ValueError("a store can only take in a newer store")
+        self.paths.update(other.paths)
+        self.owner.update(other.owner)
+
+    def holder(self, e: Edge) -> int:
+        """The id of the path that covers ``e``."""
+        try:
+            return self.owner[e]
+        except KeyError:
+            raise ValueError(f"edge {e} is on no path") from None
+
+    def first_ending_at(self, v: int) -> int | None:
+        """The id of the first path with an end at ``v``, found through
+        the index entries of the graph edges at ``v``."""
+        owner = self.owner
+        found = None
+        for x in self.graph.neighbors(v):
+            pid = owner.get((v, x) if v < x else (x, v))
+            if pid is not None and (found is None or pid < found):
+                vs = self.paths[pid]
+                if vs[0] == v or vs[-1] == v:
+                    found = pid
+        return found
+
+    def append(self, vertices: tuple[int, ...]) -> int:
+        """Add a path after the others and return its id."""
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"path {vertices} repeats a vertex")
+        pid = next(_path_ids)
+        self._claim(pid, vertices)
+        self.paths[pid] = vertices
+        return pid
+
+    def take(self, pid: int) -> tuple[int, ...]:
+        """Remove the path ``pid`` and return its vertices."""
+        vertices = self.paths.pop(pid)
+        self._release(vertices)
+        return vertices
+
+    def replace(self, pid: int, vertices: tuple[int, ...]) -> None:
+        """Rewrite the path ``pid`` in place."""
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"path {vertices} repeats a vertex")
+        self._release(self.paths[pid])
+        self._claim(pid, vertices)
+        self.paths[pid] = vertices
+
+    def splice(self, route: tuple[int, ...]) -> None:
+        """Put ``route`` in place of the edge that joins its ends, on the
+        path that covers it."""
+        a, b = route[0], route[-1]
+        e = (a, b) if a < b else (b, a)
+        pid = self.holder(e)
+        vertices = spliced(self.paths[pid], route)
+        del self.owner[e]
+        self._claim(pid, route)
+        self.paths[pid] = vertices
+
+    def _claim(self, pid: int, vertices: tuple[int, ...]) -> None:
+        """Index the steps of ``vertices`` under ``pid``; each must be an
+        edge of the graph that no path covers yet."""
+        adj, owner = self.graph.adjacency(), self.owner
+        for a, b in zip(vertices, vertices[1:]):
+            if b not in adj.get(a, ()):
+                raise ValueError(f"({a}, {b}) is not an edge of the graph")
+            e = (a, b) if a < b else (b, a)
+            if e in owner:
+                raise ValueError(f"edge {e} is already covered")
+            owner[e] = pid
+
+    def _release(self, vertices: tuple[int, ...]) -> None:
+        owner = self.owner
+        for a, b in zip(vertices, vertices[1:]):
+            del owner[(a, b) if a < b else (b, a)]
+
+
+def spliced(vertices: tuple[int, ...], route: tuple[int, ...]) -> tuple[int, ...]:
+    """``vertices`` with ``route`` in place of its step between the route's
+    ends, oriented along the path; no vertex may then appear twice."""
+    a, b = route[0], route[-1]
+    i = vertices.index(a) if a in vertices else -1
+    if 0 <= i < len(vertices) - 1 and vertices[i + 1] == b:
+        middle = route
+    elif i > 0 and vertices[i - 1] == b:
+        i -= 1
+        middle = route[::-1]
+    else:
+        raise ValueError(f"({a}, {b}) is not a step of the path {vertices}")
+    if len(set(route)) != len(route) or any(x in vertices for x in route[1:-1]):
+        raise ValueError("replacement does not leave a simple path")
+    return vertices[:i] + middle + vertices[i + 2 :]

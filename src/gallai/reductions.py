@@ -21,17 +21,22 @@ configurations are absent, so ``reduce`` re-checks the facts it relies on
 and fails loudly rather than patching around a priority violation.
 
 Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
-one interface for every sub-case: a ``rewrite`` that turns one
-decomposition per child into one for the parent, and the ``gain`` range of
-paths that rewrite adds, both bound where the sub-case is built.  In ten
-of the fifteen sub-cases the rewrite is ``_lift_routes`` bound to the
-children and a few added paths: every synthetic child edge is stated as
-its route through the removed vertices.  The other five sub-cases, and the
-sparse ring when it needs the x-y bridge, bind a recipe of their own to
-the vertices it reads.  ``lift`` verifies the result against the parent
-and enforces the plan's gain before returning it; the children's
-decompositions are not verified again, since each is the already verified
-output of the ``lift`` below it or a base case.
+one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
+holding the children's paths into a decomposition of the parent, and the
+``gain`` range of paths that rewrite adds, both bound where the sub-case is
+built.  In ten of the fifteen sub-cases the rewrite is ``_lift_routes``
+bound to the children and a few added paths: every synthetic child edge is
+stated as its route through the removed vertices and spliced in place of
+that edge.  The other five sub-cases, and the sparse ring when it needs
+the x-y bridge, bind a recipe of their own to the vertices it reads; the
+two contractions rebuild only the paths through the merged vertex.
+
+The store checks every edit against the parent, so ``lift_in_place``,
+which ``solve`` uses, only has to check that no synthetic child edge is
+left, that the parent's ``m`` edges are covered, the gain and the path
+bound: O(|edit|) work per level instead of a verification of the whole
+parent.  The public ``lift`` takes decompositions from outside, runs the
+same rewrite and verifies its result against the parent in full.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .graphs import Edge, Graph, edge
-from .paths import Path, PathDecomposition, paths_ending_at, verify
+from .paths import Path, PathDecomposition, PathStore, spliced, verify
 from .search import cover_with_paths
 
 
@@ -200,6 +205,12 @@ def detect_c1(g: Graph) -> C1 | None:
 
 
 def detect_c2(g: Graph) -> C2 | None:
+    adj = g.adjacency()
+    if not any(
+        len(nbrs) % 2 == 0 and any(len(adj[v]) % 2 == 0 for v in nbrs)
+        for nbrs in adj.values()
+    ):
+        return None  # no edge has two even ends, so no bridge is wanted
     for u, v in sorted(g.bridges()):
         if g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
             return C2(u, v)
@@ -254,9 +265,12 @@ def _c4_labellings(g: Graph, u: int, v: int) -> Iterator[tuple[int, ...]]:
 
 
 def detect_c5(g: Graph) -> C5 | None:
-    for a in g.vertices():
-        for b in g.neighbors(a):
-            if b <= a:
+    adj = g.adjacency()
+    for a, a_nbrs in adj.items():
+        if len(a_nbrs) not in (2, 4):
+            continue
+        for b in a_nbrs:
+            if b <= a or len(adj[b]) not in (2, 4):
                 continue
             for c in g.common_neighbors(a, b):
                 if c <= b:
@@ -296,9 +310,10 @@ class Child:
     """One reduced graph, on its parent's vertex ids.
 
     A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
-    walk through removed vertices.  Its ends are a synthetic edge (present
-    in the child but not in the parent), except in the C3 full ring, whose
-    route reroutes a real edge that an added path then covers again.
+    walk through removed vertices.  Its ends are a synthetic edge, except
+    in the C3 full ring, whose route reroutes a real edge that an added
+    path then covers again.  ``synthetic`` lists every edge of the child
+    that is not an edge of the parent; no lift may leave one covered.
     """
 
     graph: Graph
@@ -309,15 +324,15 @@ class Child:
 @dataclass(frozen=True)
 class LiftPlan:
     """How to lift the children's decompositions back to ``parent``:
-    ``rewrite`` takes one decomposition per child and returns one for the
-    parent with between ``gain[0]`` and ``gain[1]`` more paths than the
-    children's together."""
+    ``rewrite`` edits a store holding the children's paths, in child
+    order and checked against the parent, into a decomposition of the
+    parent with between ``gain[0]`` and ``gain[1]`` more paths."""
 
     tag: str
     subcase: str
     parent: Graph
     children: tuple[Child, ...]
-    rewrite: Callable[[list[PathDecomposition]], PathDecomposition]
+    rewrite: Callable[[PathStore], None]
     gain: tuple[int, int]
 
 
@@ -341,6 +356,15 @@ def _child(g: Graph, keep: set[int], routes: tuple[Route, ...] = ()) -> Child:
             sub = sub.add_edge(*e)
             synthetic.append(e)
     return Child(sub, routes, tuple(synthetic))
+
+
+def _merged_child(
+    g: Graph, merged: Graph, s: int, routes: tuple[Route, ...] = ()
+) -> Child:
+    """Child in which ``s`` stands for a contracted pair: its edges at ``s``
+    that ``g`` lacks are synthetic."""
+    synthetic = tuple(edge(s, y) for y in merged.neighbors(s) if not g.has_edge(s, y))
+    return Child(merged, routes, synthetic)
 
 
 def _finish(plan: LiftPlan) -> LiftPlan:
@@ -396,17 +420,12 @@ def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
     return LiftPlan("C2", "join", g, (child_u, child_v), rewrite, (-1, -1))
 
 
-def _lift_c2(u: int, v: int, decomps: list[PathDecomposition]) -> PathDecomposition:
-    du, dv = decomps
-    ends_u = paths_ending_at(du, u)
-    ends_v = paths_ending_at(dv, v)
-    if not ends_u or not ends_v:
+def _lift_c2(u: int, v: int, store: PathStore) -> None:
+    pu, pv = store.first_ending_at(u), store.first_ending_at(v)
+    if pu is None or pv is None:
         raise LiftError("no path ends at a cut-edge endpoint of odd degree")
-    pu, pv = ends_u[0], ends_v[0]
-    joined = Path(_oriented(pu, last=u) + _oriented(pv, first=v))
-    rest_u = tuple(p for p in du.paths if p != pu)
-    rest_v = tuple(p for p in dv.paths if p != pv)
-    return PathDecomposition(rest_u + rest_v + (joined,))
+    joined = _oriented(store.take(pu), last=u) + _oriented(store.take(pv), first=v)
+    store.append(joined)
 
 
 # -- C3: bypass two degree-4 endpoints around their common pair --------------
@@ -457,9 +476,7 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
     return LiftPlan("C3", "sparse_ring", g, (child,), rewrite, (0, 1))
 
 
-def _lift_c3_sparse_with_bridge(
-    routes: tuple[Route, ...], decomps: list[PathDecomposition]
-) -> PathDecomposition:
+def _lift_c3_sparse_with_bridge(routes: tuple[Route, ...], store: PathStore) -> None:
     """Sparse ring when the child also carries the synthetic x-y edge.
 
     Each synthetic edge is normally routed in place, but when the path
@@ -468,30 +485,30 @@ def _lift_c3_sparse_with_bridge(
     paths carrying the same coverage, which still gains at most one path.
     """
     (x, v, ve), (ue, u, y), _ = routes
-    d = decomps[0]
-    host = _path_with_edge(d, edge(x, y))
-    hv = host.vertices
+    host = store.holder(edge(x, y))
+    hv = store.paths[host]
     if hv.index(x) > hv.index(y):
         hv = hv[::-1]
     i = hv.index(x)
     before_is_ve = i > 0 and hv[i - 1] == ve
     after_is_ue = i + 2 < len(hv) and hv[i + 2] == ue
-    rest = tuple(p for p in d.paths if p != host)
     if before_is_ve and after_is_ue:
-        part_a = Path(hv[: i - 1] + (ve, v, x, u, y))
-        part_b = Path((y, v, u, ue) + hv[i + 3 :])
-        return PathDecomposition(rest + (part_a, part_b))
-    if before_is_ve:
-        part_a = Path(hv[: i - 1] + (ve, v, x, u))
-        part_b = Path((u, v, y) + hv[i + 2 :])
-        d = PathDecomposition(rest + (part_a, part_b))
-        return _replace_edge(d, edge(ue, y), (ue, u, y))
-    if after_is_ue:
-        part_a = Path(hv[i + 3 :][::-1] + (ue, u, y, v))
-        part_b = Path((v, u, x) + hv[:i][::-1])
-        d = PathDecomposition(rest + (part_a, part_b))
-        return _replace_edge(d, edge(ve, x), (x, v, ve))
-    return _apply_routes(d, routes)
+        parts = (hv[: i - 1] + (ve, v, x, u, y), (y, v, u, ue) + hv[i + 3 :])
+        left = ()
+    elif before_is_ve:
+        parts = (hv[: i - 1] + (ve, v, x, u), (u, v, y) + hv[i + 2 :])
+        left = ((ue, u, y),)
+    elif after_is_ue:
+        parts = (hv[i + 3 :][::-1] + (ue, u, y, v), (v, u, x) + hv[:i][::-1])
+        left = ((x, v, ve),)
+    else:
+        parts, left = (), routes
+    if parts:
+        store.take(host)
+        for part in parts:
+            store.append(part)
+    for route in left:
+        store.splice(route)
 
 
 # -- C4: peel off two adjacent degree-4 vertices ------------------------------
@@ -585,25 +602,19 @@ def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
 
 
 def _lift_c4_hub(
-    hub: int, other: int, t1: int, t2: int, t3: int,
-    decomps: list[PathDecomposition],
-) -> PathDecomposition:
-    pair, rest = decomps
-    host = _path_with_edge(pair, edge(t1, t2))
-    left, right = _split_on_edge(host, edge(t1, t2))
+    hub: int, other: int, t1: int, t2: int, t3: int, store: PathStore
+) -> None:
+    host = store.holder(edge(t1, t2))
+    q = store.first_ending_at(other)
+    if q is None:
+        raise LiftError("no path ends at the surviving endpoint")
+    left, right = _split_on_edge(store.take(host), edge(t1, t2))
     if left[-1] == t1:
         t1_part, t2_part = left, right[::-1]
     else:
         t1_part, t2_part = right[::-1], left
-    enders = paths_ending_at(rest, other)
-    if not enders:
-        raise LiftError("no path ends at the surviving endpoint")
-    q = enders[0]
-    first = Path(t1_part + (hub,) + _oriented(q, first=other))
-    second = Path(t2_part + (hub, t3))
-    keep_pair = tuple(p for p in pair.paths if p != host)
-    keep_rest = tuple(p for p in rest.paths if p != q)
-    return PathDecomposition(keep_pair + keep_rest + (first, second))
+    store.append(t1_part + (hub,) + _oriented(store.take(q), first=other))
+    store.append(t2_part + (hub, t3))
 
 
 # -- C5: shrink a triangle with even corner degrees ---------------------------
@@ -653,7 +664,7 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     if g.degree(v) != 2:
         v, w = w, v
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
-    child = Child(g.delete_vertices({v}).contract_edge(u, w))
+    child = _merged_child(g, g.delete_vertices({v}).contract_edge(u, w), min(u, w))
     rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
     return LiftPlan("C5", "degree_two", g, (child,), rewrite, (0, 1))
 
@@ -682,8 +693,8 @@ def _reduce_c5_hub(
 ) -> LiftPlan:
     merged = g.delete_vertices({u}).contract_edge(v, w)
     s = min(v, w)  # the merged vertex, read as v or w by the lift
-    child = Child(merged.add_edge(s, x2), ((s, u, x2),), (edge(s, x2),))
-    rewrite = functools.partial(_lift_c5_hub, g, u, v, w, x1, x2)
+    child = _merged_child(g, merged.add_edge(s, x2), s, ((s, u, x2),))
+    rewrite = functools.partial(_lift_c5_hub, u, v, w, x1, x2)
     return LiftPlan("C5", "hub_contraction", g, (child,), rewrite, (1, 1))
 
 
@@ -708,9 +719,8 @@ def _reduce_c5_bridges(
 
 
 def _lift_c5_triangle(
-    u: int, v: int, trio: tuple[int, int, int], child: Graph,
-    decomps: list[PathDecomposition],
-) -> PathDecomposition:
+    u: int, v: int, trio: tuple[int, int, int], child: Graph, store: PathStore
+) -> None:
     """Both removed corners see all of the triangle {c1, c2, c3}.
 
     The rewrite needs a role assignment (w, x, y) of the triangle where w
@@ -720,12 +730,7 @@ def _lift_c5_triangle(
     candidate w share one path), fall back to an exact re-partition of the
     affected paths, which keeps the same accounting.
     """
-    d = decomps[0]
-
-    def holder(e: Edge) -> int:
-        return _find_edge_index(d, e)[0]
-
-    roles = None
+    holder = store.holder
     for wr, xr, yr in itertools.permutations(trio):
         if child.degree(wr) != 2:
             continue
@@ -733,89 +738,80 @@ def _lift_c5_triangle(
             continue
         if holder(edge(xr, yr)) == holder(edge(wr, yr)):
             continue
-        roles = (wr, xr, yr)
         break
-    if roles is None:
-        return _lift_c5_triangle_repair(u, v, trio, d)
-    wr, xr, yr = roles
+    else:
+        _lift_c5_triangle_repair(u, v, trio, store)
+        return
 
     # Reroute the path through x-w to end at u instead of w.
-    q_old = _path_with_edge(d, edge(xr, wr))
-    q_vertices = _oriented(q_old, last=wr)
+    q = holder(edge(xr, wr))
+    q_vertices = _oriented(store.paths[q], last=wr)
     if q_vertices[-2] != xr:
         raise LiftError("triangle corner is not terminal in its path")
-    q_new = Path(q_vertices[:-1] + (u,))
-    d = PathDecomposition(tuple(q_new if p == q_old else p for p in d.paths))
+    store.replace(q, q_vertices[:-1] + (u,))
 
-    p_old = _path_with_edge(d, edge(xr, yr))
-    left, right = _split_on_edge(p_old, edge(xr, yr))
+    p = holder(edge(xr, yr))
+    r = holder(edge(yr, wr))
+    if r == p:
+        raise LiftError("triangle role separation failed")
+    left, right = _split_on_edge(store.take(p), edge(xr, yr))
     if left[-1] == xr:
         x_part, y_part = left, right
     else:
         x_part, y_part = right[::-1], left[::-1]
-    p1 = Path(x_part + (yr, v, wr))
-    p2 = Path(y_part[::-1] + (u, v, xr, wr))
-
-    r_old = _path_with_edge(d, edge(yr, wr))
-    if r_old == p_old:
-        raise LiftError("triangle role separation failed")
-    r_new = Path(_oriented(r_old, last=wr) + (u,))
-
-    remaining = tuple(p for p in d.paths if p not in (p_old, r_old))
-    return PathDecomposition(remaining + (p1, p2, r_new))
+    r_new = _oriented(store.take(r), last=wr) + (u,)
+    store.append(x_part + (yr, v, wr))
+    store.append(y_part[::-1] + (u, v, xr, wr))
+    store.append(r_new)
 
 
 _REPAIR_BUDGET = 2_000_000
 
 
 def _lift_c5_triangle_repair(
-    u: int, v: int, trio: tuple[int, int, int], translated: PathDecomposition
-) -> PathDecomposition:
-    tri_edges = {edge(p, q) for p, q in itertools.combinations(trio, 2)}
-    hosts = []
-    for p in translated.paths:
-        if tri_edges & set(p.edges()) and p not in hosts:
-            hosts.append(p)
+    u: int, v: int, trio: tuple[int, int, int], store: PathStore
+) -> None:
+    hosts = {store.holder(edge(p, q)) for p, q in itertools.combinations(trio, 2)}
     fresh = {edge(u, v)} | {edge(u, t) for t in trio} | {edge(v, t) for t in trio}
     pool = frozenset(
-        {e for host in hosts for e in host.edges()} | fresh
+        {e for host in hosts for e in Path(store.take(host)).edges()} | fresh
     )
     cover = cover_with_paths(pool, len(hosts) + 1, budget=_REPAIR_BUDGET)
     if cover is None:
         raise LiftError("triangle repair found no small re-partition")
-    kept = tuple(p for p in translated.paths if p not in hosts)
-    return PathDecomposition(kept + tuple(Path(seq) for seq in cover))
+    for sequence in cover:
+        store.append(sequence)
 
 
 def _lift_c5_degree_two(
-    u: int, v: int, w: int, x1: int, x2: int, decomps: list[PathDecomposition]
-) -> PathDecomposition:
-    # The merged vertex kept the id min(u, w) and plays w; its edges towards
-    # x1/x2 stand for parent edges at u.
-    d = _renamed(decomps[0], min(u, w), w)
-    hinge = None
-    for p in d.paths:
-        for i, vertex in enumerate(p.vertices):
-            if vertex != w:
-                continue
-            around = {p.vertices[j] for j in (i - 1, i + 1) if 0 <= j < len(p)}
-            if around == {x1, x2}:
-                hinge = p
-    if hinge is None:
-        d = _replace_edge(d, edge(w, x1), (w, u, x1))
-        d = _replace_edge(d, edge(w, x2), (w, v, u, x2))
-        return d
-    at = hinge.vertices.index(w)
-    first = Path(hinge.vertices[: at] + (u, w))
-    second = Path((w, v, u) + hinge.vertices[at + 1 :])
-    rest = tuple(p for p in d.paths if p != hinge)
-    return PathDecomposition(rest + (first, second))
+    u: int, v: int, w: int, x1: int, x2: int, store: PathStore
+) -> None:
+    # The merged vertex kept the id s = min(u, w) and plays w; its edges
+    # towards x1/x2 stand for parent edges at u.  Only the paths through it
+    # change: each is renamed and rebuilt in one edit.
+    s = min(u, w)
+    far = [y for y in store.graph.neighbors(w) if y not in (u, v)]
+    through = sorted({store.holder(edge(s, y)) for y in (x1, x2, *far)})
+    at_x1, at_x2 = store.holder(edge(s, x1)), store.holder(edge(s, x2))
+    for pid in through:
+        vertices = tuple(w if x == s else x for x in store.paths[pid])
+        if pid == at_x1 == at_x2:  # the hinge: x1 - w - x2 on one path
+            at = vertices.index(w)
+            store.take(pid)
+            store.append(vertices[:at] + (u, w))
+            store.append((w, v, u) + vertices[at + 1 :])
+            continue
+        if pid == at_x1:
+            vertices = spliced(vertices, (w, u, x1))
+        elif pid == at_x2:
+            vertices = spliced(vertices, (w, v, u, x2))
+        store.replace(pid, vertices)
 
 
 def _lift_c5_hub(
-    g: Graph, u: int, v: int, w: int, x1: int, x2: int,
-    decomps: list[PathDecomposition],
-) -> PathDecomposition:
+    u: int, v: int, w: int, x1: int, x2: int, store: PathStore
+) -> None:
+    g = store.graph
     s = min(v, w)  # the merged vertex
     v_side = set(g.neighbors(v)) - {u, w}
     w_side = set(g.neighbors(w)) - {u, v}
@@ -829,16 +825,19 @@ def _lift_c5_hub(
             return "w"
         raise LiftError(f"unexpected neighbour {vertex} of the merged pair")
 
+    # Rebuild the paths through the merged vertex, in path order, since the
+    # first crossing takes v-w and the second v-u-w.
     crossings = 0
-    translated: list[Path] = []
-    for p in decomps[0].paths:
+    through = {store.holder(edge(s, y)) for y in (x2, *v_side, *w_side)}
+    for pid in sorted(through):
+        p = store.paths[pid]
         vertices: list[int] = []
-        for i, cv in enumerate(p.vertices):
+        for i, cv in enumerate(p):
             if cv != s:
                 vertices.append(cv)
                 continue
-            before = p.vertices[i - 1] if i > 0 else None
-            after = p.vertices[i + 1] if i + 1 < len(p) else None
+            before = p[i - 1] if i > 0 else None
+            after = p[i + 1] if i + 1 < len(p) else None
             if before is not None and after is not None:
                 kinds = (side(before), side(after))
                 if kinds in (("v", "w"), ("w", "v")):
@@ -859,42 +858,52 @@ def _lift_c5_hub(
             else:
                 kind = side(after if before is None else before)
                 vertices.append({"x": u, "v": v, "w": w}[kind])
-        translated.append(Path(tuple(vertices)))
+        store.replace(pid, tuple(vertices))
 
-    d = PathDecomposition(tuple(translated))
-    covered = {e for p in d.paths for e in p.edges()}
-    residual = {e for e in g.edges() if e not in covered}
+    # Every edge away from the corners is covered, so the residual is the
+    # uncovered part of the edges at u, v and w.
+    corners = (u, v, w)
+    residual = {edge(c, y) for c in corners for y in g.neighbors(c)}
+    residual -= store.owner.keys()
     if edge(u, x1) not in residual:
         raise LiftError("the spared outer edge is unexpectedly covered")
     sequence = _edges_as_path(residual)
     if sequence is None:
-        d, residual = _extend_into_residual(d, residual, (u, v, w))
+        residual = _extend_into_residual(store, residual, corners)
         sequence = _edges_as_path(residual)
         if sequence is None:
             raise LiftError("residual edges do not form a path")
-    return PathDecomposition(d.paths + (Path(sequence),))
+    store.append(sequence)
 
 
 def _extend_into_residual(
-    d: PathDecomposition, residual: set[Edge], corners: tuple[int, int, int]
-) -> tuple[PathDecomposition, set[Edge]]:
+    store: PathStore, residual: set[Edge], corners: tuple[int, int, int]
+) -> set[Edge]:
+    """Grow the first path ending at a corner by one residual corner edge
+    that leaves the rest of the residual a path; return that rest."""
     u, v, w = corners
-    for i, host in enumerate(d.paths):
-        for endpoint in dict.fromkeys(host.ends):
+    at_corners = {
+        store.owner[e]
+        for c in corners
+        for y in store.graph.neighbors(c)
+        if (e := edge(c, y)) in store.owner
+    }
+    for pid in sorted(at_corners):
+        vs = store.paths[pid]
+        for endpoint in dict.fromkeys((vs[0], vs[-1])):
             if endpoint not in corners:
                 continue
             for candidate in (edge(w, u), edge(w, v)):
                 if candidate not in residual or endpoint not in candidate:
                     continue
                 other = candidate[0] if candidate[1] == endpoint else candidate[1]
-                if other in host:
+                if other in vs:
                     continue
                 if _edges_as_path(residual - {candidate}) is None:
                     continue
-                vs = host.vertices
                 grown = vs + (other,) if vs[-1] == endpoint else (other,) + vs
-                paths = d.paths[:i] + (Path(grown),) + d.paths[i + 1 :]
-                return PathDecomposition(paths), residual - {candidate}
+                store.replace(pid, grown)
+                return residual - {candidate}
     raise LiftError("no corner extension straightens the residual")
 
 
@@ -931,16 +940,46 @@ def _edges_as_path(edges: set[Edge]) -> tuple[int, ...] | None:
 
 
 def _lift_routes(
-    children: tuple[Child, ...],
-    added: tuple[Route, ...],
-    decomps: list[PathDecomposition],
-) -> PathDecomposition:
-    """Route each child's edges through the removed vertices, concatenate
-    the children's paths in order and append the ``added`` paths."""
-    paths: tuple[Path, ...] = ()
-    for child, d in zip(children, decomps):
-        paths += _apply_routes(d, child.routes).paths
-    return PathDecomposition(paths + tuple(Path(r) for r in added))
+    children: tuple[Child, ...], added: tuple[Route, ...], store: PathStore
+) -> None:
+    """Splice each child's routes in place of their edges, then append the
+    ``added`` paths."""
+    for child in children:
+        for route in child.routes:
+            store.splice(route)
+    for route in added:
+        store.append(route)
+
+
+def _rewrite(
+    occ: Occurrence, plan: LiftPlan, stores: list[PathStore]
+) -> tuple[PathStore, int]:
+    """Merge the children's stores in child order into the first one, point
+    it at the parent and run the plan's rewrite on it.  Returns the store
+    and the children's path count."""
+    if occ.tag != plan.tag:
+        raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
+    if len(stores) != len(plan.children):
+        raise LiftError("one decomposition per child is required")
+    total = sum(map(len, stores))
+    store = stores[0]
+    try:
+        for other in stores[1:]:
+            store.merge(other)
+        store.graph = plan.parent
+        plan.rewrite(store)
+    except ValueError as exc:
+        raise LiftError(f"{plan.tag}/{plan.subcase} recipe failed: {exc}") from exc
+    return store, total
+
+
+def _check_gain(plan: LiftPlan, total: int, count: int) -> None:
+    lo, hi = plan.gain
+    if not (total + lo <= count <= total + hi):
+        raise LiftError(
+            f"{plan.tag}/{plan.subcase} produced {count} paths "
+            f"from {total}, outside [{total + lo}, {total + hi}]"
+        )
 
 
 def lift(
@@ -950,33 +989,55 @@ def lift(
 ) -> PathDecomposition:
     """Rewrite good child decompositions into one for the parent graph.
 
-    The children's decompositions are taken as they come: in ``solve`` each
-    is the output of the ``lift`` below it, already verified there, or a
-    base case.  The result is verified against the parent and must gain a
-    number of paths in the plan's ``gain`` range, so a bad rewrite or a bad
-    child decomposition fails here instead of corrupting a solve.
+    The children's decompositions come from outside, so they are taken
+    unchecked (an edge on two paths is refused, as the store cannot hold
+    it) and the result is verified against the parent in full; it must
+    also gain a number of paths in the plan's ``gain`` range.
     """
-    if occ.tag != plan.tag:
-        raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
     if len(children_decomps) != len(plan.children):
         raise LiftError("one decomposition per child is required")
-    total = sum(len(d) for d in children_decomps)
-    lo, hi = plan.gain
     try:
-        lifted = plan.rewrite(children_decomps)
+        stores = [
+            PathStore.wrap(child.graph, d)
+            for child, d in zip(plan.children, children_decomps)
+        ]
     except ValueError as exc:
-        raise LiftError(f"{plan.tag}/{plan.subcase} recipe failed: {exc}") from exc
+        raise LiftError(f"{plan.tag}/{plan.subcase}: {exc}") from exc
+    store, total = _rewrite(occ, plan, stores)
+    lifted = store.decomposition()
     report = verify(plan.parent, lifted)
     if not report.valid:
         raise LiftError(f"lifted decomposition invalid:\n{report}")
-    if not (total + lo <= len(lifted) <= total + hi):
-        raise LiftError(
-            f"{plan.tag}/{plan.subcase} produced {len(lifted)} paths "
-            f"from {total}, outside [{total + lo}, {total + hi}]"
-        )
+    _check_gain(plan, total, len(lifted))
     if not report.good:
         raise LiftError(f"{plan.tag}/{plan.subcase} lost goodness")
     return lifted
+
+
+def lift_in_place(
+    occ: Occurrence, plan: LiftPlan, stores: list[PathStore]
+) -> PathStore:
+    """Rewrite the children's stores into one store for the parent graph.
+
+    Each store must hold a decomposition of its child, as a checked load
+    or an earlier ``lift_in_place`` leaves it.  The edits check every edge
+    they remove and add, so the result is a decomposition of the parent
+    exactly when no synthetic child edge is left covered and the parent's
+    ``m`` edges are: these two checks, the plan's gain and the path bound
+    replace a verification of the whole parent.  Returns the first store.
+    """
+    store, total = _rewrite(occ, plan, stores)
+    parent = plan.parent
+    label = f"{plan.tag}/{plan.subcase}"
+    left = [e for child in plan.children for e in child.synthetic if e in store.owner]
+    if left:
+        raise LiftError(f"{label} left synthetic edges {left} covered")
+    if len(store.owner) != parent.m:
+        raise LiftError(f"{label} covers {len(store.owner)} of {parent.m} edges")
+    _check_gain(plan, total, len(store))
+    if len(store) > (parent.n + 1) // 2:
+        raise LiftError(f"{label} lost goodness")
+    return store
 
 
 # -- structural consequence ----------------------------------------------------
@@ -1008,59 +1069,11 @@ def is_exceptional_clique(g: Graph) -> bool:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _renamed(d: PathDecomposition, old: int, new: int) -> PathDecomposition:
-    """The paths of ``d`` with vertex ``old`` read as ``new``."""
-    return PathDecomposition(
-        tuple(
-            Path(tuple(new if x == old else x for x in p.vertices)) for p in d.paths
-        )
-    )
-
-
-def _find_edge_index(d: PathDecomposition, e: Edge) -> tuple[int, int]:
-    a, b = e
-    hits = [
-        (i, j)
-        for i, p in enumerate(d.paths)
-        if a in p.vertices and b in p.vertices
-        for j, f in enumerate(p.edges())
-        if f == e
-    ]
-    if len(hits) != 1:
-        raise LiftError(f"edge {e} occurs {len(hits)} times in the decomposition")
-    return hits[0]
-
-
-def _path_with_edge(d: PathDecomposition, e: Edge) -> Path:
-    return d.paths[_find_edge_index(d, e)[0]]
-
-
-def _replace_edge(
-    d: PathDecomposition, e: Edge, via: tuple[int, ...]
-) -> PathDecomposition:
-    """Splice the route ``via`` in place of the edge ``e``, whose ends are
-    the route's ends."""
-    i, j = _find_edge_index(d, e)
-    vs = d.paths[i].vertices
-    middle = via if via[0] == vs[j] else via[::-1]
-    merged = vs[:j] + middle + vs[j + 2 :]
-    if len(set(merged)) != len(merged):
-        raise ValueError("replacement does not leave a simple path")
-    return PathDecomposition(d.paths[:i] + (Path(merged),) + d.paths[i + 1 :])
-
-
-def _apply_routes(
-    d: PathDecomposition, routes: tuple[Route, ...]
-) -> PathDecomposition:
-    for route in routes:
-        d = _replace_edge(d, edge(route[0], route[-1]), route)
-    return d
-
-
-def _split_on_edge(p: Path, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _split_on_edge(
+    vs: tuple[int, ...], e: Edge
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two sides of a path around one of its edges (either side can be
     a single vertex)."""
-    vs = p.vertices
     for i in range(len(vs) - 1):
         if edge(vs[i], vs[i + 1]) == e:
             return vs[: i + 1], vs[i + 1 :]
@@ -1068,9 +1081,8 @@ def _split_on_edge(p: Path, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _oriented(
-    p: Path, first: int | None = None, last: int | None = None
+    vs: tuple[int, ...], first: int | None = None, last: int | None = None
 ) -> tuple[int, ...]:
-    vs = p.vertices
     if first is not None:
         return vs if vs[0] == first else vs[::-1]
     return vs if vs[-1] == last else vs[::-1]

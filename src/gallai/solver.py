@@ -1,14 +1,21 @@
 """End-to-end solver: reduce while a configuration exists, search the rest.
 
-``solve`` recursively shrinks the graph through the reducible
-configurations, handles the two exceptional cliques directly, and resolves
-irreducible graphs by exact bounded search (their even-degree core is a
-forest, so a decomposition into ceil(n/2) paths exists and the search is
-guaranteed a target).  Child graphs keep their parent's vertex ids, so
-every decomposition is in the ids of the input graph.  Each lift verifies
-its own result against the graph it was applied to, once per level, and
-``solve`` verifies the final decomposition against the input, so a
-returned result is always checked end to end.
+``solve`` shrinks the graph through the reducible configurations, handles
+the two exceptional cliques directly, and resolves irreducible graphs by
+exact bounded search (their even-degree core is a forest, so a
+decomposition into ceil(n/2) paths exists and the search is guaranteed a
+target).  It runs on an explicit work stack, not on recursion, so the
+depth of the reduction chain is not bounded by Python's recursion limit:
+each reduction pushes a frame holding its plan, its children are solved
+in order, and the frame is lifted as soon as its last child is done.
+Child graphs keep their parent's vertex ids, so every decomposition is in
+the ids of the input graph.
+
+A base case that a lift consumes is loaded into a ``PathStore`` with
+checks, and each lift edits the store of its first child in place, with a
+check at every edit (``reductions.lift_in_place``).  ``solve`` verifies the
+final decomposition against the input, so a returned result is always
+checked end to end.
 
 ``min_decomposition`` is the independent oracle: iterative deepening on the
 exact search, starting from the combinatorial lower bound.
@@ -19,19 +26,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .paths import Path, PathDecomposition, lower_bound, verify
+from .paths import Path, PathDecomposition, PathStore, lower_bound, verify
 from .reductions import (
+    LiftPlan,
+    Occurrence,
     check_structure,
     detect,
     is_exceptional_clique,
-    lift,
     reduce,
 )
+# ``solve`` lifts through the name ``lift`` here, which the benchmark's
+# tracer hooks.
+from .reductions import lift_in_place as lift
 from .search import cover_with_paths
 
 
 class SolveError(RuntimeError):
     """Input rejected or an internal guarantee failed during solving."""
+
+
+class InternalError(SolveError):
+    """An internal guarantee of the solver failed: a fault of the
+    program, not of its input."""
 
 
 @dataclass(frozen=True)
@@ -86,44 +102,69 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     check_input(g)
     steps: list[ReductionStep] = []
     bases: list[str] = []
-    d = _solve(g, budget, steps, bases)
+    # The reductions whose children are not all solved yet, innermost
+    # last, each with the stores of its children solved so far.
+    stack: list[tuple[Occurrence, LiftPlan, list[PathStore]]] = []
+    graph = g
+    while True:
+        occ = None if graph.m == 0 or is_exceptional_clique(graph) else detect(graph)
+        if occ is not None:
+            plan = reduce(graph, occ)
+            steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
+            stack.append((occ, plan, []))
+            graph = plan.children[0].graph
+            continue
+        solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
+        if stack:
+            solved = _load(graph, solved, bases[-1])
+        # Lift every reduction that this base case completes.
+        while stack and len(stack[-1][2]) + 1 == len(stack[-1][1].children):
+            occ, plan, stores = stack.pop()
+            stores.append(solved)
+            solved = lift(occ, plan, stores)
+        if not stack:
+            break
+        _, plan, stores = stack[-1]
+        stores.append(solved)
+        graph = plan.children[len(stores)].graph
+    d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
-        raise SolveError(f"internal error: final decomposition not good:\n{report}")
+        raise InternalError(f"final decomposition not good:\n{report}")
     return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)), True)
 
 
-def _solve(
-    g: Graph, budget: int | None, steps: list[ReductionStep], bases: list[str]
-) -> PathDecomposition:
-    """Decompose ``g``, appending its reductions to ``steps`` and its base
-    cases to ``bases``, both in pre-order."""
+def _base_case(g: Graph, budget: int | None, bases: list[str]) -> PathDecomposition:
+    """Decompose a graph that is edgeless, an exceptional clique or
+    irreducible, and append its base-case label to ``bases``."""
     if g.m == 0:
         bases.append("trivial")
         return PathDecomposition(())
     if is_exceptional_clique(g):
         bases.append(f"K{g.n}")
         return _clique_decomposition(g)
-    occ = detect(g)
-    if occ is None:
-        if not check_structure(g):
-            raise SolveError(
-                "irreducible graph has a cyclic even-degree core; "
-                "this contradicts the structure guarantee"
-            )
-        k = (g.n + 1) // 2
-        d = solve_base(g, k, budget)
-        if d is None:
-            raise SolveError(
-                f"exact search found no decomposition into {k} paths; "
-                "this contradicts the decomposition guarantee"
-            )
-        bases.append(f"search(k={k})")
-        return d
-    plan = reduce(g, occ)
-    steps.append(ReductionStep(g.n, plan.tag, plan.subcase))
-    decomps = [_solve(child.graph, budget, steps, bases) for child in plan.children]
-    return lift(occ, plan, decomps)
+    if not check_structure(g):
+        raise InternalError(
+            "irreducible graph has a cyclic even-degree core; "
+            "this contradicts the structure guarantee"
+        )
+    k = (g.n + 1) // 2
+    d = solve_base(g, k, budget)
+    if d is None:
+        raise InternalError(
+            f"exact search found no decomposition into {k} paths; "
+            "this contradicts the decomposition guarantee"
+        )
+    bases.append(f"search(k={k})")
+    return d
+
+
+def _load(g: Graph, d: PathDecomposition, base: str) -> PathStore:
+    """The checked store of a base case that a lift is about to consume."""
+    try:
+        return PathStore.load(g, d)
+    except ValueError as exc:
+        raise InternalError(f"base case {base} is not a decomposition: {exc}") from exc
 
 
 def solve_base(

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import gallai.batch
-import gallai.reductions
+import gallai.paths
 import gallai.solver
 from gallai import (
     Graph,
@@ -58,8 +58,8 @@ def _too_deep(*args):
 @pytest.mark.parametrize(
     "module, name, broken, message",
     [
-        (gallai.reductions, "_replace_edge", _refuse_edit, "editing move refused"),
-        (gallai.solver, "_solve", _too_deep, "maximum recursion depth exceeded"),
+        (gallai.paths.PathStore, "splice", _refuse_edit, "editing move refused"),
+        (gallai.solver, "_base_case", _too_deep, "maximum recursion depth exceeded"),
     ],
     ids=["lift_error", "recursion_error"],
 )
@@ -305,7 +305,7 @@ def test_cli_solve_recipe_value_error_is_internal_failure(
     def broken(*args):
         raise ValueError("editing move refused")
 
-    monkeypatch.setattr(gallai.reductions, "_replace_edge", broken)
+    monkeypatch.setattr(gallai.paths.PathStore, "splice", broken)
     path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
     assert main(["solve", path]) == 1
     assert "editing move refused" in capsys.readouterr().err
@@ -316,11 +316,54 @@ def test_cli_solve_recursion_error_is_internal_failure(
 ):
     # Too deep a reduction chain is an internal failure: one line on
     # stderr and exit status 1, no traceback.
-    monkeypatch.setattr(gallai.solver, "_solve", _too_deep)
+    monkeypatch.setattr(gallai.solver, "_base_case", _too_deep)
     path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
     assert main(["solve", path]) == 1
     err = capsys.readouterr().err
     assert err == "gallai: internal failure: maximum recursion depth exceeded\n"
+
+
+def _no_search(g, k, budget=None):
+    return None
+
+
+def _cyclic_core(g):
+    return False
+
+
+def _never_valid(g, d):
+    from gallai.paths import VerifyReport
+
+    return VerifyReport(False, (), len(d), False)
+
+
+@pytest.mark.parametrize(
+    "name, broken, message",
+    [
+        ("solve_base", _no_search, "exact search found no decomposition into 2 paths"),
+        ("check_structure", _cyclic_core, "cyclic even-degree core"),
+        ("verify", _never_valid, "final decomposition not good"),
+    ],
+    ids=["search", "structure", "final_verify"],
+)
+def test_cli_solve_broken_guarantee_is_internal_failure(
+    tmp_path, capsys, monkeypatch, name, broken, message
+):
+    # A guarantee of the solver failing is a fault of the program: exit
+    # status 1 and "internal failure", not the input error status 2.  The
+    # 4-cycle with a chord is irreducible, so it goes to the search.
+    monkeypatch.setattr(gallai.solver, name, broken)
+    path = write(tmp_path, "chorded.txt", "0 1\n1 2\n2 3\n3 0\n0 2\n")
+    assert main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gallai: internal failure: ") and message in err
+
+
+def test_cli_solve_rejected_input_stays_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "two.txt", "0 1\n2 3\n")
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "gallai: graph is not connected\n"
 
 
 def test_cli_graph6_file_header(tmp_path, capsys):

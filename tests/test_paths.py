@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai import Graph, Path, PathDecomposition, verify
-from gallai.paths import decomposition, lower_bound, path
+from gallai.paths import PathStore, decomposition, lower_bound, path
 from helpers import (
     complete_graph,
     cycle,
@@ -191,3 +191,55 @@ def test_verify_matches_the_reference_on_corrupted_decompositions():
             outside_steps += 1
     assert kinds == {"repeated_vertex", "non_edge", "duplicate_edge", "uncovered_edge"}
     assert derived > 100 and outside_steps > 100 and valid > 100
+
+
+# -- the path store -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        (((0, 1, 2, 0),), "repeats a vertex"),
+        (((0, 1, 2), (2, 1)), r"edge \(1, 2\) is already covered"),
+        (((0, 1), (1, 3)), r"\(1, 3\) is not an edge"),
+        (((0, 1, 2),), "paths cover 2 of 3 edges"),
+    ],
+    ids=["repeated_vertex", "covered_twice", "non_edge", "edge_missing"],
+)
+def test_path_store_load_refuses_what_is_not_a_decomposition(paths, message):
+    with pytest.raises(ValueError, match=message):
+        PathStore.load(complete_graph(3), decomposition(*paths))
+
+
+def test_path_store_edits_keep_ids_order_and_index():
+    g = cycle(6)
+    store = PathStore.load(g, decomposition((0, 1, 2), (3, 2), (3, 4, 5, 0)))
+    first, second, third = store.paths
+    assert first < second < third
+    # the first path with an end at 3 is the second path, not the third
+    assert store.first_ending_at(3) == second
+    assert store.first_ending_at(1) is None
+    store.replace(first, (2, 1, 0))  # in place, reversed
+    assert list(store.paths) == [first, second, third]
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        store.replace(first, (2, 1, 0, 5, 4, 3, 2))
+    assert store.take(second) == (3, 2)
+    appended = store.append((2, 3))
+    assert list(store.paths) == [first, third, appended]
+    assert store.holder((2, 3)) == appended
+    assert store.owner == {
+        e: pid for pid, vs in store.paths.items() for e in Path(vs).edges()
+    }
+    assert verify(g, store.decomposition()).valid
+    with pytest.raises(ValueError, match="on no path"):
+        store.holder((0, 3))
+
+
+def test_path_store_merges_only_a_newer_store():
+    older = PathStore.load(path_graph(2), decomposition((0, 1)))
+    newer = PathStore.load(Graph.from_edges(4, [(2, 3)]), decomposition((2, 3)))
+    with pytest.raises(ValueError, match="newer store"):
+        newer.merge(older)
+    older.merge(newer)
+    assert list(older.paths.values()) == [(0, 1), (2, 3)]
+    assert older.holder((2, 3)) == list(older.paths)[1]

@@ -410,44 +410,19 @@ def test_c5_degree_two_both_branches():
 # -- randomized structural fuzzing -------------------------------------------
 
 
-def _random_blob(rng, attach_id, next_id):
-    size = rng.randrange(1, 5)
-    ids = [next_id + i for i in range(size)]
-    edges = [(attach_id, ids[0])]
-    for i in range(1, size):
-        edges.append((ids[rng.randrange(i)], ids[i]))
-    return edges, next_id + size
-
-
 def test_c5_dense_reductions_on_random_satellites():
     # An all-degree-4 triangle with random satellite blobs; joining one
     # corner's two anchors decides between the contraction and the
     # three-way split.  Every round-trip must verify.
     import random
 
+    from helpers import random_c5_satellites
+
     rng = random.Random(1105)
     seen = {"hub_contraction": 0, "bridge_spread": 0}
     for trial in range(250):
-        edges = [(0, 1), (0, 2), (1, 2)]
-        nid = 3
-        anchors = {0: [], 1: [], 2: []}
-        for corner in (0, 1, 2):
-            for _ in range(2):
-                anchors[corner].append(nid)
-                edges.append((corner, nid))
-                nid += 1
-                blob, nid = _random_blob(rng, nid - 1, nid)
-                edges += blob
-        if rng.random() < 0.67:
-            a, b = anchors[rng.randrange(3)]
-            edges.append((a, b))
-        try:
-            g = Graph.from_edges(
-                nid, sorted({(min(a, b), max(a, b)) for a, b in edges})
-            )
-        except ValueError:
-            continue
-        if g.max_degree() > 5 or not g.is_connected():
+        g = random_c5_satellites(rng)
+        if g is None:
             continue
         occ = C5(0, 1, 2)
         try:
@@ -571,7 +546,7 @@ def test_lift_rejects_bad_child_decomposition():
 def test_lift_rejects_added_path_reusing_a_covered_edge():
     import dataclasses
 
-    from gallai import LiftError, Path, PathDecomposition
+    from gallai import LiftError
 
     g = complete_graph(5).delete_edge(3, 4)
     occ = detect(g)
@@ -583,13 +558,12 @@ def test_lift_rejects_added_path_reusing_a_covered_edge():
     # that edge twice; the check at this level names it.
     a, b = sorted(plan.children[0].routes[0][:2])
 
-    def clashing(ds):
-        return PathDecomposition(plan.rewrite(ds).paths + (Path((a, b)),))
+    def clashing(store):
+        plan.rewrite(store)
+        store.append((a, b))
 
     broken = dataclasses.replace(plan, rewrite=clashing)
-    with pytest.raises(
-        LiftError, match=rf"duplicate_edge: edge \({a}, {b}\) covered 2 times"
-    ):
+    with pytest.raises(LiftError, match=rf"edge \({a}, {b}\) is already covered"):
         lift(occ, broken, decomps)
 
 
@@ -672,24 +646,33 @@ def test_lift_rejects_routed_edge_in_two_child_paths():
 )
 @pytest.mark.parametrize("backwards", [False, True], ids=["forward", "backward"])
 def test_replace_edge_splices_the_route_in_place(host, e, route, spliced, backwards):
-    from gallai.paths import decomposition
-    from gallai.reductions import _replace_edge
+    # The store's splice replaces the edge joining the route's ends.
+    from gallai.paths import Path, PathStore, decomposition
 
     d = decomposition((8, 9), host, (7, 4))
     via = route[::-1] if backwards else route
-    out = _replace_edge(d, e, via)
+    steps = [q for p in d.paths for q in p.edges()] + list(zip(via, via[1:]))
+    store = PathStore.wrap(Graph.from_edges(10, steps), d)
+    assert e in store.owner
+    store.splice(via)
     # the host keeps its index and orientation; the other paths are untouched
-    assert [p.vertices for p in out.paths] == [(8, 9), spliced, (7, 4)]
+    assert list(store.paths.values()) == [(8, 9), spliced, (7, 4)]
+    # the index follows: the edge is gone and the route's edges name the host
+    assert e not in store.owner
+    assert store.owner == {
+        f: pid for pid, vs in store.paths.items() for f in Path(vs).edges()
+    }
 
 
 def test_replace_edge_rejects_a_route_that_revisits_a_vertex():
     from gallai import LiftError
-    from gallai.paths import decomposition
-    from gallai.reductions import _replace_edge
+    from gallai.paths import PathStore, decomposition
 
     d = decomposition((0, 1, 2, 3))
+    store = PathStore.wrap(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]), d)
     with pytest.raises(ValueError, match="does not leave a simple path"):
-        _replace_edge(d, (1, 2), (1, 3, 2))
+        store.splice((1, 3, 2))
+    assert list(store.paths.values()) == [(0, 1, 2, 3)]
 
     # Inside lift the same failure is a recipe fault: the C1 route 1-0-5
     # meets a child path that already holds vertex 0.

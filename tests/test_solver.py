@@ -1,5 +1,8 @@
+import dataclasses
 import functools
 import itertools
+import re
+import sys
 import time
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from gallai import (
     BudgetExhaustedError,
     Graph,
+    LiftError,
     SolveError,
     enumerate_connected,
     min_decomposition,
@@ -152,3 +156,88 @@ def test_solve_base_succeeds_exactly_from_the_minimum():
             assert solve_base(g, k) is not None
             if k > 1:
                 assert solve_base(g, k - 1) is None
+
+
+# -- the work stack and the checked in-place lifts ----------------------------
+
+
+@pytest.mark.parametrize("n", [500, 1500])
+def test_long_paths_solve_at_the_default_recursion_limit(n):
+    # n - 2 reductions in a chain: at two stack frames each, a recursive
+    # solver already overflows the default limit of 1000 at n = 500.
+    limit = sys.getrecursionlimit()
+    result = solve(path_graph(n))
+    assert [p.vertices for p in result.decomposition] == [tuple(range(n))]
+    assert len(result.trace.steps) == n - 2
+    assert sys.getrecursionlimit() == limit
+
+
+def _fault_splice_at_order(order, fault):
+    """Solve the path 0-1-...-6, whose C1 reductions have parents of order
+    7 down to 3, with the rewrite of the order-``order`` reduction replaced
+    by ``fault(plan, store)``; return the error and the orders lifted."""
+    import gallai.solver
+
+    real_reduce, real_lift = gallai.solver.reduce, gallai.solver.lift
+    lifted = []
+
+    def faulty_reduce(g, occ):
+        plan = real_reduce(g, occ)
+        if g.n == order:
+            plan = dataclasses.replace(plan, rewrite=functools.partial(fault, plan))
+        return plan
+
+    def recording_lift(occ, plan, stores):
+        lifted.append(plan.parent.n)
+        return real_lift(occ, plan, stores)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gallai.solver, "reduce", faulty_reduce)
+        patch.setattr(gallai.solver, "lift", recording_lift)
+        with pytest.raises(LiftError) as caught:
+            solve(path_graph(7))
+    return str(caught.value), lifted
+
+
+def _leave_synthetic(plan, store):
+    store.append(plan.children[0].routes[0])  # route added, edge not spliced
+
+
+def _add_non_edge(plan, store):
+    plan.rewrite(store)
+    store.append((0, 5))
+
+
+def _cover_twice(plan, store):
+    plan.rewrite(store)
+    store.append((5, 6))
+
+
+def _drop_parent_edge(plan, store):
+    plan.rewrite(store)
+    (pid, vertices), = store.paths.items()
+    store.replace(pid, vertices[:-1])
+
+
+def _splice_onto_host(plan, store):
+    store.splice((0, 5, 4))  # 5 is already on the host path 0-4-5-6
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_leave_synthetic, r"C1/splice left synthetic edges \[\(0, 4\)\] covered"),
+        (_add_non_edge, r"C1/splice recipe failed: \(0, 5\) is not an edge"),
+        (_cover_twice, r"C1/splice recipe failed: edge \(5, 6\) is already covered"),
+        (_drop_parent_edge, r"C1/splice covers 3 of 4 edges"),
+        (_splice_onto_host, r"C1/splice recipe failed: .* not leave a simple path"),
+    ],
+    ids=["synthetic_left", "non_edge", "covered_twice", "edge_dropped", "vertex_twice"],
+)
+def test_solve_rejects_a_faulty_rewrite_at_its_level(fault, message):
+    # The order-5 parent is the path 0-3-4-5-6 and its child 0-4-5-6 holds
+    # the synthetic edge 0-4.  The lifts of orders 3 and 4 run first; the
+    # fault is caught in the lift of order 5, and no lift above it starts.
+    error, lifted = _fault_splice_at_order(5, fault)
+    assert re.search(message, error), error
+    assert lifted == [3, 4, 5]
