@@ -159,14 +159,19 @@ def random_connected_graph(
 
 
 def random_cubic_graph(rng: random.Random, n: int) -> Graph:
-    """A random simple 3-regular graph on ``n`` (even) vertices: random
-    pairings of three stubs per vertex, drawn until one has no loop or
+    """A random simple 3-regular graph on ``n`` (even) vertices."""
+    return random_regular_graph(rng, n, 3)
+
+
+def random_regular_graph(rng: random.Random, n: int, degree: int) -> Graph:
+    """A random simple ``degree``-regular graph on ``n`` vertices: random
+    pairings of ``degree`` stubs per vertex, drawn until one has no loop or
     double edge."""
     while True:
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = [v for v in range(n) for _ in range(degree)]
         rng.shuffle(stubs)
         edges = {edge(a, b) for a, b in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+        if len(edges) == degree * n // 2 and all(a != b for a, b in edges):
             return Graph.from_edges(n, sorted(edges))
 
 

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 from gallai import solve
-from gallai.graphs import Graph, edge
+from gallai.graphs import Graph
 from gallai.paths import PathStore, decomposition
 from gallai.reductions import C5, detect, detect_c2, detect_c5, lift, lift_in_place, reduce
 from helpers import (
@@ -16,21 +16,13 @@ from helpers import (
     random_c5_satellites,
     random_connected_graph,
     random_cubic_graph,
+    random_regular_graph,
     reference_detect_c2,
     reference_detect_c5,
     reference_lift,
     reference_solve,
     subcase_fixtures,
 )
-
-
-def _random_regular(rng, n, degree):
-    while True:
-        stubs = [v for v in range(n) for _ in range(degree)]
-        rng.shuffle(stubs)
-        edges = {edge(a, b) for a, b in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == n * degree // 2 and all(a != b for a, b in edges):
-            return Graph.from_edges(n, sorted(edges))
 
 
 def test_detectors_match_their_reference_copies():
@@ -41,7 +33,7 @@ def test_detectors_match_their_reference_copies():
         if kind == 0:
             g = random_cubic_graph(rng, rng.randrange(4, 21) * 2)
         elif kind == 1:
-            g = _random_regular(rng, rng.randrange(8, 30), 4)
+            g = random_regular_graph(rng, rng.randrange(8, 30), 4)
         else:
             # max degree 5, or max degree 4 with many degree-2 vertices
             g = random_connected_graph(rng, 6, 40, max_deg=5 if kind == 2 else 4)
