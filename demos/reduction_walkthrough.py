@@ -8,6 +8,7 @@ the vertex.
 """
 
 from gallai import Graph, detect, solve, verify
+from gallai.paths import PathStore
 from gallai.reductions import lift, reduce
 
 #     4---5
@@ -31,12 +32,17 @@ child_solutions = [solve(child.graph) for child in plan.children]
 for sol in child_solutions:
     print("  child decomposition:", [p.vertices for p in sol.decomposition])
 
-lifted = lift(occ, plan, [s.decomposition for s in child_solutions])
+# Each child decomposition enters a checked store; the lift rewrites the
+# stores in place into a decomposition of the parent, checking every edit.
+stores = [PathStore.load(child.graph, sol.decomposition)
+          for child, sol in zip(plan.children, child_solutions)]
+lifted = lift(occ, plan, stores).decomposition()
 print("lifted decomposition:", [p.vertices for p in lifted])
 print("verifier says:", verify(g, lifted))
 
 # The full solver does this at every level, on a work stack of pending
-# reductions, lifting in place, and records each step.
+# reductions, loading only its base cases and lifting each child's store
+# into its parent's, and records each step.
 result = solve(g)
 print("solve trace:", [(s.order, s.tag, s.subcase) for s in result.trace.steps],
       "base:", result.trace.base_cases)

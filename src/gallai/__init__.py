@@ -7,8 +7,10 @@ irreducible core by exact search, rewrites the pieces' decompositions back
 up, and verifies the result end to end.
 
 The package exports the documented API below; everything else (the
-configurations, ``reduce`` and ``lift``, path helpers such as ``path`` and
-``decomposition``) is imported from its module, e.g. ``gallai.reductions``.
+configurations, ``reduce`` and ``lift``, the ``PathStore`` that ``lift``
+rewrites and that ``PathStore.load`` fills from a decomposition, path
+helpers such as ``path`` and ``decomposition``) is imported from its
+module, e.g. ``gallai.reductions``.
 """
 
 from .graphs import Graph

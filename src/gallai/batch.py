@@ -132,16 +132,17 @@ def run_check(
     """Solve and verify every graph; check the even-core structure of the
     irreducible ones.
 
-    A graph whose solve fails (an input outside the contract, a reduction
-    or lift that breaks its own check, or recursion too deep), or an
-    irreducible graph outside the contract, gets an ``error`` finding
-    and a failed record, and the run goes on with the next graph; one whose
-    search runs out of ``budget`` gets a ``budget`` finding the same way.
+    A graph whose solve fails (an input outside the contract, such as an
+    edgeless graph other than K1, a reduction or lift that breaks its own
+    check, or recursion too deep), or an irreducible graph outside the
+    contract, gets an ``error`` finding and a failed record, and the run
+    goes on with the next graph; one whose search runs out of ``budget``
+    gets a ``budget`` finding the same way.
     """
     report = BatchReport("check")
     for graph_id, g in graphs:
         start = time.perf_counter()
-        if g.m == 0:
+        if g.n == 1:
             report.records.append(
                 GraphRecord(
                     graph_id, g.n, 0, 0, _bound(g), 0, {}, True, "edgeless",
@@ -183,8 +184,8 @@ def run_check(
             report.findings.append(Finding("budget", graph_id, str(exc)))
         report.records.append(
             GraphRecord(
-                graph_id, g.n, g.m, g.max_degree(), _bound(g), paths,
-                histogram, verified, note, time.perf_counter() - start,
+                graph_id, g.n, g.m, g.max_degree() if g.n else 0, _bound(g),
+                paths, histogram, verified, note, time.perf_counter() - start,
             )
         )
     return report
@@ -194,46 +195,40 @@ def run_floor_search(
     graphs: list[tuple[str, Graph]], budget: int | None = None
 ) -> BatchReport:
     """Try floor(n/2) paths on every graph; failures must be odd
-    semi-cliques, anything else is surfaced as a finding."""
+    semi-cliques, anything else is surfaced as a finding.  A graph that is
+    not connected gets an ``error`` finding, one whose search runs out of
+    ``budget`` a ``budget`` finding, and the run goes on with the next."""
     report = BatchReport("floor-search")
     for graph_id, g in graphs:
         start = time.perf_counter()
-        if g.m == 0 or g.n < 2:
-            report.records.append(
-                GraphRecord(
-                    graph_id, g.n, g.m, 0, g.n // 2, 0, {}, True, "edgeless",
-                    time.perf_counter() - start,
-                )
-            )
-            continue
         target = g.n // 2
-        d = solve_base(g, target, budget)
-        if d is not None:
-            outcome = verify(g, d)
-            report.records.append(
-                GraphRecord(
-                    graph_id, g.n, g.m, g.max_degree(), target,
-                    outcome.path_count, {}, outcome.valid, "",
-                    time.perf_counter() - start,
+        paths, verified, note = None, False, ""
+        try:
+            if g.n == 1:
+                paths, verified, note = 0, True, "edgeless"
+            elif (d := solve_base(g, target, budget)) is not None:
+                outcome = verify(g, d)
+                paths, verified = outcome.path_count, outcome.valid
+            elif g.is_odd_semi_clique():
+                verified, note = True, "odd_semi_clique"
+            else:
+                note = "unclassified"
+                report.findings.append(
+                    Finding(
+                        "floor_gap",
+                        graph_id,
+                        f"no decomposition into {target} paths and the graph "
+                        "is not an odd semi-clique",
+                    )
                 )
-            )
-            continue
-        if g.is_odd_semi_clique():
-            note = "odd_semi_clique"
-        else:
-            note = "unclassified"
-            report.findings.append(
-                Finding(
-                    "floor_gap",
-                    graph_id,
-                    f"no decomposition into {target} paths and the graph "
-                    "is not an odd semi-clique",
-                )
-            )
+        except SolveError as exc:
+            report.findings.append(Finding("error", graph_id, str(exc)))
+        except BudgetExhaustedError as exc:
+            report.findings.append(Finding("budget", graph_id, str(exc)))
         report.records.append(
             GraphRecord(
-                graph_id, g.n, g.m, g.max_degree(), target, None, {},
-                note == "odd_semi_clique", note, time.perf_counter() - start,
+                graph_id, g.n, g.m, g.max_degree() if g.n else 0, target,
+                paths, {}, verified, note, time.perf_counter() - start,
             )
         )
     return report

@@ -4,13 +4,15 @@ A decomposition is *valid* against a graph when its paths are simple, every
 step is an edge, and the path edges partition the edge set exactly.  It is
 *good* when it is valid and uses at most ceil(n/2) paths.
 
-The lifts in ``reductions`` rewrite decompositions in place through a
+The lift in ``reductions`` rewrites decompositions in place through a
 ``PathStore``: a decomposition kept as path ids mapped to vertex tuples,
 with an index from each covered edge to the id of its path.  Every edit
 checks what it changes against the store's graph (an edge it removes must
 be indexed, an edge it adds must be an edge of the graph that no path
 covers yet, a vertex it adds to a path must not be on it), so an edit
-costs the length of the paths it touches, not a pass over the graph.
+costs the length of the paths it touches, not a pass over the graph.  A
+decomposition enters a store only through ``PathStore.load``, which makes
+the same checks and also requires every edge to be covered.
 """
 
 from __future__ import annotations
@@ -200,26 +202,6 @@ class PathStore:
             store.append(p.vertices)
         if len(store.owner) != graph.m:
             raise ValueError(f"paths cover {len(store.owner)} of {graph.m} edges")
-        return store
-
-    @classmethod
-    def wrap(cls, graph: Graph, d: PathDecomposition) -> "PathStore":
-        """A store holding ``d`` unchecked, except that no edge may be on
-        two paths (the index holds one path per edge).  Non-edges and
-        repeated vertices are left for a verification of the result."""
-        store = cls(graph)
-        owner = store.owner
-        for p in d.paths:
-            pid = next(_path_ids)
-            vs = store.paths[pid] = p.vertices
-            for a, b in zip(vs, vs[1:]):
-                e = (a, b) if a < b else (b, a)
-                if e in owner:
-                    copies = sum(e in q.edges() for q in d.paths)
-                    raise ValueError(
-                        f"edge {e} occurs {copies} times in the decomposition"
-                    )
-                owner[e] = pid
         return store
 
     def __len__(self) -> int:

@@ -31,12 +31,12 @@ that edge.  The other five sub-cases, and the sparse ring when it needs
 the x-y bridge, bind a recipe of their own to the vertices it reads; the
 two contractions rebuild only the paths through the merged vertex.
 
-The store checks every edit against the parent, so ``lift_in_place``,
-which ``solve`` uses, only has to check that no synthetic child edge is
-left, that the parent's ``m`` edges are covered, the gain and the path
-bound: O(|edit|) work per level instead of a verification of the whole
-parent.  The public ``lift`` takes decompositions from outside, runs the
-same rewrite and verifies its result against the parent in full.
+``lift`` takes one ``PathStore`` per child, as ``PathStore.load`` checks
+a decomposition in or an earlier ``lift`` leaves it.  The store checks
+every edit against the parent, so ``lift`` only has to check that no
+synthetic child edge is left, that the parent's ``m`` edges are covered,
+the gain and the path bound: O(|edit|) work per level instead of a
+verification of the whole parent.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .graphs import Edge, Graph, edge
-from .paths import Path, PathDecomposition, PathStore, spliced, verify
+from .paths import Path, PathStore, spliced
+# imported only so the benchmark's tracer can hook ``reductions.verify``
+from .paths import verify  # noqa: F401
 from .search import cover_with_paths
 
 
@@ -951,91 +953,46 @@ def _lift_routes(
         store.append(route)
 
 
-def _rewrite(
-    occ: Occurrence, plan: LiftPlan, stores: list[PathStore]
-) -> tuple[PathStore, int]:
-    """Merge the children's stores in child order into the first one, point
-    it at the parent and run the plan's rewrite on it.  Returns the store
-    and the children's path count."""
-    if occ.tag != plan.tag:
-        raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
-    if len(stores) != len(plan.children):
-        raise LiftError("one decomposition per child is required")
-    total = sum(map(len, stores))
-    store = stores[0]
-    try:
-        for other in stores[1:]:
-            store.merge(other)
-        store.graph = plan.parent
-        plan.rewrite(store)
-    except ValueError as exc:
-        raise LiftError(f"{plan.tag}/{plan.subcase} recipe failed: {exc}") from exc
-    return store, total
-
-
-def _check_gain(plan: LiftPlan, total: int, count: int) -> None:
-    lo, hi = plan.gain
-    if not (total + lo <= count <= total + hi):
-        raise LiftError(
-            f"{plan.tag}/{plan.subcase} produced {count} paths "
-            f"from {total}, outside [{total + lo}, {total + hi}]"
-        )
-
-
-def lift(
-    occ: Occurrence,
-    plan: LiftPlan,
-    children_decomps: list[PathDecomposition],
-) -> PathDecomposition:
-    """Rewrite good child decompositions into one for the parent graph.
-
-    The children's decompositions come from outside, so they are taken
-    unchecked (an edge on two paths is refused, as the store cannot hold
-    it) and the result is verified against the parent in full; it must
-    also gain a number of paths in the plan's ``gain`` range.
-    """
-    if len(children_decomps) != len(plan.children):
-        raise LiftError("one decomposition per child is required")
-    try:
-        stores = [
-            PathStore.wrap(child.graph, d)
-            for child, d in zip(plan.children, children_decomps)
-        ]
-    except ValueError as exc:
-        raise LiftError(f"{plan.tag}/{plan.subcase}: {exc}") from exc
-    store, total = _rewrite(occ, plan, stores)
-    lifted = store.decomposition()
-    report = verify(plan.parent, lifted)
-    if not report.valid:
-        raise LiftError(f"lifted decomposition invalid:\n{report}")
-    _check_gain(plan, total, len(lifted))
-    if not report.good:
-        raise LiftError(f"{plan.tag}/{plan.subcase} lost goodness")
-    return lifted
-
-
-def lift_in_place(
-    occ: Occurrence, plan: LiftPlan, stores: list[PathStore]
-) -> PathStore:
+def lift(occ: Occurrence, plan: LiftPlan, stores: list[PathStore]) -> PathStore:
     """Rewrite the children's stores into one store for the parent graph.
 
-    Each store must hold a decomposition of its child, as a checked load
-    or an earlier ``lift_in_place`` leaves it.  The edits check every edge
+    Each store must hold a decomposition of its child, as
+    ``PathStore.load`` or an earlier ``lift`` leaves it.  The stores are
+    merged in child order into the first one, which is pointed at the
+    parent and handed to the plan's rewrite.  The edits check every edge
     they remove and add, so the result is a decomposition of the parent
     exactly when no synthetic child edge is left covered and the parent's
     ``m`` edges are: these two checks, the plan's gain and the path bound
     replace a verification of the whole parent.  Returns the first store.
     """
-    store, total = _rewrite(occ, plan, stores)
+    if occ.tag != plan.tag:
+        raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
+    if len(stores) != len(plan.children):
+        raise LiftError("one decomposition per child is required")
     parent = plan.parent
     label = f"{plan.tag}/{plan.subcase}"
+    total = sum(map(len, stores))
+    store = stores[0]
+    try:
+        for other in stores[1:]:
+            store.merge(other)
+        store.graph = parent
+        plan.rewrite(store)
+    except ValueError as exc:
+        raise LiftError(f"{label} recipe failed: {exc}") from exc
     left = [e for child in plan.children for e in child.synthetic if e in store.owner]
     if left:
         raise LiftError(f"{label} left synthetic edges {left} covered")
     if len(store.owner) != parent.m:
         raise LiftError(f"{label} covers {len(store.owner)} of {parent.m} edges")
-    _check_gain(plan, total, len(store))
-    if len(store) > (parent.n + 1) // 2:
+    count = len(store)
+    lo, hi = plan.gain
+    if not (total + lo <= count <= total + hi):
+        raise LiftError(
+            f"{label} produced {count} paths "
+            f"from {total}, outside [{total + lo}, {total + hi}]"
+        )
+    if count > (parent.n + 1) // 2:
         raise LiftError(f"{label} lost goodness")
     return store
 

@@ -11,11 +11,11 @@ in order, and the frame is lifted as soon as its last child is done.
 Child graphs keep their parent's vertex ids, so every decomposition is in
 the ids of the input graph.
 
-A base case that a lift consumes is loaded into a ``PathStore`` with
-checks, and each lift edits the store of its first child in place, with a
-check at every edit (``reductions.lift_in_place``).  ``solve`` verifies the
-final decomposition against the input, so a returned result is always
-checked end to end.
+A base case that a lift consumes is loaded through the checked
+``PathStore.load``, and each lift edits the store of its first child in
+place, with a check at every edit (``reductions.lift``).  ``solve``
+verifies the final decomposition against the input, so a returned result
+is always checked end to end.
 
 ``min_decomposition`` is the independent oracle: iterative deepening on the
 exact search, starting from the combinatorial lower bound.
@@ -33,11 +33,9 @@ from .reductions import (
     check_structure,
     detect,
     is_exceptional_clique,
+    lift,
     reduce,
 )
-# ``solve`` lifts through the name ``lift`` here, which the benchmark's
-# tracer hooks.
-from .reductions import lift_in_place as lift
 from .search import cover_with_paths
 
 

@@ -17,6 +17,8 @@ from gallai import (
 )
 from gallai.census import canonical_graph
 from gallai.graphs import edge
+from gallai.paths import PathStore
+from gallai.reductions import lift
 
 
 def complete_graph(n: int) -> Graph:
@@ -539,6 +541,14 @@ def _reference_solve(g, budget, steps, bases):
     steps.append(ReductionStep(g.n, plan.tag, plan.subcase))
     decomps = [_reference_solve(c.graph, budget, steps, bases) for c in plan.children]
     return reference_lift(occ, plan, decomps)
+
+
+def load_and_lift(occ, plan, decomps) -> PathDecomposition:
+    """Load each child's decomposition into a checked ``PathStore`` and
+    lift them with ``reductions.lift``; a decomposition that is not one of
+    its child's raises the load's ``ValueError``."""
+    stores = [PathStore.load(c.graph, d) for c, d in zip(plan.children, decomps)]
+    return lift(occ, plan, stores).decomposition()
 
 
 def reference_lift(occ, plan, decomps) -> PathDecomposition:

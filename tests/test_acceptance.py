@@ -22,12 +22,13 @@ from gallai import (
     verify,
     write_graph6,
 )
-from gallai.reductions import SUBCASES, check_structure, lift, reduce
+from gallai.reductions import SUBCASES, check_structure, reduce
 from gallai.solver import solve_base
 import gallai.batch
 from helpers import (
     complete_graph,
     delete_edges,
+    load_and_lift,
     path_graph,
     petersen,
     random_connected_graph,
@@ -168,7 +169,7 @@ def test_criterion_5_lift_round_trip_suite():
             continue
         plan = reduce(g, occ)
         decomps = [solve(child.graph).decomposition for child in plan.children]
-        lifted = lift(occ, plan, decomps)
+        lifted = load_and_lift(occ, plan, decomps)
         report = verify(g, lifted)
         assert report.valid
         assert len(lifted) <= sum(len(d) for d in decomps) + 1
@@ -181,7 +182,7 @@ def test_criterion_5_lift_round_trip_suite():
         plan = reduce(g, occ)
         assert (plan.tag, plan.subcase) == (tag, subcase)
         decomps = [solve(child.graph).decomposition for child in plan.children]
-        lifted = lift(occ, plan, decomps)
+        lifted = load_and_lift(occ, plan, decomps)
         assert verify(g, lifted).valid
         covered.add((tag, subcase))
 

@@ -109,6 +109,21 @@ def test_run_floor_search_emits_finding_on_mock(monkeypatch):
     assert "not an odd semi-clique" in report.findings[0].message
 
 
+def test_run_floor_search_records_a_disconnected_graph_and_goes_on():
+    p3 = path_graph(3)
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    k2 = path_graph(2)
+    items = [("p3", p3), ("two_edges", two_edges), ("k2", k2)]
+    report = run_floor_search(items)
+    assert [r.graph_id for r in report.records] == ["p3", "two_edges", "k2"]
+    assert [(f.kind, f.graph_id, f.message) for f in report.findings] == [
+        ("error", "two_edges", "graph is not connected")
+    ]
+    assert [(r.paths, r.verified) for r in report.records] == [
+        (1, True), (None, False), (1, True)
+    ]
+
+
 def test_run_scan_histogram():
     g = cycle(4)
     report = run_scan([("c4", g)])
@@ -269,6 +284,27 @@ def test_cli_check_stream(tmp_path, capsys):
     assert f"graphs={len(lines)}" in out
 
 
+def test_check_refuses_edgeless_graphs_on_no_or_two_vertices(tmp_path, capsys):
+    # The graph6 lines `?` (n = 0) and `A?` (two isolated vertices) are
+    # not connected, as solve says; K1 (`@`) stays the edgeless base case.
+    lines = ["?", "A?", "@"]
+    report = run_check([(line, parse_graph6(line)) for line in lines])
+    assert [(f.kind, f.graph_id, f.message) for f in report.findings] == [
+        ("error", "?", "graph is not connected"),
+        ("error", "A?", "graph is not connected"),
+    ]
+    assert [
+        (r.graph_id, r.max_degree, r.paths, r.verified, r.note)
+        for r in report.records
+    ] == [("?", 0, None, False, ""), ("A?", 0, None, False, ""),
+          ("@", 0, 0, True, "edgeless")]
+    path = write(tmp_path, "edgeless.g6", "?\nA?\n")
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "FINDING error ?: graph is not connected" in out
+    assert "FINDING error A?: graph is not connected" in out
+
+
 def test_cli_floor_search(capsys):
     assert main(["floor-search", "--max-n", "5"]) == 0
     out = capsys.readouterr().out
@@ -278,6 +314,25 @@ def test_cli_floor_search(capsys):
 
 def test_cli_floor_search_cap(capsys):
     assert main(["floor-search", "--max-n", "8"]) == 2
+
+
+def test_cli_floor_search_budget_exhaustion_keeps_every_record(tmp_path, capsys):
+    # As in check: a search that runs out of budget is a `budget` finding of
+    # that graph, and the other graphs and the report still come out.
+    report_path = tmp_path / "report.json"
+    argv = ["floor-search", "--max-n", "5", "--budget", "3",
+            "--report", str(report_path)]
+    assert main(argv) == 3
+    document = json.loads(report_path.read_text())
+    ids = [gid for gid, _ in census_items(5)]
+    assert [r["graph_id"] for r in document["records"]] == ids
+    findings = document["findings"]
+    assert findings
+    assert {f["kind"] for f in findings} == {"budget"}
+    failed = {f["graph_id"] for f in findings}
+    for record in document["records"]:
+        assert record["verified"] == (record["graph_id"] not in failed)
+    assert "FINDING budget" in capsys.readouterr().out
 
 
 def test_cli_scan(tmp_path, capsys):

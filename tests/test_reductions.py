@@ -15,10 +15,16 @@ from gallai.reductions import (
     detect_c3,
     detect_c4,
     detect_c5,
-    lift,
     reduce,
 )
-from helpers import complete_graph, cycle, path_graph, petersen, two_cliques_with_bridge
+from helpers import (
+    complete_graph,
+    cycle,
+    load_and_lift,
+    path_graph,
+    petersen,
+    two_cliques_with_bridge,
+)
 
 
 # -- naive re-implementations of the membership tests (oracles) -------------
@@ -140,7 +146,7 @@ def round_trip(g, occ, expected_subcase):
             assert child.graph.has_edge(a, b)
             assert not g.has_edge(a, b)
     decomps = [solve(child.graph).decomposition for child in plan.children]
-    lifted = lift(occ, plan, decomps)
+    lifted = load_and_lift(occ, plan, decomps)
     report = verify(g, lifted)
     assert report.valid
     assert len(lifted) <= sum(len(d) for d in decomps) + 1
@@ -158,7 +164,7 @@ def test_c2_round_trip():
     occ = detect(g)
     plan = reduce(g, occ)
     decomps = [solve(c.graph).decomposition for c in plan.children]
-    lifted = lift(occ, plan, decomps)
+    lifted = load_and_lift(occ, plan, decomps)
     assert len(lifted) == sum(len(d) for d in decomps) - 1
     assert verify(g, lifted).valid
 
@@ -329,13 +335,13 @@ def test_c5_hub_contraction_two_crossings_and_extension():
 
     # two paths crossing straight through the merged pair
     crossing = decomposition((y1, s, z1), (y2, s, z2), (x1, x2, s))
-    lifted = lift(occ, plan, [crossing])
+    lifted = load_and_lift(occ, plan, [crossing])
     assert verify(g, lifted).good
 
     # same-side crossings leave a non-path residue, forcing the corner
     # extension step
     bent = decomposition((y1, s, y2), (z1, s, z2), (x1, x2, s))
-    lifted = lift(occ, plan, [bent])
+    lifted = load_and_lift(occ, plan, [bent])
     assert verify(g, lifted).good
 
 
@@ -353,13 +359,13 @@ def test_c5_common_triangle_repair_fallback():
     # role assignment works and the exact local re-partition must kick in
     blocked = decomposition((5, 3, 2, 4, 6), (3, 4))
     assert verify(plan.children[0].graph, blocked).good
-    lifted = lift(occ, plan, [blocked])
+    lifted = load_and_lift(occ, plan, [blocked])
     assert verify(g, lifted).good
     assert len(lifted) == len(blocked) + 1
 
     # a separated decomposition goes through the ordinary recipe
     free = decomposition((5, 3, 2), (2, 4, 6), (3, 4))
-    lifted = lift(occ, plan, [free])
+    lifted = load_and_lift(occ, plan, [free])
     assert verify(g, lifted).good
 
 
@@ -381,7 +387,7 @@ def test_c3_sparse_bridge_collisions():
         decomposition((x, y, ue), (x, ve)),           # collision after x-y
     ):
         assert verify(plan.children[0].graph, child_decomp).valid
-        lifted = lift(occ, plan, [child_decomp])
+        lifted = load_and_lift(occ, plan, [child_decomp])
         assert verify(g, lifted).good
 
 
@@ -397,12 +403,12 @@ def test_c5_degree_two_both_branches():
     c = 0  # u = 0 and w = 2 merge into the smaller id
 
     split_sides = decomposition((3, c, 5), (4, c, 6))
-    lifted = lift(occ, plan, [split_sides])
+    lifted = load_and_lift(occ, plan, [split_sides])
     assert verify(g, lifted).good
     assert len(lifted) == 2
 
     hinged = decomposition((3, c, 4), (5, c, 6))
-    lifted = lift(occ, plan, [hinged])
+    lifted = load_and_lift(occ, plan, [hinged])
     assert verify(g, lifted).good
     assert len(lifted) == 3
 
@@ -431,7 +437,7 @@ def test_c5_dense_reductions_on_random_satellites():
         except ReductionError:
             continue
         decomps = [solve(child.graph).decomposition for child in plan.children]
-        lifted = lift(occ, plan, decomps)
+        lifted = load_and_lift(occ, plan, decomps)
         assert verify(g, lifted).valid
         seen[plan.subcase] += 1
     assert seen["hub_contraction"] > 0
@@ -505,7 +511,7 @@ def test_every_occurrence_round_trips_on_random_graphs():
                     continue
                 raise
             decomps = [solve(child.graph).decomposition for child in plan.children]
-            lifted = lift(occ, plan, decomps)
+            lifted = load_and_lift(occ, plan, decomps)
             assert verify(g, lifted).valid
             trips += 1
     assert trips > 100
@@ -534,13 +540,60 @@ def test_reduce_c4_rejects_priority_violations():
 
 
 def test_lift_rejects_bad_child_decomposition():
+    from gallai import PathDecomposition
+    from gallai.paths import PathStore
+
+    g = cycle(4)
+    plan = reduce(g, detect(g))
+    # A child decomposition reaches lift only through the checked load.
+    with pytest.raises(ValueError, match=r"paths cover 0 of 3 edges"):
+        PathStore.load(plan.children[0].graph, PathDecomposition(()))
+
+
+@pytest.mark.parametrize(
+    "occ, count, message",
+    [
+        (C2(0, 1), 1, "plan is for C1, occurrence is C2"),
+        (None, 0, "one decomposition per child is required"),
+    ],
+    ids=["tag", "child_count"],
+)
+def test_lift_rejects_a_mismatched_call(occ, count, message):
+    from gallai import LiftError
+    from gallai.paths import PathStore
+    from gallai.reductions import lift
+
+    g = cycle(4)
+    plan = reduce(g, detect(g))
+    child = plan.children[0].graph
+    stores = [PathStore.load(child, solve(child).decomposition)]
+    with pytest.raises(LiftError, match=message):
+        lift(occ or detect(g), plan, stores[:count])
+
+
+def test_lift_rejects_a_rewrite_past_the_path_bound():
+    import dataclasses
+
+    from gallai import LiftError
+
     g = cycle(4)
     occ = detect(g)
     plan = reduce(g, occ)
-    from gallai import LiftError, PathDecomposition
+    decomps = [solve(child.graph).decomposition for child in plan.children]
+    assert len(load_and_lift(occ, plan, decomps)) == 2
+    # Splitting the longest lifted path adds a third path: inside a
+    # widened gain, but past ceil(4/2).
 
-    with pytest.raises(LiftError):
-        lift(occ, plan, [PathDecomposition(())])
+    def splitting(store):
+        plan.rewrite(store)
+        pid = max(store.paths, key=lambda p: len(store.paths[p]))
+        vs = store.take(pid)
+        store.append(vs[:2])
+        store.append(vs[1:])
+
+    broken = dataclasses.replace(plan, rewrite=splitting, gain=(0, 1))
+    with pytest.raises(LiftError, match="C1/splice lost goodness"):
+        load_and_lift(occ, broken, decomps)
 
 
 def test_lift_rejects_added_path_reusing_a_covered_edge():
@@ -553,7 +606,7 @@ def test_lift_rejects_added_path_reusing_a_covered_edge():
     plan = reduce(g, occ)
     assert plan.subcase == "one_gap"
     decomps = [solve(child.graph).decomposition for child in plan.children]
-    assert verify(g, lift(occ, plan, decomps)).good
+    assert verify(g, load_and_lift(occ, plan, decomps)).good
     # A rewrite that also adds a path made of the route's first edge covers
     # that edge twice; the check at this level names it.
     a, b = sorted(plan.children[0].routes[0][:2])
@@ -564,7 +617,7 @@ def test_lift_rejects_added_path_reusing_a_covered_edge():
 
     broken = dataclasses.replace(plan, rewrite=clashing)
     with pytest.raises(LiftError, match=rf"edge \({a}, {b}\) is already covered"):
-        lift(occ, broken, decomps)
+        load_and_lift(occ, broken, decomps)
 
 
 @pytest.mark.parametrize(
@@ -585,7 +638,7 @@ def test_lift_enforces_the_plan_gain(g, subcase):
     assert plan.subcase == subcase
     decomps = [solve(child.graph).decomposition for child in plan.children]
     total = sum(len(d) for d in decomps)
-    produced = len(lift(occ, plan, decomps))
+    produced = len(load_and_lift(occ, plan, decomps))
     lo, hi = plan.gain
     assert total + lo <= produced <= total + hi
     # The same rewrite checked against a range it does not meet.
@@ -595,12 +648,11 @@ def test_lift_enforces_the_plan_gain(g, subcase):
         match=rf"{subcase} produced {produced} paths from {total}, "
         rf"outside \[{total + hi + 1}, {total + hi + 2}\]",
     ):
-        lift(occ, broken, decomps)
+        load_and_lift(occ, broken, decomps)
 
 
 def test_lift_rejects_non_edge_in_an_untouched_child_path():
-    from gallai import LiftError
-    from gallai.paths import decomposition
+    from gallai.paths import PathStore, decomposition
 
     g = cycle(6)
     occ = C1(0, 1, 5)
@@ -608,17 +660,16 @@ def test_lift_rejects_non_edge_in_an_untouched_child_path():
     child = plan.children[0].graph
     assert plan.children[0].synthetic == ((1, 5),)
     assert verify(child, decomposition((5, 1, 2, 3), (3, 4, 5))).good
-    # The second path steps over the non-edge 2-4 and misses 4-5; the route
-    # only rewrites the first path, so the check at this level must catch it.
+    # The last path steps over the non-edge 2-4 and 4-5 is missed; the
+    # route only rewrites the first path, so the load must catch it.
     bad = decomposition((5, 1, 2, 3), (3, 4), (4, 2))
     assert not verify(child, bad).valid
-    with pytest.raises(LiftError, match="lifted decomposition invalid"):
-        lift(occ, plan, [bad])
+    with pytest.raises(ValueError, match=r"\(4, 2\) is not an edge of the graph"):
+        PathStore.load(child, bad)
 
 
 def test_lift_rejects_routed_edge_in_two_child_paths():
-    from gallai import LiftError
-    from gallai.paths import decomposition
+    from gallai.paths import PathStore, decomposition
 
     g = cycle(6)
     occ = C1(0, 1, 5)
@@ -627,8 +678,8 @@ def test_lift_rejects_routed_edge_in_two_child_paths():
     # The routed edge 1-5 is in the first and the last path; the path
     # between them shares neither of its ends.
     bad = decomposition((5, 1, 2), (2, 3, 4), (4, 5, 1))
-    with pytest.raises(LiftError, match=r"edge \(1, 5\) occurs 2 times"):
-        lift(occ, plan, [bad])
+    with pytest.raises(ValueError, match=r"edge \(1, 5\) is already covered"):
+        PathStore.load(plan.children[0].graph, bad)
 
 
 # -- the route splice ----------------------------------------------------------
@@ -647,12 +698,14 @@ def test_lift_rejects_routed_edge_in_two_child_paths():
 @pytest.mark.parametrize("backwards", [False, True], ids=["forward", "backward"])
 def test_replace_edge_splices_the_route_in_place(host, e, route, spliced, backwards):
     # The store's splice replaces the edge joining the route's ends.
-    from gallai.paths import Path, PathStore, decomposition
+    from gallai.paths import Path, PathStore
 
-    d = decomposition((8, 9), host, (7, 4))
+    paths = [(8, 9), host, (7, 4)]
     via = route[::-1] if backwards else route
-    steps = [q for p in d.paths for q in p.edges()] + list(zip(via, via[1:]))
-    store = PathStore.wrap(Graph.from_edges(10, steps), d)
+    steps = [q for vs in paths for q in Path(vs).edges()] + list(zip(via, via[1:]))
+    store = PathStore(Graph.from_edges(10, steps))
+    for vs in paths:
+        store.append(vs)
     assert e in store.owner
     store.splice(via)
     # the host keeps its index and orientation; the other paths are untouched
@@ -665,24 +718,30 @@ def test_replace_edge_splices_the_route_in_place(host, e, route, spliced, backwa
 
 
 def test_replace_edge_rejects_a_route_that_revisits_a_vertex():
+    import dataclasses
+
     from gallai import LiftError
     from gallai.paths import PathStore, decomposition
 
-    d = decomposition((0, 1, 2, 3))
-    store = PathStore.wrap(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]), d)
+    store = PathStore(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]))
+    store.append((0, 1, 2, 3))
     with pytest.raises(ValueError, match="does not leave a simple path"):
         store.splice((1, 3, 2))
     assert list(store.paths.values()) == [(0, 1, 2, 3)]
 
-    # Inside lift the same failure is a recipe fault: the C1 route 1-0-5
-    # meets a child path that already holds vertex 0.
+    # Inside lift the same failure is a recipe fault: a rewrite that routes
+    # 1-5 the long way round the cycle, in place of the C1 route 1-0-5,
+    # meets vertices 2 and 3 on the host path.
     g = cycle(6)
     occ = C1(0, 1, 5)
     plan = reduce(g, occ)
     assert plan.children[0].routes == ((1, 0, 5),)
-    bad = decomposition((0, 5, 1, 2, 3), (3, 4, 5))
+    broken = dataclasses.replace(
+        plan, rewrite=lambda store: store.splice((1, 2, 3, 4, 5))
+    )
+    child = decomposition((5, 1, 2, 3), (3, 4, 5))
     with pytest.raises(LiftError, match="recipe failed") as caught:
-        lift(occ, plan, [bad])
+        load_and_lift(occ, broken, [child])
     assert "does not leave a simple path" in str(caught.value)
 
 

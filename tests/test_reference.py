@@ -9,10 +9,11 @@ from collections import Counter
 
 from gallai import solve
 from gallai.graphs import Graph
-from gallai.paths import PathStore, decomposition
-from gallai.reductions import C5, detect, detect_c2, detect_c5, lift, lift_in_place, reduce
+from gallai.paths import decomposition
+from gallai.reductions import C5, detect, detect_c2, detect_c5, reduce
 from helpers import (
     complete_graph,
+    load_and_lift,
     random_c5_satellites,
     random_connected_graph,
     random_cubic_graph,
@@ -70,14 +71,11 @@ def test_solve_matches_the_reference_solver_on_random_graphs():
 
 
 def _same_lift(g, occ):
-    """The in-place lift of ``occ`` on ``g`` against the reference lift,
-    from the children's decompositions as ``solve`` returns them."""
+    """The lift of ``occ`` on ``g`` against the reference lift, from the
+    children's decompositions as ``solve`` returns them."""
     plan = reduce(g, occ)
     decomps = [solve(child.graph).decomposition for child in plan.children]
-    stores = [PathStore.load(c.graph, d) for c, d in zip(plan.children, decomps)]
-    got = lift_in_place(occ, plan, stores).decomposition()
-    assert got == reference_lift(occ, plan, decomps)
-    assert lift(occ, plan, decomps) == got
+    assert load_and_lift(occ, plan, decomps) == reference_lift(occ, plan, decomps)
     return f"{plan.tag}/{plan.subcase}"
 
 
@@ -134,4 +132,4 @@ def test_rare_lift_branches_match_the_reference():
         plan = reduce(g, occ)
         assert f"{plan.tag}/{plan.subcase}" == name
         child = decomposition(*paths)
-        assert lift(occ, plan, [child]) == reference_lift(occ, plan, [child])
+        assert load_and_lift(occ, plan, [child]) == reference_lift(occ, plan, [child])
