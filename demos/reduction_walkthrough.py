@@ -36,7 +36,7 @@ for sol in child_solutions:
 # stores in place into a decomposition of the parent, checking every edit.
 stores = [PathStore.load(child.graph, sol.decomposition)
           for child, sol in zip(plan.children, child_solutions)]
-lifted = lift(occ, plan, stores).decomposition()
+lifted = lift(plan, stores).decomposition()
 print("lifted decomposition:", [p.vertices for p in lifted])
 print("verifier says:", verify(g, lifted))
 

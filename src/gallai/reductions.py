@@ -953,7 +953,7 @@ def _lift_routes(
         store.append(route)
 
 
-def lift(occ: Occurrence, plan: LiftPlan, stores: list[PathStore]) -> PathStore:
+def lift(plan: LiftPlan, stores: list[PathStore]) -> PathStore:
     """Rewrite the children's stores into one store for the parent graph.
 
     Each store must hold a decomposition of its child, as
@@ -965,8 +965,6 @@ def lift(occ: Occurrence, plan: LiftPlan, stores: list[PathStore]) -> PathStore:
     ``m`` edges are: these two checks, the plan's gain and the path bound
     replace a verification of the whole parent.  Returns the first store.
     """
-    if occ.tag != plan.tag:
-        raise LiftError(f"plan is for {plan.tag}, occurrence is {occ.tag}")
     if len(stores) != len(plan.children):
         raise LiftError("one decomposition per child is required")
     parent = plan.parent
@@ -1003,8 +1001,10 @@ def lift(occ: Occurrence, plan: LiftPlan, stores: list[PathStore]) -> PathStore:
 def check_structure(g: Graph) -> bool:
     """For an irreducible graph, the even-degree core must be a forest.
 
-    Preconditions: connected, max degree at most 5, no configuration
-    present, and not one of the two exceptional cliques (K3, K5).
+    The caller must know ``g`` to be irreducible (``detect`` found no
+    configuration); it is not checked again here.  Raises ``ValueError``
+    on a graph that is not connected, has a vertex of degree over 5, or
+    is one of the two exceptional cliques (K3, K5).
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -1012,8 +1012,6 @@ def check_structure(g: Graph) -> bool:
         raise ValueError("maximum degree exceeds 5")
     if is_exceptional_clique(g):
         raise ValueError("K3 and K5 are excluded")
-    if detect(g) is not None:
-        raise ValueError("graph still contains a configuration")
     return g.induced_even_subgraph().is_forest()
 
 

@@ -29,7 +29,6 @@ from .graphs import Graph
 from .paths import Path, PathDecomposition, PathStore, lower_bound, verify
 from .reductions import (
     LiftPlan,
-    Occurrence,
     check_structure,
     detect,
     is_exceptional_clique,
@@ -69,7 +68,6 @@ class SolveTrace:
 class SolveResult:
     decomposition: PathDecomposition
     trace: SolveTrace
-    verified: bool
 
 
 # Templates for K3 and K5, by position in the ascending vertex ids.
@@ -96,45 +94,47 @@ def check_input(g: Graph) -> None:
 
 def solve(g: Graph, budget: int | None = None) -> SolveResult:
     """Decompose a connected graph with max degree <= 5 into at most
-    ceil(n/2) paths, verified."""
+    ceil(n/2) paths, verified end to end; raise ``InternalError`` rather
+    than return a decomposition that is not good."""
     check_input(g)
     steps: list[ReductionStep] = []
     bases: list[str] = []
     # The reductions whose children are not all solved yet, innermost
     # last, each with the stores of its children solved so far.
-    stack: list[tuple[Occurrence, LiftPlan, list[PathStore]]] = []
+    stack: list[tuple[LiftPlan, list[PathStore]]] = []
     graph = g
     while True:
         occ = None if graph.m == 0 or is_exceptional_clique(graph) else detect(graph)
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            stack.append((occ, plan, []))
+            stack.append((plan, []))
             graph = plan.children[0].graph
             continue
         solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
         if stack:
             solved = _load(graph, solved, bases[-1])
         # Lift every reduction that this base case completes.
-        while stack and len(stack[-1][2]) + 1 == len(stack[-1][1].children):
-            occ, plan, stores = stack.pop()
+        while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
+            plan, stores = stack.pop()
             stores.append(solved)
-            solved = lift(occ, plan, stores)
+            solved = lift(plan, stores)
         if not stack:
             break
-        _, plan, stores = stack[-1]
+        plan, stores = stack[-1]
         stores.append(solved)
         graph = plan.children[len(stores)].graph
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
         raise InternalError(f"final decomposition not good:\n{report}")
-    return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)), True)
+    return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)))
 
 
 def _base_case(g: Graph, budget: int | None, bases: list[str]) -> PathDecomposition:
     """Decompose a graph that is edgeless, an exceptional clique or
-    irreducible, and append its base-case label to ``bases``."""
+    irreducible (``solve`` calls this only once ``detect`` has found no
+    configuration), and append its base-case label to ``bases``."""
     if g.m == 0:
         bases.append("trivial")
         return PathDecomposition(())

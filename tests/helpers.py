@@ -516,7 +516,7 @@ def reference_solve(g: Graph, budget: int | None = None):
     d = _reference_solve(g, budget, steps, bases)
     report = verify(g, d)
     assert report.valid and report.good, report
-    return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)), True)
+    return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)))
 
 
 def _reference_solve(g, budget, steps, bases):
@@ -548,7 +548,7 @@ def load_and_lift(occ, plan, decomps) -> PathDecomposition:
     lift them with ``reductions.lift``; a decomposition that is not one of
     its child's raises the load's ``ValueError``."""
     stores = [PathStore.load(c.graph, d) for c, d in zip(plan.children, decomps)]
-    return lift(occ, plan, stores).decomposition()
+    return lift(plan, stores).decomposition()
 
 
 def reference_lift(occ, plan, decomps) -> PathDecomposition:

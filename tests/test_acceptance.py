@@ -5,7 +5,9 @@ enumerated once and shared; expect a minute or two for that step.
 """
 
 import functools
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -42,11 +44,31 @@ def census(max_n, max_deg=5):
     ]
 
 
+def _report_digest(report):
+    """SHA-256 of the report's JSON document without the timings."""
+    document = report.to_document()
+    for record in document["records"]:
+        del record["seconds"]
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
+
+
+# Recorded when `run_check` still ran its own detect and structure checks
+# around `solve`; one `solve` per graph gives the same reports, K1's
+# record included.
+CENSUS_7_REPORT_SHA256 = (
+    "fbd2d1220e3331845605b951f6fbb8252718cd0d42e5b3bbf2921bb66728adc0"
+)
+STREAM_8_REPORT_SHA256 = (
+    "33cd2f030b081d69b5e57f18044118b85a6396b2baefd27bc2043b0296710ac8"
+)
+
+
 def test_criterion_1_desk_scale_ceiling_bound(tmp_path):
     start = time.time()
     items = [(write_graph6(g), g) for g in census(7)]
     report = run_check(items)
     assert report.ok, report.findings
+    assert _report_digest(report) == CENSUS_7_REPORT_SHA256
     for record in report.records:
         assert record.verified
         assert record.paths is not None and record.paths <= record.bound
@@ -66,6 +88,7 @@ def test_criterion_1_desk_scale_ceiling_bound(tmp_path):
     stream_report = run_check(parsed)
     assert stream_report.ok, stream_report.findings[:3]
     assert all(r.verified and r.paths <= r.bound for r in stream_report.records)
+    assert _report_digest(stream_report) == STREAM_8_REPORT_SHA256
     print(
         f"\ncriterion 1: PASS ({len(items)} graphs n<=7 in {elapsed:.1f}s, "
         f"{len(parsed)} graphs at n=8 via stream)"

@@ -4,6 +4,7 @@ import pytest
 
 import gallai.batch
 import gallai.paths
+import gallai.reductions
 import gallai.solver
 from gallai import (
     Graph,
@@ -13,6 +14,7 @@ from gallai import (
     run_check,
     run_floor_search,
     run_scan,
+    solve,
     write_graph6,
 )
 from gallai.cli import build_parser, main
@@ -45,6 +47,65 @@ def test_run_check_reports_are_deterministic():
         a.pop("seconds"), b.pop("seconds")
     assert first["records"] == second["records"]
     assert first["findings"] == second["findings"]
+
+
+def test_run_check_detects_once_per_solve_step(monkeypatch):
+    # One pass per job: `detect` runs only in solve's loop, once per
+    # reduction and once per searched base case, and `check_structure`
+    # does not detect again on the graph solve just found irreducible.
+    calls = []
+    inside = []
+    for module in (gallai.batch, gallai.solver, gallai.reductions):
+        real_detect, real_check = module.detect, module.check_structure
+
+        def counted_detect(g, module=module, real=real_detect):
+            calls.append((module.__name__, bool(inside)))
+            return real(g)
+
+        def counted_check(g, real=real_check):
+            inside.append(g)
+            try:
+                return real(g)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, "detect", counted_detect)
+        monkeypatch.setattr(module, "check_structure", counted_check)
+    items = census_items(6)
+    assert run_check(items).ok
+    assert set(calls) == {("gallai.solver", False)}
+    monkeypatch.undo()
+    traces = [solve(g).trace for _, g in items]
+    assert len(calls) == sum(
+        len(t.steps) + sum(b.startswith("search") for b in t.base_cases)
+        for t in traces
+    )
+
+
+def test_run_check_gives_a_structure_fault_one_finding(monkeypatch):
+    # A cyclic even core is the InternalError solve raises: one `error`
+    # finding for each graph whose solve searches a base case, and the
+    # run goes on with the next graph.
+    items = census_items(5)
+    searched = [
+        gid for gid, g in items
+        if any(b.startswith("search") for b in solve(g).trace.base_cases)
+    ]
+    irreducible = [
+        gid for gid, g in items
+        if g.m and (g.n, g.m) not in ((3, 3), (5, 10)) and detect(g) is None
+    ]
+    monkeypatch.setattr(gallai.batch, "check_structure", _cyclic_core)
+    monkeypatch.setattr(gallai.solver, "check_structure", _cyclic_core)
+    report = run_check(items)
+    assert [r.graph_id for r in report.records] == [gid for gid, _ in items]
+    assert [(f.kind, f.graph_id) for f in report.findings] == [
+        ("error", gid) for gid in searched
+    ]
+    assert all("cyclic even-degree core" in f.message for f in report.findings)
+    assert set(irreducible) <= set(searched)
+    for record in report.records:
+        assert record.verified == (record.graph_id not in searched)
 
 
 def _refuse_edit(*args):

@@ -34,7 +34,6 @@ def test_solve_examples():
 def test_solve_is_verified_and_good():
     for g in (path_graph(4), cycle(5), complete_graph(5), petersen(), star(5)):
         result = solve(g)
-        assert result.verified
         report = verify(g, result.decomposition)
         assert report.valid and report.good
 
@@ -187,9 +186,9 @@ def _fault_splice_at_order(order, fault):
             plan = dataclasses.replace(plan, rewrite=functools.partial(fault, plan))
         return plan
 
-    def recording_lift(occ, plan, stores):
+    def recording_lift(plan, stores):
         lifted.append(plan.parent.n)
-        return real_lift(occ, plan, stores)
+        return real_lift(plan, stores)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gallai.solver, "reduce", faulty_reduce)
