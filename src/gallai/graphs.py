@@ -21,7 +21,7 @@ between threads.
 from __future__ import annotations
 
 from collections.abc import KeysView, Mapping
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 Edge = tuple[int, int]
@@ -177,25 +177,96 @@ class Graph:
                     comp.append(w)
         return comp
 
+    def split(
+        self,
+        starts: Iterable[int],
+        removed: Collection[int] = (),
+        without: Edge | None = None,
+    ) -> list[tuple[tuple[int, ...], set[int] | None]]:
+        """The components that hold a vertex of ``starts`` once the
+        vertices ``removed`` and the edge ``without``, which must join two
+        starts, are taken out: for each, the starts it holds and its
+        vertex set, in the order of their first starts.
+
+        One breadth-first search runs from each start, one vertex each in
+        turn, and two searches that meet go on as one.  They stop as soon
+        as all of them have met, or all but one group of them have run out
+        of vertices.  The component that is still growing then is never
+        walked to its end, and its vertex set is given as None: a split
+        costs about the number of starts times the size of its smaller
+        sides, and never more than ``components``, since no vertex is seen
+        twice.
+        """
+        adj = self._adj
+        owner = dict.fromkeys(removed, -1)  # vertex -> the search that saw it
+        order: list[int] = []
+        for s in starts:
+            if owner.get(s, -1) >= 0:
+                continue  # a repeated start
+            if s not in adj or s in owner:
+                raise ValueError(f"start {s} is not a vertex left to search")
+            owner[s] = len(order)
+            order.append(s)
+        k = len(order)
+        if k < 2:
+            return [(tuple(order), None)] if order else []
+        if without is not None and min(owner.get(without[0], -1),
+                                       owner.get(without[1], -1)) < 0:
+            raise ValueError(f"edge {without} does not join two starts")
+        found = [[s] for s in order]  # each search's vertices, as seen
+        done = [0] * k  # how many of them the search has expanded
+        group = list(range(k))  # the search that each one has joined
+        groups = k
+        while True:
+            ended = False
+            for i in range(k):
+                seen, d = found[i], done[i]
+                if d == len(seen):
+                    continue
+                x = seen[d]
+                done[i] = d = d + 1
+                for w in adj[x]:
+                    j = owner.get(w)
+                    if j is None:
+                        owner[w] = i
+                        seen.append(w)
+                    elif (
+                        j >= 0 and group[j] != group[i]
+                        and without not in ((x, w), (w, x))
+                    ):
+                        old, new = group[j], group[i]
+                        for t in range(k):
+                            if group[t] == old:
+                                group[t] = new
+                        groups -= 1
+                        if groups == 1:
+                            return [(tuple(order), None)]
+                # a search that runs out stays out: only it adds to its list
+                ended = ended or d == len(seen)
+            if ended:
+                live = {group[i] for i in range(k) if done[i] < len(found[i])}
+                if len(live) < 2:
+                    break
+        parts = []
+        for label in dict.fromkeys(group):
+            members = [i for i in range(k) if group[i] == label]
+            vertices = (
+                None if label in live
+                else set().union(*(found[i] for i in members))
+            )
+            parts.append((tuple(order[i] for i in members), vertices))
+        return parts
+
     def is_bridge(self, u: int, v: int) -> bool:
         """Whether removing the edge uv disconnects u from v.
 
-        A breadth-first search from u that stops when it reaches v by
-        another edge.
+        A search from each end, without the edge, run in lockstep by
+        ``split``: it stops when the two meet or one side is used up, so
+        it costs about twice the smaller side.
         """
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
-        adj = self._adj
-        frontier = [w for w in adj[u] if w != v]
-        seen = {u, *frontier}
-        for x in frontier:
-            for w in adj[x]:
-                if w == v:
-                    return False
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return True
+        return len(self.split((u, v), without=(u, v))) == 2
 
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count.

@@ -20,6 +20,17 @@ rewrite recipes are only guaranteed to apply when the earlier
 configurations are absent, so ``reduce`` re-checks the facts it relies on
 and fails loudly rather than patching around a priority violation.
 
+``reduce`` takes a connected parent and checks each child at its
+boundary.  A child is the parent minus a removed set S plus synthetic
+edges among the kept vertices (a contraction is the same, with the merged
+vertex as the end of its synthetic edges).  Lemma: every kept vertex then
+reaches the boundary B = N(S) minus S without leaving the kept vertices,
+so the child is connected exactly when B lies in one of its components,
+and only the vertices of B change degree.  One search from a vertex of B
+that stops once it has seen all of B certifies the child, and where a
+reduction splits the remainder into sides, ``Graph.split`` searches from
+every vertex of B in lockstep and stops before it walks the largest side.
+
 Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
 one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
 holding the children's paths into a decomposition of the parent, and the
@@ -316,11 +327,16 @@ class Child:
     in the C3 full ring, whose route reroutes a real edge that an added
     path then covers again.  ``synthetic`` lists every edge of the child
     that is not an edge of the parent; no lift may leave one covered.
+    ``boundary`` lists, ascending, the child's vertices that have a
+    neighbour among the removed vertices S of the parent, B = N(S) minus
+    S; a contracted pair's merged vertex is one of them.  Only they can
+    have gained or lost edges.
     """
 
     graph: Graph
     routes: tuple[Route, ...] = ()
     synthetic: tuple[Edge, ...] = ()
+    boundary: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -347,38 +363,125 @@ def _routed(
     return LiftPlan(tag, subcase, g, children, rewrite, (len(added), len(added)))
 
 
-def _child(g: Graph, keep: set[int], routes: tuple[Route, ...] = ()) -> Child:
-    """Induced child on ``keep`` plus an edge joining the ends of each route
+def _boundary(g: Graph, removed: set[int]) -> tuple[int, ...]:
+    """N(removed) minus ``removed``, ascending: in O(|removed|) steps."""
+    adj = g.adjacency()
+    return tuple(sorted({w for x in removed for w in adj[x] if w not in removed}))
+
+
+def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child:
+    """``g`` minus ``removed``, plus an edge joining the ends of each route
     that are not adjacent in ``g``."""
-    sub = g.delete_vertices(g.vertices() - keep)
+    sub = g.delete_vertices(removed)
     synthetic = []
     for route in routes:
         e = edge(route[0], route[-1])
         if not g.has_edge(*e):
             sub = sub.add_edge(*e)
             synthetic.append(e)
-    return Child(sub, routes, tuple(synthetic))
+    return Child(sub, routes, tuple(synthetic), _boundary(g, removed))
+
+
+Part = tuple[tuple[int, ...], Union[set[int], None]]
+
+
+def _side(
+    g: Graph, parts: list[Part], chosen: list[Part], removed: set[int],
+    routes: tuple[Route, ...] = (), also: frozenset[int] = frozenset(),
+) -> Child:
+    """The child on the ``chosen`` parts of ``g.split(starts, removed)``
+    and the vertices ``also`` of ``removed``.
+
+    It deletes the other parts when the split finished them all, and
+    otherwise keeps only the chosen ones: a part that the split left
+    unfinished is never listed.
+    """
+    others = [part[1] for part in parts if part not in chosen]
+    if None not in others:
+        drop = (removed - also).union(*others)
+    else:
+        drop = g.vertices() - also.union(*(vertices for _, vertices in chosen))
+    return _child(g, drop, routes)
+
+
+def _ascending(g: Graph, parts: list[Part], removed: set[int]) -> list[Part]:
+    """``parts``, a split of all of ``g`` minus ``removed``, ascending by
+    smallest vertex as ``components`` lists them.  The smallest vertex of
+    the unfinished part is the first id that ``removed`` and no finished
+    part holds, found within as many steps as those hold vertices."""
+    done = [vertices for _, vertices in parts if vertices is not None]
+
+    def smallest(part: Part) -> int:
+        if part[1] is not None:
+            return min(part[1])
+        return next(
+            x for x in g.vertices()
+            if x not in removed and not any(x in vs for vs in done)
+        )
+
+    return sorted(parts, key=smallest)
 
 
 def _merged_child(
-    g: Graph, merged: Graph, s: int, routes: tuple[Route, ...] = ()
+    g: Graph, merged: Graph, s: int, removed: set[int],
+    routes: tuple[Route, ...] = (),
 ) -> Child:
-    """Child in which ``s`` stands for a contracted pair: its edges at ``s``
-    that ``g`` lacks are synthetic."""
+    """Child in which ``s`` stands for a contracted pair, one of whose ids
+    is in ``removed``: its edges at ``s`` that ``g`` lacks are synthetic."""
     synthetic = tuple(edge(s, y) for y in merged.neighbors(s) if not g.has_edge(s, y))
-    return Child(merged, routes, synthetic)
+    return Child(merged, routes, synthetic, _boundary(g, removed))
+
+
+def _connected(child: Child) -> bool:
+    """Whether the child is connected, for a child of a connected parent.
+
+    Every vertex of the child reaches its boundary B without leaving the
+    child (follow a path of the parent towards a removed vertex), so the
+    child is connected exactly when B lies in one of its components.  One
+    search from a vertex of B stops as soon as it has seen all of B: no
+    radius, no fallback, and never more work than a search of the whole
+    child.
+    """
+    if not child.boundary:
+        return False
+    adj = child.graph.adjacency()
+    first = child.boundary[0]
+    left = set(child.boundary)
+    left.discard(first)
+    seen = {first}
+    queue = [first]
+    for x in queue:  # grows while it is walked: a breadth-first search
+        if not left:
+            return True
+        for w in adj[x]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                left.discard(w)
+    return not left
 
 
 def _finish(plan: LiftPlan) -> LiftPlan:
+    """Check the children of a plan whose parent is connected: each is
+    connected, smaller than the parent, and of maximum degree at most
+    max(5, the parent's); together they are no larger than the parent.
+
+    By the lemma of the module docstring, a child is connected exactly
+    when its boundary B lies in one of its components (``_connected``),
+    and only vertices of B change degree: so only they are looked at, and
+    the parent's maximum degree only when one of them exceeds 5.
+    """
     g = plan.parent
     total = 0
     for child in plan.children:
-        if not child.graph.is_connected():
+        if not _connected(child):
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child disconnected")
         if child.graph.n >= g.n:
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child not smaller")
-        if child.graph.m and child.graph.max_degree() > max(5, g.max_degree()):
-            raise ReductionError(f"{plan.tag}/{plan.subcase}: degree inflated")
+        adj = child.graph.adjacency()
+        for b in child.boundary:
+            if len(adj[b]) > 5 and len(adj[b]) > g.max_degree():
+                raise ReductionError(f"{plan.tag}/{plan.subcase}: degree inflated")
         total += child.graph.n
     if total > g.n:
         raise ReductionError(f"{plan.tag}/{plan.subcase}: children too large")
@@ -386,7 +489,13 @@ def _finish(plan: LiftPlan) -> LiftPlan:
 
 
 def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
-    """Build the reduced graph(s) and the plan for lifting back."""
+    """Build the reduced graph(s) and the plan for lifting back.
+
+    ``g`` must be connected: the checks of its children rest on it (see
+    ``_finish``).  ``solve`` guarantees it by induction: ``check_input``
+    checks its input, and every child that ``_finish`` passes is
+    connected.
+    """
     occ.validate(g)
     build = {
         "C1": _reduce_c1,
@@ -402,7 +511,7 @@ def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
 
 
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
-    child = _child(g, g.vertices() - {occ.u}, ((occ.v, occ.u, occ.w),))
+    child = _child(g, {occ.u}, ((occ.v, occ.u, occ.w),))
     return _routed("C1", "splice", g, (child,))
 
 
@@ -410,14 +519,11 @@ def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
 
 
 def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
-    cut = g.delete_edge(occ.u, occ.v)
-    comps = cut.components()
-    if len(comps) != 2:
-        raise ReductionError(f"{occ}: deleting the edge left {len(comps)} parts")
-    side_u = next(set(c) for c in comps if occ.u in c)
-    side_v = g.vertices() - side_u
-    child_u = _child(cut, side_u)
-    child_v = _child(cut, side_v)
+    parts = g.split((occ.u, occ.v), without=(occ.u, occ.v))
+    if len(parts) != 2:
+        raise ReductionError(f"{occ}: deleting the edge left {len(parts)} parts")
+    child_u = _side(g, parts, parts[:1], set())
+    child_v = _side(g, parts, parts[1:], set())
     rewrite = functools.partial(_lift_c2, occ.u, occ.v)
     return LiftPlan("C2", "join", g, (child_u, child_v), rewrite, (-1, -1))
 
@@ -451,29 +557,29 @@ _C3_TO_FRONT = {0: (False, False), 1: (True, False), 2: (True, True), 3: (False,
 def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
     u, v, x, y, ue, ve = _c3_relabel(occ, False, False)
     present = [g.has_edge(a, b) for a, b in ((x, ue), (ue, y), (y, ve), (ve, x))]
-    keep = g.vertices() - {u, v}
+    removed = {u, v}
     if sum(present) == 4:
-        child = _child(g, keep, ((x, v, u, ue),))
+        child = _child(g, removed, ((x, v, u, ue),))
         return _routed("C3", "full_ring", g, (child,), (ue, x, u, y, v, ve))
     if sum(present) >= 2:
         for i, has in enumerate(present):
             if has:
                 continue
             u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[i])
-            child = _child(g, keep, ((x, v, u, ue),))
-            if child.graph.is_connected():
+            child = _child(g, removed, ((x, v, u, ue),))
+            if _connected(child):
                 return _routed("C3", "partial_ring", g, (child,), (x, u, y, v, ve))
         raise ReductionError(f"{occ}: no missing ring edge reconnects")
     front = present.index(True) if any(present) else 0
     u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[front])
     routes = ((x, v, ve), (ue, u, y))
-    child = _child(g, keep, routes)
-    if child.graph.is_connected():
+    child = _child(g, removed, routes)
+    if _connected(child):
         return _routed("C3", "sparse_ring", g, (child,), (x, u, v, y))
     # The two bypass edges do not reconnect the remainder, so the x-y
     # bridge is guaranteed absent from the parent and restores
     # connectivity.
-    child = _child(g, keep, routes + ((x, u, v, y),))
+    child = _child(g, removed, routes + ((x, u, v, y),))
     rewrite = functools.partial(_lift_c3_sparse_with_bridge, child.routes)
     return LiftPlan("C3", "sparse_ring", g, (child,), rewrite, (0, 1))
 
@@ -525,13 +631,16 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
         raise ReductionError(f"{occ}: exactly two common neighbours (C3 present)")
     if len(commons) == 3:
         return _reduce_c4_triple(g, occ, commons)
+    # One split of g - {u, v} decides all three: g - hub has the component
+    # of the other end, which takes in every part next to it, and one for
+    # each part next to the hub alone.
+    parts = g.split(_boundary(g, {u, v}), {u, v})
     for hub, other in ((u, v), (v, u)):
-        comps = g.delete_vertices({hub}).components()
-        if len(comps) >= 3:
-            return _reduce_c4_hub(g, occ, hub, other, comps)
-    comps = g.delete_vertices({u, v}).components()
-    if len(comps) >= 4:
-        return _reduce_c4_four(g, occ, comps)
+        far = set(g.neighbors(other)) - {hub}
+        if sum(not far.intersection(starts) for starts, _ in parts) >= 2:
+            return _reduce_c4_hub(g, occ, hub, other, parts)
+    if len(parts) >= 4:
+        return _reduce_c4_four(g, occ, parts)
     return _reduce_c4_paired(g, occ)
 
 
@@ -548,57 +657,59 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
     (x,) = set(first) - {y}
     (z,) = set(second) - {y}
     u, v = occ.u, occ.v
-    child = _child(g, g.vertices() - {u, v}, ((x, u, y), (y, v, z)))
+    child = _child(g, {u, v}, ((x, u, y), (y, v, z)))
     return _routed("C4", "triple_common", g, (child,), (x, v, u, z))
 
 
 def _reduce_c4_hub(
-    g: Graph, occ: C4, hub: int, other: int, comps: list[tuple[int, ...]]
+    g: Graph, occ: C4, hub: int, other: int, parts: list[Part]
 ) -> LiftPlan:
     side = sorted(set(g.neighbors(hub)) - {other})
-    lone = [c for c in comps if other not in c]
-    main = [c for c in comps if other in c]
-    if len(lone) != 2 or len(main) != 1:
+    far = set(g.neighbors(other)) - {hub}
+    parts = _ascending(g, parts, {hub, other})
+    lone = [p for p in parts if not far.intersection(p[0])]
+    main = [p for p in parts if far.intersection(p[0])]  # with `other`
+    if len(lone) != 2:
         raise ReductionError(f"{occ}: unexpected split around the hub")
-    t_lone = [[t for t in side if t in c] for c in lone]
-    t_main = [t for t in side if t in main[0]]
+    t_lone = [[t for t in side if t in starts] for starts, _ in lone]
+    t_main = [t for t in side if any(t in starts for starts, _ in main)]
     if any(len(ts) != 1 for ts in t_lone) or len(t_main) != 1:
         raise ReductionError(f"{occ}: hub neighbours spread unexpectedly")
     t1, t2, t3 = t_lone[0][0], t_lone[1][0], t_main[0]
-    pair = _child(g, set(lone[0]) | set(lone[1]), ((t1, hub, t2),))
-    rest = _child(g, set(main[0]))
+    pair = _side(g, parts, lone, {hub, other}, ((t1, hub, t2),))
+    rest = _side(g, parts, main, {hub, other}, also=frozenset({other}))
     rewrite = functools.partial(_lift_c4_hub, hub, other, t1, t2, t3)
     return LiftPlan("C4", "hub_split", g, (pair, rest), rewrite, (0, 0))
 
 
-def _reduce_c4_four(g: Graph, occ: C4, comps: list[tuple[int, ...]]) -> LiftPlan:
+def _reduce_c4_four(g: Graph, occ: C4, parts: list[Part]) -> LiftPlan:
     u, v = occ.u, occ.v
     ts = set(g.neighbors(u)) - {v}
     ws = set(g.neighbors(v)) - {u}
-    if len(comps) != 4:
+    if len(parts) != 4:
         raise ReductionError(f"{occ}: expected exactly four components")
-    both = [c for c in comps if set(c) & ts and set(c) & ws]
-    only_t = [c for c in comps if set(c) & ts and not set(c) & ws]
-    only_w = [c for c in comps if set(c) & ws and not set(c) & ts]
+    parts = _ascending(g, parts, {u, v})
+    both = [p for p in parts if ts.intersection(p[0]) and ws.intersection(p[0])]
+    only_t = [p for p in parts if ts.intersection(p[0]) and not ws.intersection(p[0])]
+    only_w = [p for p in parts if ws.intersection(p[0]) and not ts.intersection(p[0])]
     if len(both) != 2 or len(only_t) != 1 or len(only_w) != 1:
         raise ReductionError(f"{occ}: component split does not match")
-    (t1,) = set(both[0]) & ts
-    (w1,) = set(both[0]) & ws
-    (t2,) = set(both[1]) & ts
-    (w2,) = set(both[1]) & ws
-    (t3,) = set(only_t[0]) & ts
-    (w3,) = set(only_w[0]) & ws
-    near = _child(g, set(both[0]) | set(both[1]), ((t1, u, t2), (w1, v, w2)))
-    far = _child(g, set(only_t[0]) | set(only_w[0]), ((t3, u, v, w3),))
+    (t1,) = ts.intersection(both[0][0])
+    (w1,) = ws.intersection(both[0][0])
+    (t2,) = ts.intersection(both[1][0])
+    (w2,) = ws.intersection(both[1][0])
+    (t3,) = ts.intersection(only_t[0][0])
+    (w3,) = ws.intersection(only_w[0][0])
+    near = _side(g, parts, both, {u, v}, ((t1, u, t2), (w1, v, w2)))
+    far = _side(g, parts, only_t + only_w, {u, v}, ((t3, u, v, w3),))
     return _routed("C4", "four_components", g, (near, far))
 
 
 def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
-    keep = g.vertices() - {u, v}
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g, u, v):
-        child = _child(g, keep, ((t1, u, t2), (w1, v, w2)))
-        if child.graph.is_connected():
+        child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
+        if _connected(child):
             return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
     raise ReductionError(f"{occ}: no reconnecting relabelling exists")
 
@@ -645,18 +756,18 @@ def _reduce_c5_common3(g: Graph, a: int, b: int) -> LiftPlan:
     missing = [
         (p, q) for p, q in itertools.combinations(trio, 2) if not g.has_edge(p, q)
     ]
-    keep = g.vertices() - {a, b}
+    removed = {a, b}
     if len(missing) >= 2:
         center = next(s for s in trio if sum(s in pair for pair in missing) >= 2)
         o1, o2 = sorted(set(trio) - {center})
-        child = _child(g, keep, ((o1, a, center), (center, b, o2)))
+        child = _child(g, removed, ((o1, a, center), (center, b, o2)))
         return _routed("C5", "two_gaps", g, (child,), (o1, b, a, o2))
     if len(missing) == 1:
         x, y = missing[0]
         (apex,) = set(trio) - {x, y}
-        child = _child(g, keep, ((x, a, b, y),))
+        child = _child(g, removed, ((x, a, b, y),))
         return _routed("C5", "one_gap", g, (child,), (x, b, apex, a, y))
-    child = _child(g, keep)
+    child = _child(g, removed)
     rewrite = functools.partial(_lift_c5_triangle, a, b, tuple(trio), child.graph)
     return LiftPlan("C5", "common_triangle", g, (child,), rewrite, (1, 1))
 
@@ -666,7 +777,8 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     if g.degree(v) != 2:
         v, w = w, v
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
-    child = _merged_child(g, g.delete_vertices({v}).contract_edge(u, w), min(u, w))
+    merged = g.delete_vertices({v}).contract_edge(u, w)
+    child = _merged_child(g, merged, min(u, w), {v, max(u, w)})
     rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
     return LiftPlan("C5", "degree_two", g, (child,), rewrite, (0, 1))
 
@@ -680,10 +792,9 @@ def _reduce_c5_dense(g: Graph, occ: C5) -> LiftPlan:
             raise ReductionError(f"{occ}: corner degrees must all be 4 here")
         for nb in sorted(set(g.neighbors(corner)) - corners):
             outer.append((corner, nb))
-    cut = g.bridges()
-    loose = [(a, b) for a, b in outer if edge(a, b) not in cut]
+    loose = next(((a, b) for a, b in outer if not g.is_bridge(a, b)), None)
     if loose:
-        host, x1 = loose[0]
+        host, x1 = loose
         v2, w2 = sorted(corners - {host})
         (x2,) = set(g.neighbors(host)) - corners - {x1}
         return _reduce_c5_hub(g, host, v2, w2, x1, x2)
@@ -695,7 +806,8 @@ def _reduce_c5_hub(
 ) -> LiftPlan:
     merged = g.delete_vertices({u}).contract_edge(v, w)
     s = min(v, w)  # the merged vertex, read as v or w by the lift
-    child = _merged_child(g, merged.add_edge(s, x2), s, ((s, u, x2),))
+    merged = merged.add_edge(s, x2)
+    child = _merged_child(g, merged, s, {u, max(v, w)}, ((s, u, x2),))
     rewrite = functools.partial(_lift_c5_hub, u, v, w, x1, x2)
     return LiftPlan("C5", "hub_contraction", g, (child,), rewrite, (1, 1))
 
@@ -707,16 +819,18 @@ def _reduce_c5_bridges(
     x1, x2 = sorted(nb for c, nb in outer if c == u)
     y1, y2 = sorted(nb for c, nb in outer if c == v)
     z1, z2 = sorted(nb for c, nb in outer if c == w)
-    comps = g.delete_vertices({u, v, w}).components()
-    if len(comps) != 6:
+    removed = {u, v, w}
+    parts = g.split((x1, x2, y1, y2, z1, z2), removed)
+    if len(parts) != 6:
         raise ReductionError(f"{occ}: expected six satellite components")
-    home = {}
-    for vertex in (x1, x2, y1, y2, z1, z2):
-        (comp,) = [c for c in comps if vertex in c]
-        home[vertex] = set(comp)
-    first = _child(g, home[x1] | home[y1], ((x1, u, v, y1),))
-    second = _child(g, home[x2] | home[y2], ((x2, u, w, v, y2),))
-    third = _child(g, home[z1] | home[z2], ((z1, w, z2),))
+    home = {part[0][0]: part for part in parts}
+
+    def pair(a: int, b: int, route: Route) -> Child:
+        return _side(g, parts, [home[a], home[b]], removed, (route,))
+
+    first = pair(x1, y1, (x1, u, v, y1))
+    second = pair(x2, y2, (x2, u, w, v, y2))
+    third = pair(z1, z2, (z1, w, z2))
     return _routed("C5", "bridge_spread", g, (first, second, third))
 
 

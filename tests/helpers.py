@@ -177,6 +177,44 @@ def random_regular_graph(rng: random.Random, n: int, degree: int) -> Graph:
             return Graph.from_edges(n, sorted(edges))
 
 
+def random_caterpillar(rng: random.Random, n: int) -> Graph:
+    """A path (the spine) with pendant legs on ``n`` vertices: each new
+    vertex hangs off the spine's end, as a leg or as the next spine
+    vertex, and no vertex gets more than five neighbours."""
+    edges = []
+    end, legs_left = 0, 4
+    for v in range(1, n):
+        edges.append((end, v))
+        if legs_left and rng.random() < 0.5:
+            legs_left -= 1
+        else:
+            end, legs_left = v, 3
+    return Graph.from_edges(n, edges)
+
+
+def check_split(g: Graph, starts, removed, without, parts) -> None:
+    """Assert that ``parts`` is ``g.split(starts, removed, without)`` as
+    ``components`` of the graph minus ``removed`` and ``without`` gives
+    it: the components holding a start, in the order of their first
+    starts, each with the starts it holds, and with every vertex set
+    listed but at most one (which is all of them when the starts met)."""
+    h = g.delete_vertices(removed)
+    if without is not None:
+        h = h.delete_edge(*without)
+    order = list(dict.fromkeys(starts))
+    want = []
+    for comp in map(set, h.components()):
+        held = tuple(s for s in order if s in comp)
+        if held:
+            want.append((held, comp))
+    want.sort(key=lambda part: order.index(part[0][0]))
+    assert [held for held, _ in parts] == [held for held, _ in want], (g, starts)
+    unfinished = [held for held, vertices in parts if vertices is None]
+    assert len(unfinished) <= 1 and (len(parts) != 1 or unfinished), parts
+    for (_, vertices), (_, comp) in zip(parts, want):
+        assert vertices is None or vertices == comp, (g, starts, removed)
+
+
 def all_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices (for oracle cross-checks)."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -1,17 +1,20 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 from gallai import Graph, canonical_form, enumerate_connected
-from gallai.graphs import edge
+from gallai.graphs import _derived, edge
 from helpers import (
     MaskGraph,
+    check_split,
     complete_graph,
     cycle,
     path_graph,
     petersen,
+    random_caterpillar,
     random_connected_graph,
     star,
     two_cliques_with_bridge,
@@ -60,6 +63,88 @@ def test_bridges_against_component_counts():
             for e in g.edges():
                 parts = len(g.delete_edge(*e).components())
                 assert parts == (2 if e in cut else 1), (g, e)
+
+
+def _seeded_graphs(rng, count):
+    """Random graphs of max degree 5 and 3 and caterpillars, some with a
+    few vertices deleted: disconnected, and on ids that are not 0..n-1."""
+    for i in range(count):
+        if i % 3 == 2:
+            g = random_caterpillar(rng, rng.randrange(5, 40))
+        else:
+            g = random_connected_graph(rng, 6, 50, max_deg=5 if i % 3 else 3)
+            if g is None:
+                continue
+        if i % 4 == 3:
+            g = g.delete_vertices(rng.sample(sorted(g.vertices()), 2))
+        yield g
+
+
+def test_is_bridge_matches_bridges_on_seeded_graphs():
+    rng = random.Random(2718)
+    seen = Counter()
+    for g in _seeded_graphs(rng, 150):
+        cut = g.bridges()
+        for e in g.edges():
+            assert g.is_bridge(*e) == g.is_bridge(*e[::-1]) == (e in cut), (g, e)
+            seen[e in cut] += 1
+    assert seen[True] > 300 and seen[False] > 300, seen
+
+
+def test_split_matches_components_on_seeded_graphs():
+    rng = random.Random(3141)
+    sizes = Counter()
+    for g in _seeded_graphs(rng, 400):
+        vertices = sorted(g.vertices())
+        removed = set(rng.sample(vertices, rng.randrange(0, 4)))
+        rest = [v for v in vertices if v not in removed]
+        if rng.random() < 0.5:
+            starts = [rng.choice(rest) for _ in range(rng.randrange(0, 7))]
+        else:  # the vertices next to the removed ones, as reductions do
+            starts = [w for x in removed for w in g.neighbors(x) if w in rest]
+        parts = g.split(starts, removed)
+        check_split(g, starts, removed, None, parts)
+        sizes[len(parts)] += 1
+        u, v = rng.choice(list(g.edges()))
+        if u not in removed and v not in removed:
+            parts = g.split((u, v), removed, without=(u, v))
+            check_split(g, (u, v), removed, (u, v), parts)
+    assert sizes[0] and sizes[1] > 20 and sum(sizes[k] for k in range(3, 16)) > 20, sizes
+
+
+def test_split_rejects_a_start_it_cannot_search():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="start 1 is not a vertex left"):
+        g.split((0, 1), removed={1})
+    with pytest.raises(ValueError, match="start 7 is not a vertex left"):
+        g.split((0, 7))
+
+
+class _CountingTable(dict):
+    """An adjacency table that counts the vertices looked up in it."""
+
+    looked_up = 0
+
+    def __getitem__(self, v):
+        self.looked_up += 1
+        return super().__getitem__(v)
+
+
+def test_split_costs_only_the_smaller_sides():
+    # A 2000-vertex path with a triangle hung at one end: a one-sided
+    # search from the path's side of the joining edge would walk the
+    # whole path.  Lockstep searches stop once the small side is used up.
+    n = 2000
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n), (n, n + 1), (n + 1, n + 2), (n, n + 2)]
+    g = Graph.from_edges(n + 3, edges)
+    table = _CountingTable(g.adjacency())
+    counted = _derived(table, g.m)
+    assert counted.is_bridge(n - 1, n)
+    assert table.looked_up < 20
+    table.looked_up = 0
+    parts = counted.split((n - 2, n), removed={n - 1})
+    assert parts == [((n - 2,), None), ((n,), {n, n + 1, n + 2})]
+    assert table.looked_up < 20
 
 
 def test_degree_sum_equals_twice_edges():

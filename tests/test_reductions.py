@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -18,11 +21,16 @@ from gallai.reductions import (
     reduce,
 )
 from helpers import (
+    check_split,
     complete_graph,
     cycle,
     load_and_lift,
     path_graph,
     petersen,
+    random_caterpillar,
+    random_connected_graph,
+    random_cubic_graph,
+    random_regular_graph,
     two_cliques_with_bridge,
 )
 
@@ -515,6 +523,122 @@ def test_every_occurrence_round_trips_on_random_graphs():
             assert verify(g, lifted).valid
             trips += 1
     assert trips > 100
+
+
+# -- boundary certificates ---------------------------------------------------
+
+
+def _certificate_corpus():
+    """The census up to n = 7 and 240 seeded cubic, 4-regular,
+    max-degree-5 and caterpillar graphs."""
+    for n in range(2, 8):
+        yield from (g for g in enumerate_connected(n, 5) if g.m)
+    rng = random.Random(8086)
+    for i in range(240):
+        kind = i % 4
+        if kind == 0:
+            yield random_cubic_graph(rng, 2 * rng.randrange(4, 21))
+        elif kind == 1:
+            yield random_regular_graph(rng, rng.randrange(8, 40), 4)
+        elif kind == 2:
+            g = random_connected_graph(rng, 10, 60)
+            if g is not None:
+                yield g
+        else:
+            yield random_caterpillar(rng, rng.randrange(10, 80))
+
+
+def test_certificates_and_splits_match_global_searches(monkeypatch):
+    # Every connectivity certificate that `reduce` asks for (the `_finish`
+    # checks and the trial children of the C3 rings and the C4 pairs) must
+    # answer as a search of the whole child does, every lockstep split
+    # must give the components of the graph it cuts, and `_ascending`
+    # must order a split as `components` does.
+    import gallai.reductions as reductions
+
+    answers, splits, orders = Counter(), Counter(), Counter()
+    connected, split, ascending = (
+        reductions._connected, Graph.split, reductions._ascending
+    )
+
+    def checked_connected(child):
+        answer = connected(child)
+        assert answer == child.graph.is_connected(), child
+        answers[answer] += 1
+        return answer
+
+    def checked_split(g, starts, removed=(), without=None):
+        parts = split(g, starts, removed, without)
+        check_split(g, starts, removed, without, parts)
+        splits[len(parts)] += 1
+        return parts
+
+    def checked_ascending(g, parts, removed):
+        got = ascending(g, parts, removed)
+        comps = g.delete_vertices(removed).components()
+        assert got == sorted(
+            parts, key=lambda p: next(i for i, c in enumerate(comps) if p[0][0] in c)
+        )
+        orders[any(vertices is None for _, vertices in parts)] += 1
+        return got
+
+    monkeypatch.setattr(reductions, "_connected", checked_connected)
+    monkeypatch.setattr(reductions, "_ascending", checked_ascending)
+    monkeypatch.setattr(Graph, "split", checked_split)
+    for g in _certificate_corpus():
+        solve(g)
+    assert answers[True] > 1000 and answers[False] > 20, (answers, orders)
+    assert splits[1] > 500 and splits[2] > 50 and splits[3] + splits[4] > 5, splits
+    assert orders[True] > 0, orders
+
+
+def test_certificate_sees_past_radius_three():
+    # A 20-cycle minus one vertex: the boundary, the two neighbours of the
+    # removed vertex, joins up only along the 18 edges between them.
+    from gallai.reductions import LiftPlan, _child, _connected, _finish
+
+    g = cycle(20)
+    child = _child(g, {0})
+    assert child.boundary == (1, 19)
+    assert _connected(child)
+    plan = LiftPlan("C1", "splice", g, (child,), lambda store: None, (0, 0))
+    assert _finish(plan) is plan
+    # Minus two opposite vertices, the boundary lies in two paths.
+    apart = _child(g, {0, 10})
+    assert apart.boundary == (1, 9, 11, 19)
+    assert not _connected(apart)
+
+
+def _broken_plans():
+    """A real C1 plan on a 10-vertex path, and copies of it whose children
+    break each check of `_finish`."""
+    g = path_graph(10)
+    plan = reduce(g, detect(g))
+    (child,) = plan.children
+    assert (plan.tag, child.boundary) == ("C1", (0, 2))
+    star = Graph.from_edges(10, [(2, x) for x in range(10) if x != 2])
+    broken = {
+        "child disconnected": child.graph.delete_edge(0, 2),
+        "child not smaller": g,
+        "degree inflated": star.delete_vertices({1}),
+    }
+    yield plan, "C1/splice: ok"
+    for message, graph in broken.items():
+        bad = dataclasses.replace(child, graph=graph)
+        yield dataclasses.replace(plan, children=(bad,)), f"C1/splice: {message}"
+    yield dataclasses.replace(plan, children=(child, child)), "C1/splice: children too large"
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_finish_refuses_each_broken_child(case):
+    from gallai.reductions import _finish
+
+    plan, message = list(_broken_plans())[case]
+    if message.endswith("ok"):
+        assert _finish(plan) is plan
+        return
+    with pytest.raises(ReductionError, match=f"^{message}$"):
+        _finish(plan)
 
 
 # -- misuse and priority enforcement ----------------------------------------

@@ -1,0 +1,105 @@
+"""Time ``solve`` on a few large generated graphs, and its layers.
+
+    python3 tools/scale_probe.py [--seed 801]
+
+Solves, once each, paths of n = 1000 to 8000, random max-degree-5 graphs
+of n = 800 to 3200, 4-regular graphs of n = 400 and 1600 and a caterpillar
+of n = 1600, drawn by the generators of ``perfbench/gen.py``, each from its
+own stream seeded by the seed and the input's name.  Wrappers on the names
+``gallai.solver`` calls them by add up the time spent in ``reduce`` and in
+``detect``.  Prints one JSON line: per input its n, m and the seconds of
+``solve``, ``reduce`` and ``detect`` (wall clock, one process, unpinned).
+
+Standard library only; ``gallai`` is imported from ``src`` next to this
+directory, so the script measures the checkout it sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import platform
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402  (perfbench/gen.py)
+import gallai.solver  # noqa: E402
+from gallai import Graph, solve  # noqa: E402
+
+# (name, family, n): the probe's inputs, smallest first in each family
+INPUTS = (
+    [("path", n) for n in (1000, 2000, 4000, 8000)]
+    + [("maxdeg5", n) for n in (800, 1600, 3200)]
+    + [("regular4", n) for n in (400, 1600)]
+    + [("caterpillar", 1600)]
+)
+MAKERS = {
+    "path": gen.path,
+    "maxdeg5": gen.random_max_degree5,
+    "regular4": lambda rng, n: gen.random_regular(rng, n, 4),
+    "caterpillar": gen.caterpillar,
+}
+
+
+class Clock:
+    """Adds up the seconds spent in the wrapped functions."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+
+    def wrap(self, fn):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - start
+
+        return timed
+
+
+def probe(seed: int) -> dict:
+    clocks = {"reduce": Clock(), "detect": Clock()}
+    originals = {name: getattr(gallai.solver, name) for name in clocks}
+    for name, clock in clocks.items():
+        setattr(gallai.solver, name, clock.wrap(originals[name]))
+    runs = {}
+    try:
+        for family, n in INPUTS:
+            name = f"{family}-{n}"
+            size, edges = MAKERS[family](random.Random(f"{seed}:{name}"), n)
+            g = Graph.from_edges(size, edges)
+            for clock in clocks.values():
+                clock.seconds = 0.0
+            gc.collect()
+            start = time.perf_counter()
+            solve(g)
+            runs[name] = {
+                "n": g.n,
+                "m": g.m,
+                "solve_s": round(time.perf_counter() - start, 4),
+                "reduce_s": round(clocks["reduce"].seconds, 4),
+                "detect_s": round(clocks["detect"].seconds, 4),
+            }
+    finally:
+        for name, fn in originals.items():
+            setattr(gallai.solver, name, fn)
+    return {"seed": seed, "python": platform.python_version(), "runs": runs}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=801)
+    args = parser.parse_args()
+    print(json.dumps(probe(args.seed)))
+
+
+if __name__ == "__main__":
+    main()
