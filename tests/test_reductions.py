@@ -609,36 +609,36 @@ def test_certificate_sees_past_radius_three():
     assert not _connected(apart)
 
 
-def _broken_plans():
-    """A real C1 plan on a 10-vertex path, and copies of it whose children
-    break each check of `_finish`."""
+@pytest.mark.parametrize(
+    "message",
+    [
+        "child disconnected", "child not smaller", "degree inflated",
+        "children too large",
+    ],
+)
+def test_finish_refuses_each_broken_child(message):
+    # A real C1 plan on a 10-vertex path, whose child is broken in turn for
+    # each check of `_finish`.
+    from gallai.reductions import _finish
+
     g = path_graph(10)
     plan = reduce(g, detect(g))
     (child,) = plan.children
     assert (plan.tag, child.boundary) == ("C1", (0, 2))
     star = Graph.from_edges(10, [(2, x) for x in range(10) if x != 2])
     broken = {
-        "child disconnected": child.graph.delete_edge(0, 2),
-        "child not smaller": g,
-        "degree inflated": star.delete_vertices({1}),
+        "child disconnected": (
+            dataclasses.replace(child, graph=child.graph.delete_edge(0, 2)),
+        ),
+        "child not smaller": (dataclasses.replace(child, graph=g),),
+        "degree inflated": (
+            dataclasses.replace(child, graph=star.delete_vertices({1})),
+        ),
+        "children too large": (child, child),
     }
-    yield plan, "C1/splice: ok"
-    for message, graph in broken.items():
-        bad = dataclasses.replace(child, graph=graph)
-        yield dataclasses.replace(plan, children=(bad,)), f"C1/splice: {message}"
-    yield dataclasses.replace(plan, children=(child, child)), "C1/splice: children too large"
-
-
-@pytest.mark.parametrize("case", range(5))
-def test_finish_refuses_each_broken_child(case):
-    from gallai.reductions import _finish
-
-    plan, message = list(_broken_plans())[case]
-    if message.endswith("ok"):
-        assert _finish(plan) is plan
-        return
-    with pytest.raises(ReductionError, match=f"^{message}$"):
-        _finish(plan)
+    assert _finish(plan) is plan
+    with pytest.raises(ReductionError, match=f"^C1/splice: {message}$"):
+        _finish(dataclasses.replace(plan, children=broken[message]))
 
 
 # -- misuse and priority enforcement ----------------------------------------
