@@ -12,10 +12,11 @@ graph6 and the census take graphs on ``0..n-1`` only.
 Adjacency is stored as one sorted tuple of neighbour ids per vertex, keyed
 by id in ascending order, and the edge count ``m`` is kept alongside it.
 Degrees are at most 5 in the graphs the solver takes, so a degree is a
-``len``, an adjacency test a short tuple scan, and a derived graph copies
-the table and rewrites only the tuples of the vertices it touches.  Every
-mutating operation returns a new ``Graph``; values are safe to share
-between threads.
+``len`` and an adjacency test a short tuple scan.  A derived graph is one
+copy of the table that rewrites only the tuples of the vertices it
+touches; ``add_edge`` and ``contract_edge`` are calls of
+``delete_vertices(drop, add)``.  Every mutating operation returns a new
+``Graph``; values are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -308,35 +309,43 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def delete_vertices(self, drop: Iterable[int]) -> "Graph":
-        """Induced subgraph on the surviving vertices, on the same ids."""
+    def delete_vertices(self, drop: Iterable[int], add: Iterable[Edge] = ()) -> "Graph":
+        """The graph minus the vertices ``drop``, plus the new edges ``add``
+        among the vertices it keeps, on the same ids."""
         dropped = set(drop)
         unknown = dropped - self._adj.keys()
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
         adj = dict(self._adj)
-        removed = 0  # edges with an end in ``dropped``, each counted once
+        m = self.m  # less each edge at a dropped vertex, plus each added one
         touched: set[int] = set()
         for v in dropped:
             for w in adj.pop(v):
                 if w not in dropped:
                     touched.add(w)
-                    removed += 1
+                    m -= 1
                 elif w < v:
-                    removed += 1
+                    m -= 1
         for w in touched:
             adj[w] = tuple(x for x in adj[w] if x not in dropped)
-        return _derived(adj, self.m - removed)
+        for u, v in add:
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            if u not in adj or v not in adj:
+                raise ValueError(f"edge ({u}, {v}) leaves the kept vertices")
+            if v in adj[u]:
+                raise ValueError(f"edge ({u}, {v}) already present")
+            adj[u] = tuple(sorted(adj[u] + (v,)))
+            adj[v] = tuple(sorted(adj[v] + (u,)))
+            m += 1
+        return _derived(adj, m)
 
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError(f"self-loop at {u}")
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
-        adj = dict(self._adj)
-        adj[u] = tuple(sorted(adj[u] + (v,)))
-        adj[v] = tuple(sorted(adj[v] + (u,)))
-        return _derived(adj, self.m + 1)
+        return self.delete_vertices((), ((u, v),))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -358,14 +367,7 @@ class Graph:
                 f"contracting ({u}, {v}) would create a parallel edge"
             )
         a, b = edge(u, v)
-        adj = dict(self._adj)
-        del adj[b]
-        merged = self._adj[a] + self._adj[b]
-        adj[a] = tuple(sorted(x for x in merged if x != a and x != b))
-        for w in self._adj[b]:
-            if w != a:
-                adj[w] = tuple(sorted(a if x == b else x for x in adj[w]))
-        return _derived(adj, self.m - 1)
+        return self.delete_vertices((b,), ((a, y) for y in self._adj[b] if y != a))
 
     def induced_even_subgraph(self) -> "Graph":
         """Subgraph induced by the vertices of even degree."""

@@ -325,8 +325,9 @@ class Child:
     A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
     walk through removed vertices.  Its ends are a synthetic edge, except
     in the C3 full ring, whose route reroutes a real edge that an added
-    path then covers again.  ``synthetic`` lists every edge of the child
-    that is not an edge of the parent; no lift may leave one covered.
+    path then covers again.  ``synthetic`` lists exactly the edges that
+    ``_child`` added, a contraction's included: every edge of the child
+    that is not an edge of the parent.  No lift may leave one covered.
     ``boundary`` lists, ascending, the child's vertices that have a
     neighbour among the removed vertices S of the parent, B = N(S) minus
     S; a contracted pair's merged vertex is one of them.  Only they can
@@ -369,17 +370,25 @@ def _boundary(g: Graph, removed: set[int]) -> tuple[int, ...]:
     return tuple(sorted({w for x in removed for w in adj[x] if w not in removed}))
 
 
-def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child:
-    """``g`` minus ``removed``, plus an edge joining the ends of each route
-    that are not adjacent in ``g``."""
-    sub = g.delete_vertices(removed)
-    synthetic = []
+def _child(
+    g: Graph, removed: set[int], routes: tuple[Route, ...] = (),
+    merge: Edge | None = None,
+) -> Child:
+    """``g`` minus ``removed`` plus the synthetic edges, built in one copy
+    of the table: an edge joining the ends of each route that are not
+    adjacent in ``g``, and for ``merge = (a, b)`` with b removed, an edge
+    from a to each other kept neighbour of b, so that a stands for the
+    contracted pair."""
+    added = []
+    if merge is not None:
+        a, b = merge
+        added = [edge(a, y) for y in g.neighbors(b) if y != a and y not in removed]
     for route in routes:
         e = edge(route[0], route[-1])
         if not g.has_edge(*e):
-            sub = sub.add_edge(*e)
-            synthetic.append(e)
-    return Child(sub, routes, tuple(synthetic), _boundary(g, removed))
+            added.append(e)
+    sub = g.delete_vertices(removed, added)
+    return Child(sub, routes, tuple(added), _boundary(g, removed))
 
 
 Part = tuple[tuple[int, ...], Union[set[int], None]]
@@ -420,16 +429,6 @@ def _ascending(g: Graph, parts: list[Part], removed: set[int]) -> list[Part]:
         )
 
     return sorted(parts, key=smallest)
-
-
-def _merged_child(
-    g: Graph, merged: Graph, s: int, removed: set[int],
-    routes: tuple[Route, ...] = (),
-) -> Child:
-    """Child in which ``s`` stands for a contracted pair, one of whose ids
-    is in ``removed``: its edges at ``s`` that ``g`` lacks are synthetic."""
-    synthetic = tuple(edge(s, y) for y in merged.neighbors(s) if not g.has_edge(s, y))
-    return Child(merged, routes, synthetic, _boundary(g, removed))
 
 
 def _connected(child: Child) -> bool:
@@ -777,8 +776,7 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     if g.degree(v) != 2:
         v, w = w, v
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
-    merged = g.delete_vertices({v}).contract_edge(u, w)
-    child = _merged_child(g, merged, min(u, w), {v, max(u, w)})
+    child = _child(g, {v, max(u, w)}, merge=edge(u, w))
     rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
     return LiftPlan("C5", "degree_two", g, (child,), rewrite, (0, 1))
 
@@ -804,10 +802,8 @@ def _reduce_c5_dense(g: Graph, occ: C5) -> LiftPlan:
 def _reduce_c5_hub(
     g: Graph, u: int, v: int, w: int, x1: int, x2: int
 ) -> LiftPlan:
-    merged = g.delete_vertices({u}).contract_edge(v, w)
     s = min(v, w)  # the merged vertex, read as v or w by the lift
-    merged = merged.add_edge(s, x2)
-    child = _merged_child(g, merged, s, {u, max(v, w)}, ((s, u, x2),))
+    child = _child(g, {u, max(v, w)}, ((s, u, x2),), merge=edge(v, w))
     rewrite = functools.partial(_lift_c5_hub, u, v, w, x1, x2)
     return LiftPlan("C5", "hub_contraction", g, (child,), rewrite, (1, 1))
 

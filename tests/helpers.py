@@ -418,15 +418,23 @@ class MaskGraph:
         g.adj = adj
         return g
 
-    def delete_vertices(self, drop) -> "MaskGraph":
+    def delete_vertices(self, drop, add=()) -> "MaskGraph":
         dropped = set(drop)
         unknown = dropped - self.adj.keys()
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
         kept = ~sum(1 << v for v in dropped)
-        return self._derived(
-            {v: mask & kept for v, mask in self.adj.items() if v not in dropped}
-        )
+        adj = {v: mask & kept for v, mask in self.adj.items() if v not in dropped}
+        for u, v in add:
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            if u not in adj or v not in adj:
+                raise ValueError(f"edge ({u}, {v}) leaves the kept vertices")
+            if adj[u] >> v & 1:
+                raise ValueError(f"edge ({u}, {v}) already present")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return self._derived(adj)
 
     def add_edge(self, u: int, v: int) -> "MaskGraph":
         if u == v:

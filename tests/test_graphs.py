@@ -165,6 +165,26 @@ def test_delete_vertices():
     assert g.m == 1
     with pytest.raises(ValueError):
         g.degree(0)  # deleted ids are gone, not renumbered
+    g = path_graph(4).delete_vertices({1}, [(2, 0)])  # drop, then bypass
+    assert list(g.adjacency().items()) == [(0, (2,)), (2, (0, 3)), (3, (2,))]
+    assert g.m == 2
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ((), [(1, 1)], "self-loop at 1"),
+        ({2}, [(0, 2)], "edge (0, 2) leaves the kept vertices"),
+        ((), [(0, 9)], "edge (0, 9) leaves the kept vertices"),
+        ((), [(1, 0)], "edge (1, 0) already present"),
+        ((), [(0, 2), (2, 0)], "edge (2, 0) already present"),
+    ],
+    ids=["loop", "dropped_end", "absent_end", "present", "added_twice"],
+)
+def test_delete_vertices_refuses_each_bad_added_edge(drop, add, message):
+    with pytest.raises(ValueError) as refused:
+        path_graph(4).delete_vertices(drop, add)
+    assert str(refused.value) == message
 
 
 def test_delete_vertices_preserves_surviving_adjacency():
@@ -356,18 +376,34 @@ def test_derived_graphs_agree_with_networkx_and_masks():
                 lambda h: h.add_edge(absent, u),
                 lambda h: h.add_edge(u, u),
                 lambda h: h.delete_vertices({u, absent}),
+                lambda h: h.delete_vertices((), [(u, u)]),
+                lambda h: h.delete_vertices({v}, [(u, v)]),
+                lambda h: h.delete_vertices((), [(absent, u)]),
                 lambda h: h.common_neighbors(u, u),
             ):
                 _same_error(g, ref, call)
-            kind = rng.choice(("delete", "add", "remove", "contract"))
+            kind = rng.choice(("delete", "edit", "add", "remove", "contract"))
             if kind == "delete":
                 drop = set(rng.sample(ids, rng.randint(1, 2)))
                 g, ref = g.delete_vertices(drop), ref.delete_vertices(drop)
                 nxg.remove_nodes_from(drop)
+            elif kind == "edit":  # drop up to two vertices, add up to three edges
+                drop = set(rng.sample(ids, rng.randint(0, 2)))
+                kept = [x for x in ids if x not in drop]
+                new = [
+                    (b, a) if rng.random() < 0.5 else (a, b)
+                    for a, b in itertools.combinations(kept, 2)
+                    if not g.has_edge(a, b)
+                ]
+                add = rng.sample(new, min(len(new), rng.randint(1, 3)))
+                g, ref = g.delete_vertices(drop, add), ref.delete_vertices(drop, add)
+                nxg.remove_nodes_from(drop)
+                nxg.add_edges_from(add)
             elif not g.has_edge(u, v):
                 for call in (
                     lambda h: h.delete_edge(u, v),
                     lambda h: h.contract_edge(u, v),
+                    lambda h: h.delete_vertices((), [(u, v), (v, u)]),
                 ):
                     _same_error(g, ref, call)
                 if kind == "add":
@@ -375,6 +411,7 @@ def test_derived_graphs_agree_with_networkx_and_masks():
                     nxg.add_edge(u, v)
             else:
                 _same_error(g, ref, lambda h: h.add_edge(v, u))
+                _same_error(g, ref, lambda h: h.delete_vertices((), [(v, u)]))
                 if kind == "remove":
                     g, ref = g.delete_edge(u, v), ref.delete_edge(u, v)
                     nxg.remove_edge(u, v)

@@ -592,6 +592,59 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     assert orders[True] > 0, orders
 
 
+def _check_contraction(g, plan, met):
+    """A C5 contraction child is the chained build of delete, contract,
+    and for the hub an added x2 edge, in the same table order, and its
+    synthetic edges are exactly its edges that ``g`` lacks."""
+    if plan.subcase not in ("degree_two", "hub_contraction"):
+        return
+    (child,) = plan.children
+    u, v, w, x1, x2 = plan.rewrite.args
+    if plan.subcase == "degree_two":
+        old = g.delete_vertices({v}).contract_edge(u, w)
+    else:
+        old = g.delete_vertices({u}).contract_edge(v, w).add_edge(min(v, w), x2)
+    assert list(child.graph.adjacency().items()) == list(old.adjacency().items())
+    assert child.graph.m == old.m
+    assert len(set(child.synthetic)) == len(child.synthetic)
+    assert set(child.synthetic) == {
+        e for e in child.graph.edges() if not g.has_edge(*e)
+    }
+    met[plan.subcase] += 1
+
+
+def test_contraction_children_are_one_build(monkeypatch):
+    # Every C5 contraction child that `solve` meets on the certificate
+    # corpus, which meets no hub, and every one that the C5 satellite
+    # graphs reduce to, is built by one `_child` call as the old chain of
+    # table copies built it.
+    import gallai.solver as solver
+    from helpers import random_c5_satellites
+
+    met = Counter()
+    original = solver.reduce
+
+    def checked_reduce(g, occ):
+        plan = original(g, occ)
+        _check_contraction(g, plan, met)
+        return plan
+
+    monkeypatch.setattr(solver, "reduce", checked_reduce)
+    for g in _certificate_corpus():
+        solve(g)
+    rng = random.Random(1105)
+    for _ in range(250):
+        g = random_c5_satellites(rng)
+        if g is None:
+            continue
+        try:
+            plan = reduce(g, C5(0, 1, 2))
+        except ReductionError:
+            continue
+        _check_contraction(g, plan, met)
+    assert met["degree_two"] >= 40 and met["hub_contraction"] > 100, met
+
+
 def test_certificate_sees_past_radius_three():
     # A 20-cycle minus one vertex: the boundary, the two neighbours of the
     # removed vertex, joins up only along the 18 edges between them.
@@ -644,6 +697,48 @@ def test_finish_refuses_each_broken_child(message):
 # -- misuse and priority enforcement ----------------------------------------
 
 
+# A C3 site (edge 0-1, common neighbours 2 and 3, extras 4 and 5), a C4
+# site (edge 0-1, sides 2, 3, 4 and 5, 6, 7, with the edge 2-4) and a
+# triangle whose corner 1 has degree 3.
+_C3_SITE = Graph.from_edges(
+    6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]
+)
+_C4_SITE = Graph.from_edges(
+    8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 4)]
+)
+_ODD_CORNER = Graph.from_edges(
+    6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5)]
+)
+
+_WRONG = [
+    (complete_graph(3), C1(0, 1, 2), ": neighbours are adjacent"),
+    (path_graph(3), C2(0, 2), " is not an edge"),
+    (cycle(4), C2(0, 1), " is not a cut edge"),
+    (_C3_SITE, C3(2, 3, 0, 1, 4, 5), " is not an edge"),
+    (_C3_SITE, C3(0, 2, 1, 3, 4, 5), ": degrees are not both 4"),
+    (_C3_SITE, C3(0, 1, 2, 4, 3, 5), ": common neighbours mismatch"),
+    (_C3_SITE, C3(0, 1, 2, 3, 5, 5), ": u_extra mismatch"),
+    (_C3_SITE, C3(0, 1, 2, 3, 4, 4), ": v_extra mismatch"),
+    (_C4_SITE, C4(2, 3, 0, 1, 4, 5, 6, 7), " is not an edge"),
+    (_C4_SITE, C4(0, 2, 1, 3, 4, 5, 6, 7), ": degrees are not both 4"),
+    (_C4_SITE, C4(0, 1, 2, 3, 7, 5, 6, 7), ": t-side mismatch"),
+    (_C4_SITE, C4(0, 1, 2, 3, 4, 5, 6, 4), ": w-side mismatch"),
+    (_C4_SITE, C4(0, 1, 2, 4, 3, 5, 6, 7), ": named non-edge is present"),
+    (_C3_SITE, C4(0, 1, 3, 4, 2, 3, 5, 2), ": leftover vertices coincide"),
+    (complete_graph(3), C5(0, 1, 2), ": degree(u) != 4"),
+    (_ODD_CORNER, C5(0, 1, 2), ": corner degree not in {2, 4}"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, occ, message", _WRONG, ids=[f"{occ.tag}{m}" for _, occ, m in _WRONG]
+)
+def test_reduce_names_each_wrong_occurrence(g, occ, message):
+    with pytest.raises(ReductionError) as refused:
+        reduce(g, occ)
+    assert str(refused.value) == f"{occ}{message}"
+
+
 def test_reduce_rejects_invalid_occurrence():
     with pytest.raises(ReductionError):
         reduce(cycle(4), C1(0, 1, 2))  # 1 and 2 are not u's neighbours
@@ -655,12 +750,8 @@ def test_reduce_rejects_invalid_occurrence():
 
 def test_reduce_c4_rejects_priority_violations():
     # C3 present at the same edge: reduce must refuse rather than guess.
-    g = Graph.from_edges(
-        6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]
-    )
-    occ = C4(0, 1, 2, 3, 4, 2, 3, 5)
     with pytest.raises(ReductionError):
-        reduce(g, occ)
+        reduce(_C3_SITE, C4(0, 1, 2, 3, 4, 2, 3, 5))
 
 
 def test_lift_rejects_bad_child_decomposition():
