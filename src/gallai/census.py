@@ -15,11 +15,18 @@ largest invariant (degree, then sorted neighbour degrees), and among the
 vertices tied with it, the least first-vertex string, the smallest
 bit-string over the orders that put that vertex first.  Equal first-vertex
 strings mean the same automorphism orbit, so the rule does not depend on
-labels, and every isomorphism class arises from exactly one parent.  Only
-the kept children are labelled canonically; those of one parent that are
-isomorphic to each other are merged by canonical form.  The enumerator is
-capped at 8 vertices; larger orders are expected to arrive as graph6
-streams from an external generator.
+labels, and every isomorphism class arises from exactly one parent.
+
+A subset is skipped before the deletion test when an automorphism of P
+maps it to a smaller mask.  If two kept children of P are isomorphic, some
+isomorphism between them fixes x (x lies in the canonical deletion's orbit
+of both) and restricts to an automorphism of P carrying one subset onto
+the other; so each class is labelled canonically exactly once.  The
+labelling search keeps its candidates as cells, one vertex mask per column
+in column order: placing v splits each cell into its non-neighbours of v,
+then its neighbours, so the first cell holds the least column.  The
+enumerator is capped at 8 vertices; larger orders are expected to arrive
+as graph6 streams from an external generator.
 """
 
 from __future__ import annotations
@@ -61,13 +68,25 @@ def _least_labelling(
     best_order: list[int] | None = None
 
     # cols[k] holds the k adjacency bits of the vertex placed at slot k
-    # towards slots 0..k-1 (earlier slot = more significant bit).
-    # Candidates travel as a vertex-ascending list of (vertex, col) pairs;
-    # only candidates achieving the minimal column can extend a minimal
-    # string, so levels with a unique minimum are walked iteratively and
-    # recursion only happens on genuine ties.
+    # towards slots 0..k-1 (earlier slot = more significant bit).  The
+    # candidates travel as (vertex mask, column) cells in column order; only
+    # the first cell's can extend a minimal string, so levels where it holds
+    # one vertex are walked iteratively and recursion only happens on ties.
+    def split(cells: list[tuple[int, int]], v: int) -> list[tuple[int, int]]:
+        on_mask = adj[v]
+        off_mask = ~(on_mask | 1 << v)
+        out = []
+        for members, col in cells:
+            off = members & off_mask
+            if off:
+                out.append((off, col << 1))
+            on = members & on_mask
+            if on:
+                out.append((on, col << 1 | 1))
+        return out
+
     def descend(placed: list[int], cols: list[int],
-                cand: list[tuple[int, int]], tied: bool) -> None:
+                cells: list[tuple[int, int]], tied: bool) -> None:
         nonlocal best_cols, best_order
         grown = 0
         while True:
@@ -77,41 +96,33 @@ def _least_labelling(
                     best_cols = cols.copy()
                     best_order = placed.copy()
                 break
-            low = cand[0][1]
-            for _, c in cand:
-                if c < low:
-                    low = c
+            minimal, low = cells[0]
             # `tied` is a pruning aid: the prefix matched the best known
             # string when this branch was entered.
             if tied and best_cols is not None:
                 if low > best_cols[k]:
                     break
                 tied = low == best_cols[k]
-            minimal = [v for v, c in cand if c == low]
-            if len(minimal) == 1:
-                v = minimal[0]
-                mask = adj[v]
-                cand = [
-                    (w, (cw << 1) | (mask >> w & 1)) for w, cw in cand if w != v
-                ]
+            if minimal & (minimal - 1) == 0:
+                v = minimal.bit_length() - 1
+                cells = split(cells, v)
                 placed.append(v)
                 cols.append(low)
                 grown += 1
                 continue
             cols.append(low)
             plain_seen: set[int] = set()
-            for v in minimal:
+            while minimal:
+                v = (minimal & -minimal).bit_length() - 1
+                minimal &= minimal - 1
                 # skip candidates twinned with one already tried here
                 mask = adj[v]
                 if mask in plain_seen or mask | (1 << v) in plain_seen:
                     continue
                 plain_seen.add(mask)
                 plain_seen.add(mask | (1 << v))
-                narrowed = [
-                    (w, (cw << 1) | (mask >> w & 1)) for w, cw in cand if w != v
-                ]
                 placed.append(v)
-                descend(placed, cols, narrowed, tied)
+                descend(placed, cols, split(cells, v), tied)
                 placed.pop()
             cols.pop()
             break
@@ -119,12 +130,11 @@ def _least_labelling(
             placed.pop()
             cols.pop()
 
+    everyone = [((1 << n) - 1, 0)]
     if first is None:
-        descend([], [], [(v, 0) for v in range(n)], True)
+        descend([], [], everyone, True)
     else:
-        mask = adj[first]
-        cand = [(w, mask >> w & 1) for w in range(n) if w != first]
-        descend([first], [0], cand, True)
+        descend([first], [0], split(everyone, first), True)
     assert best_cols is not None and best_order is not None
     return tuple(best_cols), tuple(best_order)
 
@@ -164,8 +174,15 @@ def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
                 if parent.degree(v) < max_deg:
                     open_mask |= 1 << v
             base = [parent.neighbor_mask(v) for v in range(parent.n)]
+            # the image bit of each vertex under each non-identity automorphism
+            moves = [[1 << w for w in image] for image in _automorphisms(base)[1:]]
             for subset in range(1, 1 << parent.n):
                 if subset & ~open_mask or subset.bit_count() > max_deg:
+                    continue
+                if any(
+                    sum(bits[v] for v in range(new) if subset >> v & 1) < subset
+                    for bits in moves
+                ):
                     continue
                 masks = base.copy()
                 masks.append(subset)
@@ -174,14 +191,37 @@ def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
                         masks[v] |= 1 << new
                 if not _is_canonical_deletion(masks):
                     continue
-                # children whose subsets lie in one orbit of the parent's
-                # automorphisms are isomorphic and all pass the test
                 form = canonical_form(Graph(n, masks))
-                if form not in found:
-                    found[form] = parse_graph6(form)
+                found[form] = parse_graph6(form)
         result = tuple(found[form] for form in sorted(found))
     _census_cache[key] = result
     return result
+
+
+def _automorphisms(masks: list[int]) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with adjacency ``masks`` as its tuple
+    of images, the identity first: the vertices are mapped in order, each
+    onto an unused vertex of equal degree that keeps adjacency with the
+    vertices already mapped, trying images in ascending order."""
+    n = len(masks)
+    degrees = [mask.bit_count() for mask in masks]
+    found: list[tuple[int, ...]] = []
+    image: list[int] = []
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            found.append(tuple(image))
+            return
+        target = sum(1 << image[u] for u in range(v) if masks[v] >> u & 1)
+        for w in range(n):
+            if (not used >> w & 1 and degrees[w] == degrees[v]
+                    and masks[w] & used == target):
+                image.append(w)
+                extend(v + 1, used | 1 << w)
+                image.pop()
+
+    extend(0, 0)
+    return found
 
 
 def _is_canonical_deletion(masks: list[int]) -> bool:

@@ -74,6 +74,14 @@ def read_graphs(path: str, fmt: str) -> list[tuple[str, Graph]]:
 
 
 def _enumerated(max_n: int) -> list[tuple[str, Graph]]:
+    # refuse the order before enumerating anything
+    if max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {max_n}")
+    if max_n > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"internal enumerator is capped at n={ENUMERATION_LIMIT}; "
+            "pipe a graph6 stream instead"
+        )
     out = []
     for n in range(1, max_n + 1):
         for g in enumerate_connected(n, 5):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import gallai.batch
+import gallai.cli
 import gallai.paths
 import gallai.reductions
 import gallai.solver
@@ -375,6 +376,27 @@ def test_cli_floor_search(capsys):
 
 def test_cli_floor_search_cap(capsys):
     assert main(["floor-search", "--max-n", "8"]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "scan", "floor-search"])
+def test_cli_refuses_an_order_below_one(capsys, command):
+    assert main([command, "--max-n", "0"]) == 2
+    assert "--max-n must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_check_refuses_an_order_above_the_cap_before_enumerating(
+    capsys, monkeypatch
+):
+    calls = []
+
+    def counted(n, max_deg):
+        calls.append(n)
+        return enumerate_connected(n, max_deg)
+
+    monkeypatch.setattr(gallai.cli, "enumerate_connected", counted)
+    assert main(["check", "--max-n", "9"]) == 2
+    assert "capped at n=8" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_floor_search_budget_exhaustion_keeps_every_record(tmp_path, capsys):

@@ -6,8 +6,10 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import gallai.census
 from gallai import Graph, canonical_form, enumerate_connected, write_graph6
 from gallai.census import (
+    _automorphisms,
     _is_canonical_deletion,
     canonical_graph,
     canonical_order,
@@ -92,6 +94,35 @@ def test_census_graph6_digest():
             digest.update(write_graph6(g).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == CENSUS_GRAPH6_DIGEST
+
+
+def test_enumeration_labels_each_class_once(monkeypatch):
+    # Subsets in one orbit of the parent's automorphisms are skipped, so a
+    # cold enumeration labels exactly one child per class of n = 2..7.
+    labelled = []
+
+    def counted(g):
+        labelled.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(gallai.census, "_census_cache", {})
+    monkeypatch.setattr(gallai.census, "canonical_form", counted)
+    classes = sum(len(enumerate_connected(n, 5)) for n in range(2, 8))
+    assert len(labelled) == classes == 839
+
+
+def test_automorphisms_match_networkx():
+    for n in range(1, 7):
+        for g in enumerate_connected(n, 5):
+            found = _automorphisms([g.neighbor_mask(v) for v in range(n)])
+            assert found[0] == tuple(range(n))
+            nx_graph = nx.Graph(list(g.edges()))
+            nx_graph.add_nodes_from(range(n))
+            expected = {
+                tuple(iso[v] for v in range(n))
+                for iso in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter()
+            }
+            assert len(found) == len(set(found)) and set(found) == expected
 
 
 def test_first_vertex_search_finds_the_least_string_and_the_orbits():
