@@ -116,11 +116,8 @@ def test_automorphisms_match_networkx():
         for g in enumerate_connected(n, 5):
             found = _automorphisms([g.neighbor_mask(v) for v in range(n)])
             assert found[0] == tuple(range(n))
-            nx_graph = nx.Graph(list(g.edges()))
-            nx_graph.add_nodes_from(range(n))
             expected = {
-                tuple(iso[v] for v in range(n))
-                for iso in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter()
+                tuple(iso[v] for v in range(n)) for iso in _self_isomorphisms(g)
             }
             assert len(found) == len(set(found)) and set(found) == expected
 
@@ -147,11 +144,15 @@ def test_first_vertex_search_finds_the_least_string_and_the_orbits():
                 assert (strings[a] == strings[b]) == (b in orbit_of[a])
 
 
-def _orbits(g):
+def _self_isomorphisms(g):
     nx_graph = nx.Graph(list(g.edges()))
     nx_graph.add_nodes_from(range(g.n))
+    return GraphMatcher(nx_graph, nx_graph).isomorphisms_iter()
+
+
+def _orbits(g):
     orbit = {v: {v} for v in range(g.n)}
-    for iso in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter():
+    for iso in _self_isomorphisms(g):
         for a, b in iso.items():
             orbit[a].add(b)
     return {frozenset(members) for members in orbit.values()}
