@@ -17,6 +17,12 @@ copy of the table that rewrites only the tuples of the vertices it
 touches; ``add_edge`` and ``contract_edge`` are calls of
 ``delete_vertices(drop, add)``.  Every mutating operation returns a new
 ``Graph``; values are safe to share between threads.
+
+The connectivity queries never recurse and key their work by vertex id:
+``components`` and ``split`` are breadth-first searches, ``bridges`` a
+chain decomposition on one iterative depth-first search.  Each is linear
+in the graph's own n + m, however large its ids, and ``split`` stops
+before it walks its largest side.
 """
 
 from __future__ import annotations
@@ -272,40 +278,49 @@ class Graph:
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count.
 
-        Iterative low-link computation, linear in n + m.
+        A chain decomposition (Schmidt 2013).  One depth-first search on
+        an explicit stack numbers the vertices in preorder; each stack
+        entry carries the preorder number of the vertex that pushed it, so
+        a vertex's parent is its last pusher and the pops are a true DFS.
+        Then each back edge, taken in the preorder of its upper end, walks
+        up the tree from its lower end and marks the tree edges it passes
+        until it meets a vertex already seen.  The bridges are the tree
+        edges left unmarked.  Linear in the graph's own n + m, with no
+        recursion and nothing sized by the largest id.
         """
         adj = self._adj
-        disc = dict.fromkeys(adj, -1)
-        low = dict.fromkeys(adj, 0)
-        out: set[Edge] = set()
-        timer = 0
+        pre: dict[int, int] = {}  # vertex -> preorder number
+        order: list[int] = []  # the vertices in preorder
+        up: list[int] = []  # by number: the parent's number (a root's own)
         for root in adj:
-            if disc[root] != -1:
+            if root in pre:
                 continue
-            # stack entries: (vertex, parent, iterator over neighbours)
-            stack = [(root, -1, iter(adj[root]))]
-            disc[root] = low[root] = timer
-            timer += 1
+            stack = [(root, len(order))]
             while stack:
-                v, parent, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, v, iter(adj[w])))
-                        advanced = True
-                        break
-                    if w != parent:
-                        low[v] = min(low[v], disc[w])
-                if not advanced:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        low[p] = min(low[p], low[v])
-                        if low[v] > disc[p]:
-                            out.add(edge(p, v))
-        return out
+                v, p = stack.pop()
+                if v in pre:
+                    continue
+                pre[v] = i = len(order)
+                up.append(p)
+                order.append(v)
+                for w in adj[v]:
+                    if w not in pre:
+                        stack.append((w, i))
+        marked = [False] * len(order)  # the tree edge to the parent is covered
+        i = 0
+        for v in order:
+            for w in adj[v]:
+                j = pre[w]
+                if j > i and up[j] != i:  # a back edge down to a descendant
+                    while j != i and not marked[j]:
+                        marked[j] = True
+                        j = up[j]
+            i += 1
+        return {
+            edge(order[j], order[up[j]])
+            for j, covered in enumerate(marked)
+            if not covered and up[j] != j
+        }
 
     # -- derived graphs ---------------------------------------------------
 

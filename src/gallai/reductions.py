@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -209,54 +210,77 @@ SUBCASES = {
 
 
 def detect_c1(g: Graph) -> C1 | None:
-    for u in g.vertices():
-        if g.degree(u) == 2:
-            v, w = g.neighbors(u)
-            if not g.has_edge(v, w):
+    adj = g.adjacency()
+    for u, nbrs in adj.items():
+        if len(nbrs) == 2:
+            v, w = nbrs
+            if w not in adj[v]:
                 return C1(u, v, w)
     return None
 
 
 def detect_c2(g: Graph) -> C2 | None:
     adj = g.adjacency()
-    if not any(
-        len(nbrs) % 2 == 0 and any(len(adj[v]) % 2 == 0 for v in nbrs)
-        for nbrs in adj.values()
-    ):
+    if not _has_even_edge(adj):
         return None  # no edge has two even ends, so no bridge is wanted
-    for u, v in sorted(g.bridges()):
-        if g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
-            return C2(u, v)
-    return None
+    even = [
+        (u, v) for u, v in g.bridges()
+        if not len(adj[u]) % 2 and not len(adj[v]) % 2
+    ]
+    return C2(*min(even)) if even else None
 
 
-def _degree_four_edges(g: Graph) -> Iterator[Edge]:
-    """The edges whose ends both have degree 4, ascending by (u, v)."""
-    adj = g.adjacency()
-    for u, nbrs in adj.items():
-        if len(nbrs) == 4:
-            for v in nbrs:
-                if v > u and len(adj[v]) == 4:
-                    yield u, v
+def _has_even_edge(adj: Mapping[int, tuple[int, ...]]) -> bool:
+    """Whether some edge has two ends of even degree."""
+    for nbrs in adj.values():
+        if not len(nbrs) % 2:
+            for w in nbrs:
+                if not len(adj[w]) % 2:
+                    return True
+    return False
 
 
 def detect_c3(g: Graph) -> C3 | None:
-    for u, v in _degree_four_edges(g):
-        commons = g.common_neighbors(u, v)
-        if len(commons) != 2:
+    adj = g.adjacency()
+    for u, nu in adj.items():
+        if len(nu) != 4:
             continue
-        x, y = commons
-        (u_extra,) = set(g.neighbors(u)) - {v, x, y}
-        (v_extra,) = set(g.neighbors(v)) - {u, x, y}
-        return C3(u, v, x, y, u_extra, v_extra)
+        a, b, c, d = nu
+        for v in nu:
+            if v < u:
+                continue
+            nv = adj[v]
+            # v is one of a..d and not its own neighbour: count the others
+            if len(nv) == 4 and (a in nv) + (b in nv) + (c in nv) + (d in nv) == 2:
+                x, y = (w for w in nu if w in nv)
+                (u_extra,) = (w for w in nu if w != v and w not in nv)
+                (v_extra,) = (w for w in nv if w != u and w not in nu)
+                return C3(u, v, x, y, u_extra, v_extra)
     return None
 
 
 def detect_c4(g: Graph) -> C4 | None:
-    for u, v in _degree_four_edges(g):
-        labels = next(_c4_labellings(g, u, v), None)
-        if labels is not None:
-            return C4(u, v, *labels)
+    adj = g.adjacency()
+    for u, nu in adj.items():
+        if len(nu) != 4:
+            continue
+        for i, v in enumerate(nu):
+            if v < u:
+                continue
+            nv = adj[v]
+            if len(nv) != 4:
+                continue
+            # the other neighbours, ascending, and the pairs of each side
+            # in the order of itertools.combinations, each with its leftover
+            t1, t2, t3 = nu[:i] + nu[i + 1:]
+            k = nv.index(u)
+            w1, w2, w3 = nv[:k] + nv[k + 1:]
+            for p, q, r in ((t1, t2, t3), (t1, t3, t2), (t2, t3, t1)):
+                if q in adj[p]:
+                    continue
+                for s, t, z in ((w1, w2, w3), (w1, w3, w2), (w2, w3, w1)):
+                    if t not in adj[s] and r != z:
+                        return C4(u, v, p, q, r, s, t, z)
     return None
 
 
@@ -279,24 +303,26 @@ def _c4_labellings(g: Graph, u: int, v: int) -> Iterator[tuple[int, ...]]:
 
 def detect_c5(g: Graph) -> C5 | None:
     adj = g.adjacency()
-    for a, a_nbrs in adj.items():
-        if len(a_nbrs) not in (2, 4):
+    for a, na in adj.items():
+        da = len(na)
+        if da != 2 and da != 4:
             continue
-        for b in a_nbrs:
-            if b <= a or len(adj[b]) not in (2, 4):
+        for b in na:
+            if b <= a:
                 continue
-            for c in g.common_neighbors(a, b):
-                if c <= b:
+            nb = adj[b]
+            db = len(nb)
+            if db != 2 and db != 4:
+                continue
+            for c in na:  # the common neighbours above b, ascending
+                if c <= b or c not in nb:
                     continue
-                degrees = {x: g.degree(x) for x in (a, b, c)}
-                if any(d not in (2, 4) for d in degrees.values()):
-                    continue
-                fours = [x for x in (a, b, c) if degrees[x] == 4]
-                if not fours:
-                    continue
-                u = fours[0]
-                v, w = sorted({a, b, c} - {u})
-                return C5(u, v, w)
+                dc = len(adj[c])
+                if dc == 4 or (dc == 2 and (da == 4 or db == 4)):
+                    # u is the smallest corner of degree 4
+                    if da == 4:
+                        return C5(a, b, c)
+                    return C5(b, a, c) if db == 4 else C5(c, a, b)
     return None
 
 

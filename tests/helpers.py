@@ -513,19 +513,108 @@ def random_c5_satellites(rng: random.Random) -> Graph | None:
 
 # -- reference detectors and solver -------------------------------------------
 #
-# The detectors as they were before their degree pre-filters, and the
-# recursive solver with its tuple-rebuilding lifts as it was before the
-# work stack and the path store.  ``solve`` and the detectors must agree
+# The detectors as they were before their degree pre-filters and table
+# loops, the low-link bridge finder they read, and the recursive solver
+# with its tuple-rebuilding lifts as it was before the work stack and the
+# path store.  ``solve``, ``Graph.bridges`` and the detectors must agree
 # with them exactly: same occurrence, same paths in the same order and
 # orientation, same trace.
+
+
+def reference_bridges(g: Graph) -> set:
+    """The bridges by an iterative low-link computation."""
+    adj = g.adjacency()
+    disc = dict.fromkeys(adj, -1)
+    low = dict.fromkeys(adj, 0)
+    out = set()
+    timer = 0
+    for root in adj:
+        if disc[root] != -1:
+            continue
+        # stack entries: (vertex, parent, iterator over neighbours)
+        stack = [(root, -1, iter(adj[root]))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(adj[w])))
+                    advanced = True
+                    break
+                if w != parent:
+                    low[v] = min(low[v], disc[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] > disc[p]:
+                        out.add(edge(p, v))
+    return out
+
+
+def reference_detect_c1(g: Graph):
+    from gallai.reductions import C1
+
+    for u in g.vertices():
+        if g.degree(u) == 2:
+            v, w = g.neighbors(u)
+            if not g.has_edge(v, w):
+                return C1(u, v, w)
+    return None
 
 
 def reference_detect_c2(g: Graph):
     from gallai.reductions import C2
 
-    for u, v in sorted(g.bridges()):
+    for u, v in sorted(reference_bridges(g)):
         if g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
             return C2(u, v)
+    return None
+
+
+def _reference_degree_four_edges(g: Graph):
+    for u in g.vertices():
+        if g.degree(u) == 4:
+            for v in g.neighbors(u):
+                if v > u and g.degree(v) == 4:
+                    yield u, v
+
+
+def reference_detect_c3(g: Graph):
+    from gallai.reductions import C3
+
+    for u, v in _reference_degree_four_edges(g):
+        commons = g.common_neighbors(u, v)
+        if len(commons) != 2:
+            continue
+        x, y = commons
+        (u_extra,) = set(g.neighbors(u)) - {v, x, y}
+        (v_extra,) = set(g.neighbors(v)) - {u, x, y}
+        return C3(u, v, x, y, u_extra, v_extra)
+    return None
+
+
+def reference_detect_c4(g: Graph):
+    from gallai.reductions import C4
+
+    for u, v in _reference_degree_four_edges(g):
+        ts = sorted(set(g.neighbors(u)) - {v})
+        ws = sorted(set(g.neighbors(v)) - {u})
+        for t1, t2 in itertools.combinations(ts, 2):
+            if g.has_edge(t1, t2):
+                continue
+            (t3,) = set(ts) - {t1, t2}
+            for w1, w2 in itertools.combinations(ws, 2):
+                if g.has_edge(w1, w2):
+                    continue
+                (w3,) = set(ws) - {w1, w2}
+                if t3 != w3:
+                    return C4(u, v, t1, t2, t3, w1, w2, w3)
     return None
 
 

@@ -16,6 +16,7 @@ from helpers import (
     petersen,
     random_caterpillar,
     random_connected_graph,
+    reference_bridges,
     star,
     two_cliques_with_bridge,
 )
@@ -54,6 +55,52 @@ def test_bridges_examples():
     assert two_triangles.bridges() == {(0, 3)}
 
 
+def test_bridges_of_the_empty_graph_and_k1():
+    assert Graph(0, []).bridges() == set()
+    assert Graph(1, [0]).bridges() == set()
+
+
+def test_bridges_with_several_dfs_roots():
+    # a triangle, a path, an isolated vertex and a square with a pendant,
+    # on ids with gaps: each component starts a search of its own
+    g = Graph.from_edges(14, [
+        (0, 1), (1, 2), (0, 2),
+        (3, 4), (4, 5),
+        (7, 8), (8, 9), (9, 10), (7, 10), (10, 11),
+        (12, 13),
+    ]).delete_vertices({12})
+    want = {(3, 4), (4, 5), (10, 11)}
+    assert g.bridges() == reference_bridges(g) == want
+
+
+def test_bridges_of_long_paths_and_cycles_do_not_recurse():
+    n = 20_000
+    path = path_graph(n)
+    assert path.bridges() == set(path.edges())
+    assert cycle(n).bridges() == set()
+
+
+def test_bridges_of_two_cycles_joined_by_a_path():
+    # cycles on 0..4 and 10..15, joined by the path 2-5-6-7-8-9-12
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(10 + i, 10 + (i + 1) % 6) for i in range(6)]
+    joint = [(2, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 12)]
+    g = Graph.from_edges(16, edges + joint)
+    assert g.bridges() == set(joint)
+
+
+def test_bridges_cost_only_the_graph_itself():
+    # A 3-vertex child of a 5000-vertex path keeps the ids 4997..4999:
+    # its bridges look up each of its own vertices a bounded number of
+    # times, whatever its ids.
+    n = 5000
+    child = path_graph(n).delete_vertices(range(n - 3))
+    table = _CountingTable(child.adjacency())
+    counted = _derived(table, child.m)
+    assert counted.bridges() == {(n - 3, n - 2), (n - 2, n - 1)}
+    assert table.looked_up < 10
+
+
 def test_bridges_against_component_counts():
     # Removing a bridge raises the component count by one; removing any
     # other edge leaves it unchanged.  Exhaustive over the small census.
@@ -85,6 +132,7 @@ def test_is_bridge_matches_bridges_on_seeded_graphs():
     seen = Counter()
     for g in _seeded_graphs(rng, 150):
         cut = g.bridges()
+        assert cut == reference_bridges(g), g
         for e in g.edges():
             assert g.is_bridge(*e) == g.is_bridge(*e[::-1]) == (e in cut), (g, e)
             seen[e in cut] += 1

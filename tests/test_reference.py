@@ -1,6 +1,6 @@
 """``solve`` and the detectors agree exactly with the reference copies in
-``tests/helpers.py``: the detectors before their degree pre-filters, and
-the recursive solver whose lifts rebuild path tuples and verify every
+``tests/helpers.py``: the detectors before their degree pre-filters and
+table loops, on the low-link bridge finder, and the recursive solver whose lifts rebuild path tuples and verify every
 level.  Agreement means the same occurrence, the same paths in the same
 order and orientation, and the same trace."""
 
@@ -10,7 +10,17 @@ from collections import Counter
 from gallai import solve
 from gallai.graphs import Graph
 from gallai.paths import decomposition
-from gallai.reductions import C5, detect, detect_c2, detect_c5, reduce
+from gallai.census import enumerate_connected
+from gallai.reductions import (
+    C5,
+    detect,
+    detect_c1,
+    detect_c2,
+    detect_c3,
+    detect_c4,
+    detect_c5,
+    reduce,
+)
 from helpers import (
     complete_graph,
     load_and_lift,
@@ -18,7 +28,10 @@ from helpers import (
     random_connected_graph,
     random_cubic_graph,
     random_regular_graph,
+    reference_detect_c1,
     reference_detect_c2,
+    reference_detect_c3,
+    reference_detect_c4,
     reference_detect_c5,
     reference_lift,
     reference_solve,
@@ -26,28 +39,41 @@ from helpers import (
 )
 
 
-def test_detectors_match_their_reference_copies():
+_DETECTOR_PAIRS = (
+    ("C1", detect_c1, reference_detect_c1),
+    ("C2", detect_c2, reference_detect_c2),
+    ("C3", detect_c3, reference_detect_c3),
+    ("C4", detect_c4, reference_detect_c4),
+    ("C5", detect_c5, reference_detect_c5),
+)
+
+
+def _detector_corpus():
+    """300 seeded graphs, then every census graph with n <= 7."""
     rng = random.Random(9090)
-    found = Counter()
     for i in range(300):
         kind = i % 4
         if kind == 0:
-            g = random_cubic_graph(rng, rng.randrange(4, 21) * 2)
+            yield random_cubic_graph(rng, rng.randrange(4, 21) * 2)
         elif kind == 1:
-            g = random_regular_graph(rng, rng.randrange(8, 30), 4)
+            yield random_regular_graph(rng, rng.randrange(8, 30), 4)
         else:
             # max degree 5, or max degree 4 with many degree-2 vertices
             g = random_connected_graph(rng, 6, 40, max_deg=5 if kind == 2 else 4)
-            if g is None:
-                continue
-        for name, fast, slow in (
-            ("C2", detect_c2, reference_detect_c2),
-            ("C5", detect_c5, reference_detect_c5),
-        ):
+            if g is not None:
+                yield g
+    for n in range(1, 8):
+        yield from enumerate_connected(n, 5)
+
+
+def test_detectors_match_their_reference_copies():
+    found = Counter()
+    for g in _detector_corpus():
+        for name, fast, slow in _DETECTOR_PAIRS:
             occ = fast(g)
             assert occ == slow(g), (name, g)
             found[name] += occ is not None
-    assert found["C2"] > 20 and found["C5"] > 20, found
+    assert min(found[name] for name, _, _ in _DETECTOR_PAIRS) > 20, found
 
 
 def _same_solve(g):

@@ -7,8 +7,12 @@ of n = 800 to 3200, 4-regular graphs of n = 400 and 1600 and a caterpillar
 of n = 1600, drawn by the generators of ``perfbench/gen.py``, each from its
 own stream seeded by the seed and the input's name.  Wrappers on the names
 ``gallai.solver`` calls them by add up the time spent in ``reduce`` and in
-``detect``.  Prints one JSON line: per input its n, m and the seconds of
-``solve``, ``reduce`` and ``detect`` (wall clock, one process, unpinned).
+``detect``; wrappers on the detectors that ``detect`` runs, and on
+``Graph.bridges``, split ``detect`` by configuration.  Prints one JSON
+line: per input its n, m and the seconds of ``solve``, ``reduce``,
+``detect``, each of ``detect_c1`` to ``detect_c5`` (``c1_s`` to ``c5_s``)
+and ``Graph.bridges`` (``bridges_s``, part of ``c2_s``); wall clock, one
+process, unpinned.
 
 Standard library only; ``gallai`` is imported from ``src`` next to this
 directory, so the script measures the checkout it sits in.
@@ -30,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402  (perfbench/gen.py)
+import gallai.reductions  # noqa: E402
 import gallai.solver  # noqa: E402
 from gallai import Graph, solve  # noqa: E402
 
@@ -70,13 +75,21 @@ def probe(seed: int) -> dict:
     originals = {name: getattr(gallai.solver, name) for name in clocks}
     for name, clock in clocks.items():
         setattr(gallai.solver, name, clock.wrap(originals[name]))
+    detectors = gallai.reductions._DETECTORS
+    detector_clocks = [Clock() for _ in detectors]
+    gallai.reductions._DETECTORS = tuple(
+        clock.wrap(fn) for clock, fn in zip(detector_clocks, detectors)
+    )
+    bridges, bridges_clock = Graph.bridges, Clock()
+    Graph.bridges = bridges_clock.wrap(bridges)
+    every_clock = [*clocks.values(), *detector_clocks, bridges_clock]
     runs = {}
     try:
         for family, n in INPUTS:
             name = f"{family}-{n}"
             size, edges = MAKERS[family](random.Random(f"{seed}:{name}"), n)
             g = Graph.from_edges(size, edges)
-            for clock in clocks.values():
+            for clock in every_clock:
                 clock.seconds = 0.0
             gc.collect()
             start = time.perf_counter()
@@ -87,10 +100,17 @@ def probe(seed: int) -> dict:
                 "solve_s": round(time.perf_counter() - start, 4),
                 "reduce_s": round(clocks["reduce"].seconds, 4),
                 "detect_s": round(clocks["detect"].seconds, 4),
+                **{
+                    f"c{k}_s": round(clock.seconds, 4)
+                    for k, clock in enumerate(detector_clocks, 1)
+                },
+                "bridges_s": round(bridges_clock.seconds, 4),
             }
     finally:
         for name, fn in originals.items():
             setattr(gallai.solver, name, fn)
+        gallai.reductions._DETECTORS = detectors
+        Graph.bridges = bridges
     return {"seed": seed, "python": platform.python_version(), "runs": runs}
 
 
