@@ -250,7 +250,7 @@ def detect_c3(g: Graph) -> C3 | None:
             if v < u:
                 continue
             nv = adj[v]
-            # v is one of a..d and not its own neighbour: count the others
+            # v is one of a..d but not in nv: the sum counts the common ones
             if len(nv) == 4 and (a in nv) + (b in nv) + (c in nv) + (d in nv) == 2:
                 x, y = (w for w in nu if w in nv)
                 (u_extra,) = (w for w in nu if w != v and w not in nv)
