@@ -1,15 +1,20 @@
-"""Exact depth-first search for partitioning an edge set into few paths.
+"""Exact search for partitioning an edge set into few paths.
 
 The engine always grows a path through the lexicographically smallest
 uncovered edge, extending first at the tail and then at the head, trying
 neighbours in ascending order and exploring longer extensions before
 shorter ones.  Pruning uses the residual lower bound (odd-degree endpoints
-and edges-per-path capacity), which keeps the search exact.
+and edges-per-path capacity), which keeps the search exact.  The search is
+depth-first, but it runs as one loop on explicit stacks, with no recursion
+and no generator, so neither the number of paths nor their length is
+bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
-from .graphs import Edge, edge
+from collections import defaultdict
+
+from .graphs import Edge
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -43,77 +48,104 @@ def cover_with_paths(
     Deterministic and complete: if any partition into <= k paths exists,
     one is found.  ``budget`` caps the number of candidate paths tried.
 
-    The uncovered edges live in one set that each tried path takes its
-    edges out of and gives them back to on backtrack, with the degree
-    counts the residual lower bound reads; the smallest uncovered edge is
-    found by walking the sorted edge list, which only moves forward along
-    a branch.
+    One loop runs the whole search on an explicit stack of levels, one per
+    path of the cover under construction, so its depth is bounded by
+    memory, not by the recursion limit.  A level holds its start index
+    into the ascending vertices, its remaining path count, the residual
+    counts it opened with, and the stack of nodes of its candidate
+    enumeration.  A node is a candidate path, whether its tail is still
+    open, an iterator over the ascending neighbours of its open end, and
+    the edge it added.  That edge leaves the per-vertex sets of free
+    neighbours when the node is pushed and returns when it is popped, so
+    a suspended node resumes on the free edges it was suspended on.  A
+    node is offered as its level's path once both of its ends are
+    exhausted, and popped once every level opened above it has failed.
     """
-    order = sorted({edge(*e) for e in edges})
-    available = set(order)
-    adjacency: dict[int, list[int]] = {}
-    for a, b in order:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    neighbours = {v: tuple(sorted(nbs)) for v, nbs in adjacency.items()}
-    degree = {v: len(nbs) for v, nbs in neighbours.items()}
-    live = len(degree)  # vertices with an uncovered edge
-    odd = sum(d % 2 for d in degree.values())
+    free: dict[int, set[int]] = defaultdict(set)
+    for a, b in edges:
+        free[a].add(b)
+        free[b].add(a)
+    vertices = sorted(free)
+    slots = [free[v] for v in vertices]
+    neighbours = {v: sorted(nbs) for v, nbs in zip(vertices, slots)}
+    uncovered = sum(map(len, slots)) // 2
+    live = len(slots)  # vertices with an uncovered edge
+    odd = sum(len(nbs) % 2 for nbs in slots)
+    limit = float("inf") if budget is None else budget
     spent = 0
     cover: list[tuple[int, ...]] = []
-
-    def grow(sequence: tuple[int, ...], tail_open: bool):
-        """All simple paths extending ``sequence`` inside ``available``,
-        longer extensions first; head extensions only after the tail is
-        final."""
-        nonlocal spent
-        spent += 1
-        if budget is not None and spent > budget:
-            raise BudgetExhaustedError(f"search budget {budget} exhausted")
-        if tail_open:
-            tail = sequence[-1]
-            for nb in neighbours[tail]:
-                if nb in sequence or edge(tail, nb) not in available:
-                    continue
-                yield from grow(sequence + (nb,), True)
-        head = sequence[0]
-        for nb in neighbours[head]:
-            if nb in sequence or edge(head, nb) not in available:
-                continue
-            yield from grow((nb,) + sequence, False)
-        yield sequence
-
-    def shift(sequence: tuple[int, ...], step: int) -> None:
-        """Take the path's edges out of ``available`` (step -1) or give
-        them back (step 1), keeping ``degree``, ``live`` and ``odd``."""
-        nonlocal live, odd
-        for a, b in zip(sequence, sequence[1:]):
-            if step < 0:
-                available.remove(edge(a, b))
+    # (first, remaining, uncovered, odd, nodes) for each path of ``cover``
+    # and the level looking for the next one; no vertex before
+    # vertices[first] has a free neighbour
+    levels: list[tuple[int, int, int, int, list[tuple]]] = []
+    first, remaining = 0, k
+    while True:
+        if not uncovered:
+            return cover
+        if remaining > 0 and _paths_needed(uncovered, live, odd) <= remaining:
+            # Open a level on the smallest uncovered edge: its smaller end
+            # is the first vertex with a free neighbour, all of which are
+            # larger than it.
+            while not slots[first]:
+                first += 1
+            end = vertices[first]
+            fe = slots[first]
+            nb = min(fe)
+            sequence: tuple[int, ...] = (end,)
+            tail_open = True
+            nodes: list[tuple] = []
+            levels.append((first, remaining, uncovered, odd, nodes))
+        else:
+            # Give offered paths back until a level has a node left.
+            while True:
+                if not levels:
+                    return None
+                cover.pop()
+                first, remaining, uncovered, odd, nodes = levels[-1]
+                *_, x, y = nodes.pop()
+                fx, fy = free[x], free[y]
+                live += (not fx) + (not fy)
+                fx.add(y)
+                fy.add(x)
+                if nodes:
+                    break
+                levels.pop()
+            sequence, tail_open, scan, _, _ = nodes[-1]
+            end = sequence[-1] if tail_open else sequence[0]
+            fe = free[end]
+            nb = None
+        while True:
+            if nb is not None:
+                # Push the node that extends ``sequence`` by end-nb.
+                spent += 1
+                if spent > limit:
+                    raise BudgetExhaustedError(f"search budget {budget} exhausted")
+                fn = free[nb]
+                fe.remove(nb)
+                fn.remove(end)
+                live -= (not fe) + (not fn)
+                sequence = sequence + (nb,) if tail_open else (nb,) + sequence
+                scan = iter(neighbours[nb])
+                nodes.append((sequence, tail_open, scan, end, nb))
+                end, fe = nb, fn
+            for nb in scan:
+                if nb in fe and nb not in sequence:
+                    break
             else:
-                available.add(edge(a, b))
-            for x in (a, b):
-                before = degree[x]
-                degree[x] = after = before + step
-                odd += after % 2 - before % 2
-                live += (after > 0) - (before > 0)
-
-    def solve(first: int, remaining: int) -> bool:
-        """Cover ``available`` with at most ``remaining`` more paths; no
-        uncovered edge comes before ``order[first]``."""
-        if not available:
-            return True
-        if remaining <= 0 or _paths_needed(len(available), live, odd) > remaining:
-            return False
-        while order[first] not in available:
-            first += 1
-        for sequence in grow(order[first], True):
-            shift(sequence, -1)
-            cover.append(sequence)
-            if solve(first + 1, remaining - 1):
-                return True
-            cover.pop()
-            shift(sequence, 1)
-        return False
-
-    return cover if solve(0, k) else None
+                if tail_open:
+                    # The tail is final: extend at the head.
+                    tail_open = False
+                    end = sequence[0]
+                    fe = free[end]
+                    scan = iter(neighbours[end])
+                    nodes[-1] = (sequence, False, scan, *nodes[-1][3:])
+                    nb = None
+                    continue
+                cover.append(sequence)
+                remaining -= 1
+                uncovered -= len(sequence) - 1
+                # A path flips the degree parity of its two ends only.
+                odd += (1 if len(fe) % 2 else -1) + (
+                    1 if len(free[sequence[-1]]) % 2 else -1
+                )
+                break

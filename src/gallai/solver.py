@@ -147,7 +147,8 @@ def _base_case(g: Graph, budget: int | None, bases: list[str]) -> PathDecomposit
             "this contradicts the structure guarantee"
         )
     k = (g.n + 1) // 2
-    d = solve_base(g, k, budget)
+    # g is connected and has edges, so the search needs no checks first
+    d = _search(g, k, budget)
     if d is None:
         raise InternalError(
             f"exact search found no decomposition into {k} paths; "
@@ -177,6 +178,10 @@ def solve_base(
         raise SolveError("graph is not connected")
     if g.m == 0:
         raise SolveError("graph has no edges")
+    return _search(g, k, budget)
+
+
+def _search(g: Graph, k: int, budget: int | None) -> PathDecomposition | None:
     cover = cover_with_paths(frozenset(g.edges()), k, budget)
     if cover is None:
         return None

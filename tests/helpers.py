@@ -514,11 +514,12 @@ def random_c5_satellites(rng: random.Random) -> Graph | None:
 # -- reference detectors and solver -------------------------------------------
 #
 # The detectors as they were before their degree pre-filters and table
-# loops, the low-link bridge finder they read, and the recursive solver
+# loops, the low-link bridge finder they read, the exact search as
+# recursive generators on one uncovered-edge set, and the recursive solver
 # with its tuple-rebuilding lifts as it was before the work stack and the
-# path store.  ``solve``, ``Graph.bridges`` and the detectors must agree
-# with them exactly: same occurrence, same paths in the same order and
-# orientation, same trace.
+# path store.  ``solve``, ``Graph.bridges``, ``cover_with_paths`` and the
+# detectors must agree with them exactly: same occurrence, same paths in
+# the same order and orientation, same trace, same search nodes spent.
 
 
 def reference_bridges(g: Graph) -> set:
@@ -555,6 +556,82 @@ def reference_bridges(g: Graph) -> set:
                     if low[v] > disc[p]:
                         out.add(edge(p, v))
     return out
+
+
+def reference_cover_with_paths(edges, k: int, budget: int | None = None):
+    """``cover_with_paths`` as one recursive call per path and one nested
+    generator per path vertex, on one set of uncovered edges; returns the
+    cover (or None) and the number of search nodes it spent."""
+    from gallai.search import BudgetExhaustedError, _paths_needed
+
+    order = sorted({edge(*e) for e in edges})
+    available = set(order)
+    adjacency: dict[int, list[int]] = {}
+    for a, b in order:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    neighbours = {v: tuple(sorted(nbs)) for v, nbs in adjacency.items()}
+    degree = {v: len(nbs) for v, nbs in neighbours.items()}
+    live = len(degree)  # vertices with an uncovered edge
+    odd = sum(d % 2 for d in degree.values())
+    spent = 0
+    cover: list[tuple[int, ...]] = []
+
+    def grow(sequence: tuple[int, ...], tail_open: bool):
+        """All simple paths extending ``sequence`` inside ``available``,
+        longer extensions first; head extensions only after the tail is
+        final."""
+        nonlocal spent
+        spent += 1
+        if budget is not None and spent > budget:
+            raise BudgetExhaustedError(f"search budget {budget} exhausted")
+        if tail_open:
+            tail = sequence[-1]
+            for nb in neighbours[tail]:
+                if nb in sequence or edge(tail, nb) not in available:
+                    continue
+                yield from grow(sequence + (nb,), True)
+        head = sequence[0]
+        for nb in neighbours[head]:
+            if nb in sequence or edge(head, nb) not in available:
+                continue
+            yield from grow((nb,) + sequence, False)
+        yield sequence
+
+    def shift(sequence: tuple[int, ...], step: int) -> None:
+        """Take the path's edges out of ``available`` (step -1) or give
+        them back (step 1), keeping ``degree``, ``live`` and ``odd``."""
+        nonlocal live, odd
+        for a, b in zip(sequence, sequence[1:]):
+            if step < 0:
+                available.remove(edge(a, b))
+            else:
+                available.add(edge(a, b))
+            for x in (a, b):
+                before = degree[x]
+                degree[x] = after = before + step
+                odd += after % 2 - before % 2
+                live += (after > 0) - (before > 0)
+
+    def solve(first: int, remaining: int) -> bool:
+        """Cover ``available`` with at most ``remaining`` more paths; no
+        uncovered edge comes before ``order[first]``."""
+        if not available:
+            return True
+        if remaining <= 0 or _paths_needed(len(available), live, odd) > remaining:
+            return False
+        while order[first] not in available:
+            first += 1
+        for sequence in grow(order[first], True):
+            shift(sequence, -1)
+            cover.append(sequence)
+            if solve(first + 1, remaining - 1):
+                return True
+            cover.pop()
+            shift(sequence, 1)
+        return False
+
+    return (cover if solve(0, k) else None), spent
 
 
 def reference_detect_c1(g: Graph):
@@ -656,7 +733,7 @@ def reference_solve(g: Graph, budget: int | None = None):
 
 def _reference_solve(g, budget, steps, bases):
     from gallai.reductions import check_structure, detect, is_exceptional_clique, reduce
-    from gallai.solver import ReductionStep, _clique_decomposition, solve_base
+    from gallai.solver import ReductionStep, _clique_decomposition
 
     if g.m == 0:
         bases.append("trivial")
@@ -668,10 +745,10 @@ def _reference_solve(g, budget, steps, bases):
     if occ is None:
         assert check_structure(g)
         k = (g.n + 1) // 2
-        d = solve_base(g, k, budget)
-        assert d is not None
+        cover, _ = reference_cover_with_paths(g.edges(), k, budget)
+        assert cover is not None
         bases.append(f"search(k={k})")
-        return d
+        return PathDecomposition(tuple(Path(seq) for seq in cover))
     plan = reduce(g, occ)
     steps.append(ReductionStep(g.n, plan.tag, plan.subcase))
     decomps = [_reference_solve(c.graph, budget, steps, bases) for c in plan.children]
@@ -869,8 +946,6 @@ def _ref_lift_c5_triangle(u, v, trio, child, decomps):
 
 
 def _ref_lift_c5_triangle_repair(u, v, trio, translated):
-    from gallai.search import cover_with_paths
-
     tri_edges = {edge(p, q) for p, q in itertools.combinations(trio, 2)}
     hosts = []
     for p in translated.paths:
@@ -878,7 +953,7 @@ def _ref_lift_c5_triangle_repair(u, v, trio, translated):
             hosts.append(p)
     fresh = {edge(u, v)} | {edge(u, t) for t in trio} | {edge(v, t) for t in trio}
     pool = frozenset({e for host in hosts for e in host.edges()} | fresh)
-    cover = cover_with_paths(pool, len(hosts) + 1, budget=2_000_000)
+    cover, _ = reference_cover_with_paths(pool, len(hosts) + 1, budget=2_000_000)
     assert cover is not None
     kept = tuple(p for p in translated.paths if p not in hosts)
     return PathDecomposition(kept + tuple(Path(seq) for seq in cover))

@@ -461,7 +461,7 @@ def test_cli_solve_recursion_error_is_internal_failure(
     assert err == "gallai: internal failure: maximum recursion depth exceeded\n"
 
 
-def _no_search(g, k, budget=None):
+def _no_search(edges, k, budget=None):
     return None
 
 
@@ -478,7 +478,7 @@ def _never_valid(g, d):
 @pytest.mark.parametrize(
     "name, broken, message",
     [
-        ("solve_base", _no_search, "exact search found no decomposition into 2 paths"),
+        ("cover_with_paths", _no_search, "exact search found no decomposition into 2 paths"),
         ("check_structure", _cyclic_core, "cyclic even-degree core"),
         ("verify", _never_valid, "final decomposition not good"),
     ],

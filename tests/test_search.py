@@ -1,11 +1,12 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from gallai import BudgetExhaustedError, enumerate_connected
-from gallai.search import cover_with_paths
-from helpers import random_cubic_graph
+from gallai.search import cover_with_paths, residual_lower_bound
+from helpers import random_cubic_graph, reference_cover_with_paths
 
 # (census order, index into enumerate_connected(order, 5), k, least budget
 # at which the search ends) for graphs whose minimum path count k0 exceeds
@@ -53,3 +54,37 @@ def test_cover_with_paths_spends_the_recorded_node_count():
             cover_with_paths(edges, k, budget - 1)
         digest.update(repr(cover).encode() + b"\n")
     assert digest.hexdigest() == _COVERS_SHA256
+
+
+def _same_search(edges, k):
+    """The search returns the reference's cover at exactly the least
+    budget the reference needs, and runs out of budget one node sooner."""
+    want, nodes = reference_cover_with_paths(edges, k)
+    assert cover_with_paths(edges, k, nodes) == want, (sorted(edges), k)
+    if nodes:
+        with pytest.raises(BudgetExhaustedError):
+            cover_with_paths(edges, k, nodes - 1)
+    return want is not None
+
+
+def test_cover_with_paths_matches_the_reference_search():
+    # every census graph with n <= 7, then seeded cubic graphs, each at k
+    # = lower bound - 1, lower bound and lower bound + 1
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n, 5)]
+    rng = random.Random(1968)
+    graphs += [random_cubic_graph(rng, n) for n in range(4, 61, 2)]
+    outcomes = Counter()
+    for g in graphs:
+        edges = frozenset(g.edges())
+        lb = residual_lower_bound(edges)
+        for k in (lb - 1, lb, lb + 1):
+            outcomes[k - lb, _same_search(edges, k)] += 1
+    # at the lower bound the search both covers and exhausts often
+    assert outcomes[0, True] > 600 and outcomes[0, False] > 200, outcomes
+
+
+def test_cover_with_paths_covers_a_long_path_with_one_path():
+    # one level per path and one node per edge, none of them a frame
+    path = tuple(range(5001))
+    edges = frozenset(zip(path, path[1:]))
+    assert cover_with_paths(edges, 1) == [path]

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import random
 import re
 import sys
 import time
@@ -11,6 +12,8 @@ from gallai import (
     BudgetExhaustedError,
     Graph,
     LiftError,
+    Path,
+    PathDecomposition,
     SolveError,
     enumerate_connected,
     min_decomposition,
@@ -19,7 +22,7 @@ from gallai import (
 )
 from gallai.paths import lower_bound
 from gallai.solver import solve_base
-from helpers import complete_graph, cycle, path_graph, petersen, star
+from helpers import complete_graph, cycle, path_graph, petersen, random_cubic_graph, star
 
 
 def test_solve_examples():
@@ -169,6 +172,24 @@ def test_long_paths_solve_at_the_default_recursion_limit(n):
     assert [p.vertices for p in result.decomposition] == [tuple(range(n))]
     assert len(result.trace.steps) == n - 2
     assert sys.getrecursionlimit() == limit
+
+
+def test_large_cubic_graph_solves_at_the_default_recursion_limit():
+    # No configuration fits a cubic graph, so the exact search covers it
+    # with n/2 paths, more levels than the default limit of 1000 frames.
+    g = random_cubic_graph(random.Random(2400), 2400)
+    result = solve(g)
+    report = verify(g, result.decomposition)
+    assert report.valid and report.good
+    assert len(result.decomposition) <= 1200
+    assert result.trace.steps == () and result.trace.base_cases == ("search(k=1200)",)
+
+
+def test_min_decomposition_of_a_long_path():
+    # one search node per edge, 2999 of them on one candidate path
+    assert min_decomposition(path_graph(3000)) == (
+        1, PathDecomposition((Path(tuple(range(3000))),))
+    )
 
 
 def _fault_splice_at_order(order, fault):

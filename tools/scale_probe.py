@@ -3,16 +3,21 @@
     python3 tools/scale_probe.py [--seed 801]
 
 Solves, once each, paths of n = 1000 to 8000, random max-degree-5 graphs
-of n = 800 to 3200, 4-regular graphs of n = 400 and 1600 and a caterpillar
-of n = 1600, drawn by the generators of ``perfbench/gen.py``, each from its
-own stream seeded by the seed and the input's name.  Wrappers on the names
-``gallai.solver`` calls them by add up the time spent in ``reduce`` and in
-``detect``; wrappers on the detectors that ``detect`` runs, and on
-``Graph.bridges``, split ``detect`` by configuration.  Prints one JSON
-line: per input its n, m and the seconds of ``solve``, ``reduce``,
-``detect``, each of ``detect_c1`` to ``detect_c5`` (``c1_s`` to ``c5_s``)
-and ``Graph.bridges`` (``bridges_s``, part of ``c2_s``); wall clock, one
-process, unpinned.
+of n = 800 to 3200, 4-regular graphs of n = 400 and 1600, a caterpillar
+of n = 1600 and cubic graphs of n = 2400 to 9600, drawn by the generators
+of ``perfbench/gen.py``, each from its own stream seeded by the seed and
+the input's name.  Wrappers on the names ``gallai.solver`` calls them by
+add up the time spent in ``reduce``, in ``detect`` and in the exact
+search ``cover_with_paths``; wrappers on the detectors that ``detect``
+runs, and on ``Graph.bridges``, split ``detect`` by configuration.  A
+callback in ``gc.callbacks`` adds up the cyclic garbage collector's
+pauses, and each wrapper leaves out the pauses that fall inside its
+calls, so a layer is charged with its own work only.  Prints one JSON
+line: per input its n, m and the seconds of ``solve`` (wall clock, pauses
+included), ``reduce``, ``detect``, each of ``detect_c1`` to ``detect_c5``
+(``c1_s`` to ``c5_s``), ``Graph.bridges`` (``bridges_s``, part of
+``c2_s``), the search (``search_s``) and the collector's pauses during
+``solve`` (``gc_s``); wall clock, one process, unpinned.
 
 Standard library only; ``gallai`` is imported from ``src`` next to this
 directory, so the script measures the checkout it sits in.
@@ -44,54 +49,78 @@ INPUTS = (
     + [("maxdeg5", n) for n in (800, 1600, 3200)]
     + [("regular4", n) for n in (400, 1600)]
     + [("caterpillar", 1600)]
+    + [("regular3", n) for n in (2400, 4800, 9600)]
 )
 MAKERS = {
     "path": gen.path,
     "maxdeg5": gen.random_max_degree5,
     "regular4": lambda rng, n: gen.random_regular(rng, n, 4),
     "caterpillar": gen.caterpillar,
+    "regular3": lambda rng, n: gen.random_regular(rng, n, 3),
 }
 
 
-class Clock:
-    """Adds up the seconds spent in the wrapped functions."""
+class Collector:
+    """Adds up the seconds of the cyclic garbage collector's passes; a
+    callback for ``gc.callbacks``."""
 
     def __init__(self) -> None:
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+
+
+class Clock:
+    """Adds up the seconds spent in the wrapped functions, less the
+    collector's passes that fall inside them."""
+
+    def __init__(self, collector: Collector) -> None:
+        self.collector = collector
         self.seconds = 0.0
 
     def wrap(self, fn):
         def timed(*args, **kwargs):
-            start = time.perf_counter()
+            start, paused = time.perf_counter(), self.collector.seconds
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.seconds += time.perf_counter() - start
+                self.seconds += time.perf_counter() - start - (
+                    self.collector.seconds - paused
+                )
 
         return timed
 
 
 def probe(seed: int) -> dict:
-    clocks = {"reduce": Clock(), "detect": Clock()}
+    collector = Collector()
+    clocks = {name: Clock(collector) for name in ("reduce", "detect", "cover_with_paths")}
     originals = {name: getattr(gallai.solver, name) for name in clocks}
     for name, clock in clocks.items():
         setattr(gallai.solver, name, clock.wrap(originals[name]))
     detectors = gallai.reductions._DETECTORS
-    detector_clocks = [Clock() for _ in detectors]
+    detector_clocks = [Clock(collector) for _ in detectors]
     gallai.reductions._DETECTORS = tuple(
         clock.wrap(fn) for clock, fn in zip(detector_clocks, detectors)
     )
-    bridges, bridges_clock = Graph.bridges, Clock()
+    bridges, bridges_clock = Graph.bridges, Clock(collector)
     Graph.bridges = bridges_clock.wrap(bridges)
     every_clock = [*clocks.values(), *detector_clocks, bridges_clock]
+    gc.callbacks.append(collector)
     runs = {}
     try:
         for family, n in INPUTS:
             name = f"{family}-{n}"
             size, edges = MAKERS[family](random.Random(f"{seed}:{name}"), n)
             g = Graph.from_edges(size, edges)
+            gc.collect()
             for clock in every_clock:
                 clock.seconds = 0.0
-            gc.collect()
+            collector.seconds = 0.0
             start = time.perf_counter()
             solve(g)
             runs[name] = {
@@ -105,8 +134,11 @@ def probe(seed: int) -> dict:
                     for k, clock in enumerate(detector_clocks, 1)
                 },
                 "bridges_s": round(bridges_clock.seconds, 4),
+                "search_s": round(clocks["cover_with_paths"].seconds, 4),
+                "gc_s": round(collector.seconds, 4),
             }
     finally:
+        gc.callbacks.remove(collector)
         for name, fn in originals.items():
             setattr(gallai.solver, name, fn)
         gallai.reductions._DETECTORS = detectors
