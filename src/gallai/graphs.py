@@ -14,9 +14,9 @@ by id in ascending order, and the edge count ``m`` is kept alongside it.
 Degrees are at most 5 in the graphs the solver takes, so a degree is a
 ``len`` and an adjacency test a short tuple scan.  A derived graph is one
 copy of the table that rewrites only the tuples of the vertices it
-touches; ``add_edge`` and ``contract_edge`` are calls of
-``delete_vertices(drop, add)``.  Every mutating operation returns a new
-``Graph``; values are safe to share between threads.
+touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``.
+Every derived graph is a new ``Graph``; values are safe to share between
+threads.
 
 The connectivity queries never recurse and key their work by vertex id:
 ``components`` and ``split`` are breadth-first searches, ``bridges`` a
@@ -354,21 +354,6 @@ class Graph:
             adj[v] = tuple(sorted(adj[v] + (u,)))
             m += 1
         return _derived(adj, m)
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise ValueError(f"self-loop at {u}")
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        return self.delete_vertices((), ((u, v),))
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) not present")
-        adj = dict(self._adj)
-        adj[u] = tuple(x for x in adj[u] if x != v)
-        adj[v] = tuple(x for x in adj[v] if x != u)
-        return _derived(adj, self.m - 1)
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge whose ends share no neighbour.

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, edge
-from .search import residual_lower_bound
+from .search import _paths_needed
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,8 @@ def lower_bound(g: Graph) -> int:
     """max(half the odd-degree vertices, edges over the longest path length)."""
     if g.m == 0:
         raise ValueError("lower bound of an edgeless graph is undefined")
-    return residual_lower_bound(frozenset(g.edges()))
+    degrees = [len(nbrs) for nbrs in g.adjacency().values() if nbrs]
+    return _paths_needed(g.m, len(degrees), sum(d % 2 for d in degrees))
 
 
 # -- the path store ---------------------------------------------------------

@@ -264,41 +264,30 @@ def detect_c4(g: Graph) -> C4 | None:
     for u, nu in adj.items():
         if len(nu) != 4:
             continue
-        for i, v in enumerate(nu):
-            if v < u:
-                continue
-            nv = adj[v]
-            if len(nv) != 4:
-                continue
-            # the other neighbours, ascending, and the pairs of each side
-            # in the order of itertools.combinations, each with its leftover
-            t1, t2, t3 = nu[:i] + nu[i + 1:]
-            k = nv.index(u)
-            w1, w2, w3 = nv[:k] + nv[k + 1:]
-            for p, q, r in ((t1, t2, t3), (t1, t3, t2), (t2, t3, t1)):
-                if q in adj[p]:
-                    continue
-                for s, t, z in ((w1, w2, w3), (w1, w3, w2), (w2, w3, w1)):
-                    if t not in adj[s] and r != z:
-                        return C4(u, v, p, q, r, s, t, z)
+        for v in nu:
+            if v > u and len(adj[v]) == 4:
+                for labelling in _c4_labellings(adj, u, v):
+                    return C4(u, v, *labelling)
     return None
 
 
-def _c4_labellings(g: Graph, u: int, v: int) -> Iterator[tuple[int, ...]]:
-    """Every ``(t1, t2, t3, w1, w2, w3)`` naming a C4 at the edge uv, in
-    ascending order of the non-adjacent pairs."""
-    ts = sorted(set(g.neighbors(u)) - {v})
-    ws = sorted(set(g.neighbors(v)) - {u})
-    for t1, t2 in itertools.combinations(ts, 2):
-        if g.has_edge(t1, t2):
+def _c4_labellings(
+    adj: Mapping[int, tuple[int, ...]], u: int, v: int
+) -> Iterator[tuple[int, ...]]:
+    """Every ``(t1, t2, t3, w1, w2, w3)`` naming a C4 at the edge uv of
+    two degree-4 vertices, in ascending order of the non-adjacent pairs."""
+    nu, nv = adj[u], adj[v]
+    # the other neighbours, ascending, and the pairs of each side in the
+    # order of itertools.combinations, each with its leftover
+    i, k = nu.index(v), nv.index(u)
+    t1, t2, t3 = nu[:i] + nu[i + 1:]
+    w1, w2, w3 = nv[:k] + nv[k + 1:]
+    for p, q, r in ((t1, t2, t3), (t1, t3, t2), (t2, t3, t1)):
+        if q in adj[p]:
             continue
-        (t3,) = set(ts) - {t1, t2}
-        for w1, w2 in itertools.combinations(ws, 2):
-            if g.has_edge(w1, w2):
-                continue
-            (w3,) = set(ws) - {w1, w2}
-            if t3 != w3:
-                yield t1, t2, t3, w1, w2, w3
+        for s, t, z in ((w1, w2, w3), (w1, w3, w2), (w2, w3, w1)):
+            if t not in adj[s] and r != z:
+                yield p, q, r, s, t, z
 
 
 def detect_c5(g: Graph) -> C5 | None:
@@ -732,7 +721,7 @@ def _reduce_c4_four(g: Graph, occ: C4, parts: list[Part]) -> LiftPlan:
 
 def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
-    for t1, t2, t3, w1, w2, w3 in _c4_labellings(g, u, v):
+    for t1, t2, t3, w1, w2, w3 in _c4_labellings(g.adjacency(), u, v):
         child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
         if _connected(child):
             return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
@@ -911,10 +900,14 @@ def _lift_c5_triangle_repair(
 ) -> None:
     hosts = {store.holder(edge(p, q)) for p, q in itertools.combinations(trio, 2)}
     fresh = {edge(u, v)} | {edge(u, t) for t in trio} | {edge(v, t) for t in trio}
-    pool = frozenset(
-        {e for host in hosts for e in Path(store.take(host)).edges()} | fresh
-    )
-    cover = cover_with_paths(pool, len(hosts) + 1, budget=_REPAIR_BUDGET)
+    pool = {e for host in hosts for e in Path(store.take(host)).edges()} | fresh
+    # the pool's neighbour table, ids and tuples ascending, for the search
+    nbrs: dict[int, list[int]] = {}
+    for a, b in pool:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    table = {x: tuple(sorted(nbrs[x])) for x in sorted(nbrs)}
+    cover = cover_with_paths(table, len(hosts) + 1, budget=_REPAIR_BUDGET)
     if cover is None:
         raise LiftError("triangle repair found no small re-partition")
     for sequence in cover:

@@ -1,10 +1,12 @@
-"""Exact search for partitioning an edge set into few paths.
+"""Exact search for covering a graph's edges with few paths.
 
-The engine always grows a path through the lexicographically smallest
-uncovered edge, extending first at the tail and then at the head, trying
-neighbours in ascending order and exploring longer extensions before
-shorter ones.  Pruning uses the residual lower bound (odd-degree endpoints
-and edges-per-path capacity), which keeps the search exact.  The search is
+The search reads a neighbour table: ascending vertex ids, each mapped to
+the ascending tuple of its neighbours, as ``Graph.adjacency()`` gives it.
+It always grows a path through the lexicographically smallest uncovered
+edge, extending first at the tail and then at the head, trying neighbours
+in ascending order and exploring longer extensions before shorter ones.
+Pruning uses the residual lower bound (odd-degree endpoints and
+edges-per-path capacity), which keeps the search exact.  The search is
 depth-first, but it runs as one loop on explicit stacks, with no recursion
 and no generator, so neither the number of paths nor their length is
 bounded by the recursion limit.
@@ -12,25 +14,11 @@ bounded by the recursion limit.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from .graphs import Edge
+from collections.abc import Mapping
 
 
 class BudgetExhaustedError(RuntimeError):
     """The node budget ran out before the search could decide."""
-
-
-def residual_lower_bound(edges: frozenset[Edge]) -> int:
-    """Minimum number of paths any partition of this edge set needs."""
-    if not edges:
-        return 0
-    degree: dict[int, int] = {}
-    for a, b in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    odd = sum(1 for count in degree.values() if count % 2 == 1)
-    return _paths_needed(len(edges), len(degree), odd)
 
 
 def _paths_needed(edge_count: int, live: int, odd: int) -> int:
@@ -41,12 +29,17 @@ def _paths_needed(edge_count: int, live: int, odd: int) -> int:
 
 
 def cover_with_paths(
-    edges: frozenset[Edge], k: int, budget: int | None = None
+    adj: Mapping[int, tuple[int, ...]], k: int, budget: int | None = None
 ) -> list[tuple[int, ...]] | None:
-    """Partition the edge set into at most k simple paths, or None.
+    """Partition the edges of the table ``adj`` into at most k simple
+    paths, or None.
 
-    Deterministic and complete: if any partition into <= k paths exists,
-    one is found.  ``budget`` caps the number of candidate paths tried.
+    ``adj`` maps ascending vertex ids to ascending, symmetric neighbour
+    tuples.  The ids may have gaps and a vertex may have no neighbours, as
+    in a graph derived from another one: the search runs on the vertices
+    with a neighbour.  Deterministic and complete: if any partition into
+    <= k paths exists, one is found.  ``budget`` caps the number of
+    candidate paths tried.
 
     One loop runs the whole search on an explicit stack of levels, one per
     path of the cover under construction, so its depth is bounded by
@@ -61,13 +54,9 @@ def cover_with_paths(
     node is offered as its level's path once both of its ends are
     exhausted, and popped once every level opened above it has failed.
     """
-    free: dict[int, set[int]] = defaultdict(set)
-    for a, b in edges:
-        free[a].add(b)
-        free[b].add(a)
-    vertices = sorted(free)
-    slots = [free[v] for v in vertices]
-    neighbours = {v: sorted(nbs) for v, nbs in zip(vertices, slots)}
+    free = {v: set(nbs) for v, nbs in adj.items() if nbs}
+    vertices = list(free)
+    slots = list(free.values())
     uncovered = sum(map(len, slots)) // 2
     live = len(slots)  # vertices with an uncovered edge
     odd = sum(len(nbs) % 2 for nbs in slots)
@@ -125,7 +114,7 @@ def cover_with_paths(
                 fn.remove(end)
                 live -= (not fe) + (not fn)
                 sequence = sequence + (nb,) if tail_open else (nb,) + sequence
-                scan = iter(neighbours[nb])
+                scan = iter(adj[nb])
                 nodes.append((sequence, tail_open, scan, end, nb))
                 end, fe = nb, fn
             for nb in scan:
@@ -137,7 +126,7 @@ def cover_with_paths(
                     tail_open = False
                     end = sequence[0]
                     fe = free[end]
-                    scan = iter(neighbours[end])
+                    scan = iter(adj[end])
                     nodes[-1] = (sequence, False, scan, *nodes[-1][3:])
                     nb = None
                     continue

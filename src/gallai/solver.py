@@ -182,7 +182,7 @@ def solve_base(
 
 
 def _search(g: Graph, k: int, budget: int | None) -> PathDecomposition | None:
-    cover = cover_with_paths(frozenset(g.edges()), k, budget)
+    cover = cover_with_paths(g.adjacency(), k, budget)
     if cover is None:
         return None
     return PathDecomposition(tuple(Path(seq) for seq in cover))
@@ -198,8 +198,6 @@ def min_decomposition(
     if not g.is_connected():
         raise SolveError("graph is not connected")
     k = lower_bound(g)
-    while True:
-        d = solve_base(g, k, budget)
-        if d is not None:
-            return k, d
+    while (d := _search(g, k, budget)) is None:
         k += 1
+    return k, d

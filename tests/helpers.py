@@ -126,9 +126,15 @@ def reference_enumerate(n: int, max_deg: int) -> tuple[Graph, ...]:
 
 
 def delete_edges(g: Graph, edges) -> Graph:
-    for a, b in edges:
-        g = g.delete_edge(a, b)
-    return g
+    """``g`` without the edges ``edges``, on the same ids: the graph on
+    ``0..max id`` with every other edge, less the ids ``g`` lacks."""
+    drop = {edge(*e) for e in edges}
+    missing = drop.difference(g.edges())
+    if missing:
+        raise ValueError(f"edges {sorted(missing)} are not in the graph")
+    top = max(g.vertices(), default=-1) + 1
+    h = Graph.from_edges(top, (e for e in g.edges() if e not in drop))
+    return h.delete_vertices(set(range(top)).difference(g.vertices()))
 
 
 def random_connected_graph(
@@ -200,7 +206,7 @@ def check_split(g: Graph, starts, removed, without, parts) -> None:
     listed but at most one (which is all of them when the starts met)."""
     h = g.delete_vertices(removed)
     if without is not None:
-        h = h.delete_edge(*without)
+        h = delete_edges(h, [without])
     order = list(dict.fromkeys(starts))
     want = []
     for comp in map(set, h.components()):
@@ -296,7 +302,7 @@ def subcase_fixtures():
             ),
             C5(0, 1, 2), "C5", "two_gaps",
         ),
-        (k5.delete_edge(3, 4), None, "C5", "one_gap"),
+        (delete_edges(k5, [(3, 4)]), None, "C5", "one_gap"),
         (
             Graph.from_edges(6, list(k5.edges()) + [(3, 5)]),
             None, "C5", "common_triangle",
@@ -436,16 +442,6 @@ class MaskGraph:
             adj[v] |= 1 << u
         return self._derived(adj)
 
-    def add_edge(self, u: int, v: int) -> "MaskGraph":
-        if u == v:
-            raise ValueError(f"self-loop at {u}")
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        adj = dict(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return self._derived(adj)
-
     def delete_edge(self, u: int, v: int) -> "MaskGraph":
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
@@ -556,6 +552,18 @@ def reference_bridges(g: Graph) -> set:
                     if low[v] > disc[p]:
                         out.add(edge(p, v))
     return out
+
+
+def reference_lower_bound(edges) -> int:
+    """The least number of paths that any partition of the edge set
+    ``edges`` needs, counted from the edges: half its odd-degree vertices,
+    rounded up, and its edge count over the most edges a path on its
+    vertices can have."""
+    if not edges:
+        return 0
+    degree = Counter(x for e in edges for x in e)
+    odd = sum(d % 2 for d in degree.values())
+    return max((odd + 1) // 2, -(-len(edges) // (len(degree) - 1)))
 
 
 def reference_cover_with_paths(edges, k: int, budget: int | None = None):

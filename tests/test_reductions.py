@@ -24,6 +24,7 @@ from helpers import (
     check_split,
     complete_graph,
     cycle,
+    delete_edges,
     load_and_lift,
     path_graph,
     petersen,
@@ -47,7 +48,7 @@ def naive_any_configuration(g: Graph) -> bool:
     cut = {
         e
         for e in g.edges()
-        if len(g.delete_edge(*e).components()) > len(g.components())
+        if len(delete_edges(g, [e]).components()) > len(g.components())
     }
     for u, v in g.edges():
         if (u, v) in cut and g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
@@ -250,7 +251,7 @@ def test_c4_paired_nonedges_round_trip():
 
 
 def test_c5_one_gap_round_trip():
-    g = complete_graph(5).delete_edge(3, 4)
+    g = delete_edges(complete_graph(5), [(3, 4)])
     occ = detect(g)
     assert isinstance(occ, C5)
     round_trip(g, occ, "one_gap")
@@ -603,7 +604,8 @@ def _check_contraction(g, plan, met):
     if plan.subcase == "degree_two":
         old = g.delete_vertices({v}).contract_edge(u, w)
     else:
-        old = g.delete_vertices({u}).contract_edge(v, w).add_edge(min(v, w), x2)
+        contracted = g.delete_vertices({u}).contract_edge(v, w)
+        old = contracted.delete_vertices((), [(min(v, w), x2)])
     assert list(child.graph.adjacency().items()) == list(old.adjacency().items())
     assert child.graph.m == old.m
     assert len(set(child.synthetic)) == len(child.synthetic)
@@ -681,7 +683,7 @@ def test_finish_refuses_each_broken_child(message):
     star = Graph.from_edges(10, [(2, x) for x in range(10) if x != 2])
     broken = {
         "child disconnected": (
-            dataclasses.replace(child, graph=child.graph.delete_edge(0, 2)),
+            dataclasses.replace(child, graph=delete_edges(child.graph, [(0, 2)])),
         ),
         "child not smaller": (dataclasses.replace(child, graph=g),),
         "degree inflated": (
@@ -813,7 +815,7 @@ def test_lift_rejects_added_path_reusing_a_covered_edge():
 
     from gallai import LiftError
 
-    g = complete_graph(5).delete_edge(3, 4)
+    g = delete_edges(complete_graph(5), [(3, 4)])
     occ = detect(g)
     plan = reduce(g, occ)
     assert plan.subcase == "one_gap"
@@ -835,7 +837,7 @@ def test_lift_rejects_added_path_reusing_a_covered_edge():
 @pytest.mark.parametrize(
     "g, subcase",
     [
-        (complete_graph(5).delete_edge(3, 4), "one_gap"),  # lifted by routes
+        (delete_edges(complete_graph(5), [(3, 4)]), "one_gap"),  # lifted by routes
         (two_cliques_with_bridge(), "join"),  # a recipe of its own
     ],
     ids=["route", "recipe"],

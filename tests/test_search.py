@@ -5,8 +5,14 @@ from collections import Counter
 import pytest
 
 from gallai import BudgetExhaustedError, enumerate_connected
-from gallai.search import cover_with_paths, residual_lower_bound
-from helpers import random_cubic_graph, reference_cover_with_paths
+from gallai.paths import lower_bound
+from gallai.search import cover_with_paths
+from helpers import (
+    path_graph,
+    random_cubic_graph,
+    reference_cover_with_paths,
+    reference_lower_bound,
+)
 
 # (census order, index into enumerate_connected(order, 5), k, least budget
 # at which the search ends) for graphs whose minimum path count k0 exceeds
@@ -47,44 +53,82 @@ def _pinned_cases():
 def test_cover_with_paths_spends_the_recorded_node_count():
     digest = hashlib.sha256()
     for g, k, budget in _pinned_cases():
-        edges = frozenset(g.edges())
-        cover = cover_with_paths(edges, k, budget)
-        assert cover == cover_with_paths(edges, k), (g, k)
+        adj = g.adjacency()
+        cover = cover_with_paths(adj, k, budget)
+        assert cover == cover_with_paths(adj, k), (g, k)
         with pytest.raises(BudgetExhaustedError):
-            cover_with_paths(edges, k, budget - 1)
+            cover_with_paths(adj, k, budget - 1)
         digest.update(repr(cover).encode() + b"\n")
     assert digest.hexdigest() == _COVERS_SHA256
 
 
-def _same_search(edges, k):
-    """The search returns the reference's cover at exactly the least
-    budget the reference needs, and runs out of budget one node sooner."""
+def _same_search(g, k):
+    """The search on ``g``'s neighbour table returns the reference's cover
+    of ``g``'s edge set at exactly the least budget the reference needs,
+    and runs out of budget one node sooner."""
+    adj, edges = g.adjacency(), list(g.edges())
     want, nodes = reference_cover_with_paths(edges, k)
-    assert cover_with_paths(edges, k, nodes) == want, (sorted(edges), k)
+    assert cover_with_paths(adj, k, nodes) == want, (edges, k)
     if nodes:
         with pytest.raises(BudgetExhaustedError):
-            cover_with_paths(edges, k, nodes - 1)
+            cover_with_paths(adj, k, nodes - 1)
     return want is not None
 
 
-def test_cover_with_paths_matches_the_reference_search():
-    # every census graph with n <= 7, then seeded cubic graphs, each at k
-    # = lower bound - 1, lower bound and lower bound + 1
+def _census_and_cubic():
+    """Every census graph with n <= 7, then seeded cubic graphs."""
     graphs = [g for n in range(2, 8) for g in enumerate_connected(n, 5)]
     rng = random.Random(1968)
-    graphs += [random_cubic_graph(rng, n) for n in range(4, 61, 2)]
+    return graphs + [random_cubic_graph(rng, n) for n in range(4, 61, 2)]
+
+
+def test_cover_with_paths_matches_the_reference_search():
+    # each graph at k = lower bound - 1, lower bound and lower bound + 1
+    graphs = _census_and_cubic()
+    assert len(graphs) == 839 + 29
     outcomes = Counter()
     for g in graphs:
-        edges = frozenset(g.edges())
-        lb = residual_lower_bound(edges)
+        lb = lower_bound(g)
         for k in (lb - 1, lb, lb + 1):
-            outcomes[k - lb, _same_search(edges, k)] += 1
+            outcomes[k - lb, _same_search(g, k)] += 1
+    assert sum(outcomes.values()) == 2604
     # at the lower bound the search both covers and exhausts often
     assert outcomes[0, True] > 600 and outcomes[0, False] > 200, outcomes
 
 
+def _derived_graphs():
+    """Children of the census graphs with 5 <= n <= 7 and of seeded cubic
+    graphs, as ``delete_vertices`` leaves them: ids with gaps (the largest
+    id stays), and some vertices with no neighbour left."""
+    rng = random.Random(2024)
+    for g in _census_and_cubic():
+        if g.n >= 5:
+            yield g.delete_vertices(rng.sample(range(g.n - 1), g.n // 4))
+
+
+def test_lower_bound_matches_the_reference():
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n, 5)]
+    derived = [h for h in _derived_graphs() if h.m]
+    assert any(not nbrs for h in derived for nbrs in h.adjacency().values())
+    for g in graphs + derived:
+        assert lower_bound(g) == reference_lower_bound(list(g.edges())), g
+
+
+def test_cover_with_paths_on_derived_tables_matches_the_reference():
+    # each child at k = its lower bound and one less
+    isolated = 0
+    outcomes = Counter()
+    for h in _derived_graphs():
+        adj = h.adjacency()
+        assert list(adj) != list(range(h.n))  # the ids have gaps
+        isolated += any(not nbrs for nbrs in adj.values())
+        lb = reference_lower_bound(list(h.edges()))
+        for k in (lb - 1, lb):
+            outcomes[k - lb, _same_search(h, k)] += 1
+    assert isolated > 20, isolated
+    assert outcomes[0, True] > 600 and outcomes[0, False] > 50, outcomes
+
+
 def test_cover_with_paths_covers_a_long_path_with_one_path():
     # one level per path and one node per edge, none of them a frame
-    path = tuple(range(5001))
-    edges = frozenset(zip(path, path[1:]))
-    assert cover_with_paths(edges, 1) == [path]
+    assert cover_with_paths(path_graph(5001).adjacency(), 1) == [tuple(range(5001))]
