@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graphs import Graph
 from .paths import verify
@@ -97,23 +97,13 @@ class BatchReport:
             "counters": self.counters(),
             "records": [
                 {
-                    "graph_id": r.graph_id,
-                    "n": r.n,
-                    "m": r.m,
-                    "max_degree": r.max_degree,
-                    "bound": r.bound,
-                    "paths": r.paths,
+                    **asdict(r),
                     "histogram": dict(sorted(r.histogram.items())),
-                    "verified": r.verified,
-                    "note": r.note,
                     "seconds": round(r.seconds, 6),
                 }
                 for r in self.records
             ],
-            "findings": [
-                {"kind": f.kind, "graph_id": f.graph_id, "message": f.message}
-                for f in self.findings
-            ],
+            "findings": [asdict(f) for f in self.findings],
         }
 
     def to_json(self) -> str:

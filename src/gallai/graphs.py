@@ -14,9 +14,10 @@ by id in ascending order, and the edge count ``m`` is kept alongside it.
 Degrees are at most 5 in the graphs the solver takes, so a degree is a
 ``len`` and an adjacency test a short tuple scan.  A derived graph is one
 copy of the table that rewrites only the tuples of the vertices it
-touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``.
-Every derived graph is a new ``Graph``; values are safe to share between
-threads.
+touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``,
+and ``induced_even_subgraph`` builds its table from the even vertices'
+tuples alone.  Every derived graph is a new ``Graph``; values are safe to
+share between threads.
 
 The connectivity queries never recurse and key their work by vertex id:
 ``components`` and ``split`` are breadth-first searches, ``bridges`` a
@@ -370,10 +371,18 @@ class Graph:
         return self.delete_vertices((b,), ((a, y) for y in self._adj[b] if y != a))
 
     def induced_even_subgraph(self) -> "Graph":
-        """Subgraph induced by the vertices of even degree."""
-        return self.delete_vertices(
-            v for v, nbrs in self._adj.items() if len(nbrs) % 2 == 1
-        )
+        """Subgraph induced by the vertices of even degree, on the same ids.
+
+        Reads only the even vertices' tuples, so a graph with no even
+        vertex (a cubic one) costs one pass over its degrees.
+        """
+        adj = self._adj
+        core = {
+            v: tuple(w for w in nbrs if len(adj[w]) % 2 == 0)
+            for v, nbrs in adj.items()
+            if len(nbrs) % 2 == 0
+        }
+        return _derived(core, sum(map(len, core.values())) // 2)
 
     # -- predicates --------------------------------------------------------
 

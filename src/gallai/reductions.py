@@ -553,23 +553,16 @@ def _lift_c2(u: int, v: int, store: PathStore) -> None:
 # -- C3: bypass two degree-4 endpoints around their common pair --------------
 
 
-def _c3_relabel(occ: C3, swap_xy: bool, swap_uv: bool) -> tuple[int, ...]:
-    """``(u, v, x, y, u_extra, v_extra)`` after the given swaps."""
-    u, v, x, y, ue, ve = occ.u, occ.v, occ.x, occ.y, occ.u_extra, occ.v_extra
-    if swap_xy:
-        x, y = y, x
-    if swap_uv:
-        u, v = v, u
-        ue, ve = ve, ue
-    return u, v, x, y, ue, ve
-
-
-# Relabelling (swap x/y, swap u/v) carrying ring position i to position 0.
-_C3_TO_FRONT = {0: (False, False), 1: (True, False), 2: (True, True), 3: (False, True)}
-
-
 def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
-    u, v, x, y, ue, ve = _c3_relabel(occ, False, False)
+    u, v, x, y, ue, ve = occ.u, occ.v, occ.x, occ.y, occ.u_extra, occ.v_extra
+    # (u, v, x, y, u_extra, v_extra) relabelled to carry ring position i,
+    # the edge x-ue, ue-y, y-ve or ve-x, to the front
+    to_front = (
+        (u, v, x, y, ue, ve),
+        (u, v, y, x, ue, ve),
+        (v, u, y, x, ve, ue),
+        (v, u, x, y, ve, ue),
+    )
     present = [g.has_edge(a, b) for a, b in ((x, ue), (ue, y), (y, ve), (ve, x))]
     removed = {u, v}
     if sum(present) == 4:
@@ -579,13 +572,13 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
         for i, has in enumerate(present):
             if has:
                 continue
-            u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[i])
+            u, v, x, y, ue, ve = to_front[i]
             child = _child(g, removed, ((x, v, u, ue),))
             if _connected(child):
                 return _routed("C3", "partial_ring", g, (child,), (x, u, y, v, ve))
         raise ReductionError(f"{occ}: no missing ring edge reconnects")
     front = present.index(True) if any(present) else 0
-    u, v, x, y, ue, ve = _c3_relabel(occ, *_C3_TO_FRONT[front])
+    u, v, x, y, ue, ve = to_front[front]
     routes = ((x, v, ve), (ue, u, y))
     child = _child(g, removed, routes)
     if _connected(child):
@@ -1130,15 +1123,14 @@ def lift(plan: LiftPlan, stores: list[PathStore]) -> PathStore:
 def check_structure(g: Graph) -> bool:
     """For an irreducible graph, the even-degree core must be a forest.
 
-    The caller must know ``g`` to be irreducible (``detect`` found no
-    configuration); it is not checked again here.  Raises ``ValueError``
-    on a graph that is not connected, has a vertex of degree over 5, or
-    is one of the two exceptional cliques (K3, K5).
+    ``g`` must be connected, have maximum degree at most 5 and be
+    irreducible (``detect`` found no configuration); none of this is
+    checked again here.  ``solve`` establishes it: ``check_input`` checks
+    its input, ``_finish`` certifies each child's connectivity and the
+    degrees at its boundary, and ``detect`` has just run.  Raises
+    ``ValueError`` on the two exceptional cliques (K3, K5), which the
+    lemma excludes.
     """
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if g.n and g.max_degree() > 5:
-        raise ValueError("maximum degree exceeds 5")
     if is_exceptional_clique(g):
         raise ValueError("K3 and K5 are excluded")
     return g.induced_even_subgraph().is_forest()

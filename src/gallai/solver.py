@@ -4,12 +4,18 @@
 the two exceptional cliques directly, and resolves irreducible graphs by
 exact bounded search (their even-degree core is a forest, so a
 decomposition into ceil(n/2) paths exists and the search is guaranteed a
-target).  It runs on an explicit work stack, not on recursion, so the
-depth of the reduction chain is not bounded by Python's recursion limit:
-each reduction pushes a frame holding its plan, its children are solved
-in order, and the frame is lifted as soon as its last child is done.
-Child graphs keep their parent's vertex ids, so every decomposition is in
-the ids of the input graph.
+target).  The input contract, connected with maximum degree at most 5, is
+checked once, by ``check_input``; every child keeps it, since ``reduce``
+certifies each child's connectivity and the degrees at its boundary.  So
+at a base case ``check_structure`` tests only what is new there, the
+shape of the even-degree core.
+
+``solve`` runs on an explicit work stack, not on recursion, so the depth
+of the reduction chain is not bounded by Python's recursion limit: each
+reduction pushes a frame holding its plan, its children are solved in
+order, and the frame is lifted as soon as its last child is done.  Child
+graphs keep their parent's vertex ids, so every decomposition is in the
+ids of the input graph.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -88,7 +94,7 @@ def check_input(g: Graph) -> None:
     """Raise ``SolveError`` unless ``g`` is connected with max degree <= 5."""
     if not g.is_connected():
         raise SolveError("graph is not connected")
-    if g.n and g.m and g.max_degree() > 5:
+    if g.m and g.max_degree() > 5:
         raise SolveError("max degree exceeds 5")
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,14 @@ from gallai import (
     write_graph6,
 )
 from gallai.cli import build_parser, main
-from helpers import complete_graph, cycle, path_graph, petersen, two_cliques_with_bridge
+from helpers import (
+    complete_graph,
+    cycle,
+    path_graph,
+    petersen,
+    random_cubic_graph,
+    two_cliques_with_bridge,
+)
 
 
 def census_items(max_n, max_deg=5):
@@ -48,6 +56,33 @@ def test_run_check_reports_are_deterministic():
         a.pop("seconds"), b.pop("seconds")
     assert first["records"] == second["records"]
     assert first["findings"] == second["findings"]
+
+
+def test_report_document_keys_and_values():
+    # One solved graph whose histogram keys arrive out of order, and one
+    # graph outside the contract: the JSON document's keys and values.
+    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+    report = run_check([("D@{", parse_graph6("D@{")), ("split", disconnected)])
+    document = report.to_document()
+    solved, failed = document["records"]
+    assert list(solved) == [
+        "graph_id", "n", "m", "max_degree", "bound", "paths",
+        "histogram", "verified", "note", "seconds",
+    ]
+    assert list(solved["histogram"]) == ["C1/splice", "C5/degree_two"]
+    assert solved == {
+        "graph_id": "D@{", "n": 5, "m": 5, "max_degree": 4, "bound": 3,
+        "paths": 2, "histogram": {"C1/splice": 1, "C5/degree_two": 1},
+        "verified": True, "note": "", "seconds": round(report.records[0].seconds, 6),
+    }
+    assert {k: v for k, v in failed.items() if k != "seconds"} == {
+        "graph_id": "split", "n": 4, "m": 2, "max_degree": 1, "bound": 2,
+        "paths": None, "histogram": {}, "verified": False, "note": "",
+    }
+    assert document["findings"] == [
+        {"kind": "error", "graph_id": "split", "message": "graph is not connected"}
+    ]
+    assert list(document["findings"][0]) == ["kind", "graph_id", "message"]
 
 
 def test_run_check_detects_once_per_solve_step(monkeypatch):
@@ -81,6 +116,23 @@ def test_run_check_detects_once_per_solve_step(monkeypatch):
         len(t.steps) + sum(b.startswith("search") for b in t.base_cases)
         for t in traces
     )
+
+
+def test_solve_checks_connectivity_once(monkeypatch):
+    # `check_input` checks the input contract; the structure check at the
+    # base case trusts it and does not search the graph again.  A cubic
+    # graph has no configuration, so solve goes straight to its search.
+    g = random_cubic_graph(random.Random(801), 200)
+    searched = []
+    real = Graph.is_connected
+
+    def counted(graph):
+        searched.append(graph.n)
+        return real(graph)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    assert solve(g).trace.base_cases == ("search(k=100)",)
+    assert searched == [200]
 
 
 def test_run_check_gives_a_structure_fault_one_finding(monkeypatch):

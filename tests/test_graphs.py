@@ -7,6 +7,7 @@ import pytest
 
 from gallai import Graph, canonical_form, enumerate_connected
 from gallai.graphs import _derived, edge
+from gallai.reductions import check_structure
 from helpers import (
     MaskGraph,
     check_split,
@@ -198,6 +199,19 @@ def test_split_costs_only_the_smaller_sides():
     assert table.looked_up < 20
 
 
+def test_check_structure_reads_no_tuple_of_a_cubic_graph():
+    # The structure check trusts the input contract and reads only the
+    # even vertices' tuples: a cubic graph has none, so it looks up no
+    # vertex, where a connectivity check would look up every one.
+    n = 20000  # a Moebius ladder: a cycle with its long diagonals
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, i + n // 2) for i in range(n // 2)]
+    g = Graph.from_edges(n, edges)
+    table = _CountingTable(g.adjacency())
+    assert check_structure(_derived(table, g.m))
+    assert table.looked_up == 0
+
+
 def test_degree_sum_equals_twice_edges():
     for n in range(1, 8):
         for g in enumerate_connected(n, 5):
@@ -297,6 +311,20 @@ def test_induced_even_subgraph_selects_even_vertices_exactly():
         assert set(again.vertices()) == {
             v for v in core.vertices() if core.degree(v) % 2 == 0
         }
+    # Derived graphs on gapped ids, some with a few hundred vertices: the
+    # core keeps the ids, ascending (``==`` compares tables and would not
+    # see their order), and counts its own edges.
+    rng = random.Random(4242)
+    graphs = list(_seeded_graphs(rng, 60))
+    for _ in range(4):
+        g = random_connected_graph(rng, 120, 300)
+        graphs.append(g.delete_vertices(rng.sample(sorted(g.vertices()), 5)))
+    for g in graphs:
+        core = g.induced_even_subgraph()
+        odd = [v for v in g.vertices() if g.degree(v) % 2]
+        assert core == g.delete_vertices(odd)
+        assert list(core.vertices()) == sorted(core.vertices())
+        assert core.m == len(list(core.edges()))
 
 
 def test_is_forest():

@@ -973,8 +973,6 @@ def test_check_structure_preconditions():
         check_structure(complete_graph(3))
     with pytest.raises(ValueError):
         check_structure(complete_graph(5))
-    with pytest.raises(ValueError):
-        check_structure(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_check_structure_on_irreducible_census():

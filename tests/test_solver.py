@@ -261,3 +261,13 @@ def test_solve_rejects_a_faulty_rewrite_at_its_level(fault, message):
     error, lifted = _fault_splice_at_order(5, fault)
     assert re.search(message, error), error
     assert lifted == [3, 4, 5]
+
+
+def test_exact_search_entries_refuse_inputs_outside_their_contract():
+    edgeless = Graph(1, [0])
+    with pytest.raises(SolveError, match="graph has no edges"):
+        solve_base(edgeless, 1)
+    with pytest.raises(SolveError, match="graph has no edges"):
+        min_decomposition(edgeless)
+    with pytest.raises(SolveError, match="graph is not connected"):
+        min_decomposition(Graph.from_edges(4, [(0, 1), (2, 3)]))

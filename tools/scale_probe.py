@@ -3,21 +3,22 @@
     python3 tools/scale_probe.py [--seed 801]
 
 Solves, once each, paths of n = 1000 to 8000, random max-degree-5 graphs
-of n = 800 to 3200, 4-regular graphs of n = 400 and 1600, a caterpillar
-of n = 1600 and cubic graphs of n = 2400 to 9600, drawn by the generators
-of ``perfbench/gen.py``, each from its own stream seeded by the seed and
-the input's name.  Wrappers on the names ``gallai.solver`` calls them by
-add up the time spent in ``reduce``, in ``detect`` and in the exact
-search ``cover_with_paths``; wrappers on the detectors that ``detect``
-runs, and on ``Graph.bridges``, split ``detect`` by configuration.  A
-callback in ``gc.callbacks`` adds up the cyclic garbage collector's
-pauses, and each wrapper leaves out the pauses that fall inside its
-calls, so a layer is charged with its own work only.  Prints one JSON
-line: per input its n, m and the seconds of ``solve`` (wall clock, pauses
-included), ``reduce``, ``detect``, each of ``detect_c1`` to ``detect_c5``
-(``c1_s`` to ``c5_s``), ``Graph.bridges`` (``bridges_s``, part of
-``c2_s``), the search (``search_s``) and the collector's pauses during
-``solve`` (``gc_s``); wall clock, one process, unpinned.
+of n = 800 to 3200, 4-regular graphs of n = 400 and 1600, a caterpillar of
+n = 1600 and cubic graphs of n = 2400 to 9600, drawn by the generators of
+``perfbench/gen.py``, each from its own stream seeded by the seed and the
+input's name.  Wrappers on the names ``gallai.solver`` calls them by add
+up the time spent in ``reduce``, in ``detect``, in the structure check
+``check_structure`` and in the exact search ``cover_with_paths``; wrappers
+on the detectors that ``detect`` runs, and on ``Graph.bridges``, split
+``detect`` by configuration.  A callback in ``gc.callbacks`` adds up the
+cyclic garbage collector's pauses, and each wrapper leaves out the pauses
+that fall inside its calls, so a layer is charged with its own work only.
+Prints one JSON line: per input its n, m and the seconds of ``solve``
+(wall clock, pauses included), ``reduce``, ``detect``, each of
+``detect_c1`` to ``detect_c5`` (``c1_s`` to ``c5_s``), ``Graph.bridges``
+(``bridges_s``, part of ``c2_s``), the structure check (``structure_s``),
+the search (``search_s``) and the collector's pauses during ``solve``
+(``gc_s``); wall clock, one process, unpinned.
 
 Standard library only; ``gallai`` is imported from ``src`` next to this
 directory, so the script measures the checkout it sits in.
@@ -98,7 +99,8 @@ class Clock:
 
 def probe(seed: int) -> dict:
     collector = Collector()
-    clocks = {name: Clock(collector) for name in ("reduce", "detect", "cover_with_paths")}
+    layers = ("reduce", "detect", "check_structure", "cover_with_paths")
+    clocks = {name: Clock(collector) for name in layers}
     originals = {name: getattr(gallai.solver, name) for name in clocks}
     for name, clock in clocks.items():
         setattr(gallai.solver, name, clock.wrap(originals[name]))
@@ -134,6 +136,7 @@ def probe(seed: int) -> dict:
                     for k, clock in enumerate(detector_clocks, 1)
                 },
                 "bridges_s": round(bridges_clock.seconds, 4),
+                "structure_s": round(clocks["check_structure"].seconds, 4),
                 "search_s": round(clocks["cover_with_paths"].seconds, 4),
                 "gc_s": round(collector.seconds, 4),
             }
