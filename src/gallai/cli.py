@@ -236,6 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refuse a negative budget before anything is read or enumerated
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {budget}")
         return args.func(args)
     except (InternalError, RecursionError) as exc:
         print(f"gallai: internal failure: {exc}", file=sys.stderr)

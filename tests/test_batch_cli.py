@@ -436,6 +436,29 @@ def test_cli_refuses_an_order_below_one(capsys, command):
     assert "--max-n must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "absent.txt"], ["check", "--max-n", "4"],
+             ["floor-search", "--max-n", "4"]],
+)
+def test_cli_refuses_a_negative_budget_before_reading(
+    capsys, monkeypatch, argv
+):
+    # no file is opened and no graph enumerated: absent.txt does not exist
+    calls = []
+    monkeypatch.setattr(
+        gallai.cli, "enumerate_connected", lambda n, d: calls.append(n) or []
+    )
+    assert main([*argv, "--budget", "-3"]) == 2
+    assert "--budget must be at least 0, got -3" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_solve_needs_no_search_node_for_a_graph_that_reduces(tmp_path):
+    # a 5-cycle reduces to K3, which is decomposed without a search
+    path = write(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
+    assert main(["solve", path, "--budget", "0"]) == 0
+
+
 def test_cli_check_refuses_an_order_above_the_cap_before_enumerating(
     capsys, monkeypatch
 ):

@@ -9,7 +9,9 @@ from gallai.paths import lower_bound
 from gallai.search import cover_with_paths
 from helpers import (
     path_graph,
+    random_connected_graph,
     random_cubic_graph,
+    random_regular_graph,
     reference_cover_with_paths,
     reference_lower_bound,
 )
@@ -106,6 +108,35 @@ def _derived_graphs():
             yield g.delete_vertices(rng.sample(range(g.n - 1), g.n // 4))
 
 
+def _backtracking_graphs():
+    """Seeded 4-regular, 5-regular and max-degree-5 graphs with
+    9 <= n <= 14, whose searches give paths back and resume scans at both
+    ends of a path."""
+    rng = random.Random(1736)
+    for n in range(9, 15):
+        for _ in range(3):
+            yield random_regular_graph(rng, n, 4)
+            if n % 2 == 0:
+                yield random_regular_graph(rng, n, 5)
+            g = None
+            while g is None:
+                g = random_connected_graph(rng, n, n)
+            yield g
+
+
+def test_cover_with_paths_matches_the_reference_when_backtracking_deeply():
+    # each graph at k = lower bound - 1 and lower bound; at the lower
+    # bound, some searches spend two nodes or more per edge
+    deep = 0
+    for g in _backtracking_graphs():
+        lb = lower_bound(g)
+        for k in (lb - 1, lb):
+            _same_search(g, k)
+        _, nodes = reference_cover_with_paths(list(g.edges()), lb)
+        deep += nodes >= 2 * g.m
+    assert deep >= 10, deep
+
+
 def test_lower_bound_matches_the_reference():
     graphs = [g for n in range(2, 8) for g in enumerate_connected(n, 5)]
     derived = [h for h in _derived_graphs() if h.m]
@@ -132,3 +163,30 @@ def test_cover_with_paths_on_derived_tables_matches_the_reference():
 def test_cover_with_paths_covers_a_long_path_with_one_path():
     # one level per path and one node per edge, none of them a frame
     assert cover_with_paths(path_graph(5001).adjacency(), 1) == [tuple(range(5001))]
+
+
+def test_cover_with_paths_costs_no_path_scan_per_node():
+    # Every vertex id of a 2000-vertex path counts the equality tests made
+    # on it.  Testing a candidate against a tuple of the path would make
+    # about n**2 / 2 of them; the search makes O(1) per node.
+    tests = Counter()
+
+    class Id(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            tests["=="] += 1
+            return int.__eq__(self, other)
+
+        def __ne__(self, other):
+            tests["!="] += 1
+            return int.__ne__(self, other)
+
+    n = 2000
+    ids = [Id(v) for v in range(n)]
+    adj = {ids[v]: tuple(ids[u] for u in (v - 1, v + 1) if 0 <= u < n)
+           for v in range(n)}
+    cover = cover_with_paths(adj, 1)
+    calls = sum(tests.values())
+    assert cover == [tuple(range(n))]
+    assert calls <= 4 * n, tests
