@@ -7,10 +7,14 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import gallai.census
+import gallai.io
 from gallai import Graph, canonical_form, enumerate_connected, write_graph6
 from gallai.census import (
     _automorphisms,
+    _below,
+    _image_tables,
     _is_canonical_deletion,
+    _least_labelling,
     canonical_graph,
     canonical_order,
     relabeled,
@@ -81,6 +85,13 @@ def test_enumeration_limit():
         enumerate_connected(0, 5)
 
 
+def test_enumeration_refuses_a_negative_degree_cap():
+    # K1's degree 0 exceeds a cap of -1, so there is no graph to return.
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="degree"):
+            enumerate_connected(n, -1)
+
+
 def test_enumeration_matches_the_naive_reference():
     for n in range(1, 8):
         for cap in sorted({3, 5, n - 1}):
@@ -100,15 +111,107 @@ def test_enumeration_labels_each_class_once(monkeypatch):
     # Subsets in one orbit of the parent's automorphisms are skipped, so a
     # cold enumeration labels exactly one child per class of n = 2..7.
     labelled = []
+    label = gallai.census._canonical_masks
 
-    def counted(g):
-        labelled.append(g.n)
-        return canonical_form(g)
+    def counted(masks):
+        labelled.append(len(masks))
+        return label(masks)
 
     monkeypatch.setattr(gallai.census, "_census_cache", {})
-    monkeypatch.setattr(gallai.census, "canonical_form", counted)
+    monkeypatch.setattr(gallai.census, "_canonical_masks", counted)
     classes = sum(len(enumerate_connected(n, 5)) for n in range(2, 8))
     assert len(labelled) == classes == 839
+
+
+def test_enumeration_builds_one_graph_per_class(monkeypatch):
+    # Each kept class is labelled on its masks and built once; no graph is
+    # read back from its graph6 form.
+    built = []
+    parsed = []
+    parse = gallai.io.parse_graph6
+
+    def counted_graph(n, masks):
+        built.append(n)
+        return Graph(n, masks)
+
+    def counted_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(gallai.census, "_census_cache", {})
+    monkeypatch.setattr(gallai.census, "Graph", counted_graph)
+    monkeypatch.setattr(gallai.census, "parse_graph6", counted_parse, raising=False)
+    monkeypatch.setattr(gallai.io, "parse_graph6", counted_parse)
+    classes = sum(len(enumerate_connected(n, 5)) for n in range(1, 8))
+    assert len(built) == classes == 840
+    assert parsed == []
+
+
+def test_orbit_tables_match_the_image_masks():
+    # The enumerator skips a subset when some automorphism's two table
+    # lookups give a smaller mask; that must be the image mask itself.
+    for p in range(1, 8):
+        half = p // 2
+        low_mask = (1 << half) - 1
+        for parent in enumerate_connected(p, 5):
+            masks = [parent.neighbor_mask(v) for v in range(p)]
+            images = _automorphisms(masks)[1:]
+            tables = [_image_tables(image, half) for image in images]
+            for subset in range(1 << p):
+                direct = [
+                    sum(1 << image[v] for v in range(p) if subset >> v & 1)
+                    for image in images
+                ]
+                looked_up = [
+                    lo[subset & low_mask] | hi[subset >> half] for lo, hi in tables
+                ]
+                assert looked_up == direct
+                assert (any(image < subset for image in looked_up)
+                        == any(image < subset for image in direct))
+
+
+def test_bounded_tie_search_decides_as_the_full_comparison(monkeypatch):
+    # Every tie met while enumerating n <= 7 is decided by a search bounded
+    # by x's least string; it must agree with comparing the full strings.
+    cases = []
+
+    def recorded(masks, v, bound):
+        below = _below(masks, v, bound)
+        cases.append((masks, v, bound, below))
+        return below
+
+    monkeypatch.setattr(gallai.census, "_census_cache", {})
+    monkeypatch.setattr(gallai.census, "_below", recorded)
+    for n in range(2, 8):
+        enumerate_connected(n, 5)
+    assert {below for *_, below in cases} == {False, True}
+    for masks, v, bound, below in cases:
+        x = len(masks) - 1
+        assert bound == _least_labelling(masks, x)[0]
+        assert below == (not bound <= _least_labelling(masks, v)[0])
+
+
+def test_canonical_labelling_takes_any_vertex_ids():
+    # A derived graph keeps its parent's ids: P4 minus vertex 0 is P3 on
+    # the ids 1, 2, 3.
+    p3 = path_graph(4).delete_vertices([0])
+    assert canonical_form(p3) == canonical_form(path_graph(3)) == "BW"
+    assert canonical_graph(p3) == Graph.from_edges(3, [(0, 2), (1, 2)])
+    assert sorted(canonical_order(p3)) == [1, 2, 3]
+    assert canonical_order(p3, first=2)[0] == 2
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for g in enumerate_connected(n, 5):
+            ids = rng.sample(range(3 * n), n)
+            spread = Graph.from_edges(3 * n, [(ids[u], ids[v]) for u, v in g.edges()])
+            h = spread.delete_vertices(set(range(3 * n)) - set(ids))
+            assert canonical_form(h) == write_graph6(g)
+            assert canonical_graph(h) == g
+            order = canonical_order(h)
+            assert sorted(order) == sorted(ids)
+            assert relabeled(h, order) == g
+            first = rng.choice(ids)
+            assert canonical_order(h, first=first)[0] == first
 
 
 def test_automorphisms_match_networkx():
@@ -180,7 +283,7 @@ def test_canonical_deletion_is_one_orbit_whatever_the_labels():
 
 
 def test_canonical_form_is_the_true_permutation_minimum():
-    # Brute force over every permutation; the branch-and-bound must agree.
+    # Brute force over every permutation; the slot-by-slot search must agree.
     def brute_minimum(g):
         return min(
             write_graph6(relabeled(g, perm))

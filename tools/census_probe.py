@@ -5,9 +5,11 @@
 Calls ``enumerate_connected(n, 5)`` for n = 1 up to ``--max-n`` in
 ascending order, so each order's parents are already cached and its time
 is its own.  Wrappers on the names ``enumerate_connected`` calls them by
-count the canonical-deletion tests and the canonical labellings.  Prints
-one JSON line: per order the seconds (wall clock, one process, unpinned),
-the deletion tests, the labellings and the classes found.
+count and time the canonical-deletion tests and the canonical labellings
+(``_canonical_masks``, the one labelling of each kept child).  Prints one
+JSON line: per order the seconds (wall clock, one process, unpinned), the
+deletion tests and their seconds, the labellings and their seconds, and
+the classes found.  The wrappers' own cost is in the order's seconds.
 
 Standard library only; ``gallai`` is imported from ``src`` next to this
 directory, so the script measures the checkout it sits in.
@@ -27,19 +29,25 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import gallai.census as census  # noqa: E402
 
-COUNTED = ("_is_canonical_deletion", "canonical_form")
+COUNTED = {"_is_canonical_deletion": "deletion_tests", "_canonical_masks": "labellings"}
 
 
 def probe(max_n: int) -> dict:
     counts = dict.fromkeys(COUNTED, 0)
+    seconds = dict.fromkeys(COUNTED, 0.0)
     originals = {name: getattr(census, name) for name in COUNTED}
+    clock = time.perf_counter
 
     def counting(name):
         fn = originals[name]
 
         def counted(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[name] += clock() - start
 
         return counted
 
@@ -51,14 +59,14 @@ def probe(max_n: int) -> dict:
         for n in range(1, max_n + 1):
             for name in COUNTED:
                 counts[name] = 0
-            start = time.perf_counter()
+                seconds[name] = 0.0
+            start = clock()
             classes = len(census.enumerate_connected(n, 5))
-            orders[n] = {
-                "seconds": round(time.perf_counter() - start, 4),
-                "deletion_tests": counts["_is_canonical_deletion"],
-                "labellings": counts["canonical_form"],
-                "classes": classes,
-            }
+            orders[n] = {"seconds": round(clock() - start, 4)}
+            for name, key in COUNTED.items():
+                orders[n][key] = counts[name]
+                orders[n][f"{key}_seconds"] = round(seconds[name], 4)
+            orders[n]["classes"] = classes
     finally:
         for name, fn in originals.items():
             setattr(census, name, fn)
