@@ -25,8 +25,6 @@ from .reductions import check_structure, detect  # noqa: F401
 from .search import BudgetExhaustedError
 from .solver import SolveError, solve, solve_base
 
-FLOOR_SEARCH_LIMIT = 7
-
 
 @dataclass(frozen=True)
 class Finding:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .batch import FLOOR_SEARCH_LIMIT, BatchReport, run_check, run_floor_search, run_scan
+from .batch import BatchReport, run_check, run_floor_search, run_scan
 from .census import ENUMERATION_LIMIT, enumerate_connected
 from .graphs import Graph
 from .io import (
@@ -141,10 +141,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_floor_search(args) -> int:
-    if args.max_n > FLOOR_SEARCH_LIMIT:
-        raise SolveError(
-            f"floor-search is capped at n={FLOOR_SEARCH_LIMIT} (oracle cost)"
-        )
     report = run_floor_search(_enumerated(args.max_n), args.budget)
     _emit_report(report, args)
     if any(f.kind == "budget" for f in report.findings):
@@ -217,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="look for graphs needing more than floor(n/2) paths",
     )
     p.add_argument("--max-n", type=int, default=6,
-                   help=f"enumeration cap (<= {FLOOR_SEARCH_LIMIT})")
+                   help=f"internal enumeration cap (<= {ENUMERATION_LIMIT})")
     common(p, "budget", "report")
     p.set_defaults(func=_cmd_floor_search)
 

@@ -3,8 +3,9 @@
 graph6 lines carry an order header followed by the upper triangle of the
 adjacency matrix in column-major order, packed six bits per printable byte
 (values 63..126, most significant bit first, zero padded).  Edge lists are
-``u v`` lines with ``#`` comments.  Decompositions are one path per line as
-space-separated vertex ids.
+``u v`` lines with ``#`` comments, on the vertex ids 0..n-1, each of which
+has an edge.  Decompositions are one path per line as space-separated
+vertex ids.
 """
 
 from __future__ import annotations
@@ -116,8 +117,15 @@ def parse_edgelist(text: str) -> Graph:
         edges.append(key)
     if not edges:
         raise FormatError("edge list holds no edges")
-    n = max(max(e) for e in edges) + 1
-    return Graph.from_edges(n, edges)
+    # the ids must be 0..n-1: refuse a gap in O(m), whatever the largest id
+    ids = {x for e in edges for x in e}
+    gap = next(x for x in range(len(ids) + 1) if x not in ids)
+    if gap < len(ids):
+        raise FormatError(
+            f"vertex id {gap} has no edge, below the largest id {max(ids)}; "
+            "an edge list numbers its vertices 0..n-1"
+        )
+    return Graph.from_edges(len(ids), edges)
 
 
 def parse_decomposition(text: str) -> PathDecomposition:

@@ -35,12 +35,12 @@ Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
 one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
 holding the children's paths into a decomposition of the parent, and the
 ``gain`` range of paths that rewrite adds, both bound where the sub-case is
-built.  In ten of the fifteen sub-cases the rewrite is ``_lift_routes``
+built.  In eight of the twelve sub-cases the rewrite is ``_lift_routes``
 bound to the children and a few added paths: every synthetic child edge is
 stated as its route through the removed vertices and spliced in place of
-that edge.  The other five sub-cases, and the sparse ring when it needs
-the x-y bridge, bind a recipe of their own to the vertices it reads; the
-two contractions rebuild only the paths through the merged vertex.
+that edge.  The other four, and the sparse ring when it needs the x-y
+bridge, bind a recipe of their own to the vertices it reads; the C5
+contraction rebuilds only the paths through the merged vertex.
 
 ``lift`` takes one ``PathStore`` per child, as ``PathStore.load`` checks
 a decomposition in or an earlier ``lift`` leaves it.  The store checks
@@ -195,6 +195,8 @@ SUBCASES = {
     "C2": ("join",),
     "C3": ("sparse_ring", "full_ring", "partial_ring"),
     "C4": ("triple_common", "hub_split", "four_components", "paired_nonedges"),
+    # two_gaps, hub_contraction and bridge_spread are never produced: a C4
+    # comes first (the lemma of ``_reduce_c5``)
     "C5": (
         "two_gaps",
         "one_gap",
@@ -741,40 +743,51 @@ def _lift_c4_hub(
 
 
 def _reduce_c5(g: Graph, occ: C5) -> LiftPlan:
+    """Lemma: two shapes of C5 hold a C4 at a corner edge, which ``detect``
+    finds first, so they are refused with that C4 named, as ``_reduce_c4``
+    refuses a C4 where C3 is present.  (i) Corners a and b see three common
+    vertices with two gaps among them: both have degree 4 and N(a) - b =
+    N(b) - a is that trio, and two gaps have different leftovers, so one
+    gap on each side makes a C4 at ab.  (ii) All corners have degree 4 and
+    each pair shares only the third: then w is adjacent to none of the
+    outer neighbours x1, x2 of u and y1, y2 of v, so (w, x1) and (w, y1)
+    are non-edges with leftovers x2 != y2, a C4 at uv.
+    """
     corners = (occ.u, occ.v, occ.w)
     for a, b in itertools.combinations(sorted(corners), 2):
         if len(g.common_neighbors(a, b)) == 3:
-            return _reduce_c5_common3(g, a, b)
-    for a, b in itertools.combinations(sorted(corners), 2):
-        (c,) = set(corners) - {a, b}
-        if set(g.common_neighbors(a, b)) != {c}:
+            return _reduce_c5_common3(g, occ, a, b)
+    for a, b in itertools.combinations(corners, 2):
+        if len(g.common_neighbors(a, b)) != 1:  # the third corner is common
             raise ReductionError(
                 f"{occ}: corners share an outside neighbour (C3/C4 order broken)"
             )
     if g.degree(occ.v) == 2 or g.degree(occ.w) == 2:
         return _reduce_c5_degree_two(g, occ)
-    return _reduce_c5_dense(g, occ)
+    raise _c4_first(g, occ, *sorted(corners)[:2], "all corners have degree 4")
 
 
-def _reduce_c5_common3(g: Graph, a: int, b: int) -> LiftPlan:
+def _c4_first(g: Graph, occ: C5, a: int, b: int, why: str) -> ReductionError:
+    """Refuse a C5 whose corner edge ab carries a C4, and name that C4."""
+    c4 = C4(a, b, *next(_c4_labellings(g.adjacency(), a, b)))
+    return ReductionError(f"{occ}: {why} (C4 present: {c4})")
+
+
+def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
     """The corner pair (a, b) sees three common vertices, one of them the
     third corner; the sub-case depends on the gaps among those three."""
     trio = sorted(g.common_neighbors(a, b))
     missing = [
         (p, q) for p, q in itertools.combinations(trio, 2) if not g.has_edge(p, q)
     ]
-    removed = {a, b}
     if len(missing) >= 2:
-        center = next(s for s in trio if sum(s in pair for pair in missing) >= 2)
-        o1, o2 = sorted(set(trio) - {center})
-        child = _child(g, removed, ((o1, a, center), (center, b, o2)))
-        return _routed("C5", "two_gaps", g, (child,), (o1, b, a, o2))
+        raise _c4_first(g, occ, a, b, "two gaps in the common trio")
     if len(missing) == 1:
         x, y = missing[0]
         (apex,) = set(trio) - {x, y}
-        child = _child(g, removed, ((x, a, b, y),))
+        child = _child(g, {a, b}, ((x, a, b, y),))
         return _routed("C5", "one_gap", g, (child,), (x, b, apex, a, y))
-    child = _child(g, removed)
+    child = _child(g, {a, b})
     rewrite = functools.partial(_lift_c5_triangle, a, b, tuple(trio), child.graph)
     return LiftPlan("C5", "common_triangle", g, (child,), rewrite, (1, 1))
 
@@ -787,55 +800,6 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     child = _child(g, {v, max(u, w)}, merge=edge(u, w))
     rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
     return LiftPlan("C5", "degree_two", g, (child,), rewrite, (0, 1))
-
-
-def _reduce_c5_dense(g: Graph, occ: C5) -> LiftPlan:
-    """All corners have degree 4 and private outer neighbour pairs."""
-    corners = {occ.u, occ.v, occ.w}
-    outer = []
-    for corner in sorted(corners):
-        if g.degree(corner) != 4:
-            raise ReductionError(f"{occ}: corner degrees must all be 4 here")
-        for nb in sorted(set(g.neighbors(corner)) - corners):
-            outer.append((corner, nb))
-    loose = next(((a, b) for a, b in outer if not g.is_bridge(a, b)), None)
-    if loose:
-        host, x1 = loose
-        v2, w2 = sorted(corners - {host})
-        (x2,) = set(g.neighbors(host)) - corners - {x1}
-        return _reduce_c5_hub(g, host, v2, w2, x1, x2)
-    return _reduce_c5_bridges(g, occ, outer)
-
-
-def _reduce_c5_hub(
-    g: Graph, u: int, v: int, w: int, x1: int, x2: int
-) -> LiftPlan:
-    s = min(v, w)  # the merged vertex, read as v or w by the lift
-    child = _child(g, {u, max(v, w)}, ((s, u, x2),), merge=edge(v, w))
-    rewrite = functools.partial(_lift_c5_hub, u, v, w, x1, x2)
-    return LiftPlan("C5", "hub_contraction", g, (child,), rewrite, (1, 1))
-
-
-def _reduce_c5_bridges(
-    g: Graph, occ: C5, outer: list[tuple[int, int]]
-) -> LiftPlan:
-    u, v, w = occ.u, occ.v, occ.w
-    x1, x2 = sorted(nb for c, nb in outer if c == u)
-    y1, y2 = sorted(nb for c, nb in outer if c == v)
-    z1, z2 = sorted(nb for c, nb in outer if c == w)
-    removed = {u, v, w}
-    parts = g.split((x1, x2, y1, y2, z1, z2), removed)
-    if len(parts) != 6:
-        raise ReductionError(f"{occ}: expected six satellite components")
-    home = {part[0][0]: part for part in parts}
-
-    def pair(a: int, b: int, route: Route) -> Child:
-        return _side(g, parts, [home[a], home[b]], removed, (route,))
-
-    first = pair(x1, y1, (x1, u, v, y1))
-    second = pair(x2, y2, (x2, u, w, v, y2))
-    third = pair(z1, z2, (z1, w, z2))
-    return _routed("C5", "bridge_spread", g, (first, second, third))
 
 
 def _lift_c5_triangle(
@@ -930,134 +894,6 @@ def _lift_c5_degree_two(
         elif pid == at_x2:
             vertices = spliced(vertices, (w, v, u, x2))
         store.replace(pid, vertices)
-
-
-def _lift_c5_hub(
-    u: int, v: int, w: int, x1: int, x2: int, store: PathStore
-) -> None:
-    g = store.graph
-    s = min(v, w)  # the merged vertex
-    v_side = set(g.neighbors(v)) - {u, w}
-    w_side = set(g.neighbors(w)) - {u, v}
-
-    def side(vertex: int) -> str:
-        if vertex == x2:
-            return "x"
-        if vertex in v_side:
-            return "v"
-        if vertex in w_side:
-            return "w"
-        raise LiftError(f"unexpected neighbour {vertex} of the merged pair")
-
-    # Rebuild the paths through the merged vertex, in path order, since the
-    # first crossing takes v-w and the second v-u-w.
-    crossings = 0
-    through = {store.holder(edge(s, y)) for y in (x2, *v_side, *w_side)}
-    for pid in sorted(through):
-        p = store.paths[pid]
-        vertices: list[int] = []
-        for i, cv in enumerate(p):
-            if cv != s:
-                vertices.append(cv)
-                continue
-            before = p[i - 1] if i > 0 else None
-            after = p[i + 1] if i + 1 < len(p) else None
-            if before is not None and after is not None:
-                kinds = (side(before), side(after))
-                if kinds in (("v", "w"), ("w", "v")):
-                    crossings += 1
-                    if crossings > 2:
-                        raise LiftError("too many crossings of the merged pair")
-                    detour = (v, w) if crossings == 1 else (v, u, w)
-                    if kinds[0] == "w":
-                        detour = detour[::-1]
-                    vertices.extend(detour)
-                elif "x" in kinds:
-                    t_kind = kinds[1] if kinds[0] == "x" else kinds[0]
-                    corner = v if t_kind == "v" else w
-                    piece = (u, corner) if kinds[0] == "x" else (corner, u)
-                    vertices.extend(piece)
-                else:
-                    vertices.append(v if kinds[0] == "v" else w)
-            else:
-                kind = side(after if before is None else before)
-                vertices.append({"x": u, "v": v, "w": w}[kind])
-        store.replace(pid, tuple(vertices))
-
-    # Every edge away from the corners is covered, so the residual is the
-    # uncovered part of the edges at u, v and w.
-    corners = (u, v, w)
-    residual = {edge(c, y) for c in corners for y in g.neighbors(c)}
-    residual -= store.owner.keys()
-    if edge(u, x1) not in residual:
-        raise LiftError("the spared outer edge is unexpectedly covered")
-    sequence = _edges_as_path(residual)
-    if sequence is None:
-        residual = _extend_into_residual(store, residual, corners)
-        sequence = _edges_as_path(residual)
-        if sequence is None:
-            raise LiftError("residual edges do not form a path")
-    store.append(sequence)
-
-
-def _extend_into_residual(
-    store: PathStore, residual: set[Edge], corners: tuple[int, int, int]
-) -> set[Edge]:
-    """Grow the first path ending at a corner by one residual corner edge
-    that leaves the rest of the residual a path; return that rest."""
-    u, v, w = corners
-    at_corners = {
-        store.owner[e]
-        for c in corners
-        for y in store.graph.neighbors(c)
-        if (e := edge(c, y)) in store.owner
-    }
-    for pid in sorted(at_corners):
-        vs = store.paths[pid]
-        for endpoint in dict.fromkeys((vs[0], vs[-1])):
-            if endpoint not in corners:
-                continue
-            for candidate in (edge(w, u), edge(w, v)):
-                if candidate not in residual or endpoint not in candidate:
-                    continue
-                other = candidate[0] if candidate[1] == endpoint else candidate[1]
-                if other in vs:
-                    continue
-                if _edges_as_path(residual - {candidate}) is None:
-                    continue
-                grown = vs + (other,) if vs[-1] == endpoint else (other,) + vs
-                store.replace(pid, grown)
-                return residual - {candidate}
-    raise LiftError("no corner extension straightens the residual")
-
-
-def _edges_as_path(edges: set[Edge]) -> tuple[int, ...] | None:
-    """Vertex sequence if the edge set induces a single simple path."""
-    if not edges:
-        return None
-    degree: dict[int, int] = {}
-    adjacency: dict[int, list[int]] = {}
-    for a, b in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if len(edges) != len(degree) - 1:
-        return None
-    if any(count > 2 for count in degree.values()):
-        return None
-    ends = sorted(vertex for vertex, count in degree.items() if count == 1)
-    if len(ends) != 2:
-        return None
-    sequence = [ends[0]]
-    seen = {ends[0]}
-    while len(sequence) < len(degree):
-        options = [nb for nb in adjacency[sequence[-1]] if nb not in seen]
-        if len(options) != 1:
-            return None
-        sequence.append(options[0])
-        seen.add(options[0])
-    return tuple(sequence)
 
 
 # -- lifting ------------------------------------------------------------------

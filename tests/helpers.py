@@ -230,13 +230,18 @@ def all_labeled_graphs(n: int):
         )
 
 
+# The sub-cases that ``reduce`` never builds, since a C4 comes first (the
+# lemma of ``reductions._reduce_c5``); ``SUBCASES`` still lists them.
+SHADOWED = {("C5", "two_gaps"), ("C5", "hub_contraction"), ("C5", "bridge_spread")}
+
+
 def subcase_fixtures():
     """One graph per reduction sub-case.
 
     Entries are (graph, occurrence, tag, subcase); occurrence None means the
-    detector's own pick is the wanted one.  The last three C5 cases are
-    shadowed by the detection priority (such graphs always contain a C4
-    too), so they carry explicit occurrences.
+    detector's own pick is the wanted one.  The three names in ``SHADOWED``
+    carry explicit occurrences, which ``reduce`` refuses: their graphs hold
+    a C4, which the detection priority puts first.
     """
     from gallai.reductions import C5
 
@@ -473,9 +478,10 @@ def _mask_bits(mask: int) -> tuple[int, ...]:
 def random_c5_satellites(rng: random.Random) -> Graph | None:
     """A triangle 0-1-2 with two pendant tree blobs at each corner, each
     corner's two anchors joined with probability 0.67, or None when the
-    draw is not a simple connected graph of max degree <= 5.  Solved from
-    the explicit occurrence C5(0, 1, 2), such graphs reach the C5
-    hub_contraction and bridge_spread lifts that detection shadows."""
+    draw is not a simple connected graph of max degree <= 5.  Solving them
+    joins cut edges and splits hubs; their triangle, named as the
+    occurrence C5(0, 1, 2), is the dense case that ``reduce`` refuses,
+    since the graph holds a C4."""
 
     def blob(attach_id, next_id):
         size = rng.randrange(1, 5)
@@ -779,8 +785,6 @@ def reference_lift(occ, plan, decomps) -> PathDecomposition:
     assert occ.tag == plan.tag and len(decomps) == len(plan.children)
     name = plan.rewrite.func.__name__
     args = plan.rewrite.args
-    if name == "_lift_c5_hub":
-        args = (plan.parent, *args)
     total = sum(len(d) for d in decomps)
     lo, hi = plan.gain
     try:
@@ -990,85 +994,6 @@ def _ref_lift_c5_degree_two(u, v, w, x1, x2, decomps):
     return PathDecomposition(rest + (first, second))
 
 
-def _ref_lift_c5_hub(g, u, v, w, x1, x2, decomps):
-    from gallai.reductions import _edges_as_path
-
-    s = min(v, w)
-    v_side = set(g.neighbors(v)) - {u, w}
-    w_side = set(g.neighbors(w)) - {u, v}
-
-    def side(vertex):
-        if vertex == x2:
-            return "x"
-        if vertex in v_side:
-            return "v"
-        assert vertex in w_side
-        return "w"
-
-    crossings = 0
-    translated = []
-    for p in decomps[0].paths:
-        vertices: list[int] = []
-        for i, cv in enumerate(p.vertices):
-            if cv != s:
-                vertices.append(cv)
-                continue
-            before = p.vertices[i - 1] if i > 0 else None
-            after = p.vertices[i + 1] if i + 1 < len(p) else None
-            if before is not None and after is not None:
-                kinds = (side(before), side(after))
-                if kinds in (("v", "w"), ("w", "v")):
-                    crossings += 1
-                    assert crossings <= 2
-                    detour = (v, w) if crossings == 1 else (v, u, w)
-                    if kinds[0] == "w":
-                        detour = detour[::-1]
-                    vertices.extend(detour)
-                elif "x" in kinds:
-                    t_kind = kinds[1] if kinds[0] == "x" else kinds[0]
-                    corner = v if t_kind == "v" else w
-                    vertices.extend((u, corner) if kinds[0] == "x" else (corner, u))
-                else:
-                    vertices.append(v if kinds[0] == "v" else w)
-            else:
-                kind = side(after if before is None else before)
-                vertices.append({"x": u, "v": v, "w": w}[kind])
-        translated.append(Path(tuple(vertices)))
-    d = PathDecomposition(tuple(translated))
-    covered = {e for p in d.paths for e in p.edges()}
-    residual = {e for e in g.edges() if e not in covered}
-    assert edge(u, x1) in residual
-    sequence = _edges_as_path(residual)
-    if sequence is None:
-        d, residual = _ref_extend_into_residual(d, residual, (u, v, w))
-        sequence = _edges_as_path(residual)
-        assert sequence is not None
-    return PathDecomposition(d.paths + (Path(sequence),))
-
-
-def _ref_extend_into_residual(d, residual, corners):
-    from gallai.reductions import _edges_as_path
-
-    u, v, w = corners
-    for i, host in enumerate(d.paths):
-        for endpoint in dict.fromkeys(host.ends):
-            if endpoint not in corners:
-                continue
-            for candidate in (edge(w, u), edge(w, v)):
-                if candidate not in residual or endpoint not in candidate:
-                    continue
-                other = candidate[0] if candidate[1] == endpoint else candidate[1]
-                if other in host:
-                    continue
-                if _edges_as_path(residual - {candidate}) is None:
-                    continue
-                vs = host.vertices
-                grown = vs + (other,) if vs[-1] == endpoint else (other,) + vs
-                paths = d.paths[:i] + (Path(grown),) + d.paths[i + 1 :]
-                return PathDecomposition(paths), residual - {candidate}
-    raise AssertionError("no corner extension straightens the residual")
-
-
 _REFERENCE_RECIPES = {
     "_lift_routes": _ref_lift_routes,
     "_lift_c2": _ref_lift_c2,
@@ -1076,5 +1001,4 @@ _REFERENCE_RECIPES = {
     "_lift_c4_hub": _ref_lift_c4_hub,
     "_lift_c5_triangle": _ref_lift_c5_triangle,
     "_lift_c5_degree_two": _ref_lift_c5_degree_two,
-    "_lift_c5_hub": _ref_lift_c5_hub,
 }

@@ -205,6 +205,16 @@ def test_run_floor_search_classifies_failures():
     assert len(misses) == 3  # K3, K5 minus an edge, K5
 
 
+def test_run_floor_search_finds_no_gap_up_to_n8():
+    # The floor(n/2) probe over the whole internal census: every graph
+    # that misses floor(n/2) paths is an odd semi-clique.
+    report = run_floor_search(census_items(8))
+    assert len(report.records) == 7226
+    assert report.findings == []
+    misses = [r for r in report.records if r.paths is None and r.m > 0]
+    assert misses and all(r.note == "odd_semi_clique" for r in misses)
+
+
 def test_run_floor_search_emits_finding_on_mock(monkeypatch):
     # Force the search to fail on a path graph: the finding channel must
     # fire because P4 is not an odd semi-clique.
@@ -426,8 +436,19 @@ def test_cli_floor_search(capsys):
     assert "FINDING" not in out
 
 
-def test_cli_floor_search_cap(capsys):
-    assert main(["floor-search", "--max-n", "8"]) == 2
+def test_cli_floor_search_cap(capsys, monkeypatch):
+    # floor-search takes the census cap, and refuses an order above it
+    # before anything is enumerated.
+    calls = []
+
+    def counted(n, max_deg):
+        calls.append(n)
+        return enumerate_connected(n, max_deg)
+
+    monkeypatch.setattr(gallai.cli, "enumerate_connected", counted)
+    assert main(["floor-search", "--max-n", "9"]) == 2
+    assert "capped at n=8" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["check", "scan", "floor-search"])

@@ -95,6 +95,24 @@ def test_parse_edgelist_errors(text):
         parse_edgelist(text)
 
 
+def test_parse_edgelist_names_the_first_id_without_an_edge():
+    # A gap below the largest id is refused by name, without allocating
+    # anything in proportion to that id; a 1-indexed list lacks id 0.
+    import tracemalloc
+
+    with pytest.raises(FormatError, match=r"^vertex id 0 has no edge"):
+        parse_edgelist("1 2\n2 3\n3 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^vertex id 2 has no edge, below "
+                           r"the largest id 2000000;"):
+            parse_edgelist("0 1\n1 2000000\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
 def test_decomposition_format_round_trip():
     d = decomposition((3, 1, 0), (2, 3))
     text = format_decomposition(d)
