@@ -5,9 +5,11 @@ input order), aggregate counters, and a findings list.  A finding is
 anything that contradicts the guarantees this library is built around: a
 solve that fails (a cyclic even-degree core on an irreducible graph among
 the guarantees ``solve`` checks), or a graph that misses the floor(n/2)
-target without being an odd semi-clique.  A graph whose solve fails, or
-runs out of search budget, is a finding of that graph, and the run goes on
-with the next one.
+target without being an odd semi-clique.  The three runs share one failure
+rule: a graph whose work raises ``SolveError``, ``ReductionError`` or
+``RecursionError`` is an ``error`` finding of that graph, one whose search
+runs out of budget a ``budget`` finding, and the run goes on with the next
+graph.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .solver import SolveError, solve, solve_base
 
 @dataclass(frozen=True)
 class Finding:
-    # verify_failure | floor_gap | error | budget
+    # error | budget (any run), verify_failure (check), floor_gap (floor-search)
     kind: str
     graph_id: str
     message: str
@@ -108,8 +110,33 @@ class BatchReport:
         return json.dumps(self.to_document(), indent=2) + "\n"
 
 
-def _bound(g: Graph) -> int:
-    return (g.n + 1) // 2
+def _run(command: str, graphs: list[tuple[str, Graph]], examine,
+         bound=lambda g: (g.n + 1) // 2) -> BatchReport:
+    """One timed record per graph, in input order, with ``bound(g)`` as its
+    bound.  ``examine(g)`` gives the record's paths, histogram, verified
+    flag and note, and a finding's kind and message or None.  A ``SolveError``, ``ReductionError`` or
+    ``RecursionError`` it raises is an ``error`` finding of the graph, a
+    ``BudgetExhaustedError`` a ``budget`` finding; either leaves a failed
+    record, and the run goes on with the next graph."""
+    report = BatchReport(command)
+    for graph_id, g in graphs:
+        start = time.perf_counter()
+        try:
+            paths, histogram, verified, note, problem = examine(g)
+        except (SolveError, ReductionError, RecursionError,
+                BudgetExhaustedError) as exc:
+            kind = "budget" if isinstance(exc, BudgetExhaustedError) else "error"
+            paths, histogram, verified, note = None, {}, False, ""
+            problem = kind, str(exc)
+        if problem is not None:
+            report.findings.append(Finding(problem[0], graph_id, problem[1]))
+        report.records.append(
+            GraphRecord(
+                graph_id, g.n, g.m, g.max_degree() if g.n else 0, bound(g),
+                paths, histogram, verified, note, time.perf_counter() - start,
+            )
+        )
+    return report
 
 
 def run_check(
@@ -118,111 +145,69 @@ def run_check(
     """Solve and verify every graph, one ``solve`` each.
 
     ``solve`` checks the input contract and, on every irreducible graph it
-    meets, the even-core structure.  A graph whose solve fails (an input
-    outside the contract, such as an edgeless graph other than K1, a
-    cyclic even-degree core, a reduction or lift that breaks its own
-    check, or recursion too deep) gets an ``error`` finding and a failed
-    record, and the run goes on with the next graph; one whose search runs
-    out of ``budget`` gets a ``budget`` finding the same way.  A solved
-    graph's note is ``edgeless`` without edges, and ``irreducible`` when
-    ``solve`` searched it whole, with no reduction.
+    meets, the even-core structure, so an input outside the contract (such
+    as an edgeless graph other than K1), a cyclic even-degree core, a
+    reduction or lift that breaks its own check, or recursion too deep is
+    an ``error`` finding.  A solved graph's note is ``edgeless`` without
+    edges, and ``irreducible`` when ``solve`` searched it whole, with no
+    reduction.
     """
-    report = BatchReport("check")
-    for graph_id, g in graphs:
-        start = time.perf_counter()
+
+    def examine(g: Graph):
+        result = solve(g, budget)
+        trace = result.trace
         note = ""
+        if g.m == 0:
+            note = "edgeless"
+        elif not trace.steps and trace.base_case.startswith("search"):
+            note = "irreducible"
         histogram: dict[str, int] = {}
-        verified = False
-        paths = None
-        try:
-            result = solve(g, budget)
-            trace = result.trace
-            if g.m == 0:
-                note = "edgeless"
-            elif not trace.steps and trace.base_case.startswith("search"):
-                note = "irreducible"
-            for step in trace.steps:
-                key = f"{step.tag}/{step.subcase}"
-                histogram[key] = histogram.get(key, 0) + 1
-            outcome = verify(g, result.decomposition)
-            paths = outcome.path_count
-            verified = outcome.valid and outcome.good
-            if not verified:
-                report.findings.append(
-                    Finding("verify_failure", graph_id, str(outcome))
-                )
-        except (SolveError, ReductionError, RecursionError) as exc:
-            report.findings.append(Finding("error", graph_id, str(exc)))
-        except BudgetExhaustedError as exc:
-            report.findings.append(Finding("budget", graph_id, str(exc)))
-        report.records.append(
-            GraphRecord(
-                graph_id, g.n, g.m, g.max_degree() if g.n else 0, _bound(g),
-                paths, histogram, verified, note, time.perf_counter() - start,
-            )
-        )
-    return report
+        for step in trace.steps:
+            key = f"{step.tag}/{step.subcase}"
+            histogram[key] = histogram.get(key, 0) + 1
+        outcome = verify(g, result.decomposition)
+        verified = outcome.valid and outcome.good
+        problem = None if verified else ("verify_failure", str(outcome))
+        return outcome.path_count, histogram, verified, note, problem
+
+    return _run("check", graphs, examine)
 
 
 def run_floor_search(
     graphs: list[tuple[str, Graph]], budget: int | None = None
 ) -> BatchReport:
     """Try floor(n/2) paths on every graph; failures must be odd
-    semi-cliques, anything else is surfaced as a finding.  A graph that is
-    not connected gets an ``error`` finding, one whose search runs out of
-    ``budget`` a ``budget`` finding, and the run goes on with the next."""
-    report = BatchReport("floor-search")
-    for graph_id, g in graphs:
-        start = time.perf_counter()
+    semi-cliques, and any other is a ``floor_gap`` finding."""
+
+    def examine(g: Graph):
         target = g.n // 2
-        paths, verified, note = None, False, ""
-        try:
-            if g.n == 1:
-                paths, verified, note = 0, True, "edgeless"
-            elif (d := solve_base(g, target, budget)) is not None:
-                outcome = verify(g, d)
-                paths, verified = outcome.path_count, outcome.valid
-            elif g.is_odd_semi_clique():
-                verified, note = True, "odd_semi_clique"
-            else:
-                note = "unclassified"
-                report.findings.append(
-                    Finding(
-                        "floor_gap",
-                        graph_id,
-                        f"no decomposition into {target} paths and the graph "
-                        "is not an odd semi-clique",
-                    )
-                )
-        except SolveError as exc:
-            report.findings.append(Finding("error", graph_id, str(exc)))
-        except BudgetExhaustedError as exc:
-            report.findings.append(Finding("budget", graph_id, str(exc)))
-        report.records.append(
-            GraphRecord(
-                graph_id, g.n, g.m, g.max_degree() if g.n else 0, target,
-                paths, {}, verified, note, time.perf_counter() - start,
-            )
+        if g.n == 1:
+            return 0, {}, True, "edgeless", None
+        d = solve_base(g, target, budget)
+        if d is not None:
+            outcome = verify(g, d)
+            return outcome.path_count, {}, outcome.valid, "", None
+        if g.is_odd_semi_clique():
+            return None, {}, True, "odd_semi_clique", None
+        return None, {}, False, "unclassified", (
+            "floor_gap",
+            f"no decomposition into {target} paths and the graph is not an "
+            "odd semi-clique",
         )
-    return report
+
+    return _run("floor-search", graphs, examine, lambda g: g.n // 2)
 
 
 def run_scan(graphs: list[tuple[str, Graph]]) -> BatchReport:
     """Report which configurations occur in each graph, without solving."""
-    report = BatchReport("scan")
-    for graph_id, g in graphs:
-        start = time.perf_counter()
+
+    def examine(g: Graph):
         histogram = {}
         for detector in _DETECTORS:
             occ = detector(g)
             if occ is not None:
                 histogram[occ.tag] = 1
         # the detectors run in priority order, so the first tag is detect's
-        note = next(iter(histogram), "irreducible")
-        report.records.append(
-            GraphRecord(
-                graph_id, g.n, g.m, g.max_degree() if g.n else 0, _bound(g),
-                None, histogram, True, note, time.perf_counter() - start,
-            )
-        )
-    return report
+        return None, histogram, True, next(iter(histogram), "irreducible"), None
+
+    return _run("scan", graphs, examine)

@@ -39,7 +39,7 @@ as graph6 streams from an external generator.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .graphs import Graph
 from .io import write_graph6
@@ -54,36 +54,16 @@ _Cells = list[tuple[int, int]]
 _State = tuple[tuple | None, _Cells]
 
 
-def relabeled(g: Graph, order: tuple[int, ...]) -> Graph:
-    """Graph with old vertex ``order[i]`` renamed to ``i``."""
-    return Graph(g.n, _masks(g, order))
-
-
-def _masks(g: Graph, order: Sequence[int]) -> list[int]:
-    """The neighbour masks of ``g`` with old vertex ``order[i]`` renamed to
-    ``i``.  A derived graph keeps its parent's ids, which need not be
-    ``0..n-1``, so the labelling functions rename its ids in ascending
-    order before they search."""
-    position = {old: new for new, old in enumerate(order)}
+def canonical_graph(g: Graph) -> Graph:
+    """``g`` canonically labelled.  A derived graph keeps its parent's ids,
+    which need not be ``0..n-1``, so its ids are first renamed in ascending
+    order."""
+    position = {old: new for new, old in enumerate(sorted(g.vertices()))}
     masks = [0] * g.n
     for old_u, new_u in position.items():
         for old_v in g.neighbors(old_u):
             masks[new_u] |= 1 << position[old_v]
-    return masks
-
-
-def canonical_order(g: Graph, first: int | None = None) -> tuple[int, ...]:
-    """Relabelling order achieving the minimal adjacency bit-string; with
-    ``first``, the minimum over the orders that put ``first`` in slot 0."""
-    ids = sorted(g.vertices())
-    if first is not None:
-        g.neighbors(first)  # raises if first is not a vertex
-        first = ids.index(first)
-    return tuple(ids[i] for i in _least_labelling(_masks(g, ids), first)[1])
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, _canonical_masks(_masks(g, sorted(g.vertices())))[1])
+    return Graph(g.n, _canonical_masks(masks)[1])
 
 
 def canonical_form(g: Graph) -> str:
@@ -93,9 +73,18 @@ def canonical_form(g: Graph) -> str:
 
 def _canonical_masks(adj: list[int]) -> tuple[tuple[int, ...], list[int]]:
     """The minimal bit-string of the graph with neighbour masks ``adj``, as
-    its columns, and the masks relabelled by an order achieving it.  Every
-    canonical labelling goes through here."""
-    cols, order = _least_labelling(adj)
+    its columns (see ``_least_prefixes``), and the masks relabelled by an
+    order achieving it.  Every canonical labelling goes through here."""
+    cols = []
+    states: list[_State] = [(None, [])]  # what an empty graph leaves
+    for low, states in _least_prefixes(adj):
+        cols.append(low)
+    order = []
+    chain = states[0][0]
+    while chain is not None:
+        v, chain = chain
+        order.append(v)
+    order.reverse()
     position = [0] * len(adj)
     for new, old in enumerate(order):
         position[old] = new
@@ -108,25 +97,7 @@ def _canonical_masks(adj: list[int]) -> tuple[tuple[int, ...], list[int]]:
             out |= 1 << position[low.bit_length() - 1]
             mask ^= low
         relabelled.append(out)
-    return cols, relabelled
-
-
-def _least_labelling(
-    adj: list[int], first: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The minimal bit-string of the graph with neighbour masks ``adj``,
-    as its columns (see ``_least_prefixes``), and an order achieving it;
-    with ``first``, the minimum over the orders that start with ``first``."""
-    cols = []
-    states: list[_State] = [(None, [])]  # what an empty graph leaves
-    for low, states in _least_prefixes(adj, first):
-        cols.append(low)
-    order = []
-    chain = states[0][0]
-    while chain is not None:
-        v, chain = chain
-        order.append(v)
-    return tuple(cols), tuple(reversed(order))
+    return tuple(cols), relabelled
 
 
 def _below(adj: list[int], first: int, bound: tuple[int, ...]) -> bool:
@@ -353,7 +324,7 @@ def _is_canonical_deletion(masks: list[int]) -> bool:
         tied.append(v)
     if not tied:
         return True
-    least = _least_labelling(masks, x)[0]
+    least = tuple(low for low, _ in _least_prefixes(masks, x))
     return not any(_below(masks, v, least) for v in tied)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .batch import BatchReport, run_check, run_floor_search, run_scan
+from .batch import run_check, run_floor_search, run_scan
 from .census import ENUMERATION_LIMIT, enumerate_connected
 from .graphs import Graph
 from .io import (
@@ -64,10 +64,13 @@ def read_graphs(path: str, fmt: str) -> list[tuple[str, Graph]]:
     if fmt == "edgelist":
         return [("edgelist", parse_edgelist(text))]
     out = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line:
-            out.append((line, parse_graph6(line)))
+            try:
+                out.append((line, parse_graph6(line)))
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
     if not out:
         raise FormatError("no graphs in input")
     return out
@@ -87,13 +90,6 @@ def _enumerated(max_n: int) -> list[tuple[str, Graph]]:
         for g in enumerate_connected(n, 5):
             out.append((write_graph6(g), g))
     return out
-
-
-def _emit_report(report: BatchReport, args) -> None:
-    sys.stdout.write(report.to_text())
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as handle:
-            handle.write(report.to_json())
 
 
 def _cmd_solve(args) -> int:
@@ -128,35 +124,23 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.valid and report.good else EXIT_FAILURE
 
 
-def _cmd_check(args) -> int:
-    if args.input is not None:
+def _cmd_batch(args) -> int:
+    """check, floor-search and scan: run over the input stream or the
+    census, print the report, and write it as JSON with ``--report``.  Any
+    ``budget`` finding exits 3; otherwise ``check`` exits 1 on any finding,
+    and the others exit 0: their findings do not fail the run."""
+    if getattr(args, "input", None) is not None:
         graphs = read_graphs(args.input, args.format)
     else:
         graphs = _enumerated(args.max_n)
-    report = run_check(graphs, args.budget)
-    _emit_report(report, args)
+    report = args.run(graphs, *((args.budget,) if "budget" in args else ()))
+    sys.stdout.write(report.to_text())
+    if args.report:
+        with open(args.report, "w", encoding="ascii") as handle:
+            handle.write(report.to_json())
     if any(f.kind == "budget" for f in report.findings):
         return EXIT_BUDGET
-    return EXIT_OK if report.ok else EXIT_FAILURE
-
-
-def _cmd_floor_search(args) -> int:
-    report = run_floor_search(_enumerated(args.max_n), args.budget)
-    _emit_report(report, args)
-    if any(f.kind == "budget" for f in report.findings):
-        return EXIT_BUDGET
-    # Other findings here are open-question material, not failures.
-    return EXIT_OK
-
-
-def _cmd_scan(args) -> int:
-    if args.input is not None:
-        graphs = read_graphs(args.input, args.format)
-    else:
-        graphs = _enumerated(args.max_n)
-    report = run_scan(graphs)
-    _emit_report(report, args)
-    return EXIT_OK
+    return EXIT_FAILURE if args.command == "check" and report.findings else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=7,
                    help=f"internal enumeration cap (<= {ENUMERATION_LIMIT})")
     common(p, "format", "budget", "report")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_batch, run=run_check)
 
     p = sub.add_parser(
         "floor-search",
@@ -215,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6,
                    help=f"internal enumeration cap (<= {ENUMERATION_LIMIT})")
     common(p, "budget", "report")
-    p.set_defaults(func=_cmd_floor_search)
+    p.set_defaults(func=_cmd_batch, run=run_floor_search)
 
     p = sub.add_parser("scan", help="configuration histogram only")
     p.add_argument("input", nargs="?", default=None,
@@ -223,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=7,
                    help=f"internal enumeration cap (<= {ENUMERATION_LIMIT})")
     common(p, "format", "report")
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_batch, run=run_scan)
 
     return parser
 
@@ -240,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalError, RecursionError) as exc:
         print(f"gallai: internal failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (FormatError, FileNotFoundError, ValueError, SolveError) as exc:
+    except (FormatError, OSError, ValueError, SolveError) as exc:
         print(f"gallai: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExhaustedError as exc:

@@ -230,6 +230,22 @@ def all_labeled_graphs(n: int):
         )
 
 
+def relabeled(g: Graph, order) -> Graph:
+    """``g`` with old vertex ``order[i]`` renamed to ``i``."""
+    position = {old: new for new, old in enumerate(order)}
+    return Graph.from_edges(g.n, [(position[u], position[v]) for u, v in g.edges()])
+
+
+def columns(g: Graph) -> tuple[int, ...]:
+    """The bit-string of ``g`` as labelled, as the columns that
+    ``census._least_prefixes`` yields: column k holds the bits of vertex k
+    towards vertices 0..k-1, the lower vertex the more significant bit."""
+    return tuple(
+        sum(1 << k - 1 - j for j in range(k) if g.has_edge(j, k))
+        for k in range(g.n)
+    )
+
+
 # The sub-cases that ``reduce`` never builds, since a C4 comes first (the
 # lemma of ``reductions._reduce_c5``); ``SUBCASES`` still lists them.
 SHADOWED = {("C5", "two_gaps"), ("C5", "hub_contraction"), ("C5", "bridge_spread")}

@@ -195,6 +195,70 @@ def test_run_check_records_a_failed_solve_and_goes_on(
         assert (record.paths is None) == (record.graph_id in failed)
 
 
+def test_run_check_finds_solve_and_verify_in_the_module_once_per_graph(
+    monkeypatch,
+):
+    # The census bench swaps `batch.solve` for a capturing wrapper and its
+    # tracer hooks `batch.verify`: the per-graph work must look both names
+    # up in the module when it runs, once per graph.
+    calls = {"solve": [], "verify": []}
+    for name, seen in calls.items():
+
+        def counted(g, *args, seen=seen, real=getattr(gallai.batch, name)):
+            seen.append(g)
+            return real(g, *args)
+
+        monkeypatch.setattr(gallai.batch, name, counted)
+    items = census_items(5)
+    assert run_check(items).ok
+    graphs = [g for _, g in items]
+    assert len(graphs) == 31
+    for seen in calls.values():
+        assert len(seen) == len(graphs)
+        assert all(a is b for a, b in zip(seen, graphs))
+
+
+@pytest.mark.parametrize(
+    "run", [run_floor_search, run_scan], ids=["floor_search", "scan"]
+)
+def test_floor_search_and_scan_record_a_recursion_error_and_go_on(
+    monkeypatch, run
+):
+    # As in check: a RecursionError on one graph is an `error` finding of
+    # that graph, with a failed record, and the other graphs are unchanged.
+    items = census_items(4)
+    deep_id, deep = items[4]
+    assert deep.n == 4
+
+    def too_deep(real):
+        def wrapped(g, *args):
+            if g is deep:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(g, *args)
+
+        return wrapped
+
+    def records(report):
+        return [
+            {k: v for k, v in r.items() if k != "seconds"}
+            for r in report.to_document()["records"]
+        ]
+
+    plain = records(run(items))
+    monkeypatch.setattr(
+        gallai.batch, "solve_base", too_deep(gallai.batch.solve_base)
+    )
+    monkeypatch.setattr(
+        gallai.batch, "_DETECTORS", [too_deep(d) for d in gallai.batch._DETECTORS]
+    )
+    report = run(items)
+    assert [(f.kind, f.graph_id, f.message) for f in report.findings] == [
+        ("error", deep_id, "maximum recursion depth exceeded")
+    ]
+    plain[4].update(paths=None, histogram={}, verified=False, note="")
+    assert records(report) == plain
+
+
 def test_run_floor_search_classifies_failures():
     report = run_floor_search(census_items(5))
     assert report.ok  # no unclassified failures expected
@@ -525,6 +589,42 @@ def test_cli_scan_internal(capsys):
     assert main(["scan", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert "irreducible" in out and "graphs=10" in out
+
+
+@pytest.mark.parametrize("cause", ["directory", "permission"])
+@pytest.mark.parametrize("where", ["input", "report"])
+def test_cli_refuses_a_path_it_cannot_open(
+    tmp_path, capsys, monkeypatch, where, cause
+):
+    # An input or --report path that cannot be opened is an input error:
+    # exit 2 and one line on stderr, not a traceback.
+    if cause == "directory":
+        target = str(tmp_path)
+    else:
+        target = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
+
+        def refused(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(gallai.cli, "open", refused, raising=False)
+    if where == "input":
+        argv = ["solve", target]
+    else:
+        argv = ["check", "--max-n", "3", "--report", target]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gallai: [Errno ") and err.endswith(f"'{target}'\n")
+    assert err.count("\n") == 1
+
+
+def test_cli_names_the_line_of_a_bad_graph6_line(tmp_path, capsys):
+    lines = [write_graph6(g) for g in enumerate_connected(4, 5)[:4]]
+    lines[2] = "C~~"
+    path = write(tmp_path, "bad.g6", "\n".join(lines) + "\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        "gallai: line 3: overlong graph6 body: 2 bytes for order 4\n"
+    )
 
 
 def test_cli_unreadable_file(capsys):

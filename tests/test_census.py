@@ -14,18 +14,18 @@ from gallai.census import (
     _below,
     _image_tables,
     _is_canonical_deletion,
-    _least_labelling,
+    _least_prefixes,
     canonical_graph,
-    canonical_order,
-    relabeled,
 )
 from helpers import (
     all_labeled_graphs,
+    columns,
     complete_graph,
     cycle,
     path_graph,
     petersen,
     reference_enumerate,
+    relabeled,
 )
 
 # Published counts of connected graphs up to isomorphism.
@@ -187,8 +187,24 @@ def test_bounded_tie_search_decides_as_the_full_comparison(monkeypatch):
     assert {below for *_, below in cases} == {False, True}
     for masks, v, bound, below in cases:
         x = len(masks) - 1
-        assert bound == _least_labelling(masks, x)[0]
-        assert below == (not bound <= _least_labelling(masks, v)[0])
+        assert bound == _least_search(masks, x)[0]
+        assert below == (not bound <= _least_search(masks, v)[0])
+
+
+def _least_search(masks, first=None):
+    """The columns ``_least_prefixes`` yields, and the vertex orders of the
+    states it leaves at the end."""
+    cols, states = [], [(None, [])]
+    for low, states in _least_prefixes(masks, first):
+        cols.append(low)
+    orders = []
+    for chain, _ in states:
+        order = []
+        while chain is not None:
+            v, chain = chain
+            order.append(v)
+        orders.append(tuple(reversed(order)))
+    return tuple(cols), orders
 
 
 def test_canonical_labelling_takes_any_vertex_ids():
@@ -197,8 +213,6 @@ def test_canonical_labelling_takes_any_vertex_ids():
     p3 = path_graph(4).delete_vertices([0])
     assert canonical_form(p3) == canonical_form(path_graph(3)) == "BW"
     assert canonical_graph(p3) == Graph.from_edges(3, [(0, 2), (1, 2)])
-    assert sorted(canonical_order(p3)) == [1, 2, 3]
-    assert canonical_order(p3, first=2)[0] == 2
     rng = random.Random(17)
     for n in range(1, 7):
         for g in enumerate_connected(n, 5):
@@ -207,11 +221,6 @@ def test_canonical_labelling_takes_any_vertex_ids():
             h = spread.delete_vertices(set(range(3 * n)) - set(ids))
             assert canonical_form(h) == write_graph6(g)
             assert canonical_graph(h) == g
-            order = canonical_order(h)
-            assert sorted(order) == sorted(ids)
-            assert relabeled(h, order) == g
-            first = rng.choice(ids)
-            assert canonical_order(h, first=first)[0] == first
 
 
 def test_automorphisms_match_networkx():
@@ -226,22 +235,26 @@ def test_automorphisms_match_networkx():
 
 
 def test_first_vertex_search_finds_the_least_string_and_the_orbits():
-    # With `first`, the search must return the least string over the
-    # orders that start with that vertex; two vertices get equal strings
+    # With `first`, the search must yield the least string over the orders
+    # that start with that vertex, and every order it keeps to the end must
+    # start with it and spell that string; two vertices get equal strings
     # exactly when an automorphism maps one to the other.
     for n in range(1, 7):
         for g in enumerate_connected(n, 5):
+            masks = [g.neighbor_mask(v) for v in range(n)]
             strings = {}
             for v in range(n):
                 rest = [u for u in range(n) if u != v]
                 brute = min(
-                    write_graph6(relabeled(g, (v, *perm)))
+                    columns(relabeled(g, (v, *perm)))
                     for perm in itertools.permutations(rest)
                 )
-                order = canonical_order(g, first=v)
-                assert order[0] == v
-                strings[v] = write_graph6(relabeled(g, order))
+                strings[v], orders = _least_search(masks, v)
                 assert strings[v] == brute
+                assert orders
+                for order in orders:
+                    assert order[0] == v
+                    assert columns(relabeled(g, order)) == brute
             orbit_of = {v: orbit for orbit in _orbits(g) for v in orbit}
             for a, b in itertools.product(range(n), repeat=2):
                 assert (strings[a] == strings[b]) == (b in orbit_of[a])
