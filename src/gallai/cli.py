@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .batch import run_check, run_floor_search, run_scan
 from .census import ENUMERATION_LIMIT, enumerate_connected
@@ -129,14 +130,16 @@ def _cmd_batch(args) -> int:
     census, print the report, and write it as JSON with ``--report``.  Any
     ``budget`` finding exits 3; otherwise ``check`` exits 1 on any finding,
     and the others exit 0: their findings do not fail the run."""
-    if getattr(args, "input", None) is not None:
-        graphs = read_graphs(args.input, args.format)
-    else:
-        graphs = _enumerated(args.max_n)
-    report = args.run(graphs, *((args.budget,) if "budget" in args else ()))
-    sys.stdout.write(report.to_text())
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as handle:
+    # open --report before anything is read or enumerated
+    with (open(args.report, "w", encoding="ascii") if args.report
+          else nullcontext()) as handle:
+        if getattr(args, "input", None) is not None:
+            graphs = read_graphs(args.input, args.format)
+        else:
+            graphs = _enumerated(args.max_n)
+        report = args.run(graphs, *((args.budget,) if "budget" in args else ()))
+        sys.stdout.write(report.to_text())
+        if handle is not None:
             handle.write(report.to_json())
     if any(f.kind == "budget" for f in report.findings):
         return EXIT_BUDGET

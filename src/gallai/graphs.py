@@ -265,17 +265,6 @@ class Graph:
             parts.append((tuple(order[i] for i in members), vertices))
         return parts
 
-    def is_bridge(self, u: int, v: int) -> bool:
-        """Whether removing the edge uv disconnects u from v.
-
-        A search from each end, without the edge, run in lockstep by
-        ``split``: it stops when the two meet or one side is used up, so
-        it costs about twice the smaller side.
-        """
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) not present")
-        return len(self.split((u, v), without=(u, v))) == 2
-
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count.
 

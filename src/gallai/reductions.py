@@ -101,12 +101,11 @@ class C2:
     tag = "C2"
 
     def validate(self, g: Graph) -> None:
+        # whether uv is a cut edge is asked once, by the split of _reduce_c2
         if not g.has_edge(self.u, self.v):
             raise ReductionError(f"{self} is not an edge")
         if g.degree(self.u) % 2 or g.degree(self.v) % 2:
             raise ReductionError(f"{self}: endpoint of odd degree")
-        if not g.is_bridge(self.u, self.v):
-            raise ReductionError(f"{self} is not a cut edge")
 
 
 @dataclass(frozen=True)
@@ -430,10 +429,12 @@ def _side(
     return _child(g, drop, routes)
 
 
-def _ascending(g: Graph, parts: list[Part], removed: set[int]) -> list[Part]:
-    """``parts``, a split of all of ``g`` minus ``removed``, ascending by
-    smallest vertex as ``components`` lists them.  The smallest vertex of
-    the unfinished part is the first id that ``removed`` and no finished
+def _ascending(
+    g: Graph, parts: list[Part], removed: set[int], chosen: list[Part]
+) -> list[Part]:
+    """The ``chosen`` parts of ``parts``, a split of all of ``g`` minus
+    ``removed``, ascending by smallest vertex as ``components`` lists them:
+    the unfinished part's is the first id that ``removed`` and no finished
     part holds, found within as many steps as those hold vertices."""
     done = [vertices for _, vertices in parts if vertices is not None]
 
@@ -445,7 +446,7 @@ def _ascending(g: Graph, parts: list[Part], removed: set[int]) -> list[Part]:
             if x not in removed and not any(x in vs for vs in done)
         )
 
-    return sorted(parts, key=smallest)
+    return sorted(chosen, key=smallest)
 
 
 def _connected(child: Child) -> bool:
@@ -537,7 +538,7 @@ def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
 def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
     parts = g.split((occ.u, occ.v), without=(occ.u, occ.v))
     if len(parts) != 2:
-        raise ReductionError(f"{occ}: deleting the edge left {len(parts)} parts")
+        raise ReductionError(f"{occ} is not a cut edge")
     child_u = _side(g, parts, parts[:1], set())
     child_v = _side(g, parts, parts[1:], set())
     rewrite = functools.partial(_lift_c2, occ.u, occ.v)
@@ -570,20 +571,18 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
     if sum(present) == 4:
         child = _child(g, removed, ((x, v, u, ue),))
         return _routed("C3", "full_ring", g, (child,), (ue, x, u, y, v, ve))
+    # The boundary is the ring x-ue-y-ve, and any three of its edges join
+    # it, as does a present ring edge x-ue with the bypass edges x-ve, ue-y:
+    # only a sparse ring with no ring edge needs its child searched.
     if sum(present) >= 2:
-        for i, has in enumerate(present):
-            if has:
-                continue
-            u, v, x, y, ue, ve = to_front[i]
-            child = _child(g, removed, ((x, v, u, ue),))
-            if _connected(child):
-                return _routed("C3", "partial_ring", g, (child,), (x, u, y, v, ve))
-        raise ReductionError(f"{occ}: no missing ring edge reconnects")
+        u, v, x, y, ue, ve = to_front[present.index(False)]
+        child = _child(g, removed, ((x, v, u, ue),))
+        return _routed("C3", "partial_ring", g, (child,), (x, u, y, v, ve))
     front = present.index(True) if any(present) else 0
     u, v, x, y, ue, ve = to_front[front]
     routes = ((x, v, ve), (ue, u, y))
     child = _child(g, removed, routes)
-    if _connected(child):
+    if any(present) or _connected(child):
         return _routed("C3", "sparse_ring", g, (child,), (x, u, v, y))
     # The two bypass edges do not reconnect the remainder, so the x-y
     # bridge is guaranteed absent from the parent and restores
@@ -633,35 +632,37 @@ def _lift_c3_sparse_with_bridge(routes: tuple[Route, ...], store: PathStore) -> 
 
 def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     u, v = occ.u, occ.v
-    if g.is_bridge(u, v):
-        raise ReductionError(f"{occ}: the edge is a cut edge (C2 was skipped)")
     commons = g.common_neighbors(u, v)
     if len(commons) == 2:
         raise ReductionError(f"{occ}: exactly two common neighbours (C3 present)")
     if len(commons) == 3:
         return _reduce_c4_triple(g, occ, commons)
-    # One split of g - {u, v} decides all three: g - hub has the component
-    # of the other end, which takes in every part next to it, and one for
-    # each part next to the hub alone.
+    # One split of g - {u, v} decides every case.  uv is a cut edge when no
+    # part is next to both ends.  g - hub has the component of the other end,
+    # which takes in every part next to it, and one per part next to hub alone.
     parts = g.split(_boundary(g, {u, v}), {u, v})
-    for hub, other in ((u, v), (v, u)):
-        far = set(g.neighbors(other)) - {hub}
-        if sum(not far.intersection(starts) for starts, _ in parts) >= 2:
-            return _reduce_c4_hub(g, occ, hub, other, parts)
+    ts, ws = set(g.neighbors(u)) - {v}, set(g.neighbors(v)) - {u}
+    both = [p for p in parts if ts.intersection(p[0]) and ws.intersection(p[0])]
+    only_t = [p for p in parts if not ws.intersection(p[0])]
+    only_w = [p for p in parts if not ts.intersection(p[0])]
+    if not both:
+        raise ReductionError(f"{occ}: the edge is a cut edge (C2 was skipped)")
+    if len(only_t) >= 2:
+        return _reduce_c4_hub(g, occ, u, v, parts, only_t, both, only_w)
+    if len(only_w) >= 2:
+        return _reduce_c4_hub(g, occ, v, u, parts, only_w, both, only_t)
     if len(parts) >= 4:
-        return _reduce_c4_four(g, occ, parts)
-    return _reduce_c4_paired(g, occ)
+        return _reduce_c4_four(g, occ, parts, both, only_t, only_w)
+    return _reduce_c4_paired(g, occ, len(parts) > 1)
 
 
 def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
-    nonedges = [
+    # two gaps at least: C4.validate refuses one, as its leftovers coincide
+    first, second = [
         (a, b)
         for a, b in itertools.combinations(sorted(commons), 2)
         if not g.has_edge(a, b)
-    ]
-    if len(nonedges) < 2:
-        raise ReductionError(f"{occ}: common triple has fewer than two gaps")
-    first, second = nonedges[0], nonedges[1]
+    ][:2]
     (y,) = set(first) & set(second)
     (x,) = set(first) - {y}
     (z,) = set(second) - {y}
@@ -671,54 +672,46 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
 
 
 def _reduce_c4_hub(
-    g: Graph, occ: C4, hub: int, other: int, parts: list[Part]
+    g: Graph, occ: C4, hub: int, other: int, parts: list[Part],
+    lone: list[Part], both: list[Part], beyond: list[Part],
 ) -> LiftPlan:
-    side = sorted(set(g.neighbors(hub)) - {other})
-    far = set(g.neighbors(other)) - {hub}
-    parts = _ascending(g, parts, {hub, other})
-    lone = [p for p in parts if not far.intersection(p[0])]
-    main = [p for p in parts if far.intersection(p[0])]  # with `other`
-    if len(lone) != 2:
+    # parts next to the hub alone, to both ends, and to the other end alone:
+    # the hub's three side neighbours lie one in each lone part and in both
+    if len(lone) != 2 or len(both) != 1:
         raise ReductionError(f"{occ}: unexpected split around the hub")
-    t_lone = [[t for t in side if t in starts] for starts, _ in lone]
-    t_main = [t for t in side if any(t in starts for starts, _ in main)]
-    if any(len(ts) != 1 for ts in t_lone) or len(t_main) != 1:
-        raise ReductionError(f"{occ}: hub neighbours spread unexpectedly")
-    t1, t2, t3 = t_lone[0][0], t_lone[1][0], t_main[0]
+    side = set(g.neighbors(hub)) - {other}
+    lone = _ascending(g, parts, {hub, other}, lone)
+    (t1,), (t2,), (t3,) = (side.intersection(starts) for starts, _ in lone + both)
     pair = _side(g, parts, lone, {hub, other}, ((t1, hub, t2),))
-    rest = _side(g, parts, main, {hub, other}, also=frozenset({other}))
+    rest = _side(g, parts, both + beyond, {hub, other}, also=frozenset({other}))
     rewrite = functools.partial(_lift_c4_hub, hub, other, t1, t2, t3)
     return LiftPlan("C4", "hub_split", g, (pair, rest), rewrite, (0, 0))
 
 
-def _reduce_c4_four(g: Graph, occ: C4, parts: list[Part]) -> LiftPlan:
+def _reduce_c4_four(
+    g: Graph, occ: C4, parts: list[Part],
+    both: list[Part], only_t: list[Part], only_w: list[Part],
+) -> LiftPlan:
+    # with no hub and no cut edge, four parts can only be these
+    if len(both) != 2 or len(only_t) != 1 or len(only_w) != 1:
+        raise ReductionError(f"{occ}: component split does not match")
     u, v = occ.u, occ.v
     ts = set(g.neighbors(u)) - {v}
     ws = set(g.neighbors(v)) - {u}
-    if len(parts) != 4:
-        raise ReductionError(f"{occ}: expected exactly four components")
-    parts = _ascending(g, parts, {u, v})
-    both = [p for p in parts if ts.intersection(p[0]) and ws.intersection(p[0])]
-    only_t = [p for p in parts if ts.intersection(p[0]) and not ws.intersection(p[0])]
-    only_w = [p for p in parts if ws.intersection(p[0]) and not ts.intersection(p[0])]
-    if len(both) != 2 or len(only_t) != 1 or len(only_w) != 1:
-        raise ReductionError(f"{occ}: component split does not match")
-    (t1,) = ts.intersection(both[0][0])
-    (w1,) = ws.intersection(both[0][0])
-    (t2,) = ts.intersection(both[1][0])
-    (w2,) = ws.intersection(both[1][0])
-    (t3,) = ts.intersection(only_t[0][0])
-    (w3,) = ws.intersection(only_w[0][0])
+    both = _ascending(g, parts, {u, v}, both)
+    (t1,), (t2,), (t3,) = (ts.intersection(p[0]) for p in both + only_t)
+    (w1,), (w2,), (w3,) = (ws.intersection(p[0]) for p in both + only_w)
     near = _side(g, parts, both, {u, v}, ((t1, u, t2), (w1, v, w2)))
     far = _side(g, parts, only_t + only_w, {u, v}, ((t3, u, v, w3),))
     return _routed("C4", "four_components", g, (near, far))
 
 
-def _reduce_c4_paired(g: Graph, occ: C4) -> LiftPlan:
+def _reduce_c4_paired(g: Graph, occ: C4, split: bool) -> LiftPlan:
+    # every labelling's child is connected unless g - {u, v} was split
     u, v = occ.u, occ.v
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g.adjacency(), u, v):
         child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
-        if _connected(child):
+        if not split or _connected(child):
             return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
     raise ReductionError(f"{occ}: no reconnecting relabelling exists")
 

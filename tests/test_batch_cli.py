@@ -617,6 +617,22 @@ def test_cli_refuses_a_path_it_cannot_open(
     assert err.count("\n") == 1
 
 
+def test_cli_refuses_the_report_path_before_the_run(tmp_path, capsys, monkeypatch):
+    # A --report path that cannot be opened is refused before the census is
+    # enumerated: nothing is printed, and no run's work is lost.
+    enumerated = []
+
+    def counted(*args):
+        enumerated.append(args)
+        return enumerate_connected(*args)
+
+    monkeypatch.setattr(gallai.cli, "enumerate_connected", counted)
+    assert main(["check", "--max-n", "4", "--report", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and enumerated == []
+    assert err.startswith("gallai: [Errno ") and err.endswith(f"'{tmp_path}'\n")
+
+
 def test_cli_names_the_line_of_a_bad_graph6_line(tmp_path, capsys):
     lines = [write_graph6(g) for g in enumerate_connected(4, 5)[:4]]
     lines[2] = "C~~"

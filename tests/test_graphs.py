@@ -129,14 +129,15 @@ def _seeded_graphs(rng, count):
         yield g
 
 
-def test_is_bridge_matches_bridges_on_seeded_graphs():
+def test_split_without_an_edge_matches_bridges_on_seeded_graphs():
     rng = random.Random(2718)
     seen = Counter()
     for g in _seeded_graphs(rng, 150):
         cut = g.bridges()
         assert cut == reference_bridges(g), g
         for e in g.edges():
-            assert g.is_bridge(*e) == g.is_bridge(*e[::-1]) == (e in cut), (g, e)
+            sides = [len(g.split(ends, without=ends)) for ends in (e, e[::-1])]
+            assert sides == [1 + (e in cut)] * 2, (g, e)
             seen[e in cut] += 1
     assert seen[True] > 300 and seen[False] > 300, seen
 
@@ -191,7 +192,7 @@ def test_split_costs_only_the_smaller_sides():
     g = Graph.from_edges(n + 3, edges)
     table = _CountingTable(g.adjacency())
     counted = _derived(table, g.m)
-    assert counted.is_bridge(n - 1, n)
+    assert len(counted.split((n - 1, n), without=(n - 1, n))) == 2
     assert table.looked_up < 20
     table.looked_up = 0
     parts = counted.split((n - 2, n), removed={n - 1})
@@ -400,7 +401,9 @@ def _assert_agrees(g: Graph, ref: MaskGraph, nxg: nx.Graph, order: int):
     )
     cut = g.bridges()
     assert cut == ref.bridges() == {edge(*e) for e in nx.bridges(nxg)}
-    assert [g.is_bridge(*e) for e in edges] == [e in cut for e in edges]
+    assert [len(g.split(e, without=e)) for e in edges] == [
+        1 + (e in cut) for e in edges
+    ]
     assert g.is_connected() == ref.is_connected() == (
         g.n > 0 and nx.is_connected(nxg)
     )

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from gallai import Graph, ReductionError, detect, enumerate_connected, solve, verify
+from gallai.graphs import edge
 from gallai.reductions import (
     C1,
     C2,
@@ -90,6 +91,8 @@ def test_detector_soundness_on_census():
             occ = detect(g)
             if occ is not None:
                 occ.validate(g)  # must not raise
+            if isinstance(occ, C2):  # `reduce`, not `validate`, asks this
+                assert edge(occ.u, occ.v) in g.bridges(), (g, occ)
 
 
 # -- spec detection examples -------------------------------------------------
@@ -455,7 +458,8 @@ def _shadowed_branch(g, occ):
     if any(g.degree(x) != 4 for x in corners):
         return None
     outer = [(c, y) for c in corners for y in g.neighbors(c) if y not in corners]
-    if all(g.is_bridge(c, y) for c, y in outer):
+    cut = g.bridges()
+    if all(edge(c, y) in cut for c, y in outer):
         return "bridge_spread"
     return "hub_contraction"
 
@@ -496,12 +500,12 @@ def test_shadowed_c5_subcases_hold_a_c4_and_are_refused():
 
 
 def _certificate_corpus():
-    """The census up to n = 7 and 240 seeded cubic, 4-regular,
+    """The census up to n = 7 and 400 seeded cubic, 4-regular,
     max-degree-5 and caterpillar graphs."""
     for n in range(2, 8):
         yield from (g for g in enumerate_connected(n, 5) if g.m)
     rng = random.Random(8086)
-    for i in range(240):
+    for i in range(400):
         kind = i % 4
         if kind == 0:
             yield random_cubic_graph(rng, 2 * rng.randrange(4, 21))
@@ -517,10 +521,10 @@ def _certificate_corpus():
 
 def test_certificates_and_splits_match_global_searches(monkeypatch):
     # Every connectivity certificate that `reduce` asks for (the `_finish`
-    # checks and the trial children of the C3 rings and the C4 pairs) must
-    # answer as a search of the whole child does, every lockstep split
+    # checks and the trial children of the C3 sparse ring and the C4 pairs)
+    # must answer as a search of the whole child does, every lockstep split
     # must give the components of the graph it cuts, and `_ascending`
-    # must order a split as `components` does.
+    # must order the parts it is given as `components` does.
     import gallai.reductions as reductions
 
     answers, splits, orders = Counter(), Counter(), Counter()
@@ -540,11 +544,11 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
         splits[len(parts)] += 1
         return parts
 
-    def checked_ascending(g, parts, removed):
-        got = ascending(g, parts, removed)
+    def checked_ascending(g, parts, removed, chosen):
+        got = ascending(g, parts, removed, chosen)
         comps = g.delete_vertices(removed).components()
         assert got == sorted(
-            parts, key=lambda p: next(i for i, c in enumerate(comps) if p[0][0] in c)
+            chosen, key=lambda p: next(i for i, c in enumerate(comps) if p[0][0] in c)
         )
         orders[any(vertices is None for _, vertices in parts)] += 1
         return got
@@ -557,6 +561,51 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     assert answers[True] > 1000 and answers[False] > 20, (answers, orders)
     assert splits[1] > 500 and splits[2] > 50 and splits[3] + splits[4] > 5, splits
     assert orders[True] > 0, orders
+
+
+def test_each_connectivity_question_is_searched_once(monkeypatch):
+    # Over every occurrence that `reduce` builds on the census up to n = 7:
+    # each C2 and each C4 that is not a common triple runs one split, and
+    # the C3 full and partial rings, and the C4 pairs whose split left one
+    # part, search their children only in `_finish`, once per child.
+    import gallai.reductions as reductions
+
+    split, connected = Graph.split, reductions._connected
+    sizes, certified, met = [], [], Counter()
+
+    def counted_split(g, *args, **kwargs):
+        parts = split(g, *args, **kwargs)
+        sizes.append(len(parts))
+        return parts
+
+    def counted_connected(child):
+        certified.append(child)
+        return connected(child)
+
+    monkeypatch.setattr(Graph, "split", counted_split)
+    monkeypatch.setattr(reductions, "_connected", counted_connected)
+    for n in range(2, 8):
+        for g in enumerate_connected(n, 5):
+            for occ in _all_occurrences(g):
+                sizes.clear()
+                certified.clear()
+                try:
+                    plan = reduce(g, occ)
+                except ReductionError:
+                    continue
+                kind = plan.subcase
+                if plan.tag == "C2" or (plan.tag == "C4" and kind != "triple_common"):
+                    assert len(sizes) == 1, (g, occ, sizes)
+                if kind == "paired_nonedges":
+                    kind += f"/{sizes[0]}"
+                if kind in ("full_ring", "partial_ring", "paired_nonedges/1"):
+                    assert certified == list(plan.children), (g, occ)
+                met[kind] += 1
+    floors = {
+        "join": 25, "full_ring": 25, "partial_ring": 150, "hub_split": 3,
+        "paired_nonedges/1": 80, "paired_nonedges/2": 20,
+    }
+    assert all(met[kind] >= floor for kind, floor in floors.items()), met
 
 
 def _check_contraction(g, plan, met):
@@ -677,6 +726,7 @@ _WRONG = [
     (_C4_SITE, C4(0, 1, 2, 3, 4, 5, 6, 4), ": w-side mismatch"),
     (_C4_SITE, C4(0, 1, 2, 4, 3, 5, 6, 7), ": named non-edge is present"),
     (_C3_SITE, C4(0, 1, 3, 4, 2, 3, 5, 2), ": leftover vertices coincide"),
+    (_C4_SITE, C4(0, 1, 2, 3, 4, 5, 6, 7), ": the edge is a cut edge (C2 was skipped)"),
     (complete_graph(3), C5(0, 1, 2), ": degree(u) != 4"),
     (_ODD_CORNER, C5(0, 1, 2), ": corner degree not in {2, 4}"),
 ]
@@ -689,6 +739,19 @@ def test_reduce_names_each_wrong_occurrence(g, occ, message):
     with pytest.raises(ReductionError) as refused:
         reduce(g, occ)
     assert str(refused.value) == f"{occ}{message}"
+
+
+def test_c4_common_triple_with_one_gap_is_refused():
+    # u = 0 and v = 1 share the trio 2, 3, 4, whose only gap is 2-4: both
+    # sides must name that gap, so the leftovers coincide.  This is the one
+    # shape of a triple with fewer than two gaps that reaches `reduce`.
+    g = Graph.from_edges(5, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4),
+    ])
+    occ = C4(0, 1, 2, 4, 3, 2, 4, 3)
+    with pytest.raises(ReductionError) as refused:
+        reduce(g, occ)
+    assert str(refused.value) == f"{occ}: leftover vertices coincide"
 
 
 def test_reduce_rejects_invalid_occurrence():
