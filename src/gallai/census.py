@@ -307,16 +307,20 @@ def _is_canonical_deletion(masks: list[int]) -> bool:
     x = n - 1
     degrees = [mask.bit_count() for mask in masks]
 
-    def invariant(v: int) -> tuple[int, list[int]]:
+    def neighbour_degrees(v: int) -> list[int]:
         mask = masks[v]
-        return degrees[v], sorted(degrees[u] for u in range(n) if mask >> u & 1)
+        return sorted(degrees[u] for u in range(n) if mask >> u & 1)
 
-    mine = invariant(x)
+    mine = neighbour_degrees(x)
     tied = []
     for v in range(x):
-        if degrees[v] < mine[0]:
+        if degrees[v] < degrees[x]:
             continue
-        theirs = invariant(v)
+        if degrees[v] > degrees[x]:  # a larger invariant, if v qualifies
+            if not _is_cut_vertex(masks, v):
+                return False
+            continue
+        theirs = neighbour_degrees(v)
         if theirs < mine or _is_cut_vertex(masks, v):
             continue
         if theirs > mine:

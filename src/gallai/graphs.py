@@ -20,10 +20,10 @@ tuples alone.  Every derived graph is a new ``Graph``; values are safe to
 share between threads.
 
 The connectivity queries never recurse and key their work by vertex id:
-``components`` and ``split`` are breadth-first searches, ``bridges`` a
-chain decomposition on one iterative depth-first search.  Each is linear
-in the graph's own n + m, however large its ids, and ``split`` stops
-before it walks its largest side.
+``components`` and ``split`` are breadth-first searches, ``bridges`` one
+iterative low-link depth-first search.  Each is linear in the graph's own
+n + m, however large its ids, and ``split`` stops before it walks its
+largest side.
 """
 
 from __future__ import annotations
@@ -268,49 +268,46 @@ class Graph:
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count.
 
-        A chain decomposition (Schmidt 2013).  One depth-first search on
-        an explicit stack numbers the vertices in preorder; each stack
-        entry carries the preorder number of the vertex that pushed it, so
-        a vertex's parent is its last pusher and the pops are a true DFS.
-        Then each back edge, taken in the preorder of its upper end, walks
-        up the tree from its lower end and marks the tree edges it passes
-        until it meets a vertex already seen.  The bridges are the tree
-        edges left unmarked.  Linear in the graph's own n + m, with no
-        recursion and nothing sized by the largest id.
+        One low-link depth-first search (Tarjan 1974) on an explicit stack
+        of (vertex, preorder number, parent's number, neighbour iterator).
+        ``low`` holds, by preorder number, the least number that the
+        vertex's subtree reaches by one edge other than the tree edge to
+        its parent.  When a vertex's neighbours run out it is popped and its
+        low passes to its parent; the tree edge between them is a bridge
+        exactly when that low is above the parent's number.  Linear in the
+        graph's own n + m, with no recursion and nothing sized by the
+        largest id.
         """
         adj = self._adj
         pre: dict[int, int] = {}  # vertex -> preorder number
-        order: list[int] = []  # the vertices in preorder
-        up: list[int] = []  # by number: the parent's number (a root's own)
+        low: list[int] = []  # by preorder number
+        found: set[Edge] = set()
         for root in adj:
             if root in pre:
                 continue
-            stack = [(root, len(order))]
+            pre[root] = i = len(low)
+            low.append(i)
+            stack = [(root, i, -1, iter(adj[root]))]
             while stack:
-                v, p = stack.pop()
-                if v in pre:
-                    continue
-                pre[v] = i = len(order)
-                up.append(p)
-                order.append(v)
-                for w in adj[v]:
-                    if w not in pre:
-                        stack.append((w, i))
-        marked = [False] * len(order)  # the tree edge to the parent is covered
-        i = 0
-        for v in order:
-            for w in adj[v]:
-                j = pre[w]
-                if j > i and up[j] != i:  # a back edge down to a descendant
-                    while j != i and not marked[j]:
-                        marked[j] = True
-                        j = up[j]
-            i += 1
-        return {
-            edge(order[j], order[up[j]])
-            for j, covered in enumerate(marked)
-            if not covered and up[j] != j
-        }
+                v, i, p, rest = stack[-1]
+                for w in rest:
+                    j = pre.get(w)
+                    if j is None:
+                        pre[w] = j = len(low)
+                        low.append(j)
+                        stack.append((w, j, i, iter(adj[w])))
+                        break
+                    if j < low[i] and j != p:  # a back edge up the tree
+                        low[i] = j
+                else:
+                    stack.pop()
+                    if p < 0:
+                        continue
+                    if low[i] < low[p]:
+                        low[p] = low[i]
+                    elif low[i] > p:  # no edge from v's subtree reaches p or above
+                        found.add(edge(stack[-1][0], v))
+        return found
 
     # -- derived graphs ---------------------------------------------------
 
@@ -318,7 +315,7 @@ class Graph:
         """The graph minus the vertices ``drop``, plus the new edges ``add``
         among the vertices it keeps, on the same ids."""
         dropped = set(drop)
-        unknown = dropped - self._adj.keys()
+        unknown = [v for v in dropped if v not in self._adj]
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
         adj = dict(self._adj)

@@ -31,6 +31,15 @@ that stops once it has seen all of B certifies the child, and where a
 reduction splits the remainder into sides, ``Graph.split`` searches from
 every vertex of B in lockstep and stops before it walks the largest side.
 
+The same picture bounds where a child can hold a new C3.  Every synthetic
+edge has both ends in B, so every kept vertex outside B keeps its
+neighbour tuple, and whether an edge uv is a C3 depends on N(u) and N(v)
+alone.  Lemma: if the parent has no C3, every C3 of the child has an end
+in B.  By induction down a chain of reductions, a graph has a C3 only at
+an edge with an end in D, the union of the boundaries since the last
+graph found to have no C3.  ``solve`` carries D down its work stack and
+passes it to ``detect`` as ``near``.
+
 Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
 one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
 holding the children's paths into a decomposition of the parent, and the
@@ -56,7 +65,7 @@ import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .graphs import Edge, Graph, edge
 from .paths import Path, PathStore, spliced
@@ -241,8 +250,25 @@ def _has_even_edge(adj: Mapping[int, tuple[int, ...]]) -> bool:
     return False
 
 
-def detect_c3(g: Graph) -> C3 | None:
+def detect_c3(g: Graph, near: Iterable[int] | None = None) -> C3 | None:
+    """The C3 at the least edge (u, v), or None; given ``near``, only the
+    edges at those of its vertices still in ``g`` are examined (the lemma
+    of the module docstring says when that suffices)."""
     adj = g.adjacency()
+    if near is not None:
+        best = None
+        for u in near:
+            nu = adj.get(u, ())
+            if len(nu) != 4:
+                continue  # gone, or of another degree: no C3 edge at u
+            a, b, c, d = nu
+            for v in nu:
+                nv = adj[v]
+                if len(nv) == 4 and (a in nv) + (b in nv) + (c in nv) + (d in nv) == 2:
+                    e = (u, v) if u < v else (v, u)
+                    if best is None or e < best:
+                        best = e
+        return None if best is None else _c3(adj, *best)
     for u, nu in adj.items():
         if len(nu) != 4:
             continue
@@ -253,11 +279,17 @@ def detect_c3(g: Graph) -> C3 | None:
             nv = adj[v]
             # v is one of a..d but not in nv: the sum counts the common ones
             if len(nv) == 4 and (a in nv) + (b in nv) + (c in nv) + (d in nv) == 2:
-                x, y = (w for w in nu if w in nv)
-                (u_extra,) = (w for w in nu if w != v and w not in nv)
-                (v_extra,) = (w for w in nv if w != u and w not in nu)
-                return C3(u, v, x, y, u_extra, v_extra)
+                return _c3(adj, u, v)
     return None
+
+
+def _c3(adj: Mapping[int, tuple[int, ...]], u: int, v: int) -> C3:
+    """The C3 at the edge uv, which is one."""
+    nu, nv = adj[u], adj[v]
+    x, y = (w for w in nu if w in nv)
+    (u_extra,) = (w for w in nu if w != v and w not in nv)
+    (v_extra,) = (w for w in nv if w != u and w not in nu)
+    return C3(u, v, x, y, u_extra, v_extra)
 
 
 def detect_c4(g: Graph) -> C4 | None:
@@ -319,13 +351,11 @@ def detect_c5(g: Graph) -> C5 | None:
 _DETECTORS = (detect_c1, detect_c2, detect_c3, detect_c4, detect_c5)
 
 
-def detect(g: Graph) -> Occurrence | None:
-    """First occurrence under the priority C1 < C2 < C3 < C4 < C5."""
-    for detector in _DETECTORS:
-        occ = detector(g)
-        if occ is not None:
-            return occ
-    return None
+def detect(g: Graph, near: Iterable[int] | None = None) -> Occurrence | None:
+    """First occurrence under the priority C1 < C2 < C3 < C4 < C5; C3 is
+    looked for only at the edges at ``near``, if given (``detect_c3``)."""
+    c1, c2, c3, c4, c5 = _DETECTORS
+    return c1(g) or c2(g) or c3(g, near) or c4(g) or c5(g)
 
 
 # -- reduction plumbing ------------------------------------------------------

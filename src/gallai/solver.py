@@ -106,35 +106,56 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     steps: list[ReductionStep] = []
     bases: list[str] = []
     # The reductions whose children are not all solved yet, innermost
-    # last, each with the stores of its children solved so far.
-    stack: list[tuple[LiftPlan, list[PathStore]]] = []
-    graph = g
+    # last, each with the stores of its children solved so far and the
+    # vertices, besides each child's own boundary, at whose edges its
+    # children may have a C3 (None: anywhere; the lemma of ``reductions``).
+    stack: list[tuple[LiftPlan, list[PathStore], tuple[int, ...] | None]] = []
+    graph, near = g, None
     while True:
-        occ = None if graph.m == 0 or is_exceptional_clique(graph) else detect(graph)
+        occ = (
+            None if graph.m == 0 or is_exceptional_clique(graph)
+            else detect(graph, near)
+        )
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            stack.append((plan, []))
-            graph = plan.children[0].graph
+            # C3 was not asked past C1 and C2; past C3 it was found absent
+            kept = near if occ.tag in ("C1", "C2") else None if occ.tag == "C3" else ()
+            stack.append((plan, [], kept))
+            graph, near = _next_child(plan, kept, 0)
             continue
         solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
         if stack:
             solved = _load(graph, solved, bases[-1])
         # Lift every reduction that this base case completes.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
-            plan, stores = stack.pop()
+            plan, stores, _ = stack.pop()
             stores.append(solved)
             solved = lift(plan, stores)
         if not stack:
             break
-        plan, stores = stack[-1]
+        plan, stores, kept = stack[-1]
         stores.append(solved)
-        graph = plan.children[len(stores)].graph
+        graph, near = _next_child(plan, kept, len(stores))
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
         raise InternalError(f"final decomposition not good:\n{report}")
     return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)))
+
+
+def _next_child(
+    plan: LiftPlan, kept: tuple[int, ...] | None, i: int
+) -> tuple[Graph, tuple[int, ...] | None]:
+    """Child i of ``plan`` and the vertices at whose edges it may have a
+    C3: ``kept`` plus its boundary, or None if ``kept`` is None or if that
+    would name more vertices than the child has."""
+    child = plan.children[i]
+    if not kept:
+        return child.graph, None if kept is None else child.boundary
+    if len(kept) + len(child.boundary) > child.graph.n:
+        return child.graph, None
+    return child.graph, kept + child.boundary
 
 
 def _base_case(g: Graph, budget: int | None, bases: list[str]) -> PathDecomposition:

@@ -242,8 +242,9 @@ def test_delete_vertices():
         ((), [(0, 9)], "edge (0, 9) leaves the kept vertices"),
         ((), [(1, 0)], "edge (1, 0) already present"),
         ((), [(0, 2), (2, 0)], "edge (2, 0) already present"),
+        ((9, 1, 5), [(1, 1)], "vertices [5, 9] are not in the graph"),
     ],
-    ids=["loop", "dropped_end", "absent_end", "present", "added_twice"],
+    ids=["loop", "dropped_end", "absent_end", "present", "added_twice", "unknown"],
 )
 def test_delete_vertices_refuses_each_bad_added_edge(drop, add, message):
     with pytest.raises(ValueError) as refused:

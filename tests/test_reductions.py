@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
-from gallai import Graph, ReductionError, detect, enumerate_connected, solve, verify
+from gallai import (
+    Graph, ReductionError, detect, enumerate_connected, reductions, solve, verify,
+)
 from gallai.graphs import edge
 from gallai.reductions import (
     C1,
@@ -20,6 +22,7 @@ from gallai.reductions import (
     detect_c3,
     detect_c4,
     detect_c5,
+    is_exceptional_clique,
     reduce,
 )
 from helpers import (
@@ -494,6 +497,95 @@ def test_shadowed_c5_subcases_hold_a_c4_and_are_refused():
             _named_c4(str(refused.value)).validate(g)
             seen[branch] += 1
     assert min(seen[b] for b in ("two_gaps", "hub_contraction", "bridge_spread")) >= 20, seen
+
+
+# -- C3 near the changed vertices --------------------------------------------
+
+
+def _near_corpus():
+    """Every census graph with n <= 7, then seeded 4-regular and
+    max-degree-5 graphs."""
+    for n in range(1, 8):
+        yield from enumerate_connected(n, 5)
+    rng = random.Random(2424)
+    for i in range(600):
+        if i % 2:
+            yield random_regular_graph(rng, rng.randrange(8, 60), 4)
+        elif (g := random_connected_graph(rng, 8, 60, max_deg=5)) is not None:
+            yield g
+
+
+def _reductions(graphs):
+    """Each graph of ``graphs`` that ``solve`` would reduce, with its
+    occurrence and plan."""
+    for g in graphs:
+        if g.m and not is_exceptional_clique(g) and (occ := detect(g)):
+            yield g, occ, reduce(g, occ)
+
+
+def test_children_change_only_their_boundary():
+    # The premise of the C3 lemma: every synthetic edge joins two boundary
+    # vertices, and every other kept vertex keeps its neighbour tuple.
+    for g, _, plan in _reductions(_near_corpus()):
+        for child in plan.children:
+            near = set(child.boundary)
+            assert near.issuperset(x for e in child.synthetic for x in e), plan
+            for v, nbrs in child.graph.adjacency().items():
+                assert v in near or nbrs == g.neighbors(v), (plan, v)
+
+
+def test_c3_near_the_boundary_is_the_whole_scan():
+    # A graph whose detection passed C3 has no C3, so each of its
+    # children has one only at an edge at its boundary.
+    found = Counter()
+    for _, occ, plan in _reductions(_near_corpus()):
+        if occ.tag in ("C4", "C5"):
+            for child in plan.children:
+                occ3 = detect_c3(child.graph)
+                assert detect_c3(child.graph, child.boundary) == occ3, plan
+                found[occ3 is not None] += 1
+    assert found[True] >= 10 and found[False] >= 150, found
+
+
+def test_solve_carries_c3_absence_exactly(monkeypatch):
+    # Down whole reduction chains: every C3 scan that solve restricts to
+    # ``near`` answers as the scan of the whole graph would.
+    whole = reductions._DETECTORS[2]
+    answers = Counter()
+
+    def checked(g, near=None):
+        occ = whole(g)
+        if near is not None:
+            assert whole(g, near) == occ, (g, near)
+            answers[occ is not None] += 1
+        return occ
+
+    monkeypatch.setattr(
+        reductions, "_DETECTORS",
+        reductions._DETECTORS[:2] + (checked,) + reductions._DETECTORS[3:],
+    )
+    for g in _near_corpus():
+        solve(g)
+    assert answers[True] >= 200 and answers[False] >= 2000, answers
+
+
+def test_solve_scans_a_4_regular_graph_for_c3_a_few_times(monkeypatch):
+    # Past the first level, solve looks for C3 only near the vertices
+    # that changed.  One seeded 4-regular graph with n = 400 asks for a
+    # C3 at 119 levels; scanning the whole graph each time made 119 scans.
+    whole = reductions._DETECTORS[2]
+    scans = Counter()
+
+    def counted(g, near=None):
+        scans["whole" if near is None else "near"] += 1
+        return whole(g) if near is None else whole(g, near)
+
+    monkeypatch.setattr(
+        reductions, "_DETECTORS",
+        reductions._DETECTORS[:2] + (counted,) + reductions._DETECTORS[3:],
+    )
+    solve(random_regular_graph(random.Random(801), 400, 4))
+    assert scans["whole"] <= 3 and scans["near"] >= 100, scans
 
 
 # -- boundary certificates ---------------------------------------------------
