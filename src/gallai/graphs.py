@@ -20,16 +20,19 @@ tuples alone.  Every derived graph is a new ``Graph``; values are safe to
 share between threads.
 
 The connectivity queries never recurse and key their work by vertex id:
-``components`` and ``split`` are breadth-first searches, ``bridges`` one
-iterative low-link depth-first search.  Each is linear in the graph's own
-n + m, however large its ids, and ``split`` stops before it walks its
-largest side.
+``components`` and ``split`` are breadth-first searches, and ``low_link``
+is one iterative low-link depth-first search of the graph minus a removed
+set, which finds its components, its bridges and the subtree below each
+bridge at once; ``bridges`` is its case with nothing removed.  Each is
+linear in the graph's own n + m, however large its ids, and ``split``
+stops before it walks its largest side.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import KeysView, Mapping
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 
 Edge = tuple[int, int]
@@ -266,48 +269,36 @@ class Graph:
         return parts
 
     def bridges(self) -> set[Edge]:
-        """Edges whose removal increases the component count.
+        """Edges whose removal increases the component count: the bridges
+        that ``low_link`` finds with every vertex as a start."""
+        return set(_low_link(self._adj, self._adj, {})[0])
 
-        One low-link depth-first search (Tarjan 1974) on an explicit stack
-        of (vertex, preorder number, parent's number, neighbour iterator).
-        ``low`` holds, by preorder number, the least number that the
-        vertex's subtree reaches by one edge other than the tree edge to
-        its parent.  When a vertex's neighbours run out it is popped and its
-        low passes to its parent; the tree edge between them is a bridge
-        exactly when that low is above the parent's number.  Linear in the
-        graph's own n + m, with no recursion and nothing sized by the
-        largest id.
+    def low_link(
+        self, starts: Collection[int], removed: Collection[int] = ()
+    ) -> LowLink:
+        """One low-link depth-first search (Tarjan 1974) of the graph minus
+        the vertices ``removed``, with a new tree from each of ``starts``,
+        in order, that no earlier tree has reached.
+
+        It runs on an explicit stack of (vertex, preorder number, parent's
+        number, neighbour iterator).  ``low`` holds, by preorder number, the
+        least number that the vertex's subtree reaches by one edge other
+        than the tree edge to its parent; a removed vertex is numbered above
+        every vertex searched, so it never lowers a low.  When a vertex's
+        neighbours run out it is popped and its low passes to its parent;
+        the tree edge between them is a bridge exactly when that low is
+        above the parent's number.  The vertex's subtree is then the
+        preorder interval from its own number to the next number to be
+        given.  Linear in the size of what it searches, with no recursion
+        and nothing sized by the largest id.
         """
-        adj = self._adj
-        pre: dict[int, int] = {}  # vertex -> preorder number
-        low: list[int] = []  # by preorder number
-        found: set[Edge] = set()
-        for root in adj:
-            if root in pre:
-                continue
-            pre[root] = i = len(low)
-            low.append(i)
-            stack = [(root, i, -1, iter(adj[root]))]
-            while stack:
-                v, i, p, rest = stack[-1]
-                for w in rest:
-                    j = pre.get(w)
-                    if j is None:
-                        pre[w] = j = len(low)
-                        low.append(j)
-                        stack.append((w, j, i, iter(adj[w])))
-                        break
-                    if j < low[i] and j != p:  # a back edge up the tree
-                        low[i] = j
-                else:
-                    stack.pop()
-                    if p < 0:
-                        continue
-                    if low[i] < low[p]:
-                        low[p] = low[i]
-                    elif low[i] > p:  # no edge from v's subtree reaches p or above
-                        found.add(edge(stack[-1][0], v))
-        return found
+        pre = dict.fromkeys(removed, len(self._adj))
+        for s in starts:
+            if s not in self._adj or s in pre:
+                raise ValueError(f"start {s} is not a vertex left to search")
+        skip = len(pre)
+        found, firsts = _low_link(self._adj, starts, pre)
+        return LowLink(starts, pre, skip, firsts, found)
 
     # -- derived graphs ---------------------------------------------------
 
@@ -381,6 +372,96 @@ class Graph:
             return False
         k = (self.n - 1) // 2
         return self.m >= self.n * (self.n - 1) // 2 - (k - 1)
+
+
+class LowLink(NamedTuple):
+    """What one ``Graph.low_link`` search found.
+
+    ``pre`` numbers each searched vertex in preorder, after the removed
+    vertices (the first ``skip`` keys), so its keys from there on list the
+    searched vertices by number.  Each tree is the interval of numbers from
+    its entry in ``firsts`` to the next.  ``bridges`` maps each bridge to
+    the interval of its lower end's subtree.
+    """
+
+    starts: Collection[int]
+    pre: dict[int, int]
+    skip: int
+    firsts: list[int]
+    bridges: dict[Edge, tuple[int, int]]
+
+    def parts(self) -> list[tuple[tuple[int, ...], set[int]]]:
+        """The components searched: for each tree, the starts it holds and
+        its vertex set, in the order of their first starts."""
+        order = list(self.pre)[self.skip:]
+        bounds = self.firsts + [len(order)]
+        held: list[list[int]] = [[] for _ in self.firsts]
+        for s in dict.fromkeys(self.starts):
+            held[bisect.bisect_right(self.firsts, self.pre[s]) - 1].append(s)
+        return [
+            (tuple(starts), set(order[a:b]))
+            for starts, a, b in zip(held, bounds, bounds[1:])
+        ]
+
+    def uncrossed(self, added: Iterable[Edge]) -> list[Edge]:
+        """The bridges that no edge of ``added`` crosses: a bridge's lower
+        end's subtree holds one end of a crossing edge and not the other.
+
+        Lemma: where the search was one tree, these are exactly the bridges
+        of the graph it searched plus the edges ``added`` among its
+        vertices.  An added edge lies on a cycle through the tree, so it is
+        no bridge; adding edges makes no new bridge; and a bridge pc, with
+        c below p, stays one exactly when every added edge has both ends
+        inside c's subtree or both outside it, the two sides that the
+        bridge alone joins.
+        """
+        pre = self.pre
+        ends = [(pre[a], pre[b]) for a, b in added]
+        return [
+            e for e, (lo, hi) in self.bridges.items()
+            if all((lo <= i < hi) == (lo <= j < hi) for i, j in ends)
+        ]
+
+
+def _low_link(
+    adj: Mapping[int, tuple[int, ...]], starts: Iterable[int], pre: dict[int, int]
+) -> tuple[dict[Edge, tuple[int, int]], list[int]]:
+    """The search of ``Graph.low_link`` from the checked ``starts`` on the
+    table ``adj``, whose removed vertices ``pre`` numbers ``len(adj)``: it
+    numbers the others it searches, and returns the bridges with their
+    subtrees' intervals and each tree's first number.  ``bridges`` calls
+    it directly, as the whole-graph search runs at many levels of a
+    solve."""
+    low: list[int] = []  # by preorder number
+    firsts: list[int] = []
+    found: dict[Edge, tuple[int, int]] = {}
+    for root in starts:
+        if root in pre:
+            continue
+        pre[root] = i = len(low)
+        low.append(i)
+        firsts.append(i)
+        stack = [(root, i, -1, iter(adj[root]))]
+        while stack:
+            v, i, p, rest = stack[-1]
+            for w in rest:
+                j = pre.get(w)
+                if j is None:
+                    pre[w] = j = len(low)
+                    low.append(j)
+                    stack.append((w, j, i, iter(adj[w])))
+                    break
+                if j < low[i] and j != p:  # a back edge up the tree
+                    low[i] = j
+            else:
+                stack.pop()
+                if p < 0:
+                    continue
+                if low[i] < low[p]:
+                    low[p] = low[i]
+                elif low[i] > p:  # no edge from v's subtree reaches p or above
+                    found[edge(stack[-1][0], v)] = (i, len(low))
+    return found, firsts
 
 
 def _init(g: Graph, adj: dict[int, tuple[int, ...]], m: int) -> None:

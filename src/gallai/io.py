@@ -10,8 +10,6 @@ vertex ids.
 
 from __future__ import annotations
 
-import math
-
 from .graphs import Graph
 from .paths import Path, PathDecomposition
 
@@ -56,14 +54,20 @@ def parse_graph6(line: str) -> Graph:
     if body and body[-1] & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits")
     masks = [0] * n
-    for i, value in enumerate(body):
+    row, col = 0, 1  # the pair of the next bit, in column-major order
+    for value in body:
         if not value:
+            row += 6
+            while row >= col:
+                row, col = row - col, col + 1
             continue
-        for bit in range(6):
-            if value >> (5 - bit) & 1:
-                row, col = _pair_at(6 * i + bit)
+        for bit in (32, 16, 8, 4, 2, 1):
+            if value & bit:
                 masks[row] |= 1 << col
                 masks[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
     return Graph(n, masks)
 
 
@@ -84,12 +88,6 @@ def write_graph6(g: Graph) -> str:
         position = col * (col - 1) // 2 + row
         values[position // 6] |= 32 >> position % 6
     return header + "".join(chr(63 + value) for value in values)
-
-
-def _pair_at(position: int) -> tuple[int, int]:
-    """The (row, col) pair, row < col, at a bit position of the body."""
-    col = (1 + math.isqrt(8 * position + 1)) // 2
-    return position - col * (col - 1) // 2, col
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -27,9 +27,9 @@ vertex as the end of its synthetic edges).  Lemma: every kept vertex then
 reaches the boundary B = N(S) minus S without leaving the kept vertices,
 so the child is connected exactly when B lies in one of its components,
 and only the vertices of B change degree.  One search from a vertex of B
-that stops once it has seen all of B certifies the child, and where a
-reduction splits the remainder into sides, ``Graph.split`` searches from
-every vertex of B in lockstep and stops before it walks the largest side.
+that stops once it has seen all of B certifies the child, and where C2
+splits the remainder into sides, ``Graph.split`` searches from every
+vertex of B in lockstep and stops before it walks the largest side.
 
 The same picture bounds where a child can hold a new C3.  Every synthetic
 edge has both ends in B, so every kept vertex outside B keeps its
@@ -39,6 +39,31 @@ in B.  By induction down a chain of reductions, a graph has a C3 only at
 an edge with an end in D, the union of the boundaries since the last
 graph found to have no C3.  ``solve`` carries D down its work stack and
 passes it to ``detect`` as ``near``.
+
+C2, the one global configuration, is carried down the chain where a
+reduction already knows the child's bridges.  ``_reduce_c4`` runs one
+low-link search (``Graph.low_link``) of g - {u, v} from B, and its trees
+are the parts that choose the sub-case.  When it is one tree, it has
+reached every vertex that the paired child keeps, so the child is
+connected, and two lemmas give the bridges of the children:
+
+- The crossing rule (``LowLink.uncrossed``): adding an edge ab to a
+  connected graph keeps a tree bridge pc, with c below p, a bridge exactly
+  when a and b are both inside c's subtree or both outside it.  So the
+  paired child's bridges are the remainder's that no synthetic edge
+  crosses.
+- The C1 carry: the child of v-u-w is g - u plus the edge vw, and a path
+  through u in g is one through vw in the child.  So every other edge is
+  a bridge of the one exactly when it is of the other, and vw is one
+  exactly when vu and uw are, which are bridges together since u has
+  degree 2.  v and w keep their degrees, so the child's bridges with two
+  even ends are the parent's, with vw in place of vu and uw when both
+  were among them.
+
+``solve`` carries each child's bridges with two even ends down its work
+stack beside D, where these lemmas give them (``child_bridges``), and
+``detect`` answers C2 from them without a search; every other child is
+searched whole.
 
 Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
 one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
@@ -63,11 +88,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Collection, Mapping
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Union
 
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph, LowLink, edge
 from .paths import Path, PathStore, spliced
 # imported only so the benchmark's tracer can hook ``reductions.verify``
 from .paths import verify  # noqa: F401
@@ -229,7 +254,11 @@ def detect_c1(g: Graph) -> C1 | None:
     return None
 
 
-def detect_c2(g: Graph) -> C2 | None:
+def detect_c2(g: Graph, even_bridges: Collection[Edge] | None = None) -> C2 | None:
+    """The C2 at the least bridge whose two ends have even degree, or None;
+    given ``even_bridges``, all such bridges of ``g``, nothing is searched."""
+    if even_bridges is not None:
+        return C2(*min(even_bridges)) if even_bridges else None
     adj = g.adjacency()
     if not _has_even_edge(adj):
         return None  # no edge has two even ends, so no bridge is wanted
@@ -351,11 +380,15 @@ def detect_c5(g: Graph) -> C5 | None:
 _DETECTORS = (detect_c1, detect_c2, detect_c3, detect_c4, detect_c5)
 
 
-def detect(g: Graph, near: Iterable[int] | None = None) -> Occurrence | None:
+def detect(
+    g: Graph, near: Iterable[int] | None = None,
+    even_bridges: Collection[Edge] | None = None,
+) -> Occurrence | None:
     """First occurrence under the priority C1 < C2 < C3 < C4 < C5; C3 is
-    looked for only at the edges at ``near``, if given (``detect_c3``)."""
+    looked for only at the edges at ``near``, if given (``detect_c3``),
+    and C2 only among ``even_bridges``, if given (``detect_c2``)."""
     c1, c2, c3, c4, c5 = _DETECTORS
-    return c1(g) or c2(g) or c3(g, near) or c4(g) or c5(g)
+    return c1(g) or c2(g, even_bridges) or c3(g, near) or c4(g) or c5(g)
 
 
 # -- reduction plumbing ------------------------------------------------------
@@ -377,13 +410,17 @@ class Child:
     ``boundary`` lists, ascending, the child's vertices that have a
     neighbour among the removed vertices S of the parent, B = N(S) minus
     S; a contracted pair's merged vertex is one of them.  Only they can
-    have gained or lost edges.
+    have gained or lost edges.  ``even_bridges``, where the reduction's
+    own search found them, are the child's bridges whose two ends have
+    even degree; that search finds them only where it has also shown the
+    child connected, so ``_finish`` does not search it again.
     """
 
     graph: Graph
     routes: tuple[Route, ...] = ()
     synthetic: tuple[Edge, ...] = ()
     boundary: tuple[int, ...] = ()
+    even_bridges: frozenset[Edge] | None = None
 
 
 @dataclass(frozen=True)
@@ -444,8 +481,9 @@ def _side(
     g: Graph, parts: list[Part], chosen: list[Part], removed: set[int],
     routes: tuple[Route, ...] = (), also: frozenset[int] = frozenset(),
 ) -> Child:
-    """The child on the ``chosen`` parts of ``g.split(starts, removed)``
-    and the vertices ``also`` of ``removed``.
+    """The child on the ``chosen`` parts of ``g`` minus ``removed``, as
+    ``Graph.split`` or ``LowLink.parts`` lists them, and the vertices
+    ``also`` of ``removed``.
 
     It deletes the other parts when the split finished them all, and
     otherwise keeps only the chosen ones: a part that the split left
@@ -459,24 +497,10 @@ def _side(
     return _child(g, drop, routes)
 
 
-def _ascending(
-    g: Graph, parts: list[Part], removed: set[int], chosen: list[Part]
-) -> list[Part]:
-    """The ``chosen`` parts of ``parts``, a split of all of ``g`` minus
-    ``removed``, ascending by smallest vertex as ``components`` lists them:
-    the unfinished part's is the first id that ``removed`` and no finished
-    part holds, found within as many steps as those hold vertices."""
-    done = [vertices for _, vertices in parts if vertices is not None]
-
-    def smallest(part: Part) -> int:
-        if part[1] is not None:
-            return min(part[1])
-        return next(
-            x for x in g.vertices()
-            if x not in removed and not any(x in vs for vs in done)
-        )
-
-    return sorted(chosen, key=smallest)
+def _ascending(chosen: list[tuple[tuple[int, ...], set[int]]]) -> list[Part]:
+    """The ``chosen`` parts ascending by smallest vertex, as ``components``
+    lists them."""
+    return sorted(chosen, key=lambda part: min(part[1]))
 
 
 def _connected(child: Child) -> bool:
@@ -516,12 +540,14 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     By the lemma of the module docstring, a child is connected exactly
     when its boundary B lies in one of its components (``_connected``),
     and only vertices of B change degree: so only they are looked at, and
-    the parent's maximum degree only when one of them exceeds 5.
+    the parent's maximum degree only when one of them exceeds 5.  A child
+    that carries ``even_bridges`` was shown connected by the search that
+    found them, and is not searched again.
     """
     g = plan.parent
     total = 0
     for child in plan.children:
-        if not _connected(child):
+        if child.even_bridges is None and not _connected(child):
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child disconnected")
         if child.graph.n >= g.n:
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child not smaller")
@@ -560,6 +586,28 @@ def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
     child = _child(g, {occ.u}, ((occ.v, occ.u, occ.w),))
     return _routed("C1", "splice", g, (child,))
+
+
+def child_bridges(
+    plan: LiftPlan, i: int, even: frozenset[Edge] | None
+) -> frozenset[Edge] | None:
+    """The bridges with two even ends of child i of ``plan``, or None where
+    they are not known without a search, given ``even``, the parent's (or
+    None).  A C1 child has the parent's by the C1 carry of the module
+    docstring, with no search and no copy unless vu or uw is among them;
+    any other child has the ones its reduction found, if any."""
+    child = plan.children[i]
+    if plan.tag != "C1":
+        return child.even_bridges
+    if even is None:
+        return None
+    ((v, u, w),) = child.routes
+    vu, uw = edge(v, u), edge(u, w)
+    if vu not in even and uw not in even:
+        return even
+    if vu in even and uw in even:
+        return (even - {vu, uw}) | {edge(v, w)}
+    return even - {vu, uw}
 
 
 # -- C2: solve the two sides and join two of their paths ---------------------
@@ -667,10 +715,15 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
         raise ReductionError(f"{occ}: exactly two common neighbours (C3 present)")
     if len(commons) == 3:
         return _reduce_c4_triple(g, occ, commons)
-    # One split of g - {u, v} decides every case.  uv is a cut edge when no
-    # part is next to both ends.  g - hub has the component of the other end,
-    # which takes in every part next to it, and one per part next to hub alone.
-    parts = g.split(_boundary(g, {u, v}), {u, v})
+    # One search of g - {u, v} decides every case.  A single part is next to
+    # both ends and leaves the paired non-edges.  Otherwise uv is a cut edge
+    # when no part is next to both ends.  g - hub has the component of the
+    # other end, which takes in every part next to it, and one per part next
+    # to hub alone.
+    search = g.low_link(_boundary(g, {u, v}), {u, v})
+    if len(search.firsts) == 1:
+        return _reduce_c4_paired(g, occ, search)
+    parts = search.parts()
     ts, ws = set(g.neighbors(u)) - {v}, set(g.neighbors(v)) - {u}
     both = [p for p in parts if ts.intersection(p[0]) and ws.intersection(p[0])]
     only_t = [p for p in parts if not ws.intersection(p[0])]
@@ -683,7 +736,7 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
         return _reduce_c4_hub(g, occ, v, u, parts, only_w, both, only_t)
     if len(parts) >= 4:
         return _reduce_c4_four(g, occ, parts, both, only_t, only_w)
-    return _reduce_c4_paired(g, occ, len(parts) > 1)
+    return _reduce_c4_paired(g, occ, None)
 
 
 def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
@@ -710,7 +763,7 @@ def _reduce_c4_hub(
     if len(lone) != 2 or len(both) != 1:
         raise ReductionError(f"{occ}: unexpected split around the hub")
     side = set(g.neighbors(hub)) - {other}
-    lone = _ascending(g, parts, {hub, other}, lone)
+    lone = _ascending(lone)
     (t1,), (t2,), (t3,) = (side.intersection(starts) for starts, _ in lone + both)
     pair = _side(g, parts, lone, {hub, other}, ((t1, hub, t2),))
     rest = _side(g, parts, both + beyond, {hub, other}, also=frozenset({other}))
@@ -728,7 +781,7 @@ def _reduce_c4_four(
     u, v = occ.u, occ.v
     ts = set(g.neighbors(u)) - {v}
     ws = set(g.neighbors(v)) - {u}
-    both = _ascending(g, parts, {u, v}, both)
+    both = _ascending(both)
     (t1,), (t2,), (t3,) = (ts.intersection(p[0]) for p in both + only_t)
     (w1,), (w2,), (w3,) = (ws.intersection(p[0]) for p in both + only_w)
     near = _side(g, parts, both, {u, v}, ((t1, u, t2), (w1, v, w2)))
@@ -736,13 +789,24 @@ def _reduce_c4_four(
     return _routed("C4", "four_components", g, (near, far))
 
 
-def _reduce_c4_paired(g: Graph, occ: C4, split: bool) -> LiftPlan:
-    # every labelling's child is connected unless g - {u, v} was split
+def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink | None) -> LiftPlan:
+    # Given the search of g - {u, v} that found it one part, the first
+    # labelling's child is connected and its bridges are the search's that
+    # no synthetic edge crosses.  Otherwise g - {u, v} was split, and the
+    # labellings are tried until one reconnects it.
     u, v = occ.u, occ.v
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g.adjacency(), u, v):
         child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
-        if not split or _connected(child):
-            return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
+        if search is not None:
+            adj = child.graph.adjacency()
+            even = frozenset(
+                (a, b) for a, b in search.uncrossed(child.synthetic)
+                if not len(adj[a]) % 2 and not len(adj[b]) % 2
+            )
+            child = replace(child, even_bridges=even)
+        elif not _connected(child):
+            continue
+        return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
     raise ReductionError(f"{occ}: no reconnecting relabelling exists")
 
 

@@ -36,6 +36,7 @@ from .paths import Path, PathDecomposition, PathStore, lower_bound, verify
 from .reductions import (
     LiftPlan,
     check_structure,
+    child_bridges,
     detect,
     is_exceptional_clique,
     lift,
@@ -109,12 +110,15 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     # last, each with the stores of its children solved so far and the
     # vertices, besides each child's own boundary, at whose edges its
     # children may have a C3 (None: anywhere; the lemma of ``reductions``).
+    # Beside ``near``, ``even`` holds the graph's bridges with two even
+    # ends where a reduction handed them down (None: search for them); only
+    # a first child can be handed its parent's (``child_bridges``).
     stack: list[tuple[LiftPlan, list[PathStore], tuple[int, ...] | None]] = []
-    graph, near = g, None
+    graph, near, even = g, None, None
     while True:
         occ = (
             None if graph.m == 0 or is_exceptional_clique(graph)
-            else detect(graph, near)
+            else detect(graph, near, even)
         )
         if occ is not None:
             plan = reduce(graph, occ)
@@ -123,6 +127,7 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
             kept = near if occ.tag in ("C1", "C2") else None if occ.tag == "C3" else ()
             stack.append((plan, [], kept))
             graph, near = _next_child(plan, kept, 0)
+            even = child_bridges(plan, 0, even)
             continue
         solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
         if stack:
@@ -137,6 +142,7 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
         plan, stores, kept = stack[-1]
         stores.append(solved)
         graph, near = _next_child(plan, kept, len(stores))
+        even = child_bridges(plan, len(stores), None)
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):

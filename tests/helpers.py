@@ -221,6 +221,20 @@ def check_split(g: Graph, starts, removed, without, parts) -> None:
         assert vertices is None or vertices == comp, (g, starts, removed)
 
 
+def searched_components(g: Graph, starts, removed) -> list:
+    """The components of ``g`` minus ``removed`` that hold a start, each
+    with the starts it holds and its vertex set, in the order of their
+    first starts: ``Graph.low_link(starts, removed).parts()`` by
+    ``components``."""
+    order = list(dict.fromkeys(starts))
+    want = []
+    for comp in map(set, g.delete_vertices(removed).components()):
+        held = tuple(s for s in order if s in comp)
+        if held:
+            want.append((held, comp))
+    return sorted(want, key=lambda part: order.index(part[0][0]))
+
+
 def all_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices (for oracle cross-checks)."""
     pairs = list(itertools.combinations(range(n), 2))

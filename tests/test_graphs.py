@@ -19,6 +19,7 @@ from helpers import (
     random_caterpillar,
     random_connected_graph,
     reference_bridges,
+    searched_components,
     star,
     two_cliques_with_bridge,
 )
@@ -162,6 +163,51 @@ def test_split_matches_components_on_seeded_graphs():
             check_split(g, (u, v), removed, (u, v), parts)
     many = sum(count for parts, count in sizes.items() if parts >= 3)
     assert sizes[0] and sizes[1] > 20 and many > 20, sizes
+
+
+def test_low_link_matches_components_and_bridges_on_seeded_graphs():
+    # The remainder search of g - S from a set of starts gives the
+    # components that hold a start and the bridges of what it searched.
+    # Where it is one tree, the bridges that no added edge crosses are
+    # the bridges of that tree's graph plus the added edges.
+    rng = random.Random(1729)
+    met = Counter()
+    for g in _seeded_graphs(rng, 400):
+        vertices = sorted(g.vertices())
+        removed = set(rng.sample(vertices, rng.randrange(0, 4)))
+        rest = [v for v in vertices if v not in removed]
+        if not removed or rng.random() < 0.5:
+            starts = rest
+        else:  # the vertices next to the removed ones, as C4 starts it
+            starts = sorted({w for x in removed for w in g.neighbors(x)} - removed)
+        search = g.low_link(starts, removed)
+        parts = search.parts()
+        assert parts == searched_components(g, starts, removed), (g, removed)
+        searched = set().union(*(vertices for _, vertices in parts))
+        h = g.delete_vertices(set(vertices) - searched)
+        assert set(search.bridges) == reference_bridges(h), (g, removed)
+        met[min(len(parts), 3)] += 1
+        if len(parts) != 1 or len(searched) < 3:
+            continue
+        pool = sorted(searched)
+        added = list({
+            edge(*rng.sample(pool, 2)) for _ in range(rng.randrange(1, 4))
+        } - set(h.edges()))
+        kept = search.uncrossed(added)
+        assert set(kept) == reference_bridges(h.delete_vertices((), added)), (
+            g, removed, added,
+        )
+        met["crossed" if len(kept) < len(search.bridges) else "kept"] += 1
+    assert met[0] and met[1] > 100 and met[2] > 20 and met[3] > 20, met
+    assert met["crossed"] > 50 and met["kept"] > 50, met
+
+
+def test_low_link_rejects_a_start_it_cannot_search():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="start 1 is not a vertex left"):
+        g.low_link((0, 1), removed={1})
+    with pytest.raises(ValueError, match="start 7 is not a vertex left"):
+        g.low_link((0, 7))
 
 
 def test_split_rejects_a_start_it_cannot_search():

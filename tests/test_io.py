@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -11,6 +13,7 @@ from gallai import (
     parse_graph6,
     write_graph6,
 )
+from gallai.graphs import edge
 from gallai.paths import decomposition
 from helpers import complete_graph, cycle, petersen
 
@@ -42,6 +45,25 @@ def test_graph6_round_trip_small_census():
     for n in range(1, 7):
         for g in enumerate_connected(n, 5):
             assert parse_graph6(write_graph6(g)) == g
+
+
+def test_graph6_round_trip_census_and_an_extended_header():
+    # The decoder walks the body with a running (row, col) pair, a byte at
+    # a time past zero bytes.  Every census line up to n = 8 decodes to
+    # the graph it was written from, and so does a graph of order 100,
+    # past the four-byte header, whose body mixes zero and busy bytes.
+    for n in range(1, 9):
+        for g in enumerate_connected(n, 5):
+            assert parse_graph6(write_graph6(g)) == g
+    rng = random.Random(63)
+    g = Graph.from_edges(100, sorted({
+        edge(*rng.sample(range(100), 2)) for _ in range(300)
+    } | {edge(i, 99) for i in range(0, 99, 7)}))
+    line = write_graph6(g)
+    assert line.startswith("~") and "?" * 3 in line[4:]
+    assert parse_graph6(line) == g
+    ref = nx.from_graph6_bytes(line.encode("ascii"))
+    assert sorted(edge(*e) for e in ref.edges()) == list(g.edges())
 
 
 def test_graph6_errors():

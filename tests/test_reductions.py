@@ -37,6 +37,8 @@ from helpers import (
     random_connected_graph,
     random_cubic_graph,
     random_regular_graph,
+    reference_bridges,
+    searched_components,
     two_cliques_with_bridge,
 )
 
@@ -588,6 +590,73 @@ def test_solve_scans_a_4_regular_graph_for_c3_a_few_times(monkeypatch):
     assert scans["whole"] <= 3 and scans["near"] >= 100, scans
 
 
+# A C4 at 0-1 whose leftover 4 has degree 3, with a K4 hung from it by the
+# bridge 4-8: the paired child makes 4 a C1 vertex between two bridges
+# with even ends, 4-8 and 4-12, so the C1 child carries 8-12 as a bridge.
+_C1_BETWEEN_BRIDGES = Graph.from_edges(14, [
+    (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6),
+    (2, 7), (2, 13), (3, 7), (3, 13), (4, 8), (4, 12), (5, 12), (6, 7),
+    (6, 13), (7, 12), (8, 9), (8, 10), (8, 11), (9, 10), (9, 11), (10, 11),
+    (12, 13),
+])
+
+
+def _carry_corpus():
+    """The census up to n = 7, 300 seeded 4-regular and max-degree-5
+    graphs, and a graph whose C1 carries a bridge through its vertex."""
+    for n in range(2, 8):
+        yield from (g for g in enumerate_connected(n, 5) if g.m)
+    rng = random.Random(4099)
+    for i in range(300):
+        if i % 2:
+            yield random_regular_graph(rng, rng.randrange(8, 60), 4)
+        elif (g := random_connected_graph(rng, 30, 120)) is not None:
+            yield g
+    yield _C1_BETWEEN_BRIDGES
+
+
+def test_solve_carries_even_bridges_exactly(monkeypatch):
+    # Wherever solve hands `detect` a graph's bridges with two even ends,
+    # from C4's remainder search or down a C1 splice, they are exactly
+    # those of the reference bridge finder.
+    import gallai.solver as solver
+
+    real = solver.detect
+    met = Counter()
+
+    def checked(g, near=None, even_bridges=None):
+        if even_bridges is not None:
+            adj = g.adjacency()
+            want = {
+                (a, b) for a, b in reference_bridges(g)
+                if not len(adj[a]) % 2 and not len(adj[b]) % 2
+            }
+            assert set(even_bridges) == want, g
+            met[bool(want)] += 1
+        return real(g, near, even_bridges)
+
+    monkeypatch.setattr(solver, "detect", checked)
+    for g in _carry_corpus():
+        solve(g)
+    assert met[True] >= 5 and met[False] >= 2000, met
+
+
+def test_solve_searches_a_4_regular_graph_for_c2_a_few_times(monkeypatch):
+    # Past the first level, each C4 paired child and each C1 child after it
+    # has its even bridges handed down, so one seeded 4-regular graph with
+    # n = 400 is searched whole for C2 only where a C3 or C5 came before.
+    searched = []
+    bridges = Graph.bridges
+
+    def counted(g):
+        searched.append(g.n)
+        return bridges(g)
+
+    monkeypatch.setattr(Graph, "bridges", counted)
+    solve(random_regular_graph(random.Random(801), 400, 4))
+    assert len(searched) <= 3, searched
+
+
 # -- boundary certificates ---------------------------------------------------
 
 
@@ -613,16 +682,17 @@ def _certificate_corpus():
 
 def test_certificates_and_splits_match_global_searches(monkeypatch):
     # Every connectivity certificate that `reduce` asks for (the `_finish`
-    # checks and the trial children of the C3 sparse ring and the C4 pairs)
-    # must answer as a search of the whole child does, every lockstep split
-    # must give the components of the graph it cuts, and `_ascending`
-    # must order the parts it is given as `components` does.
+    # checks, the trial children of the C3 sparse ring and the C4 pairs,
+    # and the paired children that C4's remainder search found in one
+    # part) must answer as a search of the whole child does.  Every
+    # lockstep split and every remainder search must give the components
+    # of the graph it cuts, and `_ascending` must order the parts it is
+    # given as `components` does.
     import gallai.reductions as reductions
 
-    answers, splits, orders = Counter(), Counter(), Counter()
-    connected, split, ascending = (
-        reductions._connected, Graph.split, reductions._ascending
-    )
+    answers, splits, searches, orders = Counter(), Counter(), Counter(), Counter()
+    connected, split, low_link = reductions._connected, Graph.split, Graph.low_link
+    ascending, finish = reductions._ascending, reductions._finish
 
     def checked_connected(child):
         answer = connected(child)
@@ -636,62 +706,91 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
         splits[len(parts)] += 1
         return parts
 
-    def checked_ascending(g, parts, removed, chosen):
-        got = ascending(g, parts, removed, chosen)
-        comps = g.delete_vertices(removed).components()
-        assert got == sorted(
-            chosen, key=lambda p: next(i for i, c in enumerate(comps) if p[0][0] in c)
+    def checked_low_link(g, starts, removed=()):
+        search = low_link(g, starts, removed)
+        parts = search.parts()
+        assert parts == searched_components(g, starts, removed), (g, removed)
+        assert set(search.bridges) == reference_bridges(g.delete_vertices(removed))
+        searches[len(parts)] += 1
+        return search
+
+    def checked_ascending(chosen):
+        got = ascending(chosen)
+        assert [min(vertices) for _, vertices in got] == sorted(
+            min(vertices) for _, vertices in chosen
         )
-        orders[any(vertices is None for _, vertices in parts)] += 1
+        orders[len(got)] += 1
         return got
+
+    def checked_finish(plan):
+        for child in plan.children:
+            if child.even_bridges is not None:
+                assert child.graph.is_connected(), child
+                answers["searched"] += 1
+        return finish(plan)
 
     monkeypatch.setattr(reductions, "_connected", checked_connected)
     monkeypatch.setattr(reductions, "_ascending", checked_ascending)
+    monkeypatch.setattr(reductions, "_finish", checked_finish)
     monkeypatch.setattr(Graph, "split", checked_split)
+    monkeypatch.setattr(Graph, "low_link", checked_low_link)
     for g in _certificate_corpus():
         solve(g)
-    assert answers[True] > 1000 and answers[False] > 20, (answers, orders)
-    assert splits[1] > 500 and splits[2] > 50 and splits[3] + splits[4] > 5, splits
-    assert orders[True] > 0, orders
+    assert answers[True] > 1000 and answers[False] > 20, answers
+    assert answers["searched"] > 500, answers
+    assert searches[1] > 500 and searches[2] + splits[2] > 50, (searches, splits)
+    assert searches[3] + searches[4] > 5 and orders[2] > 5, (searches, orders)
 
 
 def test_each_connectivity_question_is_searched_once(monkeypatch):
     # Over every occurrence that `reduce` builds on the census up to n = 7:
-    # each C2 and each C4 that is not a common triple runs one split, and
-    # the C3 full and partial rings, and the C4 pairs whose split left one
-    # part, search their children only in `_finish`, once per child.
+    # each C2 runs one split, and each C4 that is not a common triple one
+    # remainder search.  The C3 full and partial rings search their
+    # children only in `_finish`, once per child, and the C4 pairs whose
+    # remainder search found one part not at all.
     import gallai.reductions as reductions
 
-    split, connected = Graph.split, reductions._connected
-    sizes, certified, met = [], [], Counter()
+    split, low_link, connected = Graph.split, Graph.low_link, reductions._connected
+    splits, searches, certified, met = [], [], [], Counter()
 
     def counted_split(g, *args, **kwargs):
         parts = split(g, *args, **kwargs)
-        sizes.append(len(parts))
+        splits.append(len(parts))
         return parts
+
+    def counted_low_link(g, starts, removed=()):
+        search = low_link(g, starts, removed)
+        searches.append(len(search.firsts))
+        return search
 
     def counted_connected(child):
         certified.append(child)
         return connected(child)
 
     monkeypatch.setattr(Graph, "split", counted_split)
+    monkeypatch.setattr(Graph, "low_link", counted_low_link)
     monkeypatch.setattr(reductions, "_connected", counted_connected)
     for n in range(2, 8):
         for g in enumerate_connected(n, 5):
             for occ in _all_occurrences(g):
-                sizes.clear()
+                splits.clear()
+                searches.clear()
                 certified.clear()
                 try:
                     plan = reduce(g, occ)
                 except ReductionError:
                     continue
                 kind = plan.subcase
-                if plan.tag == "C2" or (plan.tag == "C4" and kind != "triple_common"):
-                    assert len(sizes) == 1, (g, occ, sizes)
+                if plan.tag == "C2":
+                    assert len(splits) == 1 and not searches, (g, occ, splits)
+                if plan.tag == "C4" and kind != "triple_common":
+                    assert len(searches) == 1 and not splits, (g, occ, searches)
                 if kind == "paired_nonedges":
-                    kind += f"/{sizes[0]}"
-                if kind in ("full_ring", "partial_ring", "paired_nonedges/1"):
+                    kind += f"/{searches[0]}"
+                if kind in ("full_ring", "partial_ring"):
                     assert certified == list(plan.children), (g, occ)
+                if kind == "paired_nonedges/1":
+                    assert certified == [], (g, occ)
                 met[kind] += 1
     floors = {
         "join": 25, "full_ring": 25, "partial_ring": 150, "hub_split": 3,

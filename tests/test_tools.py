@@ -1,0 +1,90 @@
+"""The scripts under ``tools/`` that tier-1 can check without running
+the benchmark itself."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+
+
+def _bench_pairs():
+    """tools/bench_pairs.py, loaded from its file."""
+    source = ROOT / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_refuses_a_revision_git_does_not_know():
+    bench = _bench_pairs()
+    with pytest.raises(SystemExit, match="git knows no revision 'no-such-rev'"):
+        bench.main(["--parent", "no-such-rev", "--label", "refused"])
+    assert not (ROOT / "BENCH_refused.json").exists()
+
+
+def _fake_runs(digests):
+    """A runner that records its calls and gives each side ``digests``'
+    outputs digest, and every metric the value 1.0 for the parent and a
+    little less for the change."""
+    calls = []
+
+    def run(side, workload, seed, seconds):
+        calls.append((side.name, workload, seed))
+        value = 1.0 if side.name == "parent" else 0.9 + 0.01 * len(calls)
+        return dict.fromkeys(METRICS, value) | {"failed": 0}, digests[side.name], "none"
+
+    return run, calls
+
+
+def test_bench_pairs_alternates_the_sides_and_summarises(tmp_path):
+    bench = _bench_pairs()
+    run, calls = _fake_runs({"parent": "aa", "change": "aa"})
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    doc = bench.compare(sides, [("families", 801)], 3, 1.0, run)
+    assert [side for side, _, _ in calls] == [
+        "parent", "change", "change", "parent", "parent", "change",
+    ]
+    assert doc["digest_mismatches"] == []
+    assert doc["outputs_sha256"] == {
+        "families@801": {"parent": ["aa"], "change": ["aa"]}
+    }
+    row = bench.summarize(doc["pairs"], {"pass_s": "lower"})["families@801"]["pass_s"]
+    assert row["change_wins"] == "3 of 3" and row["parent_median"] == 1.0
+    assert set(row) == {
+        "parent_median", "parent_quartiles", "change_median",
+        "change_quartiles", "change_over_parent", "change_wins",
+    }
+
+
+def test_bench_pairs_reports_a_digest_mismatch(tmp_path, monkeypatch, capsys):
+    # The whole command with its exports and runs stubbed: it still writes
+    # the file in the shape of the hand-built ones, names the mismatch
+    # there and on standard error, and exits non-zero.
+    bench = _bench_pairs()
+    run, _ = _fake_runs({"parent": "aa", "change": "bb"})
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "resolve", lambda rev: "0123456789abcdef")
+    monkeypatch.setattr(bench, "export", lambda commit, into: into)
+    monkeypatch.setattr(bench, "copy_tree", lambda into: into)
+    monkeypatch.setattr(bench, "run_bench", run)
+    (tmp_path / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text()
+    )
+    status = bench.main(["--parent", "HEAD", "--label", "t", "--pairs", "2"])
+    assert status == 1
+    assert "OUTPUT DIGESTS DIFFER at families@801" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["digest_mismatches"] == ["families@801"]
+    assert doc["outputs_sha256"]["families@801"] == {"parent": ["aa"], "change": ["bb"]}
+    hand_built = json.loads((ROOT / "BENCH_c3_near.json").read_text())
+    core = {"label", "command", "python", "cpu", "nproc", "parent_commit",
+            "change_commit", "note", "pairs", "outputs_sha256", "summary"}
+    assert core <= set(hand_built) and core <= set(doc)
+    assert doc["parent_commit"] == "0123456"
+    assert set(doc["summary"]["families@801"]) == set(METRICS)

@@ -10,13 +10,15 @@ input's name.  Wrappers on the names ``gallai.solver`` calls them by add
 up the time spent in ``reduce``, in ``detect``, in the structure check
 ``check_structure`` and in the exact search ``cover_with_paths``; wrappers
 on the detectors that ``detect`` runs, and on ``Graph.bridges``, split
-``detect`` by configuration.  A callback in ``gc.callbacks`` adds up the
+``detect`` by configuration, and one on ``Graph.low_link`` times C4's
+searches of the remainder g - {u, v}, which ``reduce`` runs.  A callback in ``gc.callbacks`` adds up the
 cyclic garbage collector's pauses, and each wrapper leaves out the pauses
 that fall inside its calls, so a layer is charged with its own work only.
 Prints one JSON line: per input its n, m and the seconds of ``solve``
 (wall clock, pauses included), ``reduce``, ``detect``, each of
 ``detect_c1`` to ``detect_c5`` (``c1_s`` to ``c5_s``), ``Graph.bridges``
-(``bridges_s``, part of ``c2_s``), the structure check (``structure_s``),
+(``bridges_s``, part of ``c2_s``), the remainder searches (``remainder_s``,
+part of ``reduce_s``), the structure check (``structure_s``),
 the search (``search_s``) and the collector's pauses during ``solve``
 (``gc_s``); wall clock, one process, unpinned.
 
@@ -111,7 +113,11 @@ def probe(seed: int) -> dict:
     )
     bridges, bridges_clock = Graph.bridges, Clock(collector)
     Graph.bridges = bridges_clock.wrap(bridges)
-    every_clock = [*clocks.values(), *detector_clocks, bridges_clock]
+    low_link, remainder_clock = Graph.low_link, Clock(collector)
+    Graph.low_link = remainder_clock.wrap(low_link)
+    every_clock = [
+        *clocks.values(), *detector_clocks, bridges_clock, remainder_clock,
+    ]
     gc.callbacks.append(collector)
     runs = {}
     try:
@@ -136,6 +142,7 @@ def probe(seed: int) -> dict:
                     for k, clock in enumerate(detector_clocks, 1)
                 },
                 "bridges_s": round(bridges_clock.seconds, 4),
+                "remainder_s": round(remainder_clock.seconds, 4),
                 "structure_s": round(clocks["check_structure"].seconds, 4),
                 "search_s": round(clocks["cover_with_paths"].seconds, 4),
                 "gc_s": round(collector.seconds, 4),
@@ -146,6 +153,7 @@ def probe(seed: int) -> dict:
             setattr(gallai.solver, name, fn)
         gallai.reductions._DETECTORS = detectors
         Graph.bridges = bridges
+        Graph.low_link = low_link
     return {"seed": seed, "python": platform.python_version(), "runs": runs}
 
 
