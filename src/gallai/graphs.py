@@ -191,13 +191,12 @@ class Graph:
     def split(
         self,
         starts: Iterable[int],
-        removed: Collection[int] = (),
         without: Edge | None = None,
     ) -> list[tuple[tuple[int, ...], set[int] | None]]:
-        """The components that hold a vertex of ``starts`` once the
-        vertices ``removed`` and the edge ``without``, which must join two
-        starts, are taken out: for each, the starts it holds and its
-        vertex set, in the order of their first starts.
+        """The components that hold a vertex of ``starts`` once the edge
+        ``without``, which must join two starts, is taken out: for each,
+        the starts it holds and its vertex set, in the order of their
+        first starts.
 
         One breadth-first search runs from each start, one vertex each in
         turn, and two searches that meet go on as one.  They stop as soon
@@ -209,20 +208,19 @@ class Graph:
         twice.
         """
         adj = self._adj
-        owner = dict.fromkeys(removed, -1)  # vertex -> the search that saw it
+        owner: dict[int, int] = {}  # vertex -> the search that saw it
         order: list[int] = []
         for s in starts:
-            if owner.get(s, -1) >= 0:
+            if s in owner:
                 continue  # a repeated start
-            if s not in adj or s in owner:
+            if s not in adj:
                 raise ValueError(f"start {s} is not a vertex left to search")
             owner[s] = len(order)
             order.append(s)
         k = len(order)
         if k < 2:
             return [(tuple(order), None)] if order else []
-        if without is not None and min(owner.get(without[0], -1),
-                                       owner.get(without[1], -1)) < 0:
+        if without is not None and not owner.keys() >= set(without):
             raise ValueError(f"edge {without} does not join two starts")
         found = [[s] for s in order]  # each search's vertices, as seen
         done = [0] * k  # how many of them the search has expanded
@@ -242,7 +240,7 @@ class Graph:
                         owner[w] = i
                         seen.append(w)
                     elif (
-                        j >= 0 and group[j] != group[i]
+                        group[j] != group[i]
                         and without not in ((x, w), (w, x))
                     ):
                         old, new = group[j], group[i]

@@ -412,8 +412,10 @@ class Child:
     S; a contracted pair's merged vertex is one of them.  Only they can
     have gained or lost edges.  ``even_bridges``, where the reduction's
     own search found them, are the child's bridges whose two ends have
-    even degree; that search finds them only where it has also shown the
-    child connected, so ``_finish`` does not search it again.
+    even degree.  They are also the proof that the child is connected, so
+    only a reduction whose own search reached every vertex the child keeps
+    may set them: the C4 paired non-edges, from a remainder search that
+    was one tree, and ``_finish`` takes them as that proof from no other.
     """
 
     graph: Graph
@@ -540,14 +542,18 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     By the lemma of the module docstring, a child is connected exactly
     when its boundary B lies in one of its components (``_connected``),
     and only vertices of B change degree: so only they are looked at, and
-    the parent's maximum degree only when one of them exceeds 5.  A child
-    that carries ``even_bridges`` was shown connected by the search that
-    found them, and is not searched again.
+    the parent's maximum degree only when one of them exceeds 5.  A C4
+    paired child that carries ``even_bridges`` was shown connected by the
+    search that found them, and is not searched again.
     """
     g = plan.parent
+    certified = plan.subcase == "paired_nonedges"
     total = 0
     for child in plan.children:
-        if child.even_bridges is None and not _connected(child):
+        if (
+            not (certified and child.even_bridges is not None)
+            and not _connected(child)
+        ):
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child disconnected")
         if child.graph.n >= g.n:
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child not smaller")
@@ -798,6 +804,8 @@ def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink | None) -> LiftPlan:
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g.adjacency(), u, v):
         child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
         if search is not None:
+            # one tree from the boundary: it reached every kept vertex
+            assert len(search.firsts) == 1, occ
             adj = child.graph.adjacency()
             even = frozenset(
                 (a, b) for a, b in search.uncrossed(child.synthetic)

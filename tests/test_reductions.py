@@ -700,9 +700,9 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
         answers[answer] += 1
         return answer
 
-    def checked_split(g, starts, removed=(), without=None):
-        parts = split(g, starts, removed, without)
-        check_split(g, starts, removed, without, parts)
+    def checked_split(g, starts, without=None):
+        parts = split(g, starts, without)
+        check_split(g, starts, without, parts)
         splits[len(parts)] += 1
         return parts
 
@@ -884,6 +884,21 @@ def test_finish_refuses_each_broken_child(message):
     assert _finish(plan) is plan
     with pytest.raises(ReductionError, match=f"^C1/splice: {message}$"):
         _finish(dataclasses.replace(plan, children=broken[message]))
+
+
+def test_finish_takes_carried_bridges_as_proof_only_from_c4_paired():
+    # A disconnected child that carries a set of bridges is still searched,
+    # and refused, in any plan but the C4 paired non-edges.
+    from gallai.reductions import _finish
+
+    g = path_graph(10)
+    plan = reduce(g, detect(g))
+    (child,) = plan.children
+    broken = dataclasses.replace(
+        child, graph=delete_edges(child.graph, [(0, 2)]), even_bridges=frozenset(),
+    )
+    with pytest.raises(ReductionError, match="^C1/splice: child disconnected$"):
+        _finish(dataclasses.replace(plan, children=(broken,)))
 
 
 # -- misuse and priority enforcement ----------------------------------------

@@ -197,7 +197,6 @@ def main(argv=None) -> int:
                              "(default: families@801)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -219,7 +218,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "parent_commit": parent[:7],
         "change_commit": None,
-        "note": args.note or (
+        "note": (
             f"{args.pairs} alternating pairs per W@S, the parent first in odd "
             "pairs; the parent from git archive, the change from a copy of "
             "the working tree that this file is committed with"
