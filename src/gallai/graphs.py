@@ -20,12 +20,11 @@ tuples alone.  Every derived graph is a new ``Graph``; values are safe to
 share between threads.
 
 The connectivity queries never recurse and key their work by vertex id:
-``components`` and ``split`` are breadth-first searches, and ``low_link``
-is one iterative low-link depth-first search of the graph minus a removed
-set, which finds its components, its bridges and the subtree below each
-bridge at once; ``bridges`` is its case with nothing removed.  Each is
-linear in the graph's own n + m, however large its ids, and ``split``
-stops before it walks its largest side.
+``components`` is a breadth-first search, and ``low_link`` is one
+iterative low-link depth-first search of the graph minus a removed set,
+which finds its components, its bridges and the subtree below each bridge
+at once; ``bridges`` is its case with nothing removed.  Each is linear in
+the graph's own n + m, however large its ids.
 """
 
 from __future__ import annotations
@@ -187,84 +186,6 @@ class Graph:
                     seen.add(w)
                     comp.append(w)
         return comp
-
-    def split(
-        self,
-        starts: Iterable[int],
-        without: Edge | None = None,
-    ) -> list[tuple[tuple[int, ...], set[int] | None]]:
-        """The components that hold a vertex of ``starts`` once the edge
-        ``without``, which must join two starts, is taken out: for each,
-        the starts it holds and its vertex set, in the order of their
-        first starts.
-
-        One breadth-first search runs from each start, one vertex each in
-        turn, and two searches that meet go on as one.  They stop as soon
-        as all of them have met, or all but one group of them have run out
-        of vertices.  The component that is still growing then is never
-        walked to its end, and its vertex set is given as None: a split
-        costs about the number of starts times the size of its smaller
-        sides, and never more than ``components``, since no vertex is seen
-        twice.
-        """
-        adj = self._adj
-        owner: dict[int, int] = {}  # vertex -> the search that saw it
-        order: list[int] = []
-        for s in starts:
-            if s in owner:
-                continue  # a repeated start
-            if s not in adj:
-                raise ValueError(f"start {s} is not a vertex left to search")
-            owner[s] = len(order)
-            order.append(s)
-        k = len(order)
-        if k < 2:
-            return [(tuple(order), None)] if order else []
-        if without is not None and not owner.keys() >= set(without):
-            raise ValueError(f"edge {without} does not join two starts")
-        found = [[s] for s in order]  # each search's vertices, as seen
-        done = [0] * k  # how many of them the search has expanded
-        group = list(range(k))  # the search that each one has joined
-        groups = k
-        while True:
-            ended = False
-            for i in range(k):
-                seen, d = found[i], done[i]
-                if d == len(seen):
-                    continue
-                x = seen[d]
-                done[i] = d = d + 1
-                for w in adj[x]:
-                    j = owner.get(w)
-                    if j is None:
-                        owner[w] = i
-                        seen.append(w)
-                    elif (
-                        group[j] != group[i]
-                        and without not in ((x, w), (w, x))
-                    ):
-                        old, new = group[j], group[i]
-                        for t in range(k):
-                            if group[t] == old:
-                                group[t] = new
-                        groups -= 1
-                        if groups == 1:
-                            return [(tuple(order), None)]
-                # a search that runs out stays out: only it adds to its list
-                ended = ended or d == len(seen)
-            if ended:
-                live = {group[i] for i in range(k) if done[i] < len(found[i])}
-                if len(live) < 2:
-                    break
-        parts = []
-        for label in dict.fromkeys(group):
-            members = [i for i in range(k) if group[i] == label]
-            vertices = (
-                None if label in live
-                else set().union(*(found[i] for i in members))
-            )
-            parts.append((tuple(order[i] for i in members), vertices))
-        return parts
 
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count: the bridges

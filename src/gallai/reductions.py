@@ -27,9 +27,10 @@ vertex as the end of its synthetic edges).  Lemma: every kept vertex then
 reaches the boundary B = N(S) minus S without leaving the kept vertices,
 so the child is connected exactly when B lies in one of its components,
 and only the vertices of B change degree.  One search from a vertex of B
-that stops once it has seen all of B certifies the child, and where C2
-splits the remainder into sides, ``Graph.split`` searches from every
-vertex of B in lockstep and stops before it walks the largest side.
+that stops once it has seen all of B certifies the child.  C2 takes its
+two sides from one low-link search of g - v from u: its one tree is u's
+side of uv, and uv is a cut edge exactly when no other neighbour of v
+lies in it.
 
 The same picture bounds where a child can hold a new C3.  Every synthetic
 edge has both ends in B, so every kept vertex outside B keeps its
@@ -135,7 +136,7 @@ class C2:
     tag = "C2"
 
     def validate(self, g: Graph) -> None:
-        # whether uv is a cut edge is asked once, by the split of _reduce_c2
+        # whether uv is a cut edge is asked once, by the search of _reduce_c2
         if not g.has_edge(self.u, self.v):
             raise ReductionError(f"{self} is not an edge")
         if g.degree(self.u) % 2 or g.degree(self.v) % 2:
@@ -476,7 +477,7 @@ def _child(
     return Child(sub, routes, tuple(added), _boundary(g, removed))
 
 
-Part = tuple[tuple[int, ...], Union[set[int], None]]
+Part = tuple[tuple[int, ...], set[int]]
 
 
 def _side(
@@ -484,22 +485,13 @@ def _side(
     routes: tuple[Route, ...] = (), also: frozenset[int] = frozenset(),
 ) -> Child:
     """The child on the ``chosen`` parts of ``g`` minus ``removed``, as
-    ``Graph.split`` or ``LowLink.parts`` lists them, and the vertices
-    ``also`` of ``removed``.
-
-    It deletes the other parts when the split finished them all, and
-    otherwise keeps only the chosen ones: a part that the split left
-    unfinished is never listed.
-    """
+    ``LowLink.parts`` lists them, and the vertices ``also`` of
+    ``removed``: it deletes the rest of ``removed`` and the other parts."""
     others = [part[1] for part in parts if part not in chosen]
-    if None not in others:
-        drop = (removed - also).union(*others)
-    else:
-        drop = g.vertices() - also.union(*(vertices for _, vertices in chosen))
-    return _child(g, drop, routes)
+    return _child(g, (removed - also).union(*others), routes)
 
 
-def _ascending(chosen: list[tuple[tuple[int, ...], set[int]]]) -> list[Part]:
+def _ascending(chosen: list[Part]) -> list[Part]:
     """The ``chosen`` parts ascending by smallest vertex, as ``components``
     lists them."""
     return sorted(chosen, key=lambda part: min(part[1]))
@@ -620,12 +612,15 @@ def child_bridges(
 
 
 def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
-    parts = g.split((occ.u, occ.v), without=(occ.u, occ.v))
-    if len(parts) != 2:
+    # one tree of g - v from u, u's side: uv is a cut edge exactly when no
+    # other neighbour of v lies in it
+    u, v = occ.u, occ.v
+    ((_, side),) = g.low_link((u,), (v,)).parts()
+    if any(w in side for w in g.neighbors(v) if w != u):
         raise ReductionError(f"{occ} is not a cut edge")
-    child_u = _side(g, parts, parts[:1], set())
-    child_v = _side(g, parts, parts[1:], set())
-    rewrite = functools.partial(_lift_c2, occ.u, occ.v)
+    child_u = _child(g, g.vertices() - side)
+    child_v = _child(g, side)
+    rewrite = functools.partial(_lift_c2, u, v)
     return LiftPlan("C2", "join", g, (child_u, child_v), rewrite, (-1, -1))
 
 
@@ -726,6 +721,13 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     # when no part is next to both ends.  g - hub has the component of the
     # other end, which takes in every part next to it, and one per part next
     # to hub alone.
+    #
+    # The counting lemma: every part holds a side neighbour, as the search
+    # starts from them, and each end has three, so at most three parts are
+    # next to each end, each with one of its side neighbours.  With a part
+    # next to both ends, two lone parts at one end force exactly (2 lone,
+    # 1 both); four parts with at most one lone part per end force
+    # (2 both, 1, 1).  The hub and four-way checks below assert it.
     search = g.low_link(_boundary(g, {u, v}), {u, v})
     if len(search.firsts) == 1:
         return _reduce_c4_paired(g, occ, search)
@@ -741,7 +743,7 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     if len(only_w) >= 2:
         return _reduce_c4_hub(g, occ, v, u, parts, only_w, both, only_t)
     if len(parts) >= 4:
-        return _reduce_c4_four(g, occ, parts, both, only_t, only_w)
+        return _reduce_c4_four(g, occ, parts, ts, ws, both, only_t, only_w)
     return _reduce_c4_paired(g, occ, None)
 
 
@@ -767,7 +769,10 @@ def _reduce_c4_hub(
     # parts next to the hub alone, to both ends, and to the other end alone:
     # the hub's three side neighbours lie one in each lone part and in both
     if len(lone) != 2 or len(both) != 1:
-        raise ReductionError(f"{occ}: unexpected split around the hub")
+        raise ReductionError(
+            f"{occ}: unexpected split around the hub"
+            " (the counting lemma forces 2 lone parts, 1 next to both ends)"
+        )
     side = set(g.neighbors(hub)) - {other}
     lone = _ascending(lone)
     (t1,), (t2,), (t3,) = (side.intersection(starts) for starts, _ in lone + both)
@@ -778,15 +783,17 @@ def _reduce_c4_hub(
 
 
 def _reduce_c4_four(
-    g: Graph, occ: C4, parts: list[Part],
+    g: Graph, occ: C4, parts: list[Part], ts: set[int], ws: set[int],
     both: list[Part], only_t: list[Part], only_w: list[Part],
 ) -> LiftPlan:
-    # with no hub and no cut edge, four parts can only be these
+    # with no hub and no cut edge, four parts can only be these (the
+    # counting lemma of _reduce_c4)
     if len(both) != 2 or len(only_t) != 1 or len(only_w) != 1:
-        raise ReductionError(f"{occ}: component split does not match")
+        raise ReductionError(
+            f"{occ}: component split does not match"
+            " (the counting lemma forces 2 parts next to both ends, 1 per end)"
+        )
     u, v = occ.u, occ.v
-    ts = set(g.neighbors(u)) - {v}
-    ws = set(g.neighbors(v)) - {u}
     both = _ascending(both)
     (t1,), (t2,), (t3,) = (ts.intersection(p[0]) for p in both + only_t)
     (w1,), (w2,), (w3,) = (ws.intersection(p[0]) for p in both + only_w)

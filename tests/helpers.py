@@ -198,27 +198,6 @@ def random_caterpillar(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def check_split(g: Graph, starts, without, parts) -> None:
-    """Assert that ``parts`` is ``g.split(starts, without)`` as
-    ``components`` of the graph minus ``without`` gives it: the
-    components holding a start, in the order of their first starts, each
-    with the starts it holds, and with every vertex set listed but at
-    most one (which is all of them when the starts met)."""
-    h = g if without is None else delete_edges(g, [without])
-    order = list(dict.fromkeys(starts))
-    want = []
-    for comp in map(set, h.components()):
-        held = tuple(s for s in order if s in comp)
-        if held:
-            want.append((held, comp))
-    want.sort(key=lambda part: order.index(part[0][0]))
-    assert [held for held, _ in parts] == [held for held, _ in want], (g, starts)
-    unfinished = [held for held, vertices in parts if vertices is None]
-    assert len(unfinished) <= 1 and (len(parts) != 1 or unfinished), parts
-    for (_, vertices), (_, comp) in zip(parts, want):
-        assert vertices is None or vertices == comp, (g, starts, without)
-
-
 def searched_components(g: Graph, starts, removed) -> list:
     """The components of ``g`` minus ``removed`` that hold a start, each
     with the starts it holds and its vertex set, in the order of their

@@ -10,7 +10,6 @@ from gallai.graphs import _derived, edge
 from gallai.reductions import check_structure
 from helpers import (
     MaskGraph,
-    check_split,
     complete_graph,
     cycle,
     delete_edges,
@@ -130,51 +129,16 @@ def _seeded_graphs(rng, count):
         yield g
 
 
-def test_split_without_an_edge_matches_bridges_on_seeded_graphs():
-    rng = random.Random(2718)
-    seen = Counter()
-    for g in _seeded_graphs(rng, 150):
-        cut = g.bridges()
-        assert cut == reference_bridges(g), g
-        for e in g.edges():
-            sides = [len(g.split(ends, without=ends)) for ends in (e, e[::-1])]
-            assert sides == [1 + (e in cut)] * 2, (g, e)
-            seen[e in cut] += 1
-    assert seen[True] > 300 and seen[False] > 300, seen
-
-
-def test_split_matches_components_on_seeded_graphs():
-    rng = random.Random(3141)
-    sizes = Counter()
-    for g in _seeded_graphs(rng, 400):
-        # the split of g minus a few vertices, so that starts often lie apart
-        removed = set(rng.sample(sorted(g.vertices()), rng.randrange(0, 4)))
-        h = g.delete_vertices(removed)
-        if rng.random() < 0.5:
-            vertices = sorted(h.vertices())
-            starts = [rng.choice(vertices) for _ in range(rng.randrange(0, 7))]
-        else:  # the vertices next to the removed ones, as reductions do
-            starts = [w for x in removed for w in g.neighbors(x) if w not in removed]
-        parts = h.split(starts)
-        check_split(h, starts, None, parts)
-        sizes[len(parts)] += 1
-        if h.m:
-            u, v = rng.choice(list(h.edges()))
-            starts += (u, v)
-            parts = h.split(starts, without=(u, v))
-            check_split(h, starts, (u, v), parts)
-    many = sum(count for parts, count in sizes.items() if parts >= 3)
-    assert sizes[0] and sizes[1] > 20 and many > 20, sizes
-
-
 def test_low_link_matches_components_and_bridges_on_seeded_graphs():
-    # The remainder search of g - S from a set of starts gives the
-    # components that hold a start and the bridges of what it searched.
+    # The whole-graph search gives g's bridges, and the remainder search
+    # of g - S from a set of starts gives the components that hold a
+    # start and the bridges of what it searched.
     # Where it is one tree, the bridges that no added edge crosses are
     # the bridges of that tree's graph plus the added edges.
     rng = random.Random(1729)
     met = Counter()
     for g in _seeded_graphs(rng, 400):
+        assert g.bridges() == reference_bridges(g), g
         vertices = sorted(g.vertices())
         removed = set(rng.sample(vertices, rng.randrange(0, 4)))
         rest = [v for v in vertices if v not in removed]
@@ -212,14 +176,6 @@ def test_low_link_rejects_a_start_it_cannot_search():
         g.low_link((0, 7))
 
 
-def test_split_rejects_a_start_it_cannot_search():
-    g = path_graph(4)
-    with pytest.raises(ValueError, match="start 7 is not a vertex left"):
-        g.split((0, 7))
-    with pytest.raises(ValueError, match=r"edge \(1, 2\) does not join two"):
-        g.split((0, 1), without=(1, 2))
-
-
 class _CountingTable(dict):
     """An adjacency table that counts the vertices looked up in it."""
 
@@ -228,20 +184,6 @@ class _CountingTable(dict):
     def __getitem__(self, v):
         self.looked_up += 1
         return super().__getitem__(v)
-
-
-def test_split_costs_only_the_smaller_sides():
-    # A 2000-vertex path with a triangle hung at one end: a one-sided
-    # search from the path's side of the joining edge would walk the
-    # whole path.  Lockstep searches stop once the small side is used up.
-    n = 2000
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges += [(n - 1, n), (n, n + 1), (n + 1, n + 2), (n, n + 2)]
-    g = Graph.from_edges(n + 3, edges)
-    table = _CountingTable(g.adjacency())
-    counted = _derived(table, g.m)
-    assert len(counted.split((n - 1, n), without=(n - 1, n))) == 2
-    assert table.looked_up < 20
 
 
 def test_check_structure_reads_no_tuple_of_a_cubic_graph():
@@ -444,11 +386,7 @@ def _assert_agrees(g: Graph, ref: MaskGraph, nxg: nx.Graph, order: int):
     assert g.components() == ref.components() == sorted(
         tuple(sorted(c)) for c in nx.connected_components(nxg)
     )
-    cut = g.bridges()
-    assert cut == ref.bridges() == {edge(*e) for e in nx.bridges(nxg)}
-    assert [len(g.split(e, without=e)) for e in edges] == [
-        1 + (e in cut) for e in edges
-    ]
+    assert g.bridges() == ref.bridges() == {edge(*e) for e in nx.bridges(nxg)}
     assert g.is_connected() == ref.is_connected() == (
         g.n > 0 and nx.is_connected(nxg)
     )

@@ -26,7 +26,6 @@ from gallai.reductions import (
     reduce,
 )
 from helpers import (
-    check_split,
     complete_graph,
     cycle,
     delete_edges,
@@ -685,14 +684,17 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     # checks, the trial children of the C3 sparse ring and the C4 pairs,
     # and the paired children that C4's remainder search found in one
     # part) must answer as a search of the whole child does.  Every
-    # lockstep split and every remainder search must give the components
-    # of the graph it cuts, and `_ascending` must order the parts it is
-    # given as `components` does.
+    # low-link search must give the components of the graph it cuts that
+    # hold a start, and the bridges of the vertices it walked; each C2
+    # join's two children must be the sides of its cut edge, u's first;
+    # and `_ascending` must order the parts it is given as `components`
+    # does.
     import gallai.reductions as reductions
 
-    answers, splits, searches, orders = Counter(), Counter(), Counter(), Counter()
-    connected, split, low_link = reductions._connected, Graph.split, Graph.low_link
+    answers, searches, orders, larger = Counter(), Counter(), Counter(), Counter()
+    connected, low_link = reductions._connected, Graph.low_link
     ascending, finish = reductions._ascending, reductions._finish
+    reduce_c2 = reductions._reduce_c2
 
     def checked_connected(child):
         answer = connected(child)
@@ -700,19 +702,26 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
         answers[answer] += 1
         return answer
 
-    def checked_split(g, starts, without=None):
-        parts = split(g, starts, without)
-        check_split(g, starts, without, parts)
-        splits[len(parts)] += 1
-        return parts
-
     def checked_low_link(g, starts, removed=()):
         search = low_link(g, starts, removed)
         parts = search.parts()
         assert parts == searched_components(g, starts, removed), (g, removed)
-        assert set(search.bridges) == reference_bridges(g.delete_vertices(removed))
-        searches[len(parts)] += 1
+        walked = set().union(*(vertices for _, vertices in parts))
+        walked_graph = g.delete_vertices(g.vertices() - walked)
+        assert set(search.bridges) == reference_bridges(walked_graph), g
+        # C2 removes one end of its edge, C4 both ends of its own
+        searches[len(removed), len(parts)] += 1
         return search
+
+    def checked_reduce_c2(g, occ):
+        plan = reduce_c2(g, occ)
+        sides = [set(child.graph.vertices()) for child in plan.children]
+        cut = delete_edges(g, [(occ.u, occ.v)]).components()
+        assert sorted(map(sorted, sides)) == sorted(map(list, cut)), (g, occ)
+        assert occ.u in sides[0] and occ.v in sides[1], (g, occ)
+        u_side, v_side = map(len, sides)
+        larger["u" if u_side > v_side else "v" if v_side > u_side else "="] += 1
+        return plan
 
     def checked_ascending(chosen):
         got = ascending(chosen)
@@ -732,48 +741,44 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     monkeypatch.setattr(reductions, "_connected", checked_connected)
     monkeypatch.setattr(reductions, "_ascending", checked_ascending)
     monkeypatch.setattr(reductions, "_finish", checked_finish)
-    monkeypatch.setattr(Graph, "split", checked_split)
+    monkeypatch.setattr(reductions, "_reduce_c2", checked_reduce_c2)
     monkeypatch.setattr(Graph, "low_link", checked_low_link)
     for g in _certificate_corpus():
         solve(g)
     assert answers[True] > 1000 and answers[False] > 20, answers
     assert answers["searched"] > 500, answers
-    assert searches[1] > 500 and searches[2] + splits[2] > 50, (searches, splits)
-    assert searches[3] + searches[4] > 5 and orders[2] > 5, (searches, orders)
+    # floors at what this corpus makes: 56 C2 joins, 49 two-part C4 searches
+    assert searches[2, 1] > 500 and searches[2, 2] >= 49, searches
+    assert searches[1, 1] >= 56 and larger["u"] and larger["v"], (searches, larger)
+    assert searches[2, 3] + searches[2, 4] > 5 and orders[2] > 5, (searches, orders)
 
 
 def test_each_connectivity_question_is_searched_once(monkeypatch):
     # Over every occurrence that `reduce` builds on the census up to n = 7:
-    # each C2 runs one split, and each C4 that is not a common triple one
-    # remainder search.  The C3 full and partial rings search their
-    # children only in `_finish`, once per child, and the C4 pairs whose
-    # remainder search found one part not at all.
+    # each C2 runs one low-link search, of the graph minus one end, and
+    # each C4 that is not a common triple one, of the graph minus both.
+    # The C3 full and partial rings search their children only in
+    # `_finish`, once per child, and the C4 pairs whose remainder search
+    # found one part not at all.
     import gallai.reductions as reductions
 
-    split, low_link, connected = Graph.split, Graph.low_link, reductions._connected
-    splits, searches, certified, met = [], [], [], Counter()
-
-    def counted_split(g, *args, **kwargs):
-        parts = split(g, *args, **kwargs)
-        splits.append(len(parts))
-        return parts
+    low_link, connected = Graph.low_link, reductions._connected
+    searches, certified, met = [], [], Counter()
 
     def counted_low_link(g, starts, removed=()):
         search = low_link(g, starts, removed)
-        searches.append(len(search.firsts))
+        searches.append((len(removed), len(search.firsts)))
         return search
 
     def counted_connected(child):
         certified.append(child)
         return connected(child)
 
-    monkeypatch.setattr(Graph, "split", counted_split)
     monkeypatch.setattr(Graph, "low_link", counted_low_link)
     monkeypatch.setattr(reductions, "_connected", counted_connected)
     for n in range(2, 8):
         for g in enumerate_connected(n, 5):
             for occ in _all_occurrences(g):
-                splits.clear()
                 searches.clear()
                 certified.clear()
                 try:
@@ -782,11 +787,13 @@ def test_each_connectivity_question_is_searched_once(monkeypatch):
                     continue
                 kind = plan.subcase
                 if plan.tag == "C2":
-                    assert len(splits) == 1 and not searches, (g, occ, splits)
+                    assert searches == [(1, 1)], (g, occ, searches)
                 if plan.tag == "C4" and kind != "triple_common":
-                    assert len(searches) == 1 and not splits, (g, occ, searches)
+                    assert len(searches) == 1 and searches[0][0] == 2, (
+                        g, occ, searches,
+                    )
                 if kind == "paired_nonedges":
-                    kind += f"/{searches[0]}"
+                    kind += f"/{searches[0][1]}"
                 if kind in ("full_ring", "partial_ring"):
                     assert certified == list(plan.children), (g, occ)
                 if kind == "paired_nonedges/1":

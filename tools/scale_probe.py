@@ -11,7 +11,9 @@ up the time spent in ``reduce``, in ``detect``, in the structure check
 ``check_structure`` and in the exact search ``cover_with_paths``; wrappers
 on the detectors that ``detect`` runs, and on ``Graph.bridges``, split
 ``detect`` by configuration, and one on ``Graph.low_link`` times C4's
-searches of the remainder g - {u, v}, which ``reduce`` runs.  A callback in ``gc.callbacks`` adds up the
+searches of the remainder g - {u, v}, which ``reduce`` runs: only the
+calls that remove two vertices, so C2's search of g - v, which removes
+one, is not counted.  A callback in ``gc.callbacks`` adds up the
 cyclic garbage collector's pauses, and each wrapper leaves out the pauses
 that fall inside its calls, so a layer is charged with its own work only.
 Prints one JSON line: per input its n, m and the seconds of ``solve``
@@ -114,7 +116,14 @@ def probe(seed: int) -> dict:
     bridges, bridges_clock = Graph.bridges, Clock(collector)
     Graph.bridges = bridges_clock.wrap(bridges)
     low_link, remainder_clock = Graph.low_link, Clock(collector)
-    Graph.low_link = remainder_clock.wrap(low_link)
+    timed_low_link = remainder_clock.wrap(low_link)
+
+    def remainder_low_link(g, starts, removed=()):
+        # C4 removes both ends of its edge; C2 removes one end of its own
+        search = timed_low_link if len(removed) == 2 else low_link
+        return search(g, starts, removed)
+
+    Graph.low_link = remainder_low_link
     every_clock = [
         *clocks.values(), *detector_clocks, bridges_clock, remainder_clock,
     ]
