@@ -227,9 +227,9 @@ class PathStore:
         except KeyError:
             raise ValueError(f"edge {e} is on no path") from None
 
-    def first_ending_at(self, v: int) -> int | None:
+    def first_ending_at(self, v: int) -> int:
         """The id of the first path with an end at ``v``, found through
-        the index entries of the graph edges at ``v``."""
+        the index entries of the graph edges at ``v``; ``ValueError`` if none."""
         owner = self.owner
         found = None
         for x in self.graph.neighbors(v):
@@ -238,6 +238,8 @@ class PathStore:
                 vs = self.paths[pid]
                 if vs[0] == v or vs[-1] == v:
                     found = pid
+        if found is None:
+            raise ValueError(f"no path ends at {v}")
         return found
 
     def append(self, vertices: tuple[int, ...]) -> int:

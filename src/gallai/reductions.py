@@ -32,14 +32,13 @@ two sides from one low-link search of g - v from u: its one tree is u's
 side of uv, and uv is a cut edge exactly when no other neighbour of v
 lies in it.
 
-The same picture bounds where a child can hold a new C3.  Every synthetic
-edge has both ends in B, so every kept vertex outside B keeps its
-neighbour tuple, and whether an edge uv is a C3 depends on N(u) and N(v)
-alone.  Lemma: if the parent has no C3, every C3 of the child has an end
-in B.  By induction down a chain of reductions, a graph has a C3 only at
-an edge with an end in D, the union of the boundaries since the last
-graph found to have no C3.  ``solve`` carries D down its work stack and
-passes it to ``detect`` as ``near``.
+The same picture bounds where a child can hold a C3.  Every synthetic
+edge has both ends in B, so an edge of the child with neither end in B
+is an edge of the parent whose ends keep their neighbour tuples, and
+whether an edge uv is a C3 depends on N(u) and N(v) alone.  Lemma: if
+every C3 of the parent has an end in a set D, every C3 of the child has
+an end in D or B.  D is empty at a graph whose detection passed C3, and
+gains each boundary down the chain from there (``inherited``).
 
 C2, the one global configuration, is carried down the chain where a
 reduction already knows the child's bridges.  ``_reduce_c4`` runs one
@@ -61,10 +60,11 @@ connected, and two lemmas give the bridges of the children:
   even ends are the parent's, with vw in place of vu and uw when both
   were among them.
 
-``solve`` carries each child's bridges with two even ends down its work
-stack beside D, where these lemmas give them (``child_bridges``), and
-``detect`` answers C2 from them without a search; every other child is
-searched whole.
+``inherited`` gives each child what it passes to ``detect``: D as
+``near``, and its bridges with two even ends where these lemmas give
+them, from which C2 is answered without a search.  ``solve`` carries
+both down its work stack; where either is unknown, the child is scanned
+whole for it.
 
 Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
 one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
@@ -578,34 +578,46 @@ def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
     return _finish(build(g, occ))
 
 
+def inherited(
+    plan: LiftPlan, i: int, near: tuple[int, ...] | None,
+    even: frozenset[Edge] | None,
+) -> tuple[tuple[int, ...] | None, frozenset[Edge] | None]:
+    """What child i of ``plan`` passes to ``detect``, given what the plan's
+    parent passed: the vertices at whose edges it may have a C3, and its
+    bridges with two even ends (each None where unknown: search it all).
+
+    By the C3 lemma of the module docstring, the child keeps ``near``
+    plus its boundary, or its boundary alone past C4 and C5, whose
+    detection found C3 absent; a set longer than the child is None.  A
+    C1 child has the parent's bridges by the C1 carry, with no copy
+    unless vu or uw is among them; any other child has the ones its
+    reduction found, if any.
+    """
+    child = plan.children[i]
+    if plan.tag in ("C4", "C5"):
+        near = ()
+    if near is not None:
+        near += child.boundary
+        if len(near) > child.graph.n:
+            near = None
+    if plan.tag != "C1":
+        return near, child.even_bridges
+    if even is not None:
+        ((v, u, w),) = child.routes
+        vu, uw = edge(v, u), edge(u, w)
+        if vu in even and uw in even:
+            even = (even - {vu, uw}) | {edge(v, w)}
+        elif vu in even or uw in even:
+            even = even - {vu, uw}
+    return near, even
+
+
 # -- C1: splice the degree-2 vertex into the bypass edge ---------------------
 
 
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
     child = _child(g, {occ.u}, ((occ.v, occ.u, occ.w),))
     return _routed("C1", "splice", g, (child,))
-
-
-def child_bridges(
-    plan: LiftPlan, i: int, even: frozenset[Edge] | None
-) -> frozenset[Edge] | None:
-    """The bridges with two even ends of child i of ``plan``, or None where
-    they are not known without a search, given ``even``, the parent's (or
-    None).  A C1 child has the parent's by the C1 carry of the module
-    docstring, with no search and no copy unless vu or uw is among them;
-    any other child has the ones its reduction found, if any."""
-    child = plan.children[i]
-    if plan.tag != "C1":
-        return child.even_bridges
-    if even is None:
-        return None
-    ((v, u, w),) = child.routes
-    vu, uw = edge(v, u), edge(u, w)
-    if vu not in even and uw not in even:
-        return even
-    if vu in even and uw in even:
-        return (even - {vu, uw}) | {edge(v, w)}
-    return even - {vu, uw}
 
 
 # -- C2: solve the two sides and join two of their paths ---------------------
@@ -625,9 +637,8 @@ def _reduce_c2(g: Graph, occ: C2) -> LiftPlan:
 
 
 def _lift_c2(u: int, v: int, store: PathStore) -> None:
+    # u and v are odd in their sides, so a path of each side ends there
     pu, pv = store.first_ending_at(u), store.first_ending_at(v)
-    if pu is None or pv is None:
-        raise LiftError("no path ends at a cut-edge endpoint of odd degree")
     joined = _oriented(store.take(pu), last=u) + _oriented(store.take(pv), first=v)
     store.append(joined)
 
@@ -829,9 +840,8 @@ def _lift_c4_hub(
     hub: int, other: int, t1: int, t2: int, t3: int, store: PathStore
 ) -> None:
     host = store.holder(edge(t1, t2))
+    # other has degree 3 in the rest child, so a path ends there
     q = store.first_ending_at(other)
-    if q is None:
-        raise LiftError("no path ends at the surviving endpoint")
     left, right = _split_on_edge(store.take(host), edge(t1, t2))
     if left[-1] == t1:
         t1_part, t2_part = left, right[::-1]
@@ -933,13 +943,19 @@ def _lift_c5_triangle(
     q = holder(edge(xr, wr))
     q_vertices = _oriented(store.paths[q], last=wr)
     if q_vertices[-2] != xr:
-        raise LiftError("triangle corner is not terminal in its path")
+        raise LiftError(
+            "triangle corner is not terminal in its path (the role loop"
+            " admits w only of child degree 2, with x-w and w-y on two paths)"
+        )
     store.replace(q, q_vertices[:-1] + (u,))
 
     p = holder(edge(xr, yr))
     r = holder(edge(yr, wr))
     if r == p:
-        raise LiftError("triangle role separation failed")
+        raise LiftError(
+            "triangle role separation failed (the role loop admits x-y and"
+            " w-y only on two paths, and store.replace keeps path ids)"
+        )
     left, right = _split_on_edge(store.take(p), edge(xr, yr))
     if left[-1] == xr:
         x_part, y_part = left, right

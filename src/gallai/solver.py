@@ -12,10 +12,11 @@ shape of the even-degree core.
 
 ``solve`` runs on an explicit work stack, not on recursion, so the depth
 of the reduction chain is not bounded by Python's recursion limit: each
-reduction pushes a frame holding its plan, its children are solved in
-order, and the frame is lifted as soon as its last child is done.  Child
-graphs keep their parent's vertex ids, so every decomposition is in the
-ids of the input graph.
+reduction pushes a frame holding its plan and what its graph passed to
+``detect``, its children are solved in order, each passing what
+``reductions.inherited`` derives from that, and the frame is lifted as
+soon as its last child is done.  Child graphs keep their parent's vertex
+ids, so every decomposition is in the ids of the input graph.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Edge, Graph
 from .paths import Path, PathDecomposition, PathStore, lower_bound, verify
 from .reductions import (
     LiftPlan,
     check_structure,
-    child_bridges,
     detect,
+    inherited,
     is_exceptional_clique,
     lift,
     reduce,
@@ -108,12 +109,9 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     bases: list[str] = []
     # The reductions whose children are not all solved yet, innermost
     # last, each with the stores of its children solved so far and the
-    # vertices, besides each child's own boundary, at whose edges its
-    # children may have a C3 (None: anywhere; the lemma of ``reductions``).
-    # Beside ``near``, ``even`` holds the graph's bridges with two even
-    # ends where a reduction handed them down (None: search for them); only
-    # a first child can be handed its parent's (``child_bridges``).
-    stack: list[tuple[LiftPlan, list[PathStore], tuple[int, ...] | None]] = []
+    # ``near`` and ``even`` its graph passed to ``detect``.
+    stack: list[tuple[LiftPlan, list[PathStore], tuple[int, ...] | None,
+                      frozenset[Edge] | None]] = []
     graph, near, even = g, None, None
     while True:
         occ = (
@@ -123,45 +121,29 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            # C3 was not asked past C1 and C2; past C3 it was found absent
-            kept = near if occ.tag in ("C1", "C2") else None if occ.tag == "C3" else ()
-            stack.append((plan, [], kept))
-            graph, near = _next_child(plan, kept, 0)
-            even = child_bridges(plan, 0, even)
+            stack.append((plan, [], near, even))
+            graph = plan.children[0].graph
+            near, even = inherited(plan, 0, near, even)
             continue
         solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
         if stack:
             solved = _load(graph, solved, bases[-1])
         # Lift every reduction that this base case completes.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
-            plan, stores, _ = stack.pop()
+            plan, stores, _, _ = stack.pop()
             stores.append(solved)
             solved = lift(plan, stores)
         if not stack:
             break
-        plan, stores, kept = stack[-1]
+        plan, stores, near, even = stack[-1]
         stores.append(solved)
-        graph, near = _next_child(plan, kept, len(stores))
-        even = child_bridges(plan, len(stores), None)
+        graph = plan.children[len(stores)].graph
+        near, even = inherited(plan, len(stores), near, even)
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
         raise InternalError(f"final decomposition not good:\n{report}")
     return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)))
-
-
-def _next_child(
-    plan: LiftPlan, kept: tuple[int, ...] | None, i: int
-) -> tuple[Graph, tuple[int, ...] | None]:
-    """Child i of ``plan`` and the vertices at whose edges it may have a
-    C3: ``kept`` plus its boundary, or None if ``kept`` is None or if that
-    would name more vertices than the child has."""
-    child = plan.children[i]
-    if not kept:
-        return child.graph, None if kept is None else child.boundary
-    if len(kept) + len(child.boundary) > child.graph.n:
-        return child.graph, None
-    return child.graph, kept + child.boundary
 
 
 def _base_case(g: Graph, budget: int | None, bases: list[str]) -> PathDecomposition:

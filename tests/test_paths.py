@@ -218,7 +218,8 @@ def test_path_store_edits_keep_ids_order_and_index():
     assert first < second < third
     # the first path with an end at 3 is the second path, not the third
     assert store.first_ending_at(3) == second
-    assert store.first_ending_at(1) is None
+    with pytest.raises(ValueError, match=r"^no path ends at 1$"):
+        store.first_ending_at(1)
     store.replace(first, (2, 1, 0))  # in place, reversed
     assert list(store.paths) == [first, second, third]
     with pytest.raises(ValueError, match="repeats a vertex"):

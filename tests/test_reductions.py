@@ -550,17 +550,35 @@ def test_c3_near_the_boundary_is_the_whole_scan():
 
 def test_solve_carries_c3_absence_exactly(monkeypatch):
     # Down whole reduction chains: every C3 scan that solve restricts to
-    # ``near`` answers as the scan of the whole graph would.
+    # ``near`` answers as the scan of the whole graph would.  A child of a
+    # C3 level whose graph carried a set keeps that set plus its boundary
+    # (the lemma of ``reductions``), and scans whole only where that set
+    # would name more vertices than the child has.
+    import gallai.solver as solver
+
     whole = reductions._DETECTORS[2]
+    real = solver.inherited
     answers = Counter()
+    past_c3 = {}  # child graph of a C3 level -> the length of its set
+
+    def watched(plan, i, near, even):
+        if plan.tag == "C3" and near is not None:
+            child = plan.children[i]
+            past_c3[id(child.graph)] = (child.graph, len(near + child.boundary))
+        return real(plan, i, near, even)
 
     def checked(g, near=None):
         occ = whole(g)
         if near is not None:
             assert whole(g, near) == occ, (g, near)
             answers[occ is not None] += 1
+        if id(g) in past_c3:
+            _, size = past_c3[id(g)]
+            assert (near is None) == (size > g.n), (g, near, size)
+            answers["near past C3" if near is not None else "whole past C3"] += 1
         return occ
 
+    monkeypatch.setattr(solver, "inherited", watched)
     monkeypatch.setattr(
         reductions, "_DETECTORS",
         reductions._DETECTORS[:2] + (checked,) + reductions._DETECTORS[3:],
@@ -568,6 +586,7 @@ def test_solve_carries_c3_absence_exactly(monkeypatch):
     for g in _near_corpus():
         solve(g)
     assert answers[True] >= 200 and answers[False] >= 2000, answers
+    assert answers["near past C3"] >= 133, answers
 
 
 def test_solve_scans_a_4_regular_graph_for_c3_a_few_times(monkeypatch):
@@ -1009,6 +1028,20 @@ def test_lift_rejects_a_mismatched_call(count, message):
     stores = [PathStore.load(child, solve(child).decomposition)]
     with pytest.raises(LiftError, match=message):
         lift(plan, stores[:count])
+
+
+def test_lift_names_the_join_when_no_path_ends_at_a_cut_edge_endpoint():
+    # A C2 side whose store leaves u's edges uncovered has no path ending
+    # at u: the store refuses, and lift labels the refusal with the sub-case.
+    from gallai import LiftError
+    from gallai.paths import PathStore, decomposition
+    from gallai.reductions import lift
+
+    plan = reduce(path_graph(4), C2(1, 2))
+    side_u, side_v = (child.graph for child in plan.children)
+    stores = [PathStore(side_u), PathStore.load(side_v, decomposition((2, 3)))]
+    with pytest.raises(LiftError, match="^C2/join recipe failed: no path ends at 1$"):
+        lift(plan, stores)
 
 
 def test_lift_rejects_a_rewrite_past_the_path_bound():
