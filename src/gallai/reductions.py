@@ -38,7 +38,8 @@ is an edge of the parent whose ends keep their neighbour tuples, and
 whether an edge uv is a C3 depends on N(u) and N(v) alone.  Lemma: if
 every C3 of the parent has an end in a set D, every C3 of the child has
 an end in D or B.  D is empty at a graph whose detection passed C3, and
-gains each boundary down the chain from there (``inherited``).
+down the chain from there each child keeps the vertices of D that it
+still has plus its own B (``inherited``): a set of its own vertices.
 
 C2, the one global configuration, is carried down the chain where a
 reduction already knows the child's bridges.  ``_reduce_c4`` runs one
@@ -56,15 +57,14 @@ connected, and two lemmas give the bridges of the children:
   through u in g is one through vw in the child.  So every other edge is
   a bridge of the one exactly when it is of the other, and vw is one
   exactly when vu and uw are, which are bridges together since u has
-  degree 2.  v and w keep their degrees, so the child's bridges with two
-  even ends are the parent's, with vw in place of vu and uw when both
-  were among them.
+  degree 2.  So the child's bridges are the parent's, with vw in place
+  of vu and uw when they were among them.
 
 ``inherited`` gives each child what it passes to ``detect``: D as
-``near``, and its bridges with two even ends where these lemmas give
-them, from which C2 is answered without a search.  ``solve`` carries
-both down its work stack; where either is unknown, the child is scanned
-whole for it.
+``near``, and all its bridges where these lemmas give them, among which
+``detect_c2``, the one reader of their ends' degrees, answers C2 without
+a search.  ``solve`` carries both down its work stack; where either is
+unknown, the child is scanned whole for it.
 
 Each reduction records a ``LiftPlan`` naming the sub-case it chose, with
 one interface for every sub-case: a ``rewrite`` that edits a ``PathStore``
@@ -255,18 +255,15 @@ def detect_c1(g: Graph) -> C1 | None:
     return None
 
 
-def detect_c2(g: Graph, even_bridges: Collection[Edge] | None = None) -> C2 | None:
+def detect_c2(g: Graph, bridges: Collection[Edge] | None = None) -> C2 | None:
     """The C2 at the least bridge whose two ends have even degree, or None;
-    given ``even_bridges``, all such bridges of ``g``, nothing is searched."""
-    if even_bridges is not None:
-        return C2(*min(even_bridges)) if even_bridges else None
+    given ``bridges``, all the bridges of ``g``, nothing is searched."""
     adj = g.adjacency()
-    if not _has_even_edge(adj):
-        return None  # no edge has two even ends, so no bridge is wanted
-    even = [
-        (u, v) for u, v in g.bridges()
-        if not len(adj[u]) % 2 and not len(adj[v]) % 2
-    ]
+    if bridges is None:
+        if not _has_even_edge(adj):
+            return None  # no edge has two even ends, so no bridge is wanted
+        bridges = g.bridges()
+    even = [(u, v) for u, v in bridges if not len(adj[u]) % 2 and not len(adj[v]) % 2]
     return C2(*min(even)) if even else None
 
 
@@ -281,36 +278,27 @@ def _has_even_edge(adj: Mapping[int, tuple[int, ...]]) -> bool:
 
 
 def detect_c3(g: Graph, near: Iterable[int] | None = None) -> C3 | None:
-    """The C3 at the least edge (u, v), or None; given ``near``, only the
-    edges at those of its vertices still in ``g`` are examined (the lemma
-    of the module docstring says when that suffices)."""
+    """The C3 at the least edge (u, v), or None; given ``near``, vertices
+    of ``g``, only the edges at them are examined (the lemma of the module
+    docstring says when that suffices).  The whole scan walks the vertices
+    ascending, so the first one at a C3 is the least edge's smaller end."""
     adj = g.adjacency()
-    if near is not None:
-        best = None
-        for u in near:
-            nu = adj.get(u, ())
-            if len(nu) != 4:
-                continue  # gone, or of another degree: no C3 edge at u
-            a, b, c, d = nu
-            for v in nu:
-                nv = adj[v]
-                if len(nv) == 4 and (a in nv) + (b in nv) + (c in nv) + (d in nv) == 2:
-                    e = (u, v) if u < v else (v, u)
-                    if best is None or e < best:
-                        best = e
-        return None if best is None else _c3(adj, *best)
-    for u, nu in adj.items():
+    best = None
+    for u in adj if near is None else near:
+        nu = adj[u]
         if len(nu) != 4:
             continue
         a, b, c, d = nu
         for v in nu:
-            if v < u:
-                continue
             nv = adj[v]
             # v is one of a..d but not in nv: the sum counts the common ones
             if len(nv) == 4 and (a in nv) + (b in nv) + (c in nv) + (d in nv) == 2:
-                return _c3(adj, u, v)
-    return None
+                e = (u, v) if u < v else (v, u)
+                if best is None or e < best:
+                    best = e
+        if best is not None and near is None:
+            break
+    return None if best is None else _c3(adj, *best)
 
 
 def _c3(adj: Mapping[int, tuple[int, ...]], u: int, v: int) -> C3:
@@ -383,13 +371,13 @@ _DETECTORS = (detect_c1, detect_c2, detect_c3, detect_c4, detect_c5)
 
 def detect(
     g: Graph, near: Iterable[int] | None = None,
-    even_bridges: Collection[Edge] | None = None,
+    bridges: Collection[Edge] | None = None,
 ) -> Occurrence | None:
     """First occurrence under the priority C1 < C2 < C3 < C4 < C5; C3 is
     looked for only at the edges at ``near``, if given (``detect_c3``),
-    and C2 only among ``even_bridges``, if given (``detect_c2``)."""
+    and C2 only among ``bridges``, if given (``detect_c2``)."""
     c1, c2, c3, c4, c5 = _DETECTORS
-    return c1(g) or c2(g, even_bridges) or c3(g, near) or c4(g) or c5(g)
+    return c1(g) or c2(g, bridges) or c3(g, near) or c4(g) or c5(g)
 
 
 # -- reduction plumbing ------------------------------------------------------
@@ -411,19 +399,19 @@ class Child:
     ``boundary`` lists, ascending, the child's vertices that have a
     neighbour among the removed vertices S of the parent, B = N(S) minus
     S; a contracted pair's merged vertex is one of them.  Only they can
-    have gained or lost edges.  ``even_bridges``, where the reduction's
-    own search found them, are the child's bridges whose two ends have
-    even degree.  They are also the proof that the child is connected, so
-    only a reduction whose own search reached every vertex the child keeps
-    may set them: the C4 paired non-edges, from a remainder search that
-    was one tree, and ``_finish`` takes them as that proof from no other.
+    have gained or lost edges.  ``bridges``, where the reduction's own
+    search found them, are all the child's bridges.  They are also the
+    proof that the child is connected, so only a reduction whose own
+    search reached every vertex the child keeps may set them: the C4
+    paired non-edges, from a remainder search that was one tree, and
+    ``_finish`` takes them as that proof from no other.
     """
 
     graph: Graph
     routes: tuple[Route, ...] = ()
     synthetic: tuple[Edge, ...] = ()
     boundary: tuple[int, ...] = ()
-    even_bridges: frozenset[Edge] | None = None
+    bridges: frozenset[Edge] | None = None
 
 
 @dataclass(frozen=True)
@@ -535,7 +523,7 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     when its boundary B lies in one of its components (``_connected``),
     and only vertices of B change degree: so only they are looked at, and
     the parent's maximum degree only when one of them exceeds 5.  A C4
-    paired child that carries ``even_bridges`` was shown connected by the
+    paired child that carries ``bridges`` was shown connected by the
     search that found them, and is not searched again.
     """
     g = plan.parent
@@ -543,7 +531,7 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     total = 0
     for child in plan.children:
         if (
-            not (certified and child.even_bridges is not None)
+            not (certified and child.bridges is not None)
             and not _connected(child)
         ):
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child disconnected")
@@ -579,37 +567,33 @@ def reduce(g: Graph, occ: Occurrence) -> LiftPlan:
 
 
 def inherited(
-    plan: LiftPlan, i: int, near: tuple[int, ...] | None,
-    even: frozenset[Edge] | None,
-) -> tuple[tuple[int, ...] | None, frozenset[Edge] | None]:
+    plan: LiftPlan, i: int, near: frozenset[int] | None,
+    bridges: frozenset[Edge] | None,
+) -> tuple[frozenset[int] | None, frozenset[Edge] | None]:
     """What child i of ``plan`` passes to ``detect``, given what the plan's
-    parent passed: the vertices at whose edges it may have a C3, and its
-    bridges with two even ends (each None where unknown: search it all).
+    parent passed: the vertices of the child at whose edges it may have a
+    C3, and all its bridges (each None where unknown: search it all).
 
-    By the C3 lemma of the module docstring, the child keeps ``near``
-    plus its boundary, or its boundary alone past C4 and C5, whose
-    detection found C3 absent; a set longer than the child is None.  A
-    C1 child has the parent's bridges by the C1 carry, with no copy
-    unless vu or uw is among them; any other child has the ones its
-    reduction found, if any.
+    By the C3 lemma of the module docstring, the child keeps those of
+    ``near`` that it still has, plus its boundary, or its boundary alone
+    past C4 and C5, whose detection found C3 absent.  A C1 child has the
+    parent's bridges by the C1 carry, with no copy unless vu, and so uw,
+    is among them; any other child has the ones its reduction found, if
+    any.
     """
     child = plan.children[i]
     if plan.tag in ("C4", "C5"):
-        near = ()
-    if near is not None:
-        near += child.boundary
-        if len(near) > child.graph.n:
-            near = None
+        near = frozenset(child.boundary)
+    elif near is not None:
+        adj = child.graph.adjacency()
+        near = frozenset(x for x in near if x in adj).union(child.boundary)
     if plan.tag != "C1":
-        return near, child.even_bridges
-    if even is not None:
+        return near, child.bridges
+    if bridges is not None:
         ((v, u, w),) = child.routes
-        vu, uw = edge(v, u), edge(u, w)
-        if vu in even and uw in even:
-            even = (even - {vu, uw}) | {edge(v, w)}
-        elif vu in even or uw in even:
-            even = even - {vu, uw}
-    return near, even
+        if edge(v, u) in bridges:
+            bridges = (bridges - {edge(v, u), edge(u, w)}) | {edge(v, w)}
+    return near, bridges
 
 
 # -- C1: splice the degree-2 vertex into the bypass edge ---------------------
@@ -824,12 +808,8 @@ def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink | None) -> LiftPlan:
         if search is not None:
             # one tree from the boundary: it reached every kept vertex
             assert len(search.firsts) == 1, occ
-            adj = child.graph.adjacency()
-            even = frozenset(
-                (a, b) for a, b in search.uncrossed(child.synthetic)
-                if not len(adj[a]) % 2 and not len(adj[b]) % 2
-            )
-            child = replace(child, even_bridges=even)
+            bridges = frozenset(search.uncrossed(child.synthetic))
+            child = replace(child, bridges=bridges)
         elif not _connected(child):
             continue
         return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
@@ -839,10 +819,9 @@ def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink | None) -> LiftPlan:
 def _lift_c4_hub(
     hub: int, other: int, t1: int, t2: int, t3: int, store: PathStore
 ) -> None:
-    host = store.holder(edge(t1, t2))
     # other has degree 3 in the rest child, so a path ends there
     q = store.first_ending_at(other)
-    left, right = _split_on_edge(store.take(host), edge(t1, t2))
+    left, right = _take_split(store, edge(t1, t2))
     if left[-1] == t1:
         t1_part, t2_part = left, right[::-1]
     else:
@@ -860,10 +839,12 @@ def _reduce_c5(g: Graph, occ: C5) -> LiftPlan:
     refuses a C4 where C3 is present.  (i) Corners a and b see three common
     vertices with two gaps among them: both have degree 4 and N(a) - b =
     N(b) - a is that trio, and two gaps have different leftovers, so one
-    gap on each side makes a C4 at ab.  (ii) All corners have degree 4 and
-    each pair shares only the third: then w is adjacent to none of the
-    outer neighbours x1, x2 of u and y1, y2 of v, so (w, x1) and (w, y1)
-    are non-edges with leftovers x2 != y2, a C4 at uv.
+    gap on each side makes a C4 at ab.  (ii) Each pair of corners shares
+    only the third, and two corners a and b have degree 4: then the third
+    corner c is adjacent to none of the outer neighbours a1, a2 of a and
+    b1, b2 of b, so (c, a1) and (c, b1) are non-edges with leftovers
+    a2 != b2, a C4 at ab.  So ``degree_two`` is left only with both
+    corners other than u of degree 2.
     """
     corners = (occ.u, occ.v, occ.w)
     for a, b in itertools.combinations(sorted(corners), 2):
@@ -874,9 +855,10 @@ def _reduce_c5(g: Graph, occ: C5) -> LiftPlan:
             raise ReductionError(
                 f"{occ}: corners share an outside neighbour (C3/C4 order broken)"
             )
-    if g.degree(occ.v) == 2 or g.degree(occ.w) == 2:
-        return _reduce_c5_degree_two(g, occ)
-    raise _c4_first(g, occ, *sorted(corners)[:2], "all corners have degree 4")
+    fours = sorted(c for c in corners if g.degree(c) == 4)
+    if len(fours) >= 2:
+        raise _c4_first(g, occ, *fours[:2], "two corners have degree 4")
+    return _reduce_c5_degree_two(g, occ)
 
 
 def _c4_first(g: Graph, occ: C5, a: int, b: int, why: str) -> ReductionError:
@@ -906,8 +888,6 @@ def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
 
 def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
     u, v, w = occ.u, occ.v, occ.w
-    if g.degree(v) != 2:
-        v, w = w, v
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
     child = _child(g, {v, max(u, w)}, merge=edge(u, w))
     rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
@@ -956,7 +936,7 @@ def _lift_c5_triangle(
             "triangle role separation failed (the role loop admits x-y and"
             " w-y only on two paths, and store.replace keeps path ids)"
         )
-    left, right = _split_on_edge(store.take(p), edge(xr, yr))
+    left, right = _take_split(store, edge(xr, yr))
     if left[-1] == xr:
         x_part, y_part = left, right
     else:
@@ -993,13 +973,12 @@ def _lift_c5_degree_two(
     u: int, v: int, w: int, x1: int, x2: int, store: PathStore
 ) -> None:
     # The merged vertex kept the id s = min(u, w) and plays w; its edges
-    # towards x1/x2 stand for parent edges at u.  Only the paths through it
-    # change: each is renamed and rebuilt in one edit.
+    # towards x1/x2 stand for parent edges at u, and w has no others, as
+    # v and w have degree 2.  Only the paths through it change: each is
+    # renamed and rebuilt in one edit.
     s = min(u, w)
-    far = [y for y in store.graph.neighbors(w) if y not in (u, v)]
-    through = sorted({store.holder(edge(s, y)) for y in (x1, x2, *far)})
     at_x1, at_x2 = store.holder(edge(s, x1)), store.holder(edge(s, x2))
-    for pid in through:
+    for pid in sorted({at_x1, at_x2}):
         vertices = tuple(w if x == s else x for x in store.paths[pid])
         if pid == at_x1 == at_x2:  # the hinge: x1 - w - x2 on one path
             at = vertices.index(w)
@@ -1099,15 +1078,12 @@ def is_exceptional_clique(g: Graph) -> bool:
 # -- shared helpers --------------------------------------------------------------
 
 
-def _split_on_edge(
-    vs: tuple[int, ...], e: Edge
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two sides of a path around one of its edges (either side can be
-    a single vertex)."""
-    for i in range(len(vs) - 1):
-        if edge(vs[i], vs[i + 1]) == e:
-            return vs[: i + 1], vs[i + 1 :]
-    raise LiftError(f"edge {e} not on path {vs}")
+def _take_split(store: PathStore, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Take the path that covers ``e`` from ``store``, as its two sides
+    around e (either side can be a single vertex)."""
+    vs = store.take(store.holder(e))
+    i = min(vs.index(e[0]), vs.index(e[1]))
+    return vs[: i + 1], vs[i + 1 :]
 
 
 def _oriented(

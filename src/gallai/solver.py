@@ -109,21 +109,21 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     bases: list[str] = []
     # The reductions whose children are not all solved yet, innermost
     # last, each with the stores of its children solved so far and the
-    # ``near`` and ``even`` its graph passed to ``detect``.
-    stack: list[tuple[LiftPlan, list[PathStore], tuple[int, ...] | None,
+    # ``near`` and ``bridges`` its graph passed to ``detect``.
+    stack: list[tuple[LiftPlan, list[PathStore], frozenset[int] | None,
                       frozenset[Edge] | None]] = []
-    graph, near, even = g, None, None
+    graph, near, bridges = g, None, None
     while True:
         occ = (
             None if graph.m == 0 or is_exceptional_clique(graph)
-            else detect(graph, near, even)
+            else detect(graph, near, bridges)
         )
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            stack.append((plan, [], near, even))
+            stack.append((plan, [], near, bridges))
             graph = plan.children[0].graph
-            near, even = inherited(plan, 0, near, even)
+            near, bridges = inherited(plan, 0, near, bridges)
             continue
         solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
         if stack:
@@ -135,10 +135,10 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
             solved = lift(plan, stores)
         if not stack:
             break
-        plan, stores, near, even = stack[-1]
+        plan, stores, near, bridges = stack[-1]
         stores.append(solved)
         graph = plan.children[len(stores)].graph
-        near, even = inherited(plan, len(stores), near, even)
+        near, bridges = inherited(plan, len(stores), near, bridges)
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):

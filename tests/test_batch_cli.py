@@ -94,10 +94,10 @@ def test_run_check_detects_once_per_solve_step(monkeypatch):
     for module in (gallai.batch, gallai.solver, gallai.reductions):
         real_detect, real_check = module.detect, module.check_structure
 
-        def counted_detect(g, near=None, even_bridges=None, *, module=module,
+        def counted_detect(g, near=None, bridges=None, *, module=module,
                            real=real_detect):
             calls.append((module.__name__, bool(inside)))
-            return real(g, near, even_bridges)
+            return real(g, near, bridges)
 
         def counted_check(g, real=real_check):
             inside.append(g)

@@ -129,15 +129,16 @@ def test_rare_lift_branches_match_the_reference():
     # degree-two hinge, and the three sparse-ring bridge collisions.
     k5 = list(complete_graph(5).edges())
     ring = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)])
+    hung = Graph.from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 5), (4, 6), (5, 6)]
+    )
     cases = [
         (Graph.from_edges(7, k5 + [(3, 5), (4, 6)]), None,
          [(5, 3, 2, 4, 6), (3, 4)], "C5/common_triangle"),
         (Graph.from_edges(7, k5 + [(3, 5), (4, 6)]), None,
          [(5, 3, 2), (2, 4, 6), (3, 4)], "C5/common_triangle"),
-        (Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)]),
-         C5(0, 1, 2), [(3, 0, 4), (5, 0, 6)], "C5/degree_two"),
-        (Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)]),
-         C5(0, 1, 2), [(3, 0, 5), (4, 0, 6)], "C5/degree_two"),
+        (hung, C5(0, 1, 2), [(3, 0, 4), (3, 5, 6, 4)], "C5/degree_two"),
+        (hung, C5(0, 1, 2), [(0, 3, 5, 6), (0, 4, 6)], "C5/degree_two"),
         (ring, None, [(5, 2, 3, 4)], "C3/sparse_ring"),
         (ring, None, [(5, 2, 3), (3, 4)], "C3/sparse_ring"),
         (ring, None, [(2, 3, 4), (2, 5)], "C3/sparse_ring"),

@@ -1,6 +1,7 @@
 """The scripts under ``tools/`` that tier-1 can check without running
 the benchmark itself."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -12,17 +13,32 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]
 
 
-def _bench_pairs():
-    """tools/bench_pairs.py, loaded from its file."""
-    source = ROOT / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", source)
+def _tool(name):
+    """tools/<name>.py, loaded from its file."""
+    source = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, source)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_raise_lines_lists_every_raise_of_the_reductions_but_one():
+    # Every raise of reductions.py is a ReductionError or LiftError, or a
+    # refusal that `_c4_first` builds, except the ValueError of
+    # check_structure, which is not a reduction's guard.
+    tool = _tool("raise_lines")
+    text = tool.SOURCE.read_text()
+    raises = {
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Raise)
+    }
+    lines = text.splitlines()
+    (value_error,) = (n for n in raises if "ValueError" in lines[n - 1])
+    assert set(tool.raise_lines(tool.SOURCE)) == raises - {value_error}
+
+
 def test_bench_pairs_refuses_a_revision_git_does_not_know():
-    bench = _bench_pairs()
+    bench = _tool("bench_pairs")
     with pytest.raises(SystemExit, match="git knows no revision 'no-such-rev'"):
         bench.main(["--parent", "no-such-rev", "--label", "refused"])
     assert not (ROOT / "BENCH_refused.json").exists()
@@ -43,7 +59,7 @@ def _fake_runs(digests):
 
 
 def test_bench_pairs_alternates_the_sides_and_summarises(tmp_path):
-    bench = _bench_pairs()
+    bench = _tool("bench_pairs")
     run, calls = _fake_runs({"parent": "aa", "change": "aa"})
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     doc = bench.compare(sides, [("families", 801)], 3, 1.0, run)
@@ -66,7 +82,7 @@ def test_bench_pairs_reports_a_digest_mismatch(tmp_path, monkeypatch, capsys):
     # The whole command with its exports and runs stubbed: it still writes
     # the file in the shape of the hand-built ones, names the mismatch
     # there and on standard error, and exits non-zero.
-    bench = _bench_pairs()
+    bench = _tool("bench_pairs")
     run, _ = _fake_runs({"parent": "aa", "change": "bb"})
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "resolve", lambda rev: "0123456789abcdef")

@@ -1,5 +1,6 @@
 """Count the ``raise ReductionError`` and ``raise LiftError`` lines of
-``src/gallai/reductions.py`` that the test suite reaches.
+``src/gallai/reductions.py`` that the test suite reaches, and the
+``raise _c4_first(...)`` lines, whose helper builds a ``ReductionError``.
 
     python3 tools/raise_lines.py [pytest arguments; default: -q tests]
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "gallai" / "reductions.py"
-ERRORS = ("ReductionError", "LiftError")
+ERRORS = ("ReductionError", "LiftError", "_c4_first")
 
 
 def raise_lines(path: Path) -> dict[int, str]:
