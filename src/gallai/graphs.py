@@ -256,6 +256,8 @@ class Graph:
         """Merge the endpoints of an edge whose ends share no neighbour.
 
         The merged vertex keeps the id min(u, v); the id max(u, v) is gone.
+        No reduction contracts: it stays for ``perfbench/tracer.py``, which
+        wraps it (ROADMAP item 2(c)).
         """
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
@@ -316,11 +318,15 @@ class LowLink(NamedTuple):
         bounds = self.firsts + [len(order)]
         held: list[list[int]] = [[] for _ in self.firsts]
         for s in dict.fromkeys(self.starts):
-            held[bisect.bisect_right(self.firsts, self.pre[s]) - 1].append(s)
+            held[self.tree(s)].append(s)
         return [
             (tuple(starts), set(order[a:b]))
             for starts, a, b in zip(held, bounds, bounds[1:])
         ]
+
+    def tree(self, x: int) -> int:
+        """The index in ``firsts`` of the tree that holds the searched ``x``."""
+        return bisect.bisect_right(self.firsts, self.pre[x]) - 1
 
     def uncrossed(self, added: Iterable[Edge]) -> list[Edge]:
         """The bridges that no edge of ``added`` crosses: a bridge's lower

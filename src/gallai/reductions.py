@@ -21,9 +21,9 @@ configurations are absent, so ``reduce`` re-checks the facts it relies on
 and fails loudly rather than patching around a priority violation.
 
 ``reduce`` takes a connected parent and checks each child at its
-boundary.  A child is the parent minus a removed set S plus synthetic
-edges among the kept vertices (a contraction is the same, with the merged
-vertex as the end of its synthetic edges).  Lemma: every kept vertex then
+boundary.  Every child is built one way (``_child``): the parent minus a
+removed set S plus a synthetic edge for each route, a walk through S
+whose ends the parent does not join.  Lemma: every kept vertex then
 reaches the boundary B = N(S) minus S without leaving the kept vertices,
 so the child is connected exactly when B lies in one of its components,
 and only the vertices of B change degree.  One search from a vertex of B
@@ -46,7 +46,9 @@ reduction already knows the child's bridges.  ``_reduce_c4`` runs one
 low-link search (``Graph.low_link``) of g - {u, v} from B, and its trees
 are the parts that choose the sub-case.  When it is one tree, it has
 reached every vertex that the paired child keeps, so the child is
-connected, and two lemmas give the bridges of the children:
+connected.  When it is more, its trees are the components of g - {u, v},
+and the paired child takes the first labelling whose two synthetic edges
+join them all.  Two lemmas give the bridges of the children:
 
 - The crossing rule (``LowLink.uncrossed``): adding an edge ab to a
   connected graph keeps a tree bridge pc, with c below p, a bridge exactly
@@ -75,7 +77,7 @@ bound to the children and a few added paths: every synthetic child edge is
 stated as its route through the removed vertices and spliced in place of
 that edge.  The other four, and the sparse ring when it needs the x-y
 bridge, bind a recipe of their own to the vertices it reads; the C5
-contraction rebuilds only the paths through the merged vertex.
+degree-two lift rebuilds only the paths through the kept corner.
 
 ``lift`` takes one ``PathStore`` per child, as ``PathStore.load`` checks
 a decomposition in or an earlier ``lift`` leaves it.  The store checks
@@ -393,12 +395,11 @@ class Child:
     A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
     walk through removed vertices.  Its ends are a synthetic edge, except
     in the C3 full ring, whose route reroutes a real edge that an added
-    path then covers again.  ``synthetic`` lists exactly the edges that
-    ``_child`` added, a contraction's included: every edge of the child
-    that is not an edge of the parent.  No lift may leave one covered.
-    ``boundary`` lists, ascending, the child's vertices that have a
-    neighbour among the removed vertices S of the parent, B = N(S) minus
-    S; a contracted pair's merged vertex is one of them.  Only they can
+    path then covers again.  ``synthetic`` lists, in route order, exactly
+    the edges that ``_child`` added: every edge of the child that is not an
+    edge of the parent.  No lift may leave one covered.  ``boundary``
+    lists, ascending, the child's vertices that have a neighbour among the
+    removed vertices S of the parent, B = N(S) minus S.  Only they can
     have gained or lost edges.  ``bridges``, where the reduction's own
     search found them, are all the child's bridges.  They are also the
     proof that the child is connected, so only a reduction whose own
@@ -444,19 +445,11 @@ def _boundary(g: Graph, removed: set[int]) -> tuple[int, ...]:
     return tuple(sorted({w for x in removed for w in adj[x] if w not in removed}))
 
 
-def _child(
-    g: Graph, removed: set[int], routes: tuple[Route, ...] = (),
-    merge: Edge | None = None,
-) -> Child:
+def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child:
     """``g`` minus ``removed`` plus the synthetic edges, built in one copy
     of the table: an edge joining the ends of each route that are not
-    adjacent in ``g``, and for ``merge = (a, b)`` with b removed, an edge
-    from a to each other kept neighbour of b, so that a stands for the
-    contracted pair."""
+    adjacent in ``g``."""
     added = []
-    if merge is not None:
-        a, b = merge
-        added = [edge(a, y) for y in g.neighbors(b) if y != a and y not in removed]
     for route in routes:
         e = edge(route[0], route[-1])
         if not g.has_edge(*e):
@@ -468,15 +461,9 @@ def _child(
 Part = tuple[tuple[int, ...], set[int]]
 
 
-def _side(
-    g: Graph, parts: list[Part], chosen: list[Part], removed: set[int],
-    routes: tuple[Route, ...] = (), also: frozenset[int] = frozenset(),
-) -> Child:
-    """The child on the ``chosen`` parts of ``g`` minus ``removed``, as
-    ``LowLink.parts`` lists them, and the vertices ``also`` of
-    ``removed``: it deletes the rest of ``removed`` and the other parts."""
-    others = [part[1] for part in parts if part not in chosen]
-    return _child(g, (removed - also).union(*others), routes)
+def _held(parts: list[Part]) -> set[int]:
+    """The vertices of ``parts``."""
+    return set().union(*(vertices for _, vertices in parts))
 
 
 def _ascending(chosen: list[Part]) -> list[Part]:
@@ -486,21 +473,15 @@ def _ascending(chosen: list[Part]) -> list[Part]:
 
 
 def _connected(child: Child) -> bool:
-    """Whether the child is connected, for a child of a connected parent.
-
-    Every vertex of the child reaches its boundary B without leaving the
-    child (follow a path of the parent towards a removed vertex), so the
-    child is connected exactly when B lies in one of its components.  One
-    search from a vertex of B stops as soon as it has seen all of B: no
-    radius, no fallback, and never more work than a search of the whole
-    child.
-    """
+    """Whether a child of a connected parent is connected, that is whether
+    its boundary B lies in one component (the lemma of the module
+    docstring): one search from a vertex of B, which stops once it has
+    seen all of B, and never does more work than a search of the child."""
     if not child.boundary:
         return False
     adj = child.graph.adjacency()
     first = child.boundary[0]
-    left = set(child.boundary)
-    left.discard(first)
+    left = set(child.boundary[1:])
     seen = {first}
     queue = [first]
     for x in queue:  # grows while it is walked: a breadth-first search
@@ -530,10 +511,7 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     certified = plan.subcase == "paired_nonedges"
     total = 0
     for child in plan.children:
-        if (
-            not (certified and child.bridges is not None)
-            and not _connected(child)
-        ):
+        if not (certified and child.bridges is not None) and not _connected(child):
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child disconnected")
         if child.graph.n >= g.n:
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child not smaller")
@@ -722,7 +700,11 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     # next to each end, each with one of its side neighbours.  With a part
     # next to both ends, two lone parts at one end force exactly (2 lone,
     # 1 both); four parts with at most one lone part per end force
-    # (2 both, 1, 1).  The hub and four-way checks below assert it.
+    # (2 both, 1, 1).  The hub and four-way checks below assert it.  The
+    # joining lemma: in every other split (at most three parts), some
+    # labelling's two synthetic edges join all the parts, as the paired
+    # check asserts; parts are never adjacent, so it rests only on which
+    # part holds each side neighbour and on the edges within parts.
     search = g.low_link(_boundary(g, {u, v}), {u, v})
     if len(search.firsts) == 1:
         return _reduce_c4_paired(g, occ, search)
@@ -734,12 +716,12 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     if not both:
         raise ReductionError(f"{occ}: the edge is a cut edge (C2 was skipped)")
     if len(only_t) >= 2:
-        return _reduce_c4_hub(g, occ, u, v, parts, only_t, both, only_w)
+        return _reduce_c4_hub(g, occ, u, v, only_t, both, only_w)
     if len(only_w) >= 2:
-        return _reduce_c4_hub(g, occ, v, u, parts, only_w, both, only_t)
+        return _reduce_c4_hub(g, occ, v, u, only_w, both, only_t)
     if len(parts) >= 4:
-        return _reduce_c4_four(g, occ, parts, ts, ws, both, only_t, only_w)
-    return _reduce_c4_paired(g, occ, None)
+        return _reduce_c4_four(g, occ, ts, ws, both, only_t, only_w)
+    return _reduce_c4_paired(g, occ, search)
 
 
 def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
@@ -758,7 +740,7 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
 
 
 def _reduce_c4_hub(
-    g: Graph, occ: C4, hub: int, other: int, parts: list[Part],
+    g: Graph, occ: C4, hub: int, other: int,
     lone: list[Part], both: list[Part], beyond: list[Part],
 ) -> LiftPlan:
     # parts next to the hub alone, to both ends, and to the other end alone:
@@ -771,14 +753,14 @@ def _reduce_c4_hub(
     side = set(g.neighbors(hub)) - {other}
     lone = _ascending(lone)
     (t1,), (t2,), (t3,) = (side.intersection(starts) for starts, _ in lone + both)
-    pair = _side(g, parts, lone, {hub, other}, ((t1, hub, t2),))
-    rest = _side(g, parts, both + beyond, {hub, other}, also=frozenset({other}))
+    pair = _child(g, {hub, other} | _held(both + beyond), ((t1, hub, t2),))
+    rest = _child(g, {hub} | _held(lone))
     rewrite = functools.partial(_lift_c4_hub, hub, other, t1, t2, t3)
     return LiftPlan("C4", "hub_split", g, (pair, rest), rewrite, (0, 0))
 
 
 def _reduce_c4_four(
-    g: Graph, occ: C4, parts: list[Part], ts: set[int], ws: set[int],
+    g: Graph, occ: C4, ts: set[int], ws: set[int],
     both: list[Part], only_t: list[Part], only_w: list[Part],
 ) -> LiftPlan:
     # with no hub and no cut edge, four parts can only be these (the
@@ -792,28 +774,29 @@ def _reduce_c4_four(
     both = _ascending(both)
     (t1,), (t2,), (t3,) = (ts.intersection(p[0]) for p in both + only_t)
     (w1,), (w2,), (w3,) = (ws.intersection(p[0]) for p in both + only_w)
-    near = _side(g, parts, both, {u, v}, ((t1, u, t2), (w1, v, w2)))
-    far = _side(g, parts, only_t + only_w, {u, v}, ((t3, u, v, w3),))
+    near = _child(g, {u, v} | _held(only_t + only_w), ((t1, u, t2), (w1, v, w2)))
+    far = _child(g, {u, v} | _held(both), ((t3, u, v, w3),))
     return _routed("C4", "four_components", g, (near, far))
 
 
-def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink | None) -> LiftPlan:
-    # Given the search of g - {u, v} that found it one part, the first
-    # labelling's child is connected and its bridges are the search's that
-    # no synthetic edge crosses.  Otherwise g - {u, v} was split, and the
-    # labellings are tried until one reconnects it.
+def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink) -> LiftPlan:
+    # One tree reached every kept vertex: the first labelling's child is
+    # connected, with the search's bridges that no synthetic edge crosses.
+    # Else the first labelling whose synthetic edges join every tree is taken.
     u, v = occ.u, occ.v
+    trees = len(search.firsts)
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g.adjacency(), u, v):
+        if trees > 1:
+            ends = [(search.tree(a), search.tree(b)) for a, b in ((t1, t2), (w1, w2))]
+            if len({edge(i, j) for i, j in ends if i != j}) < trees - 1:
+                continue
         child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
-        if search is not None:
-            # one tree from the boundary: it reached every kept vertex
-            assert len(search.firsts) == 1, occ
-            bridges = frozenset(search.uncrossed(child.synthetic))
-            child = replace(child, bridges=bridges)
-        elif not _connected(child):
-            continue
+        if trees == 1:
+            child = replace(child, bridges=frozenset(search.uncrossed(child.synthetic)))
         return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
-    raise ReductionError(f"{occ}: no reconnecting relabelling exists")
+    raise ReductionError(
+        f"{occ}: no reconnecting relabelling exists (the joining lemma gives one)"
+    )
 
 
 def _lift_c4_hub(
@@ -887,9 +870,11 @@ def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
 
 
 def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
+    # v and w have degree 2: the child is g - {v, w}, or for w < u g - {v, u}
+    # plus w-x1 and w-x2, routed as the walks that the lift puts back
     u, v, w = occ.u, occ.v, occ.w
     x1, x2 = sorted(set(g.neighbors(u)) - {v, w})
-    child = _child(g, {v, max(u, w)}, merge=edge(u, w))
+    child = _child(g, {v, max(u, w)}, ((w, u, x1), (w, v, u, x2)) if w < u else ())
     rewrite = functools.partial(_lift_c5_degree_two, u, v, w, x1, x2)
     return LiftPlan("C5", "degree_two", g, (child,), rewrite, (0, 1))
 
@@ -972,7 +957,7 @@ def _lift_c5_triangle_repair(
 def _lift_c5_degree_two(
     u: int, v: int, w: int, x1: int, x2: int, store: PathStore
 ) -> None:
-    # The merged vertex kept the id s = min(u, w) and plays w; its edges
+    # The child kept the corner s = min(u, w), which plays w; its edges
     # towards x1/x2 stand for parent edges at u, and w has no others, as
     # v and w have degree 2.  Only the paths through it change: each is
     # renamed and rebuilt in one edit.
