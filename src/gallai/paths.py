@@ -306,6 +306,6 @@ def spliced(vertices: tuple[int, ...], route: tuple[int, ...]) -> tuple[int, ...
         middle = route[::-1]
     else:
         raise ValueError(f"({a}, {b}) is not a step of the path {vertices}")
-    if len(set(route)) != len(route) or any(x in vertices for x in route[1:-1]):
+    if len(set(route)) != len(route) or not set(route[1:-1]).isdisjoint(vertices):
         raise ValueError("replacement does not leave a simple path")
     return vertices[:i] + middle + vertices[i + 2 :]

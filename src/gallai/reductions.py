@@ -14,6 +14,12 @@ C4  an edge between two degree-4 vertices whose side neighbourhoods each
 C5  a triangle with one degree-4 corner and the other corners of degree 2
     or 4.
 
+An occurrence names only its site: C1 its vertex, C2, C3 and C4 their
+edge, C5 its triangle.  ``validate`` checks that the configuration holds
+there, and each reduction derives the roles it reads where it reads them:
+C1's two neighbours, C3's common pair and extras (``_c3_roles``), and a C4
+labelling only where the paired non-edges take one (``_reduce_c4_paired``).
+
 ``detect`` scans under the priority C1 < C2 < C3 < C4 < C5 with
 ascending-id tie-breaking.  The priority is load-bearing: the C4 and C5
 rewrite recipes are only guaranteed to apply when the earlier
@@ -115,17 +121,15 @@ class LiftError(ReductionError):
 
 @dataclass(frozen=True)
 class C1:
-    """Degree-2 vertex ``u`` with non-adjacent neighbours ``v`` and ``w``."""
+    """Degree-2 vertex ``u`` whose two neighbours are not adjacent."""
 
     u: int
-    v: int
-    w: int
     tag = "C1"
 
     def validate(self, g: Graph) -> None:
-        if g.degree(self.u) != 2 or set(g.neighbors(self.u)) != {self.v, self.w}:
-            raise ReductionError(f"{self} does not match the neighbourhood")
-        if g.has_edge(self.v, self.w):
+        if g.degree(self.u) != 2:
+            raise ReductionError(f"{self}: degree is not 2")
+        if g.has_edge(*g.neighbors(self.u)):
             raise ReductionError(f"{self}: neighbours are adjacent")
 
 
@@ -148,59 +152,39 @@ class C2:
 @dataclass(frozen=True)
 class C3:
     """Edge ``uv``, both ends of degree 4, with exactly two common
-    neighbours ``x`` and ``y``; ``u_extra``/``v_extra`` are the remaining
-    private neighbours."""
+    neighbours (their roles: ``_c3_roles``)."""
 
     u: int
     v: int
-    x: int
-    y: int
-    u_extra: int
-    v_extra: int
     tag = "C3"
 
     def validate(self, g: Graph) -> None:
-        if not g.has_edge(self.u, self.v):
-            raise ReductionError(f"{self} is not an edge")
-        if g.degree(self.u) != 4 or g.degree(self.v) != 4:
-            raise ReductionError(f"{self}: degrees are not both 4")
-        if set(g.common_neighbors(self.u, self.v)) != {self.x, self.y}:
+        _degree_four_edge(self, g)
+        if len(g.common_neighbors(self.u, self.v)) != 2:
             raise ReductionError(f"{self}: common neighbours mismatch")
-        if set(g.neighbors(self.u)) != {self.v, self.x, self.y, self.u_extra}:
-            raise ReductionError(f"{self}: u_extra mismatch")
-        if set(g.neighbors(self.v)) != {self.u, self.x, self.y, self.v_extra}:
-            raise ReductionError(f"{self}: v_extra mismatch")
 
 
 @dataclass(frozen=True)
 class C4:
-    """Edge ``uv`` with both degrees 4, ``t1..t3``/``w1..w3`` the other
-    neighbours of ``u``/``v``, where ``t1 t2`` and ``w1 w2`` are non-edges
-    and ``t3 != w3``."""
+    """Edge ``uv``, both ends of degree 4, at which ``_c4_labellings``
+    names a non-adjacent pair of each side with distinct leftovers."""
 
     u: int
     v: int
-    t1: int
-    t2: int
-    t3: int
-    w1: int
-    w2: int
-    w3: int
     tag = "C4"
 
     def validate(self, g: Graph) -> None:
-        if not g.has_edge(self.u, self.v):
-            raise ReductionError(f"{self} is not an edge")
-        if g.degree(self.u) != 4 or g.degree(self.v) != 4:
-            raise ReductionError(f"{self}: degrees are not both 4")
-        if set(g.neighbors(self.u)) != {self.v, self.t1, self.t2, self.t3}:
-            raise ReductionError(f"{self}: t-side mismatch")
-        if set(g.neighbors(self.v)) != {self.u, self.w1, self.w2, self.w3}:
-            raise ReductionError(f"{self}: w-side mismatch")
-        if g.has_edge(self.t1, self.t2) or g.has_edge(self.w1, self.w2):
-            raise ReductionError(f"{self}: named non-edge is present")
-        if self.t3 == self.w3:
-            raise ReductionError(f"{self}: leftover vertices coincide")
+        _degree_four_edge(self, g)
+        if next(_c4_labellings(g.adjacency(), self.u, self.v), None) is None:
+            raise ReductionError(f"{self}: no labelling exists")
+
+
+def _degree_four_edge(occ: C3 | C4, g: Graph) -> None:
+    """Refuse a C3 or C4 whose site is not an edge of two degree-4 ends."""
+    if not g.has_edge(occ.u, occ.v):
+        raise ReductionError(f"{occ} is not an edge")
+    if g.degree(occ.u) != 4 or g.degree(occ.v) != 4:
+        raise ReductionError(f"{occ}: degrees are not both 4")
 
 
 @dataclass(frozen=True)
@@ -253,7 +237,7 @@ def detect_c1(g: Graph) -> C1 | None:
         if len(nbrs) == 2:
             v, w = nbrs
             if w not in adj[v]:
-                return C1(u, v, w)
+                return C1(u)
     return None
 
 
@@ -300,16 +284,19 @@ def detect_c3(g: Graph, near: Iterable[int] | None = None) -> C3 | None:
                     best = e
         if best is not None and near is None:
             break
-    return None if best is None else _c3(adj, *best)
+    return None if best is None else C3(*best)
 
 
-def _c3(adj: Mapping[int, tuple[int, ...]], u: int, v: int) -> C3:
-    """The C3 at the edge uv, which is one."""
+def _c3_roles(
+    adj: Mapping[int, tuple[int, ...]], u: int, v: int
+) -> tuple[int, int, int, int]:
+    """``(x, y, u_extra, v_extra)`` of the C3 at the edge uv: the two
+    common neighbours, ascending, and the other neighbour of u and of v."""
     nu, nv = adj[u], adj[v]
     x, y = (w for w in nu if w in nv)
     (u_extra,) = (w for w in nu if w != v and w not in nv)
     (v_extra,) = (w for w in nv if w != u and w not in nu)
-    return C3(u, v, x, y, u_extra, v_extra)
+    return x, y, u_extra, v_extra
 
 
 def detect_c4(g: Graph) -> C4 | None:
@@ -319,8 +306,8 @@ def detect_c4(g: Graph) -> C4 | None:
             continue
         for v in nu:
             if v > u and len(adj[v]) == 4:
-                for labelling in _c4_labellings(adj, u, v):
-                    return C4(u, v, *labelling)
+                if next(_c4_labellings(adj, u, v), None) is not None:
+                    return C4(u, v)
     return None
 
 
@@ -578,7 +565,9 @@ def inherited(
 
 
 def _reduce_c1(g: Graph, occ: C1) -> LiftPlan:
-    child = _child(g, {occ.u}, ((occ.v, occ.u, occ.w),))
+    u = occ.u
+    v, w = g.neighbors(u)
+    child = _child(g, {u}, ((v, u, w),))
     return _routed("C1", "splice", g, (child,))
 
 
@@ -609,7 +598,8 @@ def _lift_c2(u: int, v: int, store: PathStore) -> None:
 
 
 def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
-    u, v, x, y, ue, ve = occ.u, occ.v, occ.x, occ.y, occ.u_extra, occ.v_extra
+    u, v = occ.u, occ.v
+    x, y, ue, ve = _c3_roles(g.adjacency(), u, v)
     # (u, v, x, y, u_extra, v_extra) relabelled to carry ring position i,
     # the edge x-ue, ue-y, y-ve or ve-x, to the front
     to_front = (
@@ -700,11 +690,12 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     # next to each end, each with one of its side neighbours.  With a part
     # next to both ends, two lone parts at one end force exactly (2 lone,
     # 1 both); four parts with at most one lone part per end force
-    # (2 both, 1, 1).  The hub and four-way checks below assert it.  The
-    # joining lemma: in every other split (at most three parts), some
-    # labelling's two synthetic edges join all the parts, as the paired
-    # check asserts; parts are never adjacent, so it rests only on which
-    # part holds each side neighbour and on the edges within parts.
+    # (2 both, 1, 1); every other split has at most three parts.  One check
+    # asserts it where the parts are sorted.  The joining lemma: in every
+    # other split, some labelling's two synthetic edges join all the parts,
+    # as the paired check asserts; parts are never adjacent, so it rests
+    # only on which part holds each side neighbour and on the edges within
+    # parts.
     search = g.low_link(_boundary(g, {u, v}), {u, v})
     if len(search.firsts) == 1:
         return _reduce_c4_paired(g, occ, search)
@@ -715,17 +706,23 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     only_w = [p for p in parts if not ts.intersection(p[0])]
     if not both:
         raise ReductionError(f"{occ}: the edge is a cut edge (C2 was skipped)")
-    if len(only_t) >= 2:
-        return _reduce_c4_hub(g, occ, u, v, only_t, both, only_w)
-    if len(only_w) >= 2:
-        return _reduce_c4_hub(g, occ, v, u, only_w, both, only_t)
-    if len(parts) >= 4:
+    if len(both) + max(len(only_t), len(only_w)) > 3:
+        raise ReductionError(
+            f"{occ}: the parts break the counting lemma"
+            " (each part next to an end holds one of its three side neighbours)"
+        )
+    if len(only_t) == 2:
+        return _reduce_c4_hub(g, u, v, only_t, both, only_w)
+    if len(only_w) == 2:
+        return _reduce_c4_hub(g, v, u, only_w, both, only_t)
+    if len(parts) == 4:
         return _reduce_c4_four(g, occ, ts, ws, both, only_t, only_w)
     return _reduce_c4_paired(g, occ, search)
 
 
 def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
-    # two gaps at least: C4.validate refuses one, as its leftovers coincide
+    # two gaps at least: with one, both sides' only non-adjacent pair is
+    # that gap, whose leftovers coincide, so C4.validate finds no labelling
     first, second = [
         (a, b)
         for a, b in itertools.combinations(sorted(commons), 2)
@@ -740,16 +737,12 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
 
 
 def _reduce_c4_hub(
-    g: Graph, occ: C4, hub: int, other: int,
+    g: Graph, hub: int, other: int,
     lone: list[Part], both: list[Part], beyond: list[Part],
 ) -> LiftPlan:
-    # parts next to the hub alone, to both ends, and to the other end alone:
-    # the hub's three side neighbours lie one in each lone part and in both
-    if len(lone) != 2 or len(both) != 1:
-        raise ReductionError(
-            f"{occ}: unexpected split around the hub"
-            " (the counting lemma forces 2 lone parts, 1 next to both ends)"
-        )
+    # parts next to the hub alone (two), to both ends (one), and to the
+    # other end alone: the hub's three side neighbours lie one in each of
+    # the first three
     side = set(g.neighbors(hub)) - {other}
     lone = _ascending(lone)
     (t1,), (t2,), (t3,) = (side.intersection(starts) for starts, _ in lone + both)
@@ -763,13 +756,8 @@ def _reduce_c4_four(
     g: Graph, occ: C4, ts: set[int], ws: set[int],
     both: list[Part], only_t: list[Part], only_w: list[Part],
 ) -> LiftPlan:
-    # with no hub and no cut edge, four parts can only be these (the
+    # two parts next to both ends and one next to each end alone (the
     # counting lemma of _reduce_c4)
-    if len(both) != 2 or len(only_t) != 1 or len(only_w) != 1:
-        raise ReductionError(
-            f"{occ}: component split does not match"
-            " (the counting lemma forces 2 parts next to both ends, 1 per end)"
-        )
     u, v = occ.u, occ.v
     both = _ascending(both)
     (t1,), (t2,), (t3,) = (ts.intersection(p[0]) for p in both + only_t)
@@ -840,14 +828,13 @@ def _reduce_c5(g: Graph, occ: C5) -> LiftPlan:
             )
     fours = sorted(c for c in corners if g.degree(c) == 4)
     if len(fours) >= 2:
-        raise _c4_first(g, occ, *fours[:2], "two corners have degree 4")
+        raise _c4_first(occ, *fours[:2], "two corners have degree 4")
     return _reduce_c5_degree_two(g, occ)
 
 
-def _c4_first(g: Graph, occ: C5, a: int, b: int, why: str) -> ReductionError:
+def _c4_first(occ: C5, a: int, b: int, why: str) -> ReductionError:
     """Refuse a C5 whose corner edge ab carries a C4, and name that C4."""
-    c4 = C4(a, b, *next(_c4_labellings(g.adjacency(), a, b)))
-    return ReductionError(f"{occ}: {why} (C4 present: {c4})")
+    return ReductionError(f"{occ}: {why} (C4 present: {C4(a, b)})")
 
 
 def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
@@ -858,7 +845,7 @@ def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
         (p, q) for p, q in itertools.combinations(trio, 2) if not g.has_edge(p, q)
     ]
     if len(missing) >= 2:
-        raise _c4_first(g, occ, a, b, "two gaps in the common trio")
+        raise _c4_first(occ, a, b, "two gaps in the common trio")
     if len(missing) == 1:
         x, y = missing[0]
         (apex,) = set(trio) - {x, y}

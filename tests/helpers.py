@@ -659,10 +659,8 @@ def reference_detect_c1(g: Graph):
     from gallai.reductions import C1
 
     for u in g.vertices():
-        if g.degree(u) == 2:
-            v, w = g.neighbors(u)
-            if not g.has_edge(v, w):
-                return C1(u, v, w)
+        if g.degree(u) == 2 and not g.has_edge(*g.neighbors(u)):
+            return C1(u)
     return None
 
 
@@ -687,13 +685,36 @@ def reference_detect_c3(g: Graph):
     from gallai.reductions import C3
 
     for u, v in _reference_degree_four_edges(g):
-        commons = g.common_neighbors(u, v)
-        if len(commons) != 2:
+        if len(g.common_neighbors(u, v)) == 2:
+            return C3(u, v)
+    return None
+
+
+def reference_c3_roles(g: Graph, u: int, v: int):
+    """(x, y, u_extra, v_extra) of the C3 at the edge uv: the common
+    neighbours ascending, then the other neighbour of u and of v."""
+    x, y = sorted(g.common_neighbors(u, v))
+    (u_extra,) = set(g.neighbors(u)) - {v, x, y}
+    (v_extra,) = set(g.neighbors(v)) - {u, x, y}
+    return x, y, u_extra, v_extra
+
+
+def reference_c4_labelling(g: Graph, u: int, v: int):
+    """The first (t1, t2, t3, w1, w2, w3) that names a C4 at the edge uv
+    of two degree-4 vertices, taking the non-adjacent pairs of each side
+    in ascending order, or None."""
+    ts = sorted(set(g.neighbors(u)) - {v})
+    ws = sorted(set(g.neighbors(v)) - {u})
+    for t1, t2 in itertools.combinations(ts, 2):
+        if g.has_edge(t1, t2):
             continue
-        x, y = commons
-        (u_extra,) = set(g.neighbors(u)) - {v, x, y}
-        (v_extra,) = set(g.neighbors(v)) - {u, x, y}
-        return C3(u, v, x, y, u_extra, v_extra)
+        (t3,) = set(ts) - {t1, t2}
+        for w1, w2 in itertools.combinations(ws, 2):
+            if g.has_edge(w1, w2):
+                continue
+            (w3,) = set(ws) - {w1, w2}
+            if t3 != w3:
+                return t1, t2, t3, w1, w2, w3
     return None
 
 
@@ -701,18 +722,8 @@ def reference_detect_c4(g: Graph):
     from gallai.reductions import C4
 
     for u, v in _reference_degree_four_edges(g):
-        ts = sorted(set(g.neighbors(u)) - {v})
-        ws = sorted(set(g.neighbors(v)) - {u})
-        for t1, t2 in itertools.combinations(ts, 2):
-            if g.has_edge(t1, t2):
-                continue
-            (t3,) = set(ts) - {t1, t2}
-            for w1, w2 in itertools.combinations(ws, 2):
-                if g.has_edge(w1, w2):
-                    continue
-                (w3,) = set(ws) - {w1, w2}
-                if t3 != w3:
-                    return C4(u, v, t1, t2, t3, w1, w2, w3)
+        if reference_c4_labelling(g, u, v) is not None:
+            return C4(u, v)
     return None
 
 

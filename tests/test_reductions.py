@@ -37,6 +37,7 @@ from helpers import (
     random_cubic_graph,
     random_regular_graph,
     reference_bridges,
+    reference_c4_labelling,
     searched_components,
     two_cliques_with_bridge,
 )
@@ -99,12 +100,37 @@ def test_detector_soundness_on_census():
                 assert edge(occ.u, occ.v) in g.bridges(), (g, occ)
 
 
+def test_an_occurrence_built_from_its_site_reduces_as_the_detected_one():
+    # An occurrence names only its site, and `reduce` derives the roles it
+    # reads there: a C1 built from its vertex, and a C3 or C4 from its
+    # edge, give the detected occurrence's children, routes and sub-case.
+    sites = {
+        "C1": lambda occ: C1(occ.u),
+        "C3": lambda occ: C3(occ.u, occ.v),
+        "C4": lambda occ: C4(occ.u, occ.v),
+    }
+    met = Counter()
+    for n in range(2, 9):
+        for g in enumerate_connected(n, 5):
+            occ = detect(g)
+            if occ is None or occ.tag not in sites:
+                continue
+            want, got = reduce(g, occ), reduce(g, sites[occ.tag](occ))
+            assert (got.subcase, got.gain) == (want.subcase, want.gain), g
+            assert [(c.graph, c.routes) for c in got.children] == [
+                (c.graph, c.routes) for c in want.children
+            ], g
+            met[occ.tag] += 1
+    # every C1, C3 and C4 that detection finds in the n <= 8 census
+    assert (met["C1"], met["C3"], met["C4"]) == (3882, 1238, 727), met
+
+
 # -- spec detection examples -------------------------------------------------
 
 
 def test_detect_priority_examples():
     occ = detect(cycle(4))
-    assert occ == C1(0, 1, 3)
+    assert occ == C1(0)
 
     occ = detect(two_cliques_with_bridge())
     assert occ == C2(0, 4)
@@ -131,7 +157,8 @@ def test_detect_c3_example():
         6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5)]
     )
     occ = detect_c3(g)
-    assert occ == C3(0, 1, 2, 3, 4, 5)
+    assert occ == C3(0, 1)
+    assert reductions._c3_roles(g.adjacency(), 0, 1) == (2, 3, 4, 5)
     assert detect_c3(complete_graph(5)) is None  # 3 common neighbours
 
 
@@ -373,28 +400,10 @@ def _all_occurrences(g):
         if (u, v) in cut and g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
             out.append(C2(u, v))
         if g.degree(u) == 4 and g.degree(v) == 4:
-            commons = g.common_neighbors(u, v)
-            if len(commons) == 2:
-                x, y = commons
-                (ue,) = set(g.neighbors(u)) - {v, x, y}
-                (ve,) = set(g.neighbors(v)) - {u, x, y}
-                out.append(C3(u, v, x, y, ue, ve))
-            ts = sorted(set(g.neighbors(u)) - {v})
-            ws = sorted(set(g.neighbors(v)) - {u})
-            found = None
-            for t1, t2 in itertools.combinations(ts, 2):
-                if found or g.has_edge(t1, t2):
-                    continue
-                (t3,) = set(ts) - {t1, t2}
-                for w1, w2 in itertools.combinations(ws, 2):
-                    if g.has_edge(w1, w2):
-                        continue
-                    (w3,) = set(ws) - {w1, w2}
-                    if t3 != w3:
-                        found = C4(u, v, t1, t2, t3, w1, w2, w3)
-                        break
-            if found:
-                out.append(found)
+            if len(g.common_neighbors(u, v)) == 2:
+                out.append(C3(u, v))
+            if reference_c4_labelling(g, u, v) is not None:
+                out.append(C4(u, v))
     for a in range(g.n):
         for b in g.neighbors(a):
             if b <= a:
@@ -1000,16 +1009,14 @@ def test_every_c4_remainder_shape_reduces_as_the_lemmas_say():
     # The counting lemma of `_reduce_c4` sends each split of g - {u, v} to
     # the cut-edge refusal, a hub split, the four-way split or the paired
     # non-edges, and the joining lemma gives the paired non-edges a
-    # labelling that joins every part; so the three guards that assert
-    # them never fire, on any shape of the remainder.
-    from gallai.reductions import _c4_labellings
-
+    # labelling that joins every part; so the shape check and the joining
+    # check that assert them never fire, on any shape of the remainder.
     met = Counter()
     for g, ts, ws, parts in _c4_remainder_shapes():
         both = [p for p in parts if set(p) & set(ts) and set(p) & set(ws)]
         only_t = [p for p in parts if not set(p) & set(ws)]
         only_w = [p for p in parts if not set(p) & set(ts)]
-        occ = C4(0, 1, *next(_c4_labellings(g.adjacency(), 0, 1)))
+        occ = C4(0, 1)
         if not both:
             with pytest.raises(ReductionError, match="the edge is a cut edge"):
                 reduce(g, occ)
@@ -1111,21 +1118,17 @@ _ODD_CORNER = Graph.from_edges(
 )
 
 _WRONG = [
-    (complete_graph(3), C1(0, 1, 2), ": neighbours are adjacent"),
+    (complete_graph(4), C1(0), ": degree is not 2"),
+    (complete_graph(3), C1(0), ": neighbours are adjacent"),
     (path_graph(3), C2(0, 2), " is not an edge"),
     (cycle(4), C2(0, 1), " is not a cut edge"),
-    (_C3_SITE, C3(2, 3, 0, 1, 4, 5), " is not an edge"),
-    (_C3_SITE, C3(0, 2, 1, 3, 4, 5), ": degrees are not both 4"),
-    (_C3_SITE, C3(0, 1, 2, 4, 3, 5), ": common neighbours mismatch"),
-    (_C3_SITE, C3(0, 1, 2, 3, 5, 5), ": u_extra mismatch"),
-    (_C3_SITE, C3(0, 1, 2, 3, 4, 4), ": v_extra mismatch"),
-    (_C4_SITE, C4(2, 3, 0, 1, 4, 5, 6, 7), " is not an edge"),
-    (_C4_SITE, C4(0, 2, 1, 3, 4, 5, 6, 7), ": degrees are not both 4"),
-    (_C4_SITE, C4(0, 1, 2, 3, 7, 5, 6, 7), ": t-side mismatch"),
-    (_C4_SITE, C4(0, 1, 2, 3, 4, 5, 6, 4), ": w-side mismatch"),
-    (_C4_SITE, C4(0, 1, 2, 4, 3, 5, 6, 7), ": named non-edge is present"),
-    (_C3_SITE, C4(0, 1, 3, 4, 2, 3, 5, 2), ": leftover vertices coincide"),
-    (_C4_SITE, C4(0, 1, 2, 3, 4, 5, 6, 7), ": the edge is a cut edge (C2 was skipped)"),
+    (_C3_SITE, C3(2, 3), " is not an edge"),
+    (_C3_SITE, C3(0, 2), ": degrees are not both 4"),
+    (_C4_SITE, C3(0, 1), ": common neighbours mismatch"),
+    (_C4_SITE, C4(2, 3), " is not an edge"),
+    (_C4_SITE, C4(0, 2), ": degrees are not both 4"),
+    (complete_graph(5), C4(0, 1), ": no labelling exists"),
+    (_C4_SITE, C4(0, 1), ": the edge is a cut edge (C2 was skipped)"),
     (complete_graph(3), C5(0, 1, 2), ": degree(u) != 4"),
     (_ODD_CORNER, C5(0, 1, 2), ": corner degree not in {2, 4}"),
 ]
@@ -1142,20 +1145,20 @@ def test_reduce_names_each_wrong_occurrence(g, occ, message):
 
 def test_c4_common_triple_with_one_gap_is_refused():
     # u = 0 and v = 1 share the trio 2, 3, 4, whose only gap is 2-4: both
-    # sides must name that gap, so the leftovers coincide.  This is the one
-    # shape of a triple with fewer than two gaps that reaches `reduce`.
+    # sides must name that gap, so the leftovers coincide and no labelling
+    # names a C4 at the edge.  A trio with no gap has none either.
     g = Graph.from_edges(5, [
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4),
     ])
-    occ = C4(0, 1, 2, 4, 3, 2, 4, 3)
+    occ = C4(0, 1)
     with pytest.raises(ReductionError) as refused:
         reduce(g, occ)
-    assert str(refused.value) == f"{occ}: leftover vertices coincide"
+    assert str(refused.value) == f"{occ}: no labelling exists"
 
 
 def test_reduce_rejects_invalid_occurrence():
     with pytest.raises(ReductionError):
-        reduce(cycle(4), C1(0, 1, 2))  # 1 and 2 are not u's neighbours
+        reduce(path_graph(4), C1(0))  # an end of the path has degree 1
     with pytest.raises(ReductionError):
         reduce(complete_graph(4), C2(0, 1))  # not a bridge
     with pytest.raises(ReductionError):
@@ -1165,7 +1168,7 @@ def test_reduce_rejects_invalid_occurrence():
 def test_reduce_c4_rejects_priority_violations():
     # C3 present at the same edge: reduce must refuse rather than guess.
     with pytest.raises(ReductionError):
-        reduce(_C3_SITE, C4(0, 1, 2, 3, 4, 2, 3, 5))
+        reduce(_C3_SITE, C4(0, 1))
 
 
 def test_lift_rejects_bad_child_decomposition():
@@ -1320,7 +1323,7 @@ def test_lift_rejects_non_edge_in_an_untouched_child_path():
     from gallai.paths import PathStore, decomposition
 
     g = cycle(6)
-    occ = C1(0, 1, 5)
+    occ = C1(0)
     plan = reduce(g, occ)
     child = plan.children[0].graph
     assert plan.children[0].synthetic == ((1, 5),)
@@ -1337,7 +1340,7 @@ def test_lift_rejects_routed_edge_in_two_child_paths():
     from gallai.paths import PathStore, decomposition
 
     g = cycle(6)
-    occ = C1(0, 1, 5)
+    occ = C1(0)
     plan = reduce(g, occ)
     assert plan.children[0].synthetic == ((1, 5),)
     # The routed edge 1-5 is in the first and the last path; the path
@@ -1398,7 +1401,7 @@ def test_replace_edge_rejects_a_route_that_revisits_a_vertex():
     # 1-5 the long way round the cycle, in place of the C1 route 1-0-5,
     # meets vertices 2 and 3 on the host path.
     g = cycle(6)
-    occ = C1(0, 1, 5)
+    occ = C1(0)
     plan = reduce(g, occ)
     assert plan.children[0].routes == ((1, 0, 5),)
     broken = dataclasses.replace(

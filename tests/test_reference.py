@@ -29,6 +29,8 @@ from helpers import (
     random_connected_graph,
     random_cubic_graph,
     random_regular_graph,
+    reference_c3_roles,
+    reference_c4_labelling,
     reference_detect_c1,
     reference_detect_c2,
     reference_detect_c3,
@@ -75,6 +77,29 @@ def test_detectors_match_their_reference_copies():
             assert occ == slow(g), (name, g)
             found[name] += occ is not None
     assert min(found[name] for name, _, _ in _DETECTOR_PAIRS) > 20, found
+
+
+def test_the_roles_reduce_reads_match_their_reference_derivation():
+    # An occurrence names only its site, so the reference checks the roles
+    # that `reduce` derives there: C3's common pair and extras, and the
+    # first C4 labelling, at each edge of two degree-4 ends, both ways.
+    from gallai.reductions import _c3_roles, _c4_labellings
+
+    found = Counter()
+    for g in _detector_corpus():
+        adj = g.adjacency()
+        for u, v in g.edges():
+            if len(adj[u]) != 4 or len(adj[v]) != 4:
+                continue
+            for a, b in ((u, v), (v, u)):
+                if len(g.common_neighbors(a, b)) == 2:
+                    assert _c3_roles(adj, a, b) == reference_c3_roles(g, a, b)
+                    found["C3"] += 1
+                labelling = next(_c4_labellings(adj, a, b), None)
+                assert labelling == reference_c4_labelling(g, a, b), (g, a, b)
+                found["C4"] += labelling is not None
+    # floors at what this corpus makes
+    assert found["C3"] >= 1332 and found["C4"] >= 9326, found
 
 
 def _same_solve(g):

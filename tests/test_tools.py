@@ -104,3 +104,13 @@ def test_bench_pairs_reports_a_digest_mismatch(tmp_path, monkeypatch, capsys):
     assert core <= set(hand_built) and core <= set(doc)
     assert doc["parent_commit"] == "0123456"
     assert set(doc["summary"]["families@801"]) == set(METRICS)
+
+
+def test_scale_probe_reports_levels_and_steps(monkeypatch):
+    # `levels` counts the calls of `reduce` and `steps` the trace's steps,
+    # one per level while each level removes one configuration.
+    probe = _tool("scale_probe")
+    monkeypatch.setattr(probe, "INPUTS", (("path", 40), ("regular3", 20)))
+    runs = probe.probe(801)["runs"]
+    assert (runs["path-40"]["levels"], runs["path-40"]["steps"]) == (38, 38)
+    assert (runs["regular3-20"]["levels"], runs["regular3-20"]["steps"]) == (0, 0)

@@ -16,7 +16,9 @@ calls that remove two vertices, so C2's search of g - v, which removes
 one, is not counted.  A callback in ``gc.callbacks`` adds up the
 cyclic garbage collector's pauses, and each wrapper leaves out the pauses
 that fall inside its calls, so a layer is charged with its own work only.
-Prints one JSON line: per input its n, m and the seconds of ``solve``
+Prints one JSON line: per input its n, m, ``levels`` (the calls of
+``reduce``), ``steps`` (the steps of the solve's trace, one per level
+while each level removes one configuration) and the seconds of ``solve``
 (wall clock, pauses included), ``reduce``, ``detect``, each of
 ``detect_c1`` to ``detect_c5`` (``c1_s`` to ``c5_s``), ``Graph.bridges``
 (``bridges_s``, part of ``c2_s``), the remainder searches (``remainder_s``,
@@ -81,15 +83,17 @@ class Collector:
 
 
 class Clock:
-    """Adds up the seconds spent in the wrapped functions, less the
-    collector's passes that fall inside them."""
+    """Adds up the calls of the wrapped functions and the seconds spent in
+    them, less the collector's passes that fall inside them."""
 
     def __init__(self, collector: Collector) -> None:
         self.collector = collector
         self.seconds = 0.0
+        self.calls = 0
 
     def wrap(self, fn):
         def timed(*args, **kwargs):
+            self.calls += 1
             start, paused = time.perf_counter(), self.collector.seconds
             try:
                 return fn(*args, **kwargs)
@@ -136,13 +140,15 @@ def probe(seed: int) -> dict:
             g = Graph.from_edges(size, edges)
             gc.collect()
             for clock in every_clock:
-                clock.seconds = 0.0
+                clock.seconds, clock.calls = 0.0, 0
             collector.seconds = 0.0
             start = time.perf_counter()
-            solve(g)
+            result = solve(g)
             runs[name] = {
                 "n": g.n,
                 "m": g.m,
+                "levels": clocks["reduce"].calls,
+                "steps": len(result.trace.steps),
                 "solve_s": round(time.perf_counter() - start, 4),
                 "reduce_s": round(clocks["reduce"].seconds, 4),
                 "detect_s": round(clocks["detect"].seconds, 4),
