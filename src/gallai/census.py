@@ -6,40 +6,42 @@ relabellings.  It is found slot by slot rather than by trying all n!
 permutations: the search keeps every partial order whose columns so far
 are least, and only those, so the value is exactly that minimum and the
 canonical string doubles as a stable graph id.  Any order achieving it
-relabels the graph to the same canonical graph.
+relabels the graph to the same canonical graph.  The least string opens
+with a maximum independent set, whose columns are 0 in any order, so the
+search opens on each such set as one unordered piece and orders its
+members only as later vertices tell them apart: the orders of one set
+are one state, not alpha! of them.
 
 The enumerator grows connected graphs one vertex at a time by canonical
 augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 26, 1998).  A child C of a canonical parent P is P plus a new vertex x
 joined to some of P's vertices, and it is kept only if x is C's canonical
-deletion: among the vertices whose removal leaves C connected, x has the
-largest invariant (degree, then sorted neighbour degrees), and among the
-vertices tied with it, the least first-vertex string, the smallest
-bit-string over the orders that put that vertex first.  Equal first-vertex
-strings mean the same automorphism orbit, so the rule does not depend on
-labels, and every isomorphism class arises from exactly one parent.  A
-tied vertex's search is bounded by x's string and stops at its first
-column that differs from it: a smaller column rejects x, a larger one
-clears the vertex, and no difference at all means the two share an orbit.
+deletion.  The candidates are the vertices whose removal leaves C
+connected with the largest invariant (degree, then sorted neighbour
+degrees), and the canonical deletion is the orbit of the candidate at the
+latest slot of C's least string.  Any two orders that achieve the least
+string differ by an automorphism, so the rule does not depend on labels,
+and every isomorphism class arises from exactly one parent.  A lone
+candidate needs no search; between rivals, one labelling of C decides,
+reading the orbit off the orders its search keeps, and labels the class
+too if x is kept.  So each child is labelled at most once.
 
 A subset is skipped before the deletion test when an automorphism of P
 maps it to a smaller mask; the image of a subset is two lookups per
 automorphism, in a table for the low half of P's vertices and one for the
 high half.  It is also skipped when it would give some vertex that P
 keeps connected without a larger degree than x, as that vertex still
-leaves C connected once x has two neighbours.  If two kept children of P are isomorphic, some isomorphism
-between them fixes x (x lies in the canonical deletion's orbit of both)
-and restricts to an automorphism of P carrying one subset onto the other;
-so each class is labelled canonically exactly once.  That one labelling
-(``_canonical_masks``) relabels the child's neighbour masks, which become
-its one ``Graph``; the least string's columns are its sort key.  The
-enumerator is capped at 8 vertices; larger orders are expected to arrive
-as graph6 streams from an external generator.
+leaves C connected once x has two neighbours.  If two kept children of P
+are isomorphic, some isomorphism between them fixes x (x lies in the
+canonical deletion's orbit of both) and restricts to an automorphism of P
+carrying one subset onto the other; so each class is kept exactly once.
+Its labelling (``_canonical_masks``) relabels the child's neighbour
+masks, which become its one ``Graph``; the least string's columns are its
+sort key.  The enumerator is capped at 8 vertices; larger orders are
+expected to arrive as graph6 streams from an external generator.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from .graphs import Graph
 from .io import write_graph6
@@ -48,10 +50,11 @@ ENUMERATION_LIMIT = 8
 
 _census_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
-# A state of the labelling search: the vertices placed so far, last first,
-# as a chain of (vertex, rest) pairs, and the cells of the unplaced ones.
+# The unplaced vertices of a labelling search state, as (column, vertex
+# mask) cells in column order.  A state is the vertices placed after the
+# opening set, last first, as a chain of (vertex, rest) pairs, the pieces
+# of the opening set in slot order, and these cells.
 _Cells = list[tuple[int, int]]
-_State = tuple[tuple | None, _Cells]
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -71,20 +74,27 @@ def canonical_form(g: Graph) -> str:
     return write_graph6(canonical_graph(g))
 
 
-def _canonical_masks(adj: list[int]) -> tuple[tuple[int, ...], list[int]]:
+def _canonical_masks(
+    adj: list[int], candidates: int = 0
+) -> tuple[tuple[int, ...], list[int], int]:
     """The minimal bit-string of the graph with neighbour masks ``adj``, as
-    its columns (see ``_least_prefixes``), and the masks relabelled by an
-    order achieving it.  Every canonical labelling goes through here."""
-    cols = []
-    states: list[_State] = [(None, [])]  # what an empty graph leaves
-    for low, states in _least_prefixes(adj):
-        cols.append(low)
-    order = []
-    chain = states[0][0]
-    while chain is not None:
-        v, chain = chain
-        order.append(v)
-    order.reverse()
+    its columns (see ``_least_prefixes``), the masks relabelled by an order
+    achieving it, and the orbit of the vertex that sits at the latest slot
+    among ``candidates``, a union of orbits.  Every canonical labelling
+    goes through here.
+
+    Every order the search keeps spells the least string, and the orders
+    it skips are twin swaps of kept ones, so the vertices at one slot over
+    the kept orders, with their twins, are that slot's whole orbit."""
+    cols, orders = _least_prefixes(adj)
+    order = orders[0]
+    orbit = candidates
+    if candidates & (candidates - 1):  # a lone candidate is its own orbit
+        slot = max(k for k, v in enumerate(order) if candidates >> v & 1)
+        twins = _twins(adj)
+        orbit = 0
+        for kept in orders:
+            orbit |= twins[kept[slot]]
     position = [0] * len(adj)
     for new, old in enumerate(order):
         position[old] = new
@@ -97,91 +107,201 @@ def _canonical_masks(adj: list[int]) -> tuple[tuple[int, ...], list[int]]:
             out |= 1 << position[low.bit_length() - 1]
             mask ^= low
         relabelled.append(out)
-    return tuple(cols), relabelled
+    return cols, relabelled, orbit
 
 
-def _below(adj: list[int], first: int, bound: tuple[int, ...]) -> bool:
-    """Whether the least string over the orders that start with ``first``
-    is below ``bound``; the search stops at the first column that differs
-    from the bound."""
-    for (low, _), want in zip(_least_prefixes(adj, first), bound):
-        if low != want:
-            return low < want
-    return False
-
-
-def _least_prefixes(
-    adj: list[int], first: int | None = None
-) -> Iterator[tuple[int, list[_State]]]:
-    """Yield, slot by slot, the least column that can follow the least
-    prefix so far, and every search state whose prefix it extends and
-    whose next column is least.
-
-    Column k holds the k adjacency bits of the vertex placed at slot k
-    towards slots 0..k-1, the earlier slot the more significant bit, so
-    comparing columns in turn compares bit-strings.  The unplaced vertices
-    of a state travel as (vertex mask, column) cells in column order:
-    placing v splits each cell into its non-neighbours of v, then its
-    neighbours, so only the first cell's vertices can come next, and its
-    column is the one they get.  With ``first``, slot 0 holds ``first``.
-    """
-    n = len(adj)
-    everyone = (1 << n) - 1
-    allowed = everyone if first is None else 1 << first
-    # twins (equal open or closed neighbourhoods) share every column while
-    # both are unplaced, and swapping them is an automorphism fixing the
-    # placed ones: a candidate is skipped when a lower twin is one too
-    lower_twins = [0] * n
+def _twins(adj: list[int]) -> list[int]:
+    """Each vertex's twins, itself included: the vertices with its open or
+    its closed neighbourhood.  A vertex has twins of one kind only, so
+    being twins is an equivalence, and swapping two is an automorphism."""
     classes: dict[int, int] = {}
     for v, mask in enumerate(adj):
         for key in (mask, mask | 1 << v):
-            lower_twins[v] |= classes.get(key, 0)
             classes[key] = classes.get(key, 0) | 1 << v
-    low = 0
-    states: list[_State] = [(None, [(everyone, 0)] if n else [])]
-    while states[0][1]:
-        grown: list[_State] = []
-        least = everyone  # above every column
-        for chain, cells in states:
-            front, front_col = cells[0]
-            candidates = front & allowed
-            rest = candidates
+    return [classes[mask] | classes[mask | 1 << v] for v, mask in enumerate(adj)]
+
+
+def _least_prefixes(
+    adj: list[int],
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The least string's columns, and the vertex order of every state the
+    search keeps to the end.
+
+    Column k holds the k adjacency bits of the vertex placed at slot k
+    towards slots 0..k-1, the earlier slot the more significant bit, so
+    comparing columns in turn compares bit-strings.  The string opens with
+    a maximum independent set, in any order, so the first alpha columns
+    are 0 and each such set S starts one state, placed as one unordered
+    piece.  A vertex v placed later gets its least column when its
+    non-neighbours come first in every piece, so placing v splits each
+    piece into its non-neighbours of v, then its neighbours; pieces still
+    whole at the end hold twins, placed in ascending order.
+
+    The unplaced vertices of a state travel as (column, vertex mask)
+    cells in column order, a column being what a vertex would get if it
+    came next: placing v splits each cell into its non-neighbours of v,
+    then its neighbours, so only the first cell's vertices can come next.
+    When v splits a piece, the columns are worked out afresh.
+    """
+    n = len(adj)
+    everyone = (1 << n) - 1
+    twins = _twins(adj)
+    # twins share every column while both are unplaced, and swapping them
+    # is an automorphism fixing the placed ones: a candidate is skipped
+    # when a lower twin is one too, and an opening set when it holds a
+    # vertex but not its lower twin, which only an adjacent twin can be
+    # (a largest independent set holds all of a vertex's other twins or
+    # none), so the sets are drawn from the vertices without one
+    lower_twins = [mask & (1 << v) - 1 for v, mask in enumerate(twins)]
+    pool = 0
+    for v in range(n):
+        if not lower_twins[v] & adj[v]:
+            pool |= 1 << v
+    low = everyone  # above every column
+    states = []
+    for chosen in _maximum_independent_sets(adj, pool):
+        # a vertex with c neighbours in the set would get c ones last
+        by_col: dict[int, int] = {}
+        rest = everyone & ~chosen
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            col = (1 << (adj[bit.bit_length() - 1] & chosen).bit_count()) - 1
+            by_col[col] = by_col.get(col, 0) | bit
+        cells = sorted(by_col.items())
+        head = cells[0][0] if cells else 0
+        if head < low:
+            low, states = head, []
+        if head == low:
+            states.append((None, (chosen,), cells))
+    cols = [0] * states[0][1][0].bit_count()
+    placed = 0  # vertices placed after the opening set
+    while states[0][2]:
+        cols.append(low)
+        grown = []
+        least = everyone
+        for chain, pieces, cells in states:
+            front_col, front = cells[0]
+            rest = front
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 v = bit.bit_length() - 1
-                if candidates & lower_twins[v]:
+                if front & lower_twins[v]:
                     continue
                 on_mask = adj[v]
                 off_mask = ~(on_mask | bit)
-                # the next column comes from the first cell left nonempty
+                # the next column comes from the first cell left nonempty;
+                # if v splits a piece, that can only raise it
                 others = front ^ bit
                 if others:
                     head = front_col << 1 if others & off_mask else front_col << 1 | 1
                 elif len(cells) > 1:
-                    members, col = cells[1]
+                    col, members = cells[1]
                     head = col << 1 if members & off_mask else col << 1 | 1
                 else:
                     head = 0
                 if head > least:
                     continue
-                split = []
-                for members, col in cells:
-                    off = members & off_mask
-                    if off:
-                        split.append((off, col << 1))
-                    on = members & on_mask
-                    if on:
-                        split.append((on, col << 1 | 1))
+                split_pieces = []
+                for piece in pieces:
+                    on = piece & on_mask
+                    if on and on != piece:
+                        split_pieces += (piece ^ on, on)
+                    else:
+                        split_pieces.append(piece)
+                if len(split_pieces) > len(pieces):
+                    pieces_now = tuple(split_pieces)
+                    split = _recut(adj, cells, pieces_now, placed, v)
+                    head = split[0][0] if split else 0
+                    if head > least:
+                        continue
+                else:
+                    pieces_now = pieces
+                    split = []
+                    for col, members in cells:
+                        off = members & off_mask
+                        if off:
+                            split.append((col << 1, off))
+                        on = members & on_mask
+                        if on:
+                            split.append((col << 1 | 1, on))
                 if head < least:
                     least = head
-                    grown = [((v, chain), split)]
+                    grown = [((v, chain), pieces_now, split)]
                 elif head == least:
-                    grown.append(((v, chain), split))
-        yield low, grown
+                    grown.append(((v, chain), pieces_now, split))
         states = grown
         low = least
-        allowed = everyone
+        placed += 1
+    orders = []
+    for chain, pieces, _ in states:
+        order = []
+        while chain is not None:
+            v, chain = chain
+            order.append(v)
+        for piece in reversed(pieces):
+            while piece:  # highest first, as the order is built backwards
+                v = piece.bit_length() - 1
+                order.append(v)
+                piece ^= 1 << v
+        orders.append(tuple(reversed(order)))
+    return tuple(cols), orders
+
+
+def _maximum_independent_sets(adj: list[int], pool: int) -> list[int]:
+    """Every largest independent set of the vertices in ``pool``, as masks.
+
+    Branch and bound on the lowest free vertex, taking it first: a free
+    vertex with no free neighbour is always taken, and a branch stops
+    when its free vertices cannot bring it up to the largest set found."""
+    best = 0
+    found: list[int] = []
+    stack = [(0, 0, pool)]
+    while stack:
+        chosen, size, free = stack.pop()
+        if not free:
+            if size > best:
+                best, found = size, []
+            if size == best:
+                found.append(chosen)
+            continue
+        if size + free.bit_count() < best:
+            continue
+        bit = free & -free
+        free ^= bit
+        mask = adj[bit.bit_length() - 1]
+        if mask & free:
+            stack.append((chosen, size, free))
+        stack.append((chosen | bit, size + 1, free & ~mask))
+    return found
+
+
+def _recut(
+    adj: list[int], cells: _Cells, pieces: tuple[int, ...], placed: int, v: int
+) -> _Cells:
+    """The cells of the unplaced vertices other than ``v`` once ``v`` is
+    placed and has cut the opening set into ``pieces``, their columns worked
+    out afresh: piece by piece, the zeros of a vertex's non-neighbours then
+    the ones of its neighbours, then its bits towards the ``placed``
+    vertices that follow the set, which its old column ends with, then its
+    bit towards ``v``."""
+    tail = (1 << placed) - 1
+    others = ~(1 << v)
+    by_col: dict[int, int] = {}
+    for col, members in cells:
+        after = (col & tail) << 1
+        members &= others
+        while members:
+            bit = members & -members
+            members ^= bit
+            mask = adj[bit.bit_length() - 1]
+            head = 0
+            for piece in pieces:
+                head = head << piece.bit_count() | (1 << (mask & piece).bit_count()) - 1
+            new = head << placed + 1 | after | mask >> v & 1
+            by_col[new] = by_col.get(new, 0) | bit
+    return sorted(by_col.items())
 
 
 def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
@@ -246,8 +366,9 @@ def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
                     for v in range(new):
                         if subset >> v & 1:
                             masks[v] |= 1 << new
-                    if _is_canonical_deletion(masks):
-                        cols, relabelled = _canonical_masks(masks)
+                    labelled = _is_canonical_deletion(masks)
+                    if labelled:
+                        cols, relabelled = labelled
                         found[cols] = Graph(n, relabelled)
         result = tuple(found[cols] for cols in sorted(found))
     _census_cache[key] = result
@@ -294,42 +415,52 @@ def _automorphisms(masks: list[int]) -> list[tuple[int, ...]]:
     return found
 
 
-def _is_canonical_deletion(masks: list[int]) -> bool:
-    """Whether the last vertex x of the connected graph with adjacency
-    ``masks`` lies in the orbit of its canonical deletion.
+def _is_canonical_deletion(
+    masks: list[int],
+) -> tuple[tuple[int, ...], list[int]] | None:
+    """The canonical labelling of the connected graph with adjacency
+    ``masks`` (``_canonical_masks``' columns and relabelled masks) if its
+    last vertex x lies in the orbit of its canonical deletion, else None.
 
-    The canonical deletion is, among the vertices whose removal leaves the
-    graph connected, those with the largest invariant (degree, then sorted
-    neighbour degrees), then among these the ones with the least
-    first-vertex string.  Removing x leaves the parent, so x qualifies.
+    The candidates for the deletion are the vertices whose removal leaves
+    the graph connected with the largest invariant (degree, then sorted
+    neighbour degrees), and the deletion is the orbit of the candidate at
+    the latest slot of the least string.  Removing x leaves the parent, so
+    x is a candidate.  A lone candidate is the deletion; between rivals
+    the one labelling that decides also labels the class when x is kept.
     """
-    n = len(masks)
-    x = n - 1
+    x = len(masks) - 1
     degrees = [mask.bit_count() for mask in masks]
 
     def neighbour_degrees(v: int) -> list[int]:
         mask = masks[v]
-        return sorted(degrees[u] for u in range(n) if mask >> u & 1)
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(degrees[low.bit_length() - 1])
+            mask ^= low
+        found.sort()
+        return found
 
-    mine = neighbour_degrees(x)
-    tied = []
+    mine: list[int] | None = None  # x's, once a vertex of its degree needs them
+    candidates = 1 << x
     for v in range(x):
         if degrees[v] < degrees[x]:
             continue
         if degrees[v] > degrees[x]:  # a larger invariant, if v qualifies
             if not _is_cut_vertex(masks, v):
-                return False
+                return None
             continue
+        if mine is None:
+            mine = neighbour_degrees(x)
         theirs = neighbour_degrees(v)
         if theirs < mine or _is_cut_vertex(masks, v):
             continue
         if theirs > mine:
-            return False
-        tied.append(v)
-    if not tied:
-        return True
-    least = tuple(low for low, _ in _least_prefixes(masks, x))
-    return not any(_below(masks, v, least) for v in tied)
+            return None
+        candidates |= 1 << v
+    cols, relabelled, deletion = _canonical_masks(masks, candidates)
+    return (cols, relabelled) if deletion >> x & 1 else None
 
 
 def _is_cut_vertex(masks: list[int], v: int) -> bool:
@@ -338,11 +469,10 @@ def _is_cut_vertex(masks: list[int], v: int) -> bool:
     seen = frontier = rest & -rest
     while frontier:
         reach = 0
-        u = 0
-        while frontier >> u:
-            if frontier >> u & 1:
-                reach |= masks[u]
-            u += 1
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & rest & ~seen
         seen |= frontier
     return seen != rest

@@ -229,7 +229,7 @@ def relabeled(g: Graph, order) -> Graph:
 
 def columns(g: Graph) -> tuple[int, ...]:
     """The bit-string of ``g`` as labelled, as the columns that
-    ``census._least_prefixes`` yields: column k holds the bits of vertex k
+    ``census._least_prefixes`` returns: column k holds the bits of vertex k
     towards vertices 0..k-1, the lower vertex the more significant bit."""
     return tuple(
         sum(1 << k - 1 - j for j in range(k) if g.has_edge(j, k))

@@ -11,7 +11,7 @@ import gallai.io
 from gallai import Graph, canonical_form, enumerate_connected, write_graph6
 from gallai.census import (
     _automorphisms,
-    _below,
+    _canonical_masks,
     _image_tables,
     _is_canonical_deletion,
     _least_prefixes,
@@ -108,19 +108,23 @@ def test_census_graph6_digest():
 
 
 def test_enumeration_labels_each_class_once(monkeypatch):
-    # Subsets in one orbit of the parent's automorphisms are skipped, so a
-    # cold enumeration labels exactly one child per class of n = 2..7.
+    # Subsets in one orbit of the parent's automorphisms are skipped, and a
+    # child is labelled at most once: each of the 839 classes of n = 2..7
+    # once, where the deletion test keeps it, and the 51 children that tie
+    # x with a rival and that the test rejects, once each to decide.  A
+    # child whose x has no rival and loses on invariants costs none.
     labelled = []
     label = gallai.census._canonical_masks
 
-    def counted(masks):
+    def counted(masks, *candidates):
         labelled.append(len(masks))
-        return label(masks)
+        return label(masks, *candidates)
 
     monkeypatch.setattr(gallai.census, "_census_cache", {})
     monkeypatch.setattr(gallai.census, "_canonical_masks", counted)
     classes = sum(len(enumerate_connected(n, 5)) for n in range(2, 8))
-    assert len(labelled) == classes == 839
+    assert classes == 839
+    assert len(labelled) == classes + 51 == 890
 
 
 def test_enumeration_builds_one_graph_per_class(monkeypatch):
@@ -170,43 +174,6 @@ def test_orbit_tables_match_the_image_masks():
                         == any(image < subset for image in direct))
 
 
-def test_bounded_tie_search_decides_as_the_full_comparison(monkeypatch):
-    # Every tie met while enumerating n <= 7 is decided by a search bounded
-    # by x's least string; it must agree with comparing the full strings.
-    cases = []
-
-    def recorded(masks, v, bound):
-        below = _below(masks, v, bound)
-        cases.append((masks, v, bound, below))
-        return below
-
-    monkeypatch.setattr(gallai.census, "_census_cache", {})
-    monkeypatch.setattr(gallai.census, "_below", recorded)
-    for n in range(2, 8):
-        enumerate_connected(n, 5)
-    assert {below for *_, below in cases} == {False, True}
-    for masks, v, bound, below in cases:
-        x = len(masks) - 1
-        assert bound == _least_search(masks, x)[0]
-        assert below == (not bound <= _least_search(masks, v)[0])
-
-
-def _least_search(masks, first=None):
-    """The columns ``_least_prefixes`` yields, and the vertex orders of the
-    states it leaves at the end."""
-    cols, states = [], [(None, [])]
-    for low, states in _least_prefixes(masks, first):
-        cols.append(low)
-    orders = []
-    for chain, _ in states:
-        order = []
-        while chain is not None:
-            v, chain = chain
-            order.append(v)
-        orders.append(tuple(reversed(order)))
-    return tuple(cols), orders
-
-
 def test_canonical_labelling_takes_any_vertex_ids():
     # A derived graph keeps its parent's ids: P4 minus vertex 0 is P3 on
     # the ids 1, 2, 3.
@@ -235,29 +202,107 @@ def test_automorphisms_match_networkx():
 
 
 def test_first_vertex_search_finds_the_least_string_and_the_orbits():
-    # With `first`, the search must yield the least string over the orders
-    # that start with that vertex, and every order it keeps to the end must
-    # start with it and spell that string; two vertices get equal strings
-    # exactly when an automorphism maps one to the other.
+    # Every census graph with n <= 6, labelled with each vertex first in
+    # turn and the others in a random order: every order the search keeps
+    # to the end must spell the brute-force least string, and the orbit
+    # that the deletion rule reads off those orders must be the orbit: for
+    # candidates that are one orbit, that orbit; for two vertices, both
+    # exactly when they share an orbit; and for all vertices, the orbit of
+    # the one in the last slot.
+    rng = random.Random(23)
     for n in range(1, 7):
         for g in enumerate_connected(n, 5):
-            masks = [g.neighbor_mask(v) for v in range(n)]
-            strings = {}
-            for v in range(n):
-                rest = [u for u in range(n) if u != v]
-                brute = min(
-                    columns(relabeled(g, (v, *perm)))
-                    for perm in itertools.permutations(rest)
-                )
-                strings[v], orders = _least_search(masks, v)
-                assert strings[v] == brute
+            brute = min(
+                columns(relabeled(g, perm))
+                for perm in itertools.permutations(range(n))
+            )
+            g_orbits = _orbits(g)
+            for first in range(n):
+                rest = [u for u in range(n) if u != first]
+                rng.shuffle(rest)
+                order = (first, *rest)
+                h = relabeled(g, order)
+                masks = [h.neighbor_mask(v) for v in range(n)]
+                cols, orders = _least_prefixes(masks)
+                assert cols == brute
                 assert orders
-                for order in orders:
-                    assert order[0] == v
-                    assert columns(relabeled(g, order)) == brute
-            orbit_of = {v: orbit for orbit in _orbits(g) for v in orbit}
-            for a, b in itertools.product(range(n), repeat=2):
-                assert (strings[a] == strings[b]) == (b in orbit_of[a])
+                for kept in orders:
+                    assert sorted(kept) == list(range(n))
+                    assert columns(relabeled(h, kept)) == brute
+                orbits = {
+                    frozenset(order.index(v) for v in orbit) for orbit in g_orbits
+                }
+                orbit_of = {v: orbit for orbit in orbits for v in orbit}
+                for orbit in orbits:
+                    mask = sum(1 << v for v in orbit)
+                    assert _canonical_masks(masks, mask)[2] == mask
+                for a, b in itertools.combinations(range(n), 2):
+                    read = _canonical_masks(masks, 1 << a | 1 << b)[2]
+                    both = read >> a & 1 and read >> b & 1
+                    assert bool(both) == (b in orbit_of[a])
+                last = orbit_of[orders[0][-1]]
+                read = _canonical_masks(masks, (1 << n) - 1)[2]
+                assert read == sum(1 << v for v in last)
+
+
+def test_bounded_tie_search_decides_as_the_full_comparison(monkeypatch):
+    # Every tie for the canonical deletion met while enumerating n <= 7 is
+    # decided by one labelling of the child; the orbit it reads must be the
+    # set of candidates at the latest candidate slot over every order that
+    # spells the least string, found by comparing every order.
+    cases = []
+    labelling = gallai.census._canonical_masks
+
+    def recorded(masks, candidates=0):
+        found = labelling(masks, candidates)
+        if candidates & (candidates - 1):
+            cases.append((list(masks), candidates, found))
+        return found
+
+    monkeypatch.setattr(gallai.census, "_census_cache", {})
+    monkeypatch.setattr(gallai.census, "_canonical_masks", recorded)
+    for n in range(2, 8):
+        enumerate_connected(n, 5)
+    kept = {deletion >> len(masks) - 1 & 1 for masks, _, (_, _, deletion) in cases}
+    assert kept == {0, 1}
+    for masks, candidates, (cols, _, deletion) in cases:
+        least, orders = _least_orders(masks)
+        assert cols == least
+        expected = 0
+        for order in orders:
+            slot = max(k for k, v in enumerate(order) if candidates >> v & 1)
+            expected |= 1 << order[slot]
+        assert deletion == expected
+
+
+def _least_orders(masks):
+    """The least string's columns over every vertex order of the graph with
+    adjacency ``masks``, and every order that spells it: a depth-first walk
+    over all orders that drops a prefix once its columns exceed the least
+    string's so far."""
+    n = len(masks)
+    least, orders = None, []
+
+    def extend(order, cols, used):
+        nonlocal least, orders
+        k = len(order)
+        if k == n:
+            if least is None or cols < least:
+                least, orders = cols, []
+            orders.append(tuple(order))
+            return
+        for v in range(n):
+            if used >> v & 1:
+                continue
+            col = sum(
+                1 << k - 1 - j for j, u in enumerate(order) if masks[v] >> u & 1
+            )
+            grown = (*cols, col)
+            if least is None or grown <= least[:k + 1]:
+                extend([*order, v], grown, used | 1 << v)
+
+    extend([], (), 0)
+    return least, orders
 
 
 def _self_isomorphisms(g):
@@ -308,6 +353,42 @@ def test_canonical_form_is_the_true_permutation_minimum():
             assert canonical_form(g) == brute_minimum(g)
     for g in list(enumerate_connected(6, 5))[::9]:
         assert canonical_form(g) == brute_minimum(g)
+
+
+def test_canonical_form_is_the_permutation_minimum_off_the_census():
+    # Graphs the enumerator never labels: no vertex, K1, edgeless, complete
+    # and disconnected graphs, then every labelled graph with 1 <= n <= 5,
+    # each against the least columns over all its relabellings.
+    named = [
+        Graph(0, []),
+        Graph(1, [0]),
+        Graph.from_edges(5, []),
+        complete_graph(6),
+        Graph.from_edges(6, [(0, 4), (4, 2), (2, 0), (1, 5)]),
+    ]
+    for g in named:
+        least = min(
+            columns(relabeled(g, perm)) for perm in itertools.permutations(range(g.n))
+        )
+        assert columns(canonical_graph(g)) == least
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        least = {}
+        labelled = 0
+        for g in all_labeled_graphs(n):
+            labelled += 1
+            edges = frozenset(g.edges())
+            if edges not in least:
+                # the relabellings of g, whose least columns are g's too
+                images = {
+                    frozenset(h.edges()): h for h in (relabeled(g, p) for p in perms)
+                }
+                low = min(columns(h) for h in images.values())
+                least.update(dict.fromkeys(images, low))
+            masks = [g.neighbor_mask(v) for v in range(n)]
+            assert _canonical_masks(masks)[0] == least[edges]
+            assert columns(canonical_graph(g)) == least[edges]
+        assert labelled == 2 ** (n * (n - 1) // 2)
 
 
 def test_canonical_form_is_labelling_invariant():

@@ -114,3 +114,19 @@ def test_scale_probe_reports_levels_and_steps(monkeypatch):
     runs = probe.probe(801)["runs"]
     assert (runs["path-40"]["levels"], runs["path-40"]["steps"]) == (38, 38)
     assert (runs["regular3-20"]["levels"], runs["regular3-20"]["steps"]) == (0, 0)
+
+
+def test_census_probe_counts_each_order(monkeypatch):
+    # Orders 1-5 of the census, from a cold cache.  K1 is built without a
+    # search; from n = 2 every kept class is labelled once, so the
+    # labellings are at least the classes, and each labelling, a tie's
+    # included, runs inside one deletion test.
+    probe = _tool("census_probe")
+    monkeypatch.setattr(probe.census, "_census_cache", {})
+    orders = probe.probe(5)["orders"]
+    assert [orders[n]["classes"] for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    assert orders[1]["labellings"] == orders[1]["deletion_tests"] == 0
+    for n in range(2, 6):
+        row = orders[n]
+        assert row["labellings"] >= row["classes"]
+        assert row["tie_labellings"] <= row["labellings"] <= row["deletion_tests"]
