@@ -36,14 +36,16 @@ are isomorphic, some isomorphism between them fixes x (x lies in the
 canonical deletion's orbit of both) and restricts to an automorphism of P
 carrying one subset onto the other; so each class is kept exactly once.
 Its labelling (``_canonical_masks``) relabels the child's neighbour
-masks, which become its one ``Graph``; the least string's columns are its
-sort key.  The enumerator is capped at 8 vertices; larger orders are
-expected to arrive as graph6 streams from an external generator.
+masks, which become its one ``Graph`` without the checked constructor's
+checks (a relabelling of a valid graph's masks is valid); the least
+string's columns are its sort key.  The enumerator is capped at 8
+vertices; larger orders are expected to arrive as graph6 streams from an
+external generator.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _from_masks
 from .io import write_graph6
 
 ENUMERATION_LIMIT = 8
@@ -369,7 +371,7 @@ def enumerate_connected(n: int, max_deg: int) -> tuple[Graph, ...]:
                     labelled = _is_canonical_deletion(masks)
                     if labelled:
                         cols, relabelled = labelled
-                        found[cols] = Graph(n, relabelled)
+                        found[cols] = _from_masks(relabelled)
         result = tuple(found[cols] for cols in sorted(found))
     _census_cache[key] = result
     return result

@@ -61,12 +61,12 @@ class Graph:
                 raise ValueError(f"neighbour of {v} out of range")
             if mask & (1 << v):
                 raise ValueError(f"self-loop at {v}")
-        adj = {v: _neighbours_in(mask) for v, mask in enumerate(adj_masks)}
+        adj, m = _mask_table(adj_masks)
         for v, nbrs in adj.items():
             for u in nbrs:
                 if not adj_masks[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-        _init(self, adj, sum(map(len, adj.values())) // 2)
+        _init(self, adj, m)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -389,10 +389,14 @@ def _low_link(
     return found, firsts
 
 
+# The slots' own setters, past ``Graph.__setattr__``, which refuses writes.
+_set_n, _set_m, _set_adj = Graph.n.__set__, Graph.m.__set__, Graph._adj.__set__
+
+
 def _init(g: Graph, adj: dict[int, tuple[int, ...]], m: int) -> None:
-    object.__setattr__(g, "n", len(adj))
-    object.__setattr__(g, "m", m)
-    object.__setattr__(g, "_adj", adj)
+    _set_n(g, len(adj))
+    _set_m(g, m)
+    _set_adj(g, adj)
 
 
 def _derived(adj: dict[int, tuple[int, ...]], m: int) -> Graph:
@@ -402,6 +406,19 @@ def _derived(adj: dict[int, tuple[int, ...]], m: int) -> Graph:
     g = object.__new__(Graph)
     _init(g, adj, m)
     return g
+
+
+def _mask_table(adj_masks: Sequence[int]) -> tuple[dict[int, tuple[int, ...]], int]:
+    """The neighbour table and edge count of the in-range masks ``adj_masks``."""
+    adj = dict(enumerate(map(_neighbours_in, adj_masks)))
+    return adj, sum(map(int.bit_count, adj_masks)) // 2
+
+
+def _from_masks(adj_masks: Sequence[int]) -> Graph:
+    """``Graph(len(adj_masks), adj_masks)`` without its range, self-loop
+    and symmetry checks, for masks that hold by construction: a graph6
+    body's upper triangle, or a census graph's relabelled masks."""
+    return _derived(*_mask_table(adj_masks))
 
 
 def _bits(mask: int) -> tuple[int, ...]:

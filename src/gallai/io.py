@@ -10,7 +10,7 @@ vertex ids.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _from_masks
 from .paths import Path, PathDecomposition
 
 
@@ -21,54 +21,70 @@ class FormatError(ValueError):
 _EXTENDED_LIMIT = 258047  # largest order expressible as '~' + 3 bytes
 
 
+# The offsets of the set bits of each body byte, most significant bit
+# first, indexed by the byte itself (63..126) so that it needs no shift.
+_OFFSETS = ((),) * 63 + tuple(
+    tuple(i for i in range(6) if value & 32 >> i) for value in range(64)
+)
+
+
 def parse_graph6(line: str) -> Graph:
+    """The graph of one graph6 line.
+
+    Each nonzero body byte is decoded through ``_OFFSETS``, the offsets
+    of its set bits, and a zero byte is skipped in one step; a running
+    (row, col) pair names the next bit's pair in column-major order.  The
+    upper-triangle encoding makes every pair a distinct non-loop pair on
+    ``0..n-1``, so the masks go to the graph without the checked
+    constructor's checks.
+    """
     data = line.strip()
     if not data:
         raise FormatError("empty graph6 line")
-    values = []
-    for ch in data:
-        code = ord(ch)
-        if not (63 <= code <= 126):
-            raise FormatError(f"byte {code!r} outside the printable range 63..126")
-        values.append(code - 63)
-    if values[0] < 63:
-        n = values[0]
-        body = values[1:]
+    if not ("?" <= min(data) and max(data) <= "~"):
+        code = next(ord(ch) for ch in data if not "?" <= ch <= "~")
+        raise FormatError(f"byte {code!r} outside the printable range 63..126")
+    codes = data.encode("ascii")
+    if codes[0] < 126:
+        n = codes[0] - 63
+        start = 1
     else:
-        if len(values) < 4 or values[0] != 63:
+        if len(codes) < 4:
             raise FormatError("truncated extended order header")
-        n = (values[1] << 12) | (values[2] << 6) | values[3]
+        n = (codes[1] - 63) << 12 | (codes[2] - 63) << 6 | (codes[3] - 63)
         if n <= 62:
             raise FormatError("extended header used for a small order")
         if n > _EXTENDED_LIMIT:
             raise FormatError(f"order {n} exceeds the supported graph6 range")
-        body = values[4:]
+        start = 4
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(body) != need_bytes:
-        kind = "truncated" if len(body) < need_bytes else "overlong"
+    if len(codes) - start != need_bytes:
+        kind = "truncated" if len(codes) - start < need_bytes else "overlong"
         raise FormatError(
-            f"{kind} graph6 body: {len(body)} bytes for order {n}"
+            f"{kind} graph6 body: {len(codes) - start} bytes for order {n}"
         )
     pad = need_bytes * 6 - need_bits
-    if body and body[-1] & ((1 << pad) - 1):
+    if need_bytes and (codes[-1] - 63) & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits")
     masks = [0] * n
-    row, col = 0, 1  # the pair of the next bit, in column-major order
-    for value in body:
-        if not value:
-            row += 6
-            while row >= col:
-                row, col = row - col, col + 1
-            continue
-        for bit in (32, 16, 8, 4, 2, 1):
-            if value & bit:
-                masks[row] |= 1 << col
-                masks[col] |= 1 << row
-            row += 1
-            if row == col:
-                row, col = 0, col + 1
-    return Graph(n, masks)
+    row, col = 0, 1  # the pair of the byte's first bit, in column-major order
+    for code in codes[start:]:
+        if code != 63:
+            r, c, at = row, col, 0
+            for offset in _OFFSETS[code]:
+                r += offset - at
+                at = offset
+                while r >= c:
+                    r -= c
+                    c += 1
+                masks[r] |= 1 << c
+                masks[c] |= 1 << r
+        row += 6
+        while row >= col:
+            row -= col
+            col += 1
+    return _from_masks(masks)
 
 
 def write_graph6(g: Graph) -> str:

@@ -375,7 +375,12 @@ def detect(
 Route = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+# Child and LiftPlan are built at every level of a solve, so they are not
+# frozen: a frozen __init__ sets each field through object.__setattr__, at
+# about four times the cost.  They must still never be changed once built:
+# _finish checks a plan once, and takes a child's bridges as the proof
+# that it is connected.
+@dataclass(slots=True)
 class Child:
     """One reduced graph, on its parent's vertex ids.
 
@@ -402,7 +407,7 @@ class Child:
     bridges: frozenset[Edge] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LiftPlan:
     """How to lift the children's decompositions back to ``parent``:
     ``rewrite`` edits a store holding the children's paths, in child
@@ -995,7 +1000,6 @@ def lift(plan: LiftPlan, stores: list[PathStore]) -> PathStore:
     if len(stores) != len(plan.children):
         raise LiftError("one decomposition per child is required")
     parent = plan.parent
-    label = f"{plan.tag}/{plan.subcase}"
     total = sum(map(len, stores))
     store = stores[0]
     try:
@@ -1004,22 +1008,29 @@ def lift(plan: LiftPlan, stores: list[PathStore]) -> PathStore:
         store.graph = parent
         plan.rewrite(store)
     except ValueError as exc:
-        raise LiftError(f"{label} recipe failed: {exc}") from exc
+        raise _lift_error(plan, f"recipe failed: {exc}") from exc
     left = [e for child in plan.children for e in child.synthetic if e in store.owner]
     if left:
-        raise LiftError(f"{label} left synthetic edges {left} covered")
+        raise _lift_error(plan, f"left synthetic edges {left} covered")
     if len(store.owner) != parent.m:
-        raise LiftError(f"{label} covers {len(store.owner)} of {parent.m} edges")
+        raise _lift_error(plan, f"covers {len(store.owner)} of {parent.m} edges")
     count = len(store)
     lo, hi = plan.gain
     if not (total + lo <= count <= total + hi):
-        raise LiftError(
-            f"{label} produced {count} paths "
-            f"from {total}, outside [{total + lo}, {total + hi}]"
+        raise _lift_error(
+            plan,
+            f"produced {count} paths "
+            f"from {total}, outside [{total + lo}, {total + hi}]",
         )
     if count > (parent.n + 1) // 2:
-        raise LiftError(f"{label} lost goodness")
+        raise _lift_error(plan, "lost goodness")
     return store
+
+
+def _lift_error(plan: LiftPlan, why: str) -> LiftError:
+    """Refuse a lift, naming its plan as ``tag/subcase``; the label is
+    formatted only here, on failure, not once per lift."""
+    return LiftError(f"{plan.tag}/{plan.subcase} {why}")
 
 
 # -- structural consequence ----------------------------------------------------
@@ -1035,10 +1046,31 @@ def check_structure(g: Graph) -> bool:
     degrees at its boundary, and ``detect`` has just run.  Raises
     ``ValueError`` on the two exceptional cliques (K3, K5), which the
     lemma excludes.
+
+    One search of the table decides it: it counts the even vertices, the
+    edges among them and their components, and the core is a forest
+    exactly when it has as many edges as vertices less components.
     """
     if is_exceptional_clique(g):
         raise ValueError("K3 and K5 are excluded")
-    return g.induced_even_subgraph().is_forest()
+    adj = g.adjacency()
+    seen: set[int] = set()
+    ends = 0  # each core edge counts at both of its ends
+    parts = 0
+    for root, nbrs in adj.items():
+        if len(nbrs) & 1 or root in seen:
+            continue
+        parts += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not len(adj[w]) & 1:
+                    ends += 1
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return ends // 2 == len(seen) - parts
 
 
 def is_exceptional_clique(g: Graph) -> bool:

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 
 from gallai import (
+    FormatError,
     Graph,
     Path,
     PathDecomposition,
@@ -84,6 +85,60 @@ def reference_verify(g: Graph, d: PathDecomposition) -> VerifyReport:
     valid = not violations
     good = valid and len(d.paths) <= (g.n + 1) // 2
     return VerifyReport(valid, tuple(violations), len(d.paths), good)
+
+
+def reference_parse_graph6(line: str) -> Graph:
+    """The bit-by-bit graph6 decoder ``io.parse_graph6`` must agree with,
+    graph for graph and error for error: it walks every body bit, past
+    zero bytes a byte at a time, and builds the graph through the checked
+    constructor."""
+    data = line.strip()
+    if not data:
+        raise FormatError("empty graph6 line")
+    values = []
+    for ch in data:
+        code = ord(ch)
+        if not (63 <= code <= 126):
+            raise FormatError(f"byte {code!r} outside the printable range 63..126")
+        values.append(code - 63)
+    if values[0] < 63:
+        n = values[0]
+        body = values[1:]
+    else:
+        if len(values) < 4 or values[0] != 63:
+            raise FormatError("truncated extended order header")
+        n = (values[1] << 12) | (values[2] << 6) | values[3]
+        if n <= 62:
+            raise FormatError("extended header used for a small order")
+        if n > 258047:
+            raise FormatError(f"order {n} exceeds the supported graph6 range")
+        body = values[4:]
+    need_bits = n * (n - 1) // 2
+    need_bytes = (need_bits + 5) // 6
+    if len(body) != need_bytes:
+        kind = "truncated" if len(body) < need_bytes else "overlong"
+        raise FormatError(
+            f"{kind} graph6 body: {len(body)} bytes for order {n}"
+        )
+    pad = need_bytes * 6 - need_bits
+    if body and body[-1] & ((1 << pad) - 1):
+        raise FormatError("nonzero padding bits")
+    masks = [0] * n
+    row, col = 0, 1  # the pair of the next bit, in column-major order
+    for value in body:
+        if not value:
+            row += 6
+            while row >= col:
+                row, col = row - col, col + 1
+            continue
+        for bit in (32, 16, 8, 4, 2, 1):
+            if value & bit:
+                masks[row] |= 1 << col
+                masks[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
+    return Graph(n, masks)
 
 
 _reference_census: dict[tuple[int, int], tuple[Graph, ...]] = {}

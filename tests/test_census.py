@@ -128,15 +128,20 @@ def test_enumeration_labels_each_class_once(monkeypatch):
 
 
 def test_enumeration_builds_one_graph_per_class(monkeypatch):
-    # Each kept class is labelled on its masks and built once; no graph is
-    # read back from its graph6 form.
+    # Each kept class is labelled on its masks and built once, by either
+    # constructor; no graph is read back from its graph6 form.
     built = []
     parsed = []
     parse = gallai.io.parse_graph6
+    from_masks = gallai.census._from_masks
 
     def counted_graph(n, masks):
         built.append(n)
         return Graph(n, masks)
+
+    def counted_from_masks(masks):
+        built.append(len(masks))
+        return from_masks(masks)
 
     def counted_parse(text):
         parsed.append(text)
@@ -144,11 +149,22 @@ def test_enumeration_builds_one_graph_per_class(monkeypatch):
 
     monkeypatch.setattr(gallai.census, "_census_cache", {})
     monkeypatch.setattr(gallai.census, "Graph", counted_graph)
+    monkeypatch.setattr(gallai.census, "_from_masks", counted_from_masks)
     monkeypatch.setattr(gallai.census, "parse_graph6", counted_parse, raising=False)
     monkeypatch.setattr(gallai.io, "parse_graph6", counted_parse)
     classes = sum(len(enumerate_connected(n, 5)) for n in range(1, 8))
     assert len(built) == classes == 840
     assert parsed == []
+
+
+def test_enumerated_graphs_equal_their_checked_builds():
+    # The census builds its class graphs without the checked constructor's
+    # range, self-loop and symmetry checks; each one passes them and is
+    # the graph that the checked constructor builds from its masks.
+    for n in range(1, 9):
+        for g in enumerate_connected(n, 5):
+            checked = Graph(n, [g.neighbor_mask(v) for v in range(n)])
+            assert checked == g and checked.m == g.m and checked.n == g.n
 
 
 def test_orbit_tables_match_the_image_masks():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -15,7 +16,7 @@ from gallai import (
 )
 from gallai.graphs import edge
 from gallai.paths import decomposition
-from helpers import complete_graph, cycle, petersen
+from helpers import complete_graph, cycle, petersen, reference_parse_graph6
 
 
 def test_write_graph6_k2():
@@ -67,16 +68,42 @@ def test_graph6_round_trip_census_and_an_extended_header():
 
 
 def test_graph6_errors():
-    with pytest.raises(FormatError):
-        parse_graph6("A")  # truncated body
-    with pytest.raises(FormatError):
-        parse_graph6("")
-    with pytest.raises(FormatError):
-        parse_graph6("A_!")  # overlong body
-    with pytest.raises(FormatError):
-        parse_graph6("A_\x05")  # byte below the printable range
-    with pytest.raises(FormatError):
-        parse_graph6("A@")  # nonzero padding bits (K2 with bad padding)
+    # Each bad line is refused with the message of the bit-by-bit decoder.
+    cases = [
+        ("A", "truncated graph6 body: 0 bytes for order 2"),
+        ("", "empty graph6 line"),
+        ("A_!", "byte 33 outside the printable range 63..126"),
+        ("A__", "overlong graph6 body: 2 bytes for order 2"),
+        ("A_\x05", "byte 5 outside the printable range 63..126"),
+        ("A_\xe9", "byte 233 outside the printable range 63..126"),
+        ("A@", "nonzero padding bits"),  # K2 with bad padding
+        ("~??", "truncated extended order header"),
+        ("~???", "extended header used for a small order"),
+        ("~~~~", "order 262143 exceeds the supported graph6 range"),
+    ]
+    for line, message in cases:
+        for parse in (parse_graph6, reference_parse_graph6):
+            with pytest.raises(FormatError) as caught:
+                parse(line)
+            assert str(caught.value) == message, (parse, line)
+
+
+def test_graph6_table_decoder_matches_the_bit_by_bit_reference():
+    # The table decoder and the trusted build give the graph that the
+    # bit-by-bit decoder and the checked constructor give: on every census
+    # line up to n = 8, and on seeded graphs past the four-byte header.
+    lines = [write_graph6(g) for n in range(1, 9) for g in enumerate_connected(n, 5)]
+    assert len(lines) == 7226
+    rng = random.Random(6364)
+    for n in (63, 64, 100, 200):
+        for density in (0.02, 0.3):
+            pairs = [p for p in itertools.combinations(range(n), 2)
+                     if rng.random() < density]
+            lines.append(write_graph6(Graph.from_edges(n, pairs)))
+    lines.append(write_graph6(Graph.from_edges(64, [])))
+    for line in lines:
+        ours, ref = parse_graph6(line), reference_parse_graph6(line)
+        assert ours == ref and ours.m == ref.m and ours.n == ref.n, line
 
 
 def test_graph6_big_order_header():

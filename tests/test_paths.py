@@ -191,6 +191,22 @@ def test_verify_matches_the_reference_on_corrupted_decompositions():
             outside_steps += 1
     assert kinds == {"repeated_vertex", "non_edge", "duplicate_edge", "uncovered_edge"}
     assert derived > 100 and outside_steps > 100 and valid > 100
+    # verify walks the tallies for duplicates only when they sum to more
+    # than the covered edges: each fault that makes them do so, alone or
+    # with another, is named as the reference names it.
+    for d, expected_kinds in [
+        # (1, 2) covered twice, every edge covered
+        (decomposition((0, 1, 2), (2, 3, 0), (1, 2)), ["duplicate_edge"]),
+        # (1, 2) covered twice and (0, 3) not at all
+        (decomposition((0, 1, 2), (1, 2), (2, 3)),
+         ["duplicate_edge", "uncovered_edge"]),
+        # the path revisits 0, and (0, 1) is covered twice
+        (decomposition((0, 1, 2, 3, 0), (1, 0)),
+         ["repeated_vertex", "duplicate_edge"]),
+    ]:
+        report = verify(cycle(4), d)
+        assert report == reference_verify(cycle(4), d)
+        assert [v.kind for v in report.violations] == expected_kinds
 
 
 # -- the path store -------------------------------------------------------------

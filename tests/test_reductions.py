@@ -1429,6 +1429,61 @@ def test_check_structure_preconditions():
         check_structure(complete_graph(5))
 
 
+def _padded(n: int, edges: list, want: dict) -> Graph:
+    """``edges`` on ``0..n-1`` plus one new leaf per missing degree, so
+    that each vertex ``v`` of ``want`` gets degree ``want[v]``."""
+    edges = list(edges)
+    degree = Counter(x for e in edges for x in e)
+    for v, d in want.items():
+        for _ in range(d - degree[v]):
+            edges.append((v, n))
+            n += 1
+    return Graph.from_edges(n, edges)
+
+
+def test_one_pass_check_structure_matches_the_even_core_forest_test():
+    # Every census graph with an edge, K3 and K5 apart, which it still
+    # refuses, and seeded graphs with and without an even core.
+    graphs = [g for n in range(2, 9) for g in enumerate_connected(n, 5)]
+    assert len(graphs) == 7225
+    for g in graphs:
+        if is_exceptional_clique(g):
+            with pytest.raises(ValueError, match="K3 and K5 are excluded"):
+                check_structure(g)
+        else:
+            core = g.induced_even_subgraph()
+            assert check_structure(g) == core.is_forest(), list(g.edges())
+    rng = random.Random(1033)
+    seeded = []
+    # cubic graphs: no even vertex, so an empty core
+    seeded += [random_cubic_graph(rng, n) for n in (4, 10, 40, 200)]
+    # an even core that holds a cycle: a ring of degree-4 vertices, each
+    # with two leaves
+    for k in (3, 5, 12):
+        ring = [(i, (i + 1) % k) for i in range(k)]
+        seeded.append(_padded(k, ring, dict.fromkeys(range(k), 4)))
+    # an even core of two trees, joined through an odd vertex x
+    for length in (1, 3, 6):
+        a = list(range(length))
+        b = list(range(length, 2 * length))
+        x = 2 * length
+        paths = list(zip(a, a[1:])) + list(zip(b, b[1:]))
+        want = {v: rng.choice((2, 4)) for v in a + b}
+        want[x] = 3
+        g = _padded(x + 1, paths + [(x, a[0]), (x, b[-1])], want)
+        assert len(g.induced_even_subgraph().components()) == 2
+        seeded.append(g)
+    # random connected graphs of every shape
+    seeded += [g for g in (random_connected_graph(rng, 9, 60) for _ in range(300)) if g]
+    shapes = Counter()
+    for g in seeded:
+        core = g.induced_even_subgraph()
+        shapes[core.n > 0, core.is_forest(), len(core.components()) > 1] += 1
+        assert check_structure(g) == core.is_forest(), list(g.edges())
+    assert shapes[False, True, False] and shapes[True, False, False]
+    assert shapes[True, True, True] and shapes[True, False, True]
+
+
 def test_check_structure_on_irreducible_census():
     for n in range(2, 8):
         for g in enumerate_connected(n, 5):

@@ -1,6 +1,7 @@
 """Count the ``raise ReductionError`` and ``raise LiftError`` lines of
 ``src/gallai/reductions.py`` that the test suite reaches, and the
-``raise _c4_first(...)`` lines, whose helper builds a ``ReductionError``.
+``raise _c4_first(...)`` and ``raise _lift_error(...)`` lines, whose
+helpers build a ``ReductionError`` and a ``LiftError``.
 
     python3 tools/raise_lines.py [pytest arguments; default: -q tests]
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "gallai" / "reductions.py"
-ERRORS = ("ReductionError", "LiftError", "_c4_first")
+ERRORS = ("ReductionError", "LiftError", "_c4_first", "_lift_error")
 
 
 def raise_lines(path: Path) -> dict[int, str]:
