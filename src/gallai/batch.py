@@ -187,7 +187,9 @@ def run_floor_search(
         if d is not None:
             outcome = verify(g, d)
             return outcome.path_count, {}, outcome.valid, "", None
-        if g.is_odd_semi_clique():
+        # an odd semi-clique: a clique on 2k + 1 vertices minus at most
+        # k - 1 edges, so more than 2k^2 edges, where k = floor(n/2)
+        if g.n % 2 and g.m > 2 * target * target:
             return None, {}, True, "odd_semi_clique", None
         return None, {}, False, "unclassified", (
             "floor_gap",

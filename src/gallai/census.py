@@ -88,12 +88,11 @@ def _canonical_masks(
     Every order the search keeps spells the least string, and the orders
     it skips are twin swaps of kept ones, so the vertices at one slot over
     the kept orders, with their twins, are that slot's whole orbit."""
-    cols, orders = _least_prefixes(adj)
+    cols, orders, twins = _least_prefixes(adj)
     order = orders[0]
     orbit = candidates
     if candidates & (candidates - 1):  # a lone candidate is its own orbit
         slot = max(k for k, v in enumerate(order) if candidates >> v & 1)
-        twins = _twins(adj)
         orbit = 0
         for kept in orders:
             orbit |= twins[kept[slot]]
@@ -125,9 +124,9 @@ def _twins(adj: list[int]) -> list[int]:
 
 def _least_prefixes(
     adj: list[int],
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The least string's columns, and the vertex order of every state the
-    search keeps to the end.
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]:
+    """The least string's columns, the vertex order of every state the
+    search keeps to the end, and each vertex's twins (``_twins``).
 
     Column k holds the k adjacency bits of the vertex placed at slot k
     towards slots 0..k-1, the earlier slot the more significant bit, so
@@ -248,7 +247,7 @@ def _least_prefixes(
                 order.append(v)
                 piece ^= 1 << v
         orders.append(tuple(reversed(order)))
-    return tuple(cols), orders
+    return tuple(cols), orders, twins
 
 
 def _maximum_independent_sets(adj: list[int], pool: int) -> list[int]:

@@ -14,17 +14,17 @@ by id in ascending order, and the edge count ``m`` is kept alongside it.
 Degrees are at most 5 in the graphs the solver takes, so a degree is a
 ``len`` and an adjacency test a short tuple scan.  A derived graph is one
 copy of the table that rewrites only the tuples of the vertices it
-touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``,
-and ``induced_even_subgraph`` builds its table from the even vertices'
-tuples alone.  Every derived graph is a new ``Graph``; values are safe to
-share between threads.
+touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``.
+Every derived graph is a new ``Graph``; values are safe to share between
+threads.
 
 The connectivity queries never recurse and key their work by vertex id:
-``components`` is a breadth-first search, and ``low_link`` is one
-iterative low-link depth-first search of the graph minus a removed set,
-which finds its components, its bridges and the subtree below each bridge
-at once; ``bridges`` is its case with nothing removed.  Each is linear in
-the graph's own n + m, however large its ids.
+``joins`` is a breadth-first search that stops once it has seen the
+vertices asked about, and ``low_link`` is one iterative low-link
+depth-first search of the graph minus a removed set, which finds its
+components, its bridges and the subtree below each bridge at once;
+``bridges`` is its case with nothing removed.  Each is linear in the
+graph's own n + m, however large its ids.
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ class Graph:
             m += 1
         if n < 0:  # after the edges, which name a bad edge first
             raise ValueError("vertex count must be nonnegative")
-        g = object.__new__(cls)
-        _init(g, {v: tuple(sorted(vs)) for v, vs in enumerate(nbrs)}, m)
-        return g
+        return _derived({v: tuple(sorted(vs)) for v, vs in enumerate(nbrs)}, m)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -160,32 +158,30 @@ class Graph:
 
     # -- connectivity -----------------------------------------------------
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components, ascending by smallest member."""
-        seen: set[int] = set()
-        return [
-            tuple(sorted(self._reach(start, seen)))
-            for start in self._adj
-            if start not in seen
-        ]
-
     def is_connected(self) -> bool:
-        if not self._adj:
-            return False
-        return len(self._reach(next(iter(self._adj)), set())) == self.n
+        return self.joins(self._adj)
 
-    def _reach(self, start: int, seen: set[int]) -> list[int]:
-        """The vertices joined to ``start`` and not in ``seen``, which
-        gains them."""
+    def joins(self, vertices: Collection[int]) -> bool:
+        """Whether the ``vertices``, at least one and all of them vertices
+        of the graph, lie in one component: one breadth-first search from
+        the first, which stops once it has seen them all."""
+        left = set(vertices)
+        if not left:
+            return False
         adj = self._adj
-        seen.add(start)
-        comp = [start]
-        for v in comp:  # grows while it is walked: a breadth-first search
+        first = next(iter(vertices))
+        left.discard(first)
+        seen = {first}
+        queue = [first]
+        for v in queue:  # grows while it is walked
+            if not left:
+                return True
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
-                    comp.append(w)
-        return comp
+                    queue.append(w)
+                    left.discard(w)
+        return not left
 
     def bridges(self) -> set[Edge]:
         """Edges whose removal increases the component count: the bridges
@@ -267,32 +263,6 @@ class Graph:
             )
         a, b = edge(u, v)
         return self.delete_vertices((b,), ((a, y) for y in self._adj[b] if y != a))
-
-    def induced_even_subgraph(self) -> "Graph":
-        """Subgraph induced by the vertices of even degree, on the same ids.
-
-        Reads only the even vertices' tuples, so a graph with no even
-        vertex (a cubic one) costs one pass over its degrees.
-        """
-        adj = self._adj
-        core = {
-            v: tuple(w for w in nbrs if len(adj[w]) % 2 == 0)
-            for v, nbrs in adj.items()
-            if len(nbrs) % 2 == 0
-        }
-        return _derived(core, sum(map(len, core.values())) // 2)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_forest(self) -> bool:
-        return self.m == self.n - len(self.components())
-
-    def is_odd_semi_clique(self) -> bool:
-        """True for a clique on 2k+1 vertices minus at most k-1 edges."""
-        if self.n < 3 or self.n % 2 == 0:
-            return False
-        k = (self.n - 1) // 2
-        return self.m >= self.n * (self.n - 1) // 2 - (k - 1)
 
 
 class LowLink(NamedTuple):

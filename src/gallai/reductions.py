@@ -33,10 +33,10 @@ whose ends the parent does not join.  Lemma: every kept vertex then
 reaches the boundary B = N(S) minus S without leaving the kept vertices,
 so the child is connected exactly when B lies in one of its components,
 and only the vertices of B change degree.  One search from a vertex of B
-that stops once it has seen all of B certifies the child.  C2 takes its
-two sides from one low-link search of g - v from u: its one tree is u's
-side of uv, and uv is a cut edge exactly when no other neighbour of v
-lies in it.
+that stops once it has seen all of B (``Graph.joins``) certifies the
+child.  C2 takes its two sides from one low-link search of g - v from u:
+its one tree is u's side of uv, and uv is a cut edge exactly when no
+other neighbour of v lies in it.
 
 The same picture bounds where a child can hold a C3.  Every synthetic
 edge has both ends in B, so an edge of the child with neither end in B
@@ -459,32 +459,8 @@ def _held(parts: list[Part]) -> set[int]:
 
 
 def _ascending(chosen: list[Part]) -> list[Part]:
-    """The ``chosen`` parts ascending by smallest vertex, as ``components``
-    lists them."""
+    """The ``chosen`` parts ascending by smallest vertex."""
     return sorted(chosen, key=lambda part: min(part[1]))
-
-
-def _connected(child: Child) -> bool:
-    """Whether a child of a connected parent is connected, that is whether
-    its boundary B lies in one component (the lemma of the module
-    docstring): one search from a vertex of B, which stops once it has
-    seen all of B, and never does more work than a search of the child."""
-    if not child.boundary:
-        return False
-    adj = child.graph.adjacency()
-    first = child.boundary[0]
-    left = set(child.boundary[1:])
-    seen = {first}
-    queue = [first]
-    for x in queue:  # grows while it is walked: a breadth-first search
-        if not left:
-            return True
-        for w in adj[x]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-                left.discard(w)
-    return not left
 
 
 def _finish(plan: LiftPlan) -> LiftPlan:
@@ -493,7 +469,7 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     max(5, the parent's); together they are no larger than the parent.
 
     By the lemma of the module docstring, a child is connected exactly
-    when its boundary B lies in one of its components (``_connected``),
+    when its boundary B lies in one of its components (``Graph.joins``),
     and only vertices of B change degree: so only they are looked at, and
     the parent's maximum degree only when one of them exceeds 5.  A C4
     paired child that carries ``bridges`` was shown connected by the
@@ -503,7 +479,8 @@ def _finish(plan: LiftPlan) -> LiftPlan:
     certified = plan.subcase == "paired_nonedges"
     total = 0
     for child in plan.children:
-        if not (certified and child.bridges is not None) and not _connected(child):
+        if not (certified and child.bridges is not None
+                or child.graph.joins(child.boundary)):
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child disconnected")
         if child.graph.n >= g.n:
             raise ReductionError(f"{plan.tag}/{plan.subcase}: child not smaller")
@@ -629,7 +606,7 @@ def _reduce_c3(g: Graph, occ: C3) -> LiftPlan:
     u, v, x, y, ue, ve = to_front[front]
     routes = ((x, v, ve), (ue, u, y))
     child = _child(g, removed, routes)
-    if any(present) or _connected(child):
+    if any(present) or child.graph.joins(child.boundary):
         return _routed("C3", "sparse_ring", g, (child,), (x, u, v, y))
     # The two bypass edges do not reconnect the remainder, so the x-y
     # bridge is guaranteed absent from the parent and restores

@@ -257,10 +257,10 @@ def searched_components(g: Graph, starts, removed) -> list:
     """The components of ``g`` minus ``removed`` that hold a start, each
     with the starts it holds and its vertex set, in the order of their
     first starts: ``Graph.low_link(starts, removed).parts()`` by
-    ``components``."""
+    ``reference_components``."""
     order = list(dict.fromkeys(starts))
     want = []
-    for comp in map(set, g.delete_vertices(removed).components()):
+    for comp in map(set, reference_components(g.delete_vertices(removed))):
         held = tuple(s for s in order if s in comp)
         if held:
             want.append((held, comp))
@@ -486,7 +486,8 @@ class MaskGraph:
         return {e for e in self.edges()
                 if len(self.delete_edge(*e).components()) > parts}
 
-    def _derived(self, adj: dict[int, int]) -> "MaskGraph":
+    @staticmethod
+    def _derived(adj: dict[int, int]) -> "MaskGraph":
         g = object.__new__(MaskGraph)
         g.adj = adj
         return g
@@ -535,6 +536,26 @@ class MaskGraph:
 
 def _mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def mask_graph(g: Graph) -> MaskGraph:
+    """``g`` as a ``MaskGraph``, on the same ids."""
+    return MaskGraph._derived({v: g.neighbor_mask(v) for v in g.vertices()})
+
+
+def reference_components(g: Graph) -> list[tuple[int, ...]]:
+    """The components of ``g``, ascending by smallest member, as the mask
+    reference's own search finds them."""
+    return mask_graph(g).components()
+
+
+def reference_core_is_forest(g: Graph) -> bool:
+    """Whether the subgraph induced by the even-degree vertices of ``g`` is
+    a forest, by the mask reference: it has as many edges as vertices less
+    components."""
+    odd = [v for v in g.vertices() if g.degree(v) % 2]
+    core = mask_graph(g).delete_vertices(odd)
+    return core.m == len(core.adj) - len(core.components())
 
 
 def random_c5_satellites(rng: random.Random) -> Graph | None:

@@ -172,7 +172,8 @@ def test_criterion_4_odd_semi_clique_obstructions():
     for n, deletions in families.items():
         for drop in deletions:
             g = delete_edges(complete_graph(n), drop)
-            assert g.is_odd_semi_clique()
+            report = run_floor_search([(str(n), g)])
+            assert report.ok and report.records[0].note == "odd_semi_clique"
             assert solve_base(g, n // 2) is None, (n, drop)
             tried += 1
     print(f"\ncriterion 4: PASS (min(K3)=2, min(K5)=3; {tried} odd "

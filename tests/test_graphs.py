@@ -5,7 +5,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from gallai import Graph, canonical_form, enumerate_connected
+from gallai import Graph, canonical_form, enumerate_connected, run_floor_search
 from gallai.graphs import _derived, edge
 from gallai.reductions import check_structure
 from helpers import (
@@ -18,6 +18,7 @@ from helpers import (
     random_caterpillar,
     random_connected_graph,
     reference_bridges,
+    reference_components,
     searched_components,
     star,
     two_cliques_with_bridge,
@@ -39,13 +40,44 @@ def test_max_degree():
 
 
 def test_connectivity():
-    assert cycle(4).is_connected()
-    assert len(cycle(4).components()) == 1
+    assert cycle(4).is_connected() and cycle(4).joins((2, 0))
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert two_edges.components() == [(0, 1), (2, 3)]
+    assert not two_edges.is_connected()
+    assert two_edges.joins((0, 1)) and two_edges.joins((3, 2))
+    assert not two_edges.joins((0, 2)) and not two_edges.joins((1, 3, 0))
+    assert two_edges.joins((2,)) and not two_edges.joins(())
     k4_minus_vertex = complete_graph(4).delete_vertices({3})
     assert k4_minus_vertex.is_connected()
-    assert Graph(0, []).components() == []
+    assert not Graph(0, []).is_connected() and not Graph(0, []).joins(())
+
+
+def test_joins_against_mask_components():
+    # Every nonempty vertex set of every census graph with n <= 6, and of
+    # each of them minus one vertex (on ids with a gap, often split),
+    # joins exactly when the mask reference's search puts it in one
+    # component; and seeded derived graphs, on gapped ids, agree on the
+    # sets that make or break a component.
+    checked = Counter()
+    for n in range(1, 7):
+        for g in enumerate_connected(n, 5):
+            for h in [g, *(g.delete_vertices({v}) for v in range(n) if n > 1)]:
+                comps = [set(c) for c in reference_components(h)]
+                assert h.is_connected() == (len(comps) == 1)
+                ids = list(h.vertices())
+                for size in range(1, len(ids) + 1):
+                    for chosen in itertools.combinations(ids, size):
+                        want = any(comp.issuperset(chosen) for comp in comps)
+                        assert h.joins(chosen) == want, (h, chosen)
+                        assert h.joins(chosen[::-1]) == want, (h, chosen)
+                        checked[want] += 1
+    assert checked[True] > 10000 and checked[False] > 1000, checked
+    for g in _seeded_graphs(random.Random(5151), 60):
+        comps = reference_components(g)
+        assert g.is_connected() == (len(comps) == 1)
+        assert all(g.joins(comp) for comp in comps)
+        assert g.joins([comp[-1] for comp in comps]) == (len(comps) == 1)
+        for a, b in zip(comps, comps[1:]):
+            assert not g.joins((*a, b[0]))
 
 
 def test_bridges_examples():
@@ -110,7 +142,7 @@ def test_bridges_against_component_counts():
         for g in enumerate_connected(n, 5):
             cut = g.bridges()
             for e in g.edges():
-                parts = len(delete_edges(g, [e]).components())
+                parts = len(reference_components(delete_edges(g, [e])))
                 assert parts == (2 if e in cut else 1), (g, e)
 
 
@@ -278,55 +310,24 @@ def test_contract_degree_arithmetic():
             assert merged.m == g.m - 1
 
 
-def test_induced_even_subgraph():
-    k5 = complete_graph(5).induced_even_subgraph()
-    assert k5 == complete_graph(5)
-    mid = path_graph(3).induced_even_subgraph()
-    assert list(mid.vertices()) == [1] and mid.m == 0
-    c4 = cycle(4).induced_even_subgraph()
-    assert c4 == cycle(4)
-
-
-def test_induced_even_subgraph_selects_even_vertices_exactly():
-    for g in enumerate_connected(6, 5):
-        core = g.induced_even_subgraph()
-        survivors = set(core.vertices())
-        assert survivors == {v for v in range(g.n) if g.degree(v) % 2 == 0}
-        for u, v in itertools.combinations(core.vertices(), 2):
-            assert core.has_edge(u, v) == g.has_edge(u, v)
-        # applying it again keeps exactly the now-even vertices
-        again = core.induced_even_subgraph()
-        assert set(again.vertices()) == {
-            v for v in core.vertices() if core.degree(v) % 2 == 0
-        }
-    # Derived graphs on gapped ids, some with a few hundred vertices: the
-    # core keeps the ids, ascending (``==`` compares tables and would not
-    # see their order), and counts its own edges.
-    rng = random.Random(4242)
-    graphs = list(_seeded_graphs(rng, 60))
-    for _ in range(4):
-        g = random_connected_graph(rng, 120, 300)
-        graphs.append(g.delete_vertices(rng.sample(sorted(g.vertices()), 5)))
-    for g in graphs:
-        core = g.induced_even_subgraph()
-        odd = [v for v in g.vertices() if g.degree(v) % 2]
-        assert core == g.delete_vertices(odd)
-        assert list(core.vertices()) == sorted(core.vertices())
-        assert core.m == len(list(core.edges()))
-
-
-def test_is_forest():
-    assert path_graph(5).is_forest()
-    assert star(4).is_forest()
-    assert not cycle(4).is_forest()
-    assert Graph(0, []).is_forest()
+def _floor_notes(graphs):
+    """Each graph's note in one ``run_floor_search``, which must find
+    nothing: ``odd_semi_clique`` on a graph that floor(n/2) paths cannot
+    decompose."""
+    report = run_floor_search([(str(i), g) for i, g in enumerate(graphs)])
+    assert report.ok, report.findings
+    return [record.note for record in report.records]
 
 
 def test_is_odd_semi_clique_examples():
-    assert complete_graph(5).is_odd_semi_clique()
-    assert delete_edges(complete_graph(5), [(0, 1)]).is_odd_semi_clique()
-    assert not delete_edges(complete_graph(5), [(0, 1), (2, 3)]).is_odd_semi_clique()
-    assert not complete_graph(4).is_odd_semi_clique()
+    graphs = [
+        complete_graph(5),
+        delete_edges(complete_graph(5), [(0, 1)]),
+        delete_edges(complete_graph(5), [(0, 1), (2, 3)]),
+        complete_graph(4),
+    ]
+    notes = _floor_notes(graphs)
+    assert notes == ["odd_semi_clique", "odd_semi_clique", "", ""]
 
 
 def test_is_odd_semi_clique_against_generated_family():
@@ -340,8 +341,9 @@ def test_is_odd_semi_clique_against_generated_family():
         for count in range(k):
             for drop in itertools.combinations(pairs, count):
                 family.add(canonical_form(delete_edges(base, drop)))
-        for g in enumerate_connected(n, n - 1):
-            assert g.is_odd_semi_clique() == (canonical_form(g) in family)
+        graphs = enumerate_connected(n, n - 1)
+        for g, note in zip(graphs, _floor_notes(graphs)):
+            assert (note == "odd_semi_clique") == (canonical_form(g) in family)
 
 
 def test_common_neighbors():
@@ -383,9 +385,10 @@ def _assert_agrees(g: Graph, ref: MaskGraph, nxg: nx.Graph, order: int):
         assert g.degree(v) == ref.degree(v) == nxg.degree(v)
         assert g.neighbors(v) == ref.neighbors(v) == tuple(sorted(nxg[v]))
         assert g.neighbor_mask(v) == ref.neighbor_mask(v)
-    assert g.components() == ref.components() == sorted(
-        tuple(sorted(c)) for c in nx.connected_components(nxg)
-    )
+    comps = ref.components()
+    assert comps == sorted(tuple(sorted(c)) for c in nx.connected_components(nxg))
+    assert all(g.joins(comp) for comp in comps)
+    assert g.joins([comp[0] for comp in comps]) == (len(comps) == 1)
     assert g.bridges() == ref.bridges() == {edge(*e) for e in nx.bridges(nxg)}
     assert g.is_connected() == ref.is_connected() == (
         g.n > 0 and nx.is_connected(nxg)

@@ -38,6 +38,8 @@ from helpers import (
     random_regular_graph,
     reference_bridges,
     reference_c4_labelling,
+    reference_components,
+    reference_core_is_forest,
     searched_components,
     two_cliques_with_bridge,
 )
@@ -52,10 +54,11 @@ def naive_any_configuration(g: Graph) -> bool:
             v, w = g.neighbors(u)
             if not g.has_edge(v, w):
                 return True
+    parts = len(reference_components(g))
     cut = {
         e
         for e in g.edges()
-        if len(delete_edges(g, [e]).components()) > len(g.components())
+        if len(reference_components(delete_edges(g, [e]))) > parts
     }
     for u, v in g.edges():
         if (u, v) in cut and g.degree(u) % 2 == 0 and g.degree(v) % 2 == 0:
@@ -714,9 +717,10 @@ def _certificate_corpus():
 
 def test_certificates_and_splits_match_global_searches(monkeypatch):
     # Every connectivity certificate that `reduce` asks for (the `_finish`
-    # checks, the trial child of the C3 sparse ring, and the paired
-    # children that C4's remainder search found in one part) must answer
-    # as a search of the whole child does.  Every
+    # checks and the trial child of the C3 sparse ring, each a `joins` of
+    # the child's boundary, and the paired children that C4's remainder
+    # search found in one part) must answer as the mask reference's search
+    # of the whole child does; so must every `joins` of `is_connected`.  Every
     # low-link search must give the components of the graph it cuts that
     # hold a start, and the bridges of the vertices it walked; each C2
     # join's two children must be the sides of its cut edge, u's first;
@@ -725,14 +729,23 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     import gallai.reductions as reductions
 
     answers, searches, orders, larger = Counter(), Counter(), Counter(), Counter()
-    connected, low_link = reductions._connected, Graph.low_link
+    joins, is_connected, low_link = Graph.joins, Graph.is_connected, Graph.low_link
+    whole = []
     ascending, finish = reductions._ascending, reductions._finish
     reduce_c2 = reductions._reduce_c2
 
-    def checked_connected(child):
-        answer = connected(child)
-        assert answer == child.graph.is_connected(), child
-        answers[answer] += 1
+    def checked_is_connected(g):
+        whole.append(g)
+        try:
+            return is_connected(g)
+        finally:
+            whole.pop()
+
+    def checked_joins(g, vertices):
+        answer = joins(g, vertices)
+        assert answer == (len(reference_components(g)) == 1), (g, vertices)
+        if not whole:  # a child's boundary
+            answers[answer] += 1
         return answer
 
     def checked_low_link(g, starts, removed=()):
@@ -749,7 +762,7 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     def checked_reduce_c2(g, occ):
         plan = reduce_c2(g, occ)
         sides = [set(child.graph.vertices()) for child in plan.children]
-        cut = delete_edges(g, [(occ.u, occ.v)]).components()
+        cut = reference_components(delete_edges(g, [(occ.u, occ.v)]))
         assert sorted(map(sorted, sides)) == sorted(map(list, cut)), (g, occ)
         assert occ.u in sides[0] and occ.v in sides[1], (g, occ)
         u_side, v_side = map(len, sides)
@@ -767,11 +780,12 @@ def test_certificates_and_splits_match_global_searches(monkeypatch):
     def checked_finish(plan):
         for child in plan.children:
             if child.bridges is not None:
-                assert child.graph.is_connected(), child
+                assert len(reference_components(child.graph)) == 1, child
                 answers["searched"] += 1
         return finish(plan)
 
-    monkeypatch.setattr(reductions, "_connected", checked_connected)
+    monkeypatch.setattr(Graph, "joins", checked_joins)
+    monkeypatch.setattr(Graph, "is_connected", checked_is_connected)
     monkeypatch.setattr(reductions, "_ascending", checked_ascending)
     monkeypatch.setattr(reductions, "_finish", checked_finish)
     monkeypatch.setattr(reductions, "_reduce_c2", checked_reduce_c2)
@@ -798,7 +812,7 @@ def test_each_connectivity_question_is_searched_once(monkeypatch):
     # remainder search found one part not at all.
     import gallai.reductions as reductions
 
-    low_link, connected = Graph.low_link, reductions._connected
+    low_link, joins = Graph.low_link, Graph.joins
     searches, certified, met = [], [], Counter()
 
     def counted_low_link(g, starts, removed=()):
@@ -806,12 +820,12 @@ def test_each_connectivity_question_is_searched_once(monkeypatch):
         searches.append((len(removed), len(search.firsts)))
         return search
 
-    def counted_connected(child):
-        certified.append(child)
-        return connected(child)
+    def counted_joins(g, vertices):
+        certified.append(g)
+        return joins(g, vertices)
 
     monkeypatch.setattr(Graph, "low_link", counted_low_link)
-    monkeypatch.setattr(reductions, "_connected", counted_connected)
+    monkeypatch.setattr(Graph, "joins", counted_joins)
     for n in range(2, 8):
         for g in enumerate_connected(n, 5):
             for occ in _all_occurrences(g):
@@ -832,7 +846,7 @@ def test_each_connectivity_question_is_searched_once(monkeypatch):
                     kind += f"/{searches[0][1]}"
                 split = kind.startswith("paired_nonedges/") and kind[-1] != "1"
                 if kind in ("full_ring", "partial_ring") or split:
-                    assert certified == list(plan.children), (g, occ)
+                    assert certified == [c.graph for c in plan.children], (g, occ)
                 if kind == "paired_nonedges/1":
                     assert certified == [], (g, occ)
                 met[kind] += 1
@@ -953,7 +967,7 @@ def test_c4_pairs_take_the_first_labelling_that_joins_the_remainder(monkeypatch)
             if g.delete_vertices({u, v}, [edge(a, b), edge(d, e)]).is_connected()
         )
         assert (t1, t2, t3, w1, w2, w3) == first, (g, occ)
-        trees[len(g.delete_vertices({u, v}).components())] += 1
+        trees[len(reference_components(g.delete_vertices({u, v})))] += 1
         return plan
 
     monkeypatch.setattr(solver, "reduce", checked_reduce)
@@ -1040,18 +1054,18 @@ def test_every_c4_remainder_shape_reduces_as_the_lemmas_say():
 def test_certificate_sees_past_radius_three():
     # A 20-cycle minus one vertex: the boundary, the two neighbours of the
     # removed vertex, joins up only along the 18 edges between them.
-    from gallai.reductions import LiftPlan, _child, _connected, _finish
+    from gallai.reductions import LiftPlan, _child, _finish
 
     g = cycle(20)
     child = _child(g, {0})
     assert child.boundary == (1, 19)
-    assert _connected(child)
+    assert child.graph.joins(child.boundary)
     plan = LiftPlan("C1", "splice", g, (child,), lambda store: None, (0, 0))
     assert _finish(plan) is plan
     # Minus two opposite vertices, the boundary lies in two paths.
     apart = _child(g, {0, 10})
     assert apart.boundary == (1, 9, 11, 19)
-    assert not _connected(apart)
+    assert not apart.graph.joins(apart.boundary)
 
 
 @pytest.mark.parametrize(
@@ -1441,6 +1455,11 @@ def _padded(n: int, edges: list, want: dict) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _even_core(g: Graph) -> Graph:
+    """The subgraph of ``g`` induced by its even-degree vertices."""
+    return g.delete_vertices([v for v in g.vertices() if g.degree(v) % 2])
+
+
 def test_one_pass_check_structure_matches_the_even_core_forest_test():
     # Every census graph with an edge, K3 and K5 apart, which it still
     # refuses, and seeded graphs with and without an even core.
@@ -1451,8 +1470,7 @@ def test_one_pass_check_structure_matches_the_even_core_forest_test():
             with pytest.raises(ValueError, match="K3 and K5 are excluded"):
                 check_structure(g)
         else:
-            core = g.induced_even_subgraph()
-            assert check_structure(g) == core.is_forest(), list(g.edges())
+            assert check_structure(g) == reference_core_is_forest(g), list(g.edges())
     rng = random.Random(1033)
     seeded = []
     # cubic graphs: no even vertex, so an empty core
@@ -1471,15 +1489,15 @@ def test_one_pass_check_structure_matches_the_even_core_forest_test():
         want = {v: rng.choice((2, 4)) for v in a + b}
         want[x] = 3
         g = _padded(x + 1, paths + [(x, a[0]), (x, b[-1])], want)
-        assert len(g.induced_even_subgraph().components()) == 2
+        assert len(reference_components(_even_core(g))) == 2
         seeded.append(g)
     # random connected graphs of every shape
     seeded += [g for g in (random_connected_graph(rng, 9, 60) for _ in range(300)) if g]
     shapes = Counter()
     for g in seeded:
-        core = g.induced_even_subgraph()
-        shapes[core.n > 0, core.is_forest(), len(core.components()) > 1] += 1
-        assert check_structure(g) == core.is_forest(), list(g.edges())
+        core, forest = _even_core(g), reference_core_is_forest(g)
+        shapes[core.n > 0, forest, len(reference_components(core)) > 1] += 1
+        assert check_structure(g) == forest, list(g.edges())
     assert shapes[False, True, False] and shapes[True, False, False]
     assert shapes[True, True, True] and shapes[True, False, True]
 

@@ -1,7 +1,10 @@
-"""The package exports the documented API and nothing else, and keeps
-every name the benchmark's tracer hooks."""
+"""The package exports the documented API and nothing else, keeps every
+name the benchmark's tracer hooks, and has no ``Graph`` method without a
+use."""
 
 import importlib.util
+import re
+import types
 from pathlib import Path
 
 import gallai
@@ -98,3 +101,23 @@ def test_tracer_hooks_resolve():
         if not callable(getattr(Graph, method, None))
     ]
     assert not missing
+
+
+def test_every_public_graph_method_has_a_use():
+    # A public ``Graph`` method is called somewhere in the library, or the
+    # tracer hooks it; one that only tests call is surface to retire.  The
+    # library is read as text: a method is called where ``.name`` appears.
+    library = "".join(
+        path.read_text()
+        for path in Path(gallai.__file__).parent.glob("*.py")
+    )
+    hooked = set(_tracer()._GRAPH_METHODS)
+    unused = [
+        name
+        for name, value in vars(Graph).items()
+        if not name.startswith("_")
+        and isinstance(value, (classmethod, types.FunctionType))
+        and name not in hooked
+        and not re.search(rf"\.{name}\b", library)
+    ]
+    assert not unused
