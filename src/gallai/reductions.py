@@ -750,16 +750,15 @@ def _reduce_c4_four(
 
 
 def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink) -> LiftPlan:
-    # One tree reached every kept vertex: the first labelling's child is
-    # connected, with the search's bridges that no synthetic edge crosses.
-    # Else the first labelling whose synthetic edges join every tree is taken.
+    # The first labelling whose synthetic edges join every tree is taken,
+    # so with one tree the first, whose child keeps the search's bridges
+    # that no synthetic edge crosses.
     u, v = occ.u, occ.v
     trees = len(search.firsts)
     for t1, t2, t3, w1, w2, w3 in _c4_labellings(g.adjacency(), u, v):
-        if trees > 1:
-            ends = [(search.tree(a), search.tree(b)) for a, b in ((t1, t2), (w1, w2))]
-            if len({edge(i, j) for i, j in ends if i != j}) < trees - 1:
-                continue
+        ends = [(search.tree(a), search.tree(b)) for a, b in ((t1, t2), (w1, w2))]
+        if len({edge(i, j) for i, j in ends if i != j}) < trees - 1:
+            continue
         child = _child(g, {u, v}, ((t1, u, t2), (w1, v, w2)))
         if trees == 1:
             child = replace(child, bridges=frozenset(search.uncrossed(child.synthetic)))
@@ -1051,7 +1050,7 @@ def check_structure(g: Graph) -> bool:
 
 
 def is_exceptional_clique(g: Graph) -> bool:
-    """K3 or K5: the two cliques ``solve`` covers from fixed templates and
+    """K3 or K5: the two cliques ``solve`` does not reduce and
     ``check_structure`` excludes."""
     return (g.n, g.m) in ((3, 3), (5, 10))
 

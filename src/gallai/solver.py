@@ -1,14 +1,15 @@
 """End-to-end solver: reduce while a configuration exists, search the rest.
 
-``solve`` shrinks the graph through the reducible configurations, handles
-the two exceptional cliques directly, and resolves irreducible graphs by
-exact bounded search (their even-degree core is a forest, so a
-decomposition into ceil(n/2) paths exists and the search is guaranteed a
-target).  The input contract, connected with maximum degree at most 5, is
-checked once, by ``check_input``; every child keeps it, since ``reduce``
-certifies each child's connectivity and the degrees at its boundary.  So
-at a base case ``check_structure`` tests only what is new there, the
-shape of the even-degree core.
+``solve`` shrinks the graph through the reducible configurations and
+covers every graph left, edgeless, one of the two exceptional cliques or
+irreducible, by the same exact search for ceil(n/2) paths (an irreducible
+graph's even-degree core is a forest, so such a decomposition exists and
+the search is guaranteed a target).  The input contract, connected with
+maximum degree at most 5, is checked once, by ``check_input``; every
+child keeps it, since ``reduce`` certifies each child's connectivity and
+the degrees at its boundary.  So at an irreducible base case
+``check_structure`` tests only what is new there, the shape of the
+even-degree core.
 
 ``solve`` runs on an explicit work stack, not on recursion, so the depth
 of the reduction chain is not bounded by Python's recursion limit: each
@@ -78,20 +79,6 @@ class SolveResult:
     trace: SolveTrace
 
 
-# Templates for K3 and K5, by position in the ascending vertex ids.
-_CLIQUE_PATHS = {
-    3: ((0, 1, 2), (0, 2)),
-    5: ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0, 3)),
-}
-
-
-def _clique_decomposition(g: Graph) -> PathDecomposition:
-    order = tuple(g.vertices())
-    return PathDecomposition(
-        tuple(Path(tuple(order[i] for i in seq)) for seq in _CLIQUE_PATHS[g.n])
-    )
-
-
 def check_input(g: Graph) -> None:
     """Raise ``SolveError`` unless ``g`` is connected with max degree <= 5."""
     if not g.is_connected():
@@ -125,9 +112,10 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
             graph = plan.children[0].graph
             near, bridges = inherited(plan, 0, near, bridges)
             continue
-        solved: PathDecomposition | PathStore = _base_case(graph, budget, bases)
+        base, solved = _base_case(graph, budget)
+        bases.append(base)
         if stack:
-            solved = _load(graph, solved, bases[-1])
+            solved = _load(graph, solved, base)
         # Lift every reduction that this base case completes.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
             plan, stores, _, _ = stack.pop()
@@ -146,31 +134,33 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)))
 
 
-def _base_case(g: Graph, budget: int | None, bases: list[str]) -> PathDecomposition:
-    """Decompose a graph that is edgeless, an exceptional clique or
-    irreducible (``solve`` calls this only once ``detect`` has found no
-    configuration), and append its base-case label to ``bases``."""
+def _base_case(g: Graph, budget: int | None) -> tuple[str, PathDecomposition]:
+    """The base-case label and the decomposition of a graph that is
+    edgeless, an exceptional clique or irreducible (``solve`` calls this
+    only once ``detect`` has found no configuration): one exact search for
+    ceil(n/2) paths covers all three.  The budget bounds only the search
+    of an irreducible graph; the search covers an edgeless graph with no
+    node, and K3 and K5 with one node per edge and no backtracking."""
+    k = (g.n + 1) // 2
     if g.m == 0:
-        bases.append("trivial")
-        return PathDecomposition(())
-    if is_exceptional_clique(g):
-        bases.append(f"K{g.n}")
-        return _clique_decomposition(g)
-    if not check_structure(g):
+        base = "trivial"
+    elif is_exceptional_clique(g):
+        base, budget = f"K{g.n}", None
+    elif check_structure(g):
+        base = f"search(k={k})"
+    else:
         raise InternalError(
             "irreducible graph has a cyclic even-degree core; "
             "this contradicts the structure guarantee"
         )
-    k = (g.n + 1) // 2
-    # g is connected and has edges, so the search needs no checks first
+    # g is connected, so the search needs no checks first
     d = _search(g, k, budget)
     if d is None:
         raise InternalError(
             f"exact search found no decomposition into {k} paths; "
             "this contradicts the decomposition guarantee"
         )
-    bases.append(f"search(k={k})")
-    return d
+    return base, d
 
 
 def _load(g: Graph, d: PathDecomposition, base: str) -> PathStore:
@@ -189,11 +179,16 @@ def solve_base(
     Complete and deterministic; raises BudgetExhaustedError if the node
     budget runs out before an answer is certain.
     """
+    _check_searchable(g)
+    return _search(g, k, budget)
+
+
+def _check_searchable(g: Graph) -> None:
+    """Raise ``SolveError`` unless ``g`` is connected and has edges."""
     if not g.is_connected():
         raise SolveError("graph is not connected")
     if g.m == 0:
         raise SolveError("graph has no edges")
-    return _search(g, k, budget)
 
 
 def _search(g: Graph, k: int, budget: int | None) -> PathDecomposition | None:
@@ -208,10 +203,7 @@ def min_decomposition(
 ) -> tuple[int, PathDecomposition]:
     """Exact minimum number of paths, by iterative deepening from the
     lower bound."""
-    if g.m == 0:
-        raise SolveError("graph has no edges")
-    if not g.is_connected():
-        raise SolveError("graph is not connected")
+    _check_searchable(g)
     k = lower_bound(g)
     while (d := _search(g, k, budget)) is None:
         k += 1

@@ -841,18 +841,19 @@ def reference_solve(g: Graph, budget: int | None = None):
 
 def _reference_solve(g, budget, steps, bases):
     from gallai.reductions import check_structure, detect, is_exceptional_clique, reduce
-    from gallai.solver import ReductionStep, _clique_decomposition
+    from gallai.solver import ReductionStep
 
+    k = (g.n + 1) // 2
     if g.m == 0:
         bases.append("trivial")
         return PathDecomposition(())
     if is_exceptional_clique(g):
         bases.append(f"K{g.n}")
-        return _clique_decomposition(g)
+        cover, _ = reference_cover_with_paths(g.edges(), k)
+        return PathDecomposition(tuple(Path(seq) for seq in cover))
     occ = detect(g)
     if occ is None:
         assert check_structure(g)
-        k = (g.n + 1) // 2
         cover, _ = reference_cover_with_paths(g.edges(), k, budget)
         assert cover is not None
         bases.append(f"search(k={k})")

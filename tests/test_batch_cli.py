@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -20,6 +21,7 @@ from gallai import (
     write_graph6,
 )
 from gallai.cli import build_parser, main
+from gallai.search import cover_with_paths
 from helpers import (
     complete_graph,
     cycle,
@@ -540,9 +542,12 @@ def test_cli_refuses_a_negative_budget_before_reading(
 
 
 def test_cli_solve_needs_no_search_node_for_a_graph_that_reduces(tmp_path):
-    # a 5-cycle reduces to K3, which is decomposed without a search
-    path = write(tmp_path, "c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n")
-    assert main(["solve", path, "--budget", "0"]) == 0
+    # a 5-cycle reduces to K3; K3 and K5 are searched, but the budget
+    # bounds only the search of an irreducible graph
+    k5 = "".join(f"{a} {b}\n" for a, b in itertools.combinations(range(5), 2))
+    for name, text in (("c5.txt", "0 1\n1 2\n2 3\n3 4\n0 4\n"), ("k5.txt", k5)):
+        path = write(tmp_path, name, text)
+        assert main(["solve", path, "--budget", "0"]) == 0
 
 
 def test_cli_check_refuses_an_order_above_the_cap_before_enumerating(
@@ -688,23 +693,35 @@ def _never_valid(g, d):
     return VerifyReport(False, (), len(d), False)
 
 
+def _last_path_dropped(adj, k, budget=None):
+    return cover_with_paths(adj, k, budget)[:-1]
+
+
+_CHORDED = "0 1\n1 2\n2 3\n3 0\n0 2\n"
+_C5 = "0 1\n1 2\n2 3\n3 4\n0 4\n"
+
+
 @pytest.mark.parametrize(
-    "name, broken, message",
+    "text, name, broken, message",
     [
-        ("cover_with_paths", _no_search, "exact search found no decomposition into 2 paths"),
-        ("check_structure", _cyclic_core, "cyclic even-degree core"),
-        ("verify", _never_valid, "final decomposition not good"),
+        (_CHORDED, "cover_with_paths", _no_search,
+         "exact search found no decomposition into 2 paths"),
+        (_CHORDED, "check_structure", _cyclic_core, "cyclic even-degree core"),
+        (_CHORDED, "verify", _never_valid, "final decomposition not good"),
+        (_C5, "cover_with_paths", _last_path_dropped,
+         "base case K3 is not a decomposition"),
     ],
-    ids=["search", "structure", "final_verify"],
+    ids=["search", "structure", "final_verify", "load"],
 )
 def test_cli_solve_broken_guarantee_is_internal_failure(
-    tmp_path, capsys, monkeypatch, name, broken, message
+    tmp_path, capsys, monkeypatch, text, name, broken, message
 ):
     # A guarantee of the solver failing is a fault of the program: exit
     # status 1 and "internal failure", not the input error status 2.  The
-    # 4-cycle with a chord is irreducible, so it goes to the search.
+    # 4-cycle with a chord is irreducible, so it goes to the search; the
+    # 5-cycle reduces, so the store of its K3 leaf is loaded for the lift.
     monkeypatch.setattr(gallai.solver, name, broken)
-    path = write(tmp_path, "chorded.txt", "0 1\n1 2\n2 3\n3 0\n0 2\n")
+    path = write(tmp_path, "g.txt", text)
     assert main(["solve", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("gallai: internal failure: ") and message in err

@@ -217,14 +217,14 @@ def test_automorphisms_match_networkx():
             assert len(found) == len(set(found)) and set(found) == expected
 
 
-def test_first_vertex_search_finds_the_least_string_and_the_orbits():
+def test_least_prefixes_find_the_least_string_and_the_orbits():
     # Every census graph with n <= 6, labelled with each vertex first in
-    # turn and the others in a random order: every order the search keeps
-    # to the end must spell the brute-force least string, and the orbit
-    # that the deletion rule reads off those orders must be the orbit: for
-    # candidates that are one orbit, that orbit; for two vertices, both
-    # exactly when they share an orbit; and for all vertices, the orbit of
-    # the one in the last slot.
+    # turn and the others in a random order: every order that
+    # `_least_prefixes` keeps to the end must spell the brute-force least
+    # string, and the orbit that the deletion rule reads off those orders
+    # must be the orbit: for candidates that are one orbit, that orbit; for
+    # two vertices, both exactly when they share an orbit; and for all
+    # vertices, the orbit of the one in the last slot.
     rng = random.Random(23)
     for n in range(1, 7):
         for g in enumerate_connected(n, 5):
@@ -261,7 +261,7 @@ def test_first_vertex_search_finds_the_least_string_and_the_orbits():
                 assert read == sum(1 << v for v in last)
 
 
-def test_bounded_tie_search_decides_as_the_full_comparison(monkeypatch):
+def test_tie_labelling_decides_as_the_full_comparison(monkeypatch):
     # Every tie for the canonical deletion met while enumerating n <= 7 is
     # decided by one labelling of the child; the orbit it reads must be the
     # set of candidates at the latest candidate slot over every order that

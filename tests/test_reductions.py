@@ -460,7 +460,7 @@ def test_every_occurrence_round_trips_on_random_graphs():
 
 def _shadowed_branch(g, occ):
     """The sub-case that the corner tests once sent ``occ`` to, if a C4
-    shadows it: "two_gaps"; "degree_two" when exactly two corners have
+    shadows it: "two_gaps"; "two_fours" when exactly two corners have
     degree 4; for three, "bridge_spread" when every outer corner edge is
     a bridge and "hub_contraction" otherwise; None for the sub-cases that
     `reduce` still builds."""
@@ -475,7 +475,7 @@ def _shadowed_branch(g, occ):
         return None
     fours = sum(g.degree(x) == 4 for x in corners)
     if fours < 3:
-        return "degree_two" if fours == 2 else None
+        return "two_fours" if fours == 2 else None
     outer = [(c, y) for c in corners for y in g.neighbors(c) if y not in corners]
     cut = g.bridges()
     if all(edge(c, y) in cut for c, y in outer):
@@ -512,7 +512,7 @@ def test_shadowed_c5_subcases_hold_a_c4_and_are_refused():
                 reduce(g, occ)
             _named_c4(str(refused.value)).validate(g)
             seen[branch] += 1
-    shadowed = ("two_gaps", "degree_two", "hub_contraction", "bridge_spread")
+    shadowed = ("two_gaps", "two_fours", "hub_contraction", "bridge_spread")
     assert min(seen[b] for b in shadowed) >= 20, seen
 
 
@@ -857,10 +857,10 @@ def test_each_connectivity_question_is_searched_once(monkeypatch):
     assert all(met[kind] >= floor for kind, floor in floors.items()), met
 
 
-def _check_contraction(g, plan, met):
-    """A C5 contraction child is the chained build of delete and contract,
-    in the same table order, and its synthetic edges are exactly its edges
-    that ``g`` lacks."""
+def _check_degree_two_child(g, plan, met):
+    """A C5 ``degree_two`` child is the chained build of delete and
+    contract, in the same table order, and its synthetic edges are
+    exactly its edges that ``g`` lacks."""
     if plan.subcase != "degree_two":
         return
     (child,) = plan.children
@@ -875,10 +875,10 @@ def _check_contraction(g, plan, met):
     met[plan.subcase] += 1
 
 
-def test_contraction_children_are_one_build(monkeypatch):
-    # Every C5 contraction child that `solve` meets on the certificate
-    # corpus is built by one `_child` call as the old chain of table
-    # copies built it.
+def test_c5_degree_two_children_are_one_build(monkeypatch):
+    # Every C5 `degree_two` child that `solve` meets on the certificate
+    # corpus is built by one `_child` call as the chain of table copies
+    # `delete_vertices({v}).contract_edge(u, w)` builds it.
     import gallai.solver as solver
 
     met = Counter()
@@ -886,7 +886,7 @@ def test_contraction_children_are_one_build(monkeypatch):
 
     def checked_reduce(g, occ):
         plan = original(g, occ)
-        _check_contraction(g, plan, met)
+        _check_degree_two_child(g, plan, met)
         return plan
 
     monkeypatch.setattr(solver, "reduce", checked_reduce)

@@ -47,6 +47,26 @@ def test_solve_trivial_graph():
     assert result.trace.base_case == "trivial"
 
 
+@pytest.mark.parametrize(
+    "g, base, paths",
+    [
+        (complete_graph(3), "K3", [(0, 1, 2), (0, 2)]),
+        (complete_graph(5), "K5", [(0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 0, 3)]),
+        (
+            complete_graph(6).delete_vertices({0}), "K5",
+            [(1, 2, 3, 4, 5), (1, 3, 5, 2, 4), (5, 1, 4)],
+        ),
+    ],
+    ids=["K3", "K5", "K5_gapped_ids"],
+)
+def test_clique_leaves_are_searched_with_no_budgeted_node(g, base, paths):
+    # The exact search covers K3 and K5 without a budget, in the paths
+    # that the retired hand-written templates put on the ascending ids.
+    result = solve(g, budget=0)
+    assert result.trace.base_cases == (base,)
+    assert [p.vertices for p in result.decomposition.paths] == paths
+
+
 def test_solve_rejects_bad_inputs():
     with pytest.raises(SolveError):
         solve(Graph.from_edges(4, [(0, 1), (2, 3)]))
@@ -271,3 +291,9 @@ def test_exact_search_entries_refuse_inputs_outside_their_contract():
         min_decomposition(edgeless)
     with pytest.raises(SolveError, match="graph is not connected"):
         min_decomposition(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # Both entries check connectivity first, so two isolated vertices are
+    # refused as disconnected, as `solve` refuses them.
+    apart = Graph.from_edges(2, [])
+    for refused in (solve, min_decomposition, lambda g: solve_base(g, 1)):
+        with pytest.raises(SolveError, match="graph is not connected"):
+            refused(apart)

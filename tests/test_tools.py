@@ -22,19 +22,32 @@ def _tool(name):
     return module
 
 
+def _raises(source):
+    """Each raise line of the file ``source``, with its text."""
+    text = source.read_text()
+    lines = text.splitlines()
+    return {
+        node.lineno: lines[node.lineno - 1]
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Raise)
+    }
+
+
 def test_raise_lines_lists_every_raise_of_the_reductions_but_one():
     # Every raise of reductions.py is a ReductionError or LiftError, or a
     # refusal that `_c4_first` builds, except the ValueError of
-    # check_structure, which is not a reduction's guard.
+    # check_structure, which is not a reduction's guard.  In solver.py the
+    # InternalError raises are counted, and not the SolveError refusals of
+    # input outside the contract.
     tool = _tool("raise_lines")
-    text = tool.SOURCE.read_text()
-    raises = {
-        node.lineno for node in ast.walk(ast.parse(text))
-        if isinstance(node, ast.Raise)
-    }
-    lines = text.splitlines()
-    (value_error,) = (n for n in raises if "ValueError" in lines[n - 1])
-    assert set(tool.raise_lines(tool.SOURCE)) == raises - {value_error}
+    reductions, solver = tool.SOURCES
+    assert (reductions.name, solver.name) == ("reductions.py", "solver.py")
+    raises = _raises(reductions)
+    (value_error,) = (n for n, line in raises.items() if "ValueError" in line)
+    assert set(tool.raise_lines(reductions)) == raises.keys() - {value_error}
+    internal = {n for n, line in _raises(solver).items() if "InternalError" in line}
+    assert len(internal) == 4
+    assert set(tool.raise_lines(solver)) == internal
 
 
 def test_bench_pairs_refuses_a_revision_git_does_not_know():

@@ -1,15 +1,18 @@
-"""Count the ``raise ReductionError`` and ``raise LiftError`` lines of
-``src/gallai/reductions.py`` that the test suite reaches, and the
-``raise _c4_first(...)`` and ``raise _lift_error(...)`` lines, whose
-helpers build a ``ReductionError`` and a ``LiftError``.
+"""Count the raise lines of the library's guards that the test suite
+reaches: the ``raise ReductionError`` and ``raise LiftError`` lines of
+``src/gallai/reductions.py``, with the ``raise _c4_first(...)`` and
+``raise _lift_error(...)`` lines, whose helpers build a ``ReductionError``
+and a ``LiftError``; and the ``raise InternalError(...)`` lines of
+``src/gallai/solver.py``.
 
     python3 tools/raise_lines.py [pytest arguments; default: -q tests]
 
-The raise lines are read from the module's syntax tree.  A ``sys.settrace``
-hook (no ``coverage`` package needed) traces only the frames of
-``reductions.py`` while pytest runs the suite in this process; the script
-then prints the raise lines reached out of the total, and each line missed
-with its text.  Tests that run the library in a subprocess are not seen.
+The raise lines are read from each module's syntax tree.  A
+``sys.settrace`` hook (no ``coverage`` package needed) traces only the
+frames of those two modules while pytest runs the suite in this process;
+the script then prints, for each module apart, the raise lines reached
+out of the total, and each line missed with its text.  Tests that run the
+library in a subprocess are not seen.
 
 Standard library only, apart from pytest, which runs the suite;
 ``gallai`` is imported from ``src`` next to this directory, so the script
@@ -19,17 +22,25 @@ counts the checkout it sits in.  Exits with pytest's status.
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCE = ROOT / "src" / "gallai" / "reductions.py"
-ERRORS = ("ReductionError", "LiftError", "_c4_first", "_lift_error")
+# Each traced module's source, with the names whose raise lines it counts.
+SOURCES = {
+    ROOT / "src" / "gallai" / "reductions.py": (
+        "ReductionError", "LiftError", "_c4_first", "_lift_error",
+    ),
+    ROOT / "src" / "gallai" / "solver.py": ("InternalError",),
+}
 
 
 def raise_lines(path: Path) -> dict[int, str]:
-    """Each line that raises one of ``ERRORS``, with its text."""
+    """Each line of ``path`` that raises one of its ``SOURCES`` names,
+    with its text."""
+    errors = SOURCES[path]
     text = path.read_text()
     lines = text.splitlines()
     return {
@@ -38,7 +49,7 @@ def raise_lines(path: Path) -> dict[int, str]:
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and isinstance(node.exc.func, ast.Name)
-        and node.exc.func.id in ERRORS
+        and node.exc.func.id in errors
     }
 
 
@@ -46,20 +57,21 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
-    import gallai.reductions
-
-    target = gallai.reductions.__file__
-    if Path(target).resolve() != SOURCE:
-        sys.exit(f"gallai.reductions comes from {target}, not {SOURCE}")
-    reached: set[int] = set()
+    targets = {}
+    for source in SOURCES:
+        target = importlib.import_module(f"gallai.{source.stem}").__file__
+        if Path(target).resolve() != source:
+            sys.exit(f"gallai.{source.stem} comes from {target}, not {source}")
+        targets[target] = source
+    reached: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
         if event == "line":
-            reached.add(frame.f_lineno)
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename == target else None
+        return local if frame.f_code.co_filename in targets else None
 
     threading.settrace(tracer)
     sys.settrace(tracer)
@@ -68,11 +80,15 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    lines = raise_lines(SOURCE)
-    missed = sorted(lines.keys() - reached)
-    print(f"raise lines reached: {len(lines) - len(missed)} of {len(lines)}")
-    for lineno in missed:
-        print(f"  missed {SOURCE.name}:{lineno}: {lines[lineno]}")
+    for target, source in targets.items():
+        lines = raise_lines(source)
+        missed = sorted(n for n in lines if (target, n) not in reached)
+        print(
+            f"{source.name}: raise lines reached: "
+            f"{len(lines) - len(missed)} of {len(lines)}"
+        )
+        for lineno in missed:
+            print(f"  missed {source.name}:{lineno}: {lines[lineno]}")
     return int(status)
 
 
