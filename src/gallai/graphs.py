@@ -16,7 +16,10 @@ Degrees are at most 5 in the graphs the solver takes, so a degree is a
 copy of the table that rewrites only the tuples of the vertices it
 touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``.
 Every derived graph is a new ``Graph``; values are safe to share between
-threads.
+threads.  One graph breaks these rules, inside ``solve`` only: the
+parent that a lift restores from its child (``solver._restore``) is a
+graph over a working table that the next lift up writes, whose
+re-inserted ids no longer ascend, so only lookups read it.
 
 The connectivity queries never recurse and key their work by vertex id:
 ``joins`` is a breadth-first search that stops once it has seen the

@@ -377,9 +377,12 @@ Route = tuple[int, ...]
 
 # Child and LiftPlan are built at every level of a solve, so they are not
 # frozen: a frozen __init__ sets each field through object.__setattr__, at
-# about four times the cost.  They must still never be changed once built:
-# _finish checks a plan once, and takes a child's bridges as the proof
-# that it is connected.
+# about four times the cost.  They must still never be changed once built,
+# but for the fields that ``solve`` releases: _finish checks a plan once,
+# and takes a child's bridges as the proof that it is connected.  As
+# ``solve`` descends into a child, it sets the child's ``graph`` and
+# ``bridges`` to None; it sets the ``parent`` of a large one-child plan to
+# None too, and points it at the restored parent just before the lift.
 @dataclass(slots=True)
 class Child:
     """One reduced graph, on its parent's vertex ids.
@@ -391,19 +394,22 @@ class Child:
     the edges that ``_child`` added: every edge of the child that is not an
     edge of the parent.  No lift may leave one covered.  ``boundary``
     lists, ascending, the child's vertices that have a neighbour among the
-    removed vertices S of the parent, B = N(S) minus S.  Only they can
-    have gained or lost edges.  ``bridges``, where the reduction's own
-    search found them, are all the child's bridges.  They are also the
-    proof that the child is connected, so only a reduction whose own
-    search reached every vertex the child keeps may set them: the C4
-    paired non-edges, from a remainder search that was one tree, and
-    ``_finish`` takes them as that proof from no other.
+    removed vertices S of the parent, B = N(S) minus S, and ``removed``
+    is S.  Only the vertices of B can have gained or lost edges, so the
+    parent is the child with the parent's tuples of S and B put back.
+    ``bridges``, where the reduction's own search found them, are all the
+    child's bridges.  They are also the proof that the child is connected,
+    so only a reduction whose own search reached every vertex the child
+    keeps may set them: the C4 paired non-edges, from a remainder search
+    that was one tree, and ``_finish`` takes them as that proof from no
+    other.
     """
 
     graph: Graph
     routes: tuple[Route, ...] = ()
     synthetic: tuple[Edge, ...] = ()
     boundary: tuple[int, ...] = ()
+    removed: Collection[int] = ()
     bridges: frozenset[Edge] | None = None
 
 
@@ -447,7 +453,7 @@ def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child
         if not g.has_edge(*e):
             added.append(e)
     sub = g.delete_vertices(removed, added)
-    return Child(sub, routes, tuple(added), _boundary(g, removed))
+    return Child(sub, routes, tuple(added), _boundary(g, removed), removed)
 
 
 Part = tuple[tuple[int, ...], set[int]]
@@ -833,7 +839,8 @@ def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
         child = _child(g, {a, b}, ((x, a, b, y),))
         return _routed("C5", "one_gap", g, (child,), (x, b, apex, a, y))
     child = _child(g, {a, b})
-    rewrite = functools.partial(_lift_c5_triangle, a, b, tuple(trio), child.graph)
+    degrees = tuple(map(child.graph.degree, trio))
+    rewrite = functools.partial(_lift_c5_triangle, a, b, tuple(trio), degrees)
     return LiftPlan("C5", "common_triangle", g, (child,), rewrite, (1, 1))
 
 
@@ -848,9 +855,11 @@ def _reduce_c5_degree_two(g: Graph, occ: C5) -> LiftPlan:
 
 
 def _lift_c5_triangle(
-    u: int, v: int, trio: tuple[int, int, int], child: Graph, store: PathStore
+    u: int, v: int, trio: tuple[int, int, int], degrees: tuple[int, int, int],
+    store: PathStore,
 ) -> None:
-    """Both removed corners see all of the triangle {c1, c2, c3}.
+    """Both removed corners see all of the triangle {c1, c2, c3}, whose
+    vertices have the ``degrees`` in the child, in the order of ``trio``.
 
     The rewrite needs a role assignment (w, x, y) of the triangle where w
     has no neighbours outside the triangle in the child, the x-w and w-y
@@ -860,8 +869,9 @@ def _lift_c5_triangle(
     affected paths, which keeps the same accounting.
     """
     holder = store.holder
+    degree = dict(zip(trio, degrees))
     for wr, xr, yr in itertools.permutations(trio):
-        if child.degree(wr) != 2:
+        if degree[wr] != 2:
             continue
         if holder(edge(xr, wr)) == holder(edge(wr, yr)):
             continue

@@ -13,11 +13,26 @@ even-degree core.
 
 ``solve`` runs on an explicit work stack, not on recursion, so the depth
 of the reduction chain is not bounded by Python's recursion limit: each
-reduction pushes a frame holding its plan and what its graph passed to
-``detect``, its children are solved in order, each passing what
-``reductions.inherited`` derives from that, and the frame is lifted as
-soon as its last child is done.  Child graphs keep their parent's vertex
-ids, so every decomposition is in the ids of the input graph.
+reduction pushes a frame holding its plan, its children are solved in
+order, each passing what ``reductions.inherited`` derives from what its
+parent passed to ``detect``, and the frame is lifted as soon as its last
+child is done.  Child graphs keep their parent's vertex ids, so every
+decomposition is in the ids of the input graph.
+
+A frame holds no graph that it will not read, so memory stays linear in
+n however long the chain.  Each child's graph is taken out of its plan
+as ``solve`` descends into it.  A one-child reduction of a graph with
+more than ``_KEPT_ORDER`` vertices also releases that graph: the frame
+keeps an undo record instead, the graph's ``m`` and its neighbour tuples
+of the removed set S and the boundary B.  When the child is lifted, the
+record is put back into one working table, copied once per run of lifts
+from the finished child, which re-inserts S and drops the synthetic
+edges at B, and the lift runs against a graph over that table.  So the
+input graph, and any graph that a frame still holds, is never written.
+Two-child plans (C2 and two C4 sub-cases) and graphs of at most
+``_KEPT_ORDER`` vertices keep their graph in the plan.  Only a two-child
+plan's frame keeps what its graph passed to ``detect``, for its second
+child to inherit.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -33,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, _derived
 from .paths import Path, PathDecomposition, PathStore, lower_bound, verify
 from .reductions import (
     LiftPlan,
@@ -87,6 +102,30 @@ def check_input(g: Graph) -> None:
         raise SolveError("max degree exceeds 5")
 
 
+# A one-child reduction of a graph with more than this many vertices
+# releases the graph while its child is solved, and keeps an undo record
+# instead (``_release``).  Smaller graphs keep it: releasing at every
+# level made the benchmark's census workload (n <= 8, seed 801, five runs
+# a side on a 2-vCPU Xeon) 6 % slower in its median ``latency_p50_ms``,
+# 0.117 -> 0.124 ms, for the record and the restore at every level,
+# while the at most 64 small levels at the end of a chain hold at most 64
+# tables of at most 64 vertices each.
+_KEPT_ORDER = 64
+
+# What restores a released graph from its child: its ``m`` and its
+# neighbour tuples of the removed set S and the boundary B (``_release``).
+_Undo = tuple[int, dict[int, tuple[int, ...]]]
+
+# A pending reduction: its plan, the stores of its children solved so far,
+# the ``near`` and ``bridges`` that its graph passed to ``detect`` (kept
+# only for a second child to inherit from), and the undo record of its
+# released graph, or None where the plan keeps it.
+_Frame = tuple[
+    LiftPlan, list[PathStore], frozenset[int] | None, frozenset[Edge] | None,
+    _Undo | None,
+]
+
+
 def solve(g: Graph, budget: int | None = None) -> SolveResult:
     """Decompose a connected graph with max degree <= 5 into at most
     ceil(n/2) paths, verified end to end; raise ``InternalError`` rather
@@ -94,39 +133,45 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     check_input(g)
     steps: list[ReductionStep] = []
     bases: list[str] = []
-    # The reductions whose children are not all solved yet, innermost
-    # last, each with the stores of its children solved so far and the
-    # ``near`` and ``bridges`` its graph passed to ``detect``.
-    stack: list[tuple[LiftPlan, list[PathStore], frozenset[int] | None,
-                      frozenset[Edge] | None]] = []
+    stack: list[_Frame] = []  # innermost last
     graph, near, bridges = g, None, None
     while True:
-        occ = (
-            None if graph.m == 0 or is_exceptional_clique(graph)
-            else detect(graph, near, bridges)
-        )
+        leaf = _leaf(graph)
+        occ = None if leaf else detect(graph, near, bridges)
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            stack.append((plan, [], near, bridges))
-            graph = plan.children[0].graph
-            near, bridges = inherited(plan, 0, near, bridges)
+            if len(plan.children) > 1:
+                stack.append((plan, [], near, bridges, None))
+            else:
+                undo = _release(plan) if graph.n > _KEPT_ORDER else None
+                stack.append((plan, [], None, None, undo))
+            graph, near, bridges = _descend(plan, 0, near, bridges)
             continue
-        base, solved = _base_case(graph, budget)
+        base, solved = _base_case(graph, leaf, budget)
         bases.append(base)
         if stack:
             solved = _load(graph, solved, base)
-        # Lift every reduction that this base case completes.
+        # Lift every reduction that this base case completes.  The released
+        # graphs among them are restored, innermost first, in one table
+        # copied from the first finished child that needs it: a table for
+        # the lifts' lookups only, never scanned in id order (``_restore``).
+        table = None
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
-            plan, stores, _, _ = stack.pop()
+            plan, stores, _, _, undo = stack.pop()
+            if undo is None:
+                table = None  # the plan's own parent: no table of it is written
+            else:
+                if table is None:
+                    table = dict(solved.graph.adjacency())
+                plan.parent = _restore(table, undo)
             stores.append(solved)
             solved = lift(plan, stores)
         if not stack:
             break
-        plan, stores, near, bridges = stack[-1]
+        plan, stores, near, bridges, _ = stack[-1]
         stores.append(solved)
-        graph = plan.children[len(stores)].graph
-        near, bridges = inherited(plan, len(stores), near, bridges)
+        graph, near, bridges = _descend(plan, len(stores), near, bridges)
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
@@ -134,18 +179,62 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     return SolveResult(d, SolveTrace(tuple(steps), tuple(bases)))
 
 
-def _base_case(g: Graph, budget: int | None) -> tuple[str, PathDecomposition]:
-    """The base-case label and the decomposition of a graph that is
-    edgeless, an exceptional clique or irreducible (``solve`` calls this
-    only once ``detect`` has found no configuration): one exact search for
-    ceil(n/2) paths covers all three.  The budget bounds only the search
-    of an irreducible graph; the search covers an edgeless graph with no
-    node, and K3 and K5 with one node per edge and no backtracking."""
-    k = (g.n + 1) // 2
+def _descend(
+    plan: LiftPlan, i: int, near: frozenset[int] | None,
+    bridges: frozenset[Edge] | None,
+) -> tuple[Graph, frozenset[int] | None, frozenset[Edge] | None]:
+    """The graph of child i of ``plan`` and what it passes to ``detect``,
+    given what the plan's parent passed.  The graph and the bridges are
+    taken out of the child: the lift reads only its routes and synthetic
+    edges."""
+    near, bridges = inherited(plan, i, near, bridges)
+    child = plan.children[i]
+    graph, child.graph, child.bridges = child.graph, None, None
+    return graph, near, bridges
+
+
+def _release(plan: LiftPlan) -> _Undo:
+    """Drop the ``parent`` of a one-child plan, and return the undo record
+    that restores it from the child: S and B are the only vertices whose
+    tuples differ."""
+    parent, (child,) = plan.parent, plan.children
+    adj = parent.adjacency()
+    plan.parent = None
+    return parent.m, {v: adj[v] for v in (*child.removed, *child.boundary)}
+
+
+def _restore(table: dict[int, tuple[int, ...]], undo: _Undo) -> Graph:
+    """The released parent of a lift, rebuilt in ``table``, which holds its
+    child's tuples: putting back the parent's tuples re-inserts S and drops
+    the synthetic edges at B.  The table serves only the lift's lookups.
+    It is never scanned in id order, since S's ids, inserted last, no
+    longer ascend."""
+    m, tuples = undo
+    table.update(tuples)
+    return _derived(table, m)
+
+
+def _leaf(g: Graph) -> str | None:
+    """The base-case label of a graph that ``solve`` does not reduce: an
+    edgeless graph (``trivial``) or an exceptional clique (``K3``, ``K5``);
+    None for any other graph."""
     if g.m == 0:
-        base = "trivial"
-    elif is_exceptional_clique(g):
-        base, budget = f"K{g.n}", None
+        return "trivial"
+    return f"K{g.n}" if is_exceptional_clique(g) else None
+
+
+def _base_case(
+    g: Graph, leaf: str | None, budget: int | None
+) -> tuple[str, PathDecomposition]:
+    """The base-case label and the decomposition of a graph that is the
+    ``leaf`` that ``_leaf`` names, or irreducible where ``leaf`` is None
+    (``detect`` found no configuration): one exact search for ceil(n/2)
+    paths covers all three.  The budget bounds only the search of an
+    irreducible graph; the search covers an edgeless graph with no node,
+    and K3 and K5 with one node per edge and no backtracking."""
+    k = (g.n + 1) // 2
+    if leaf is not None:
+        base, budget = leaf, None
     elif check_structure(g):
         base = f"search(k={k})"
     else:

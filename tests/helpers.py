@@ -658,8 +658,11 @@ def reference_lower_bound(edges) -> int:
 def reference_cover_with_paths(edges, k: int, budget: int | None = None):
     """``cover_with_paths`` as one recursive call per path and one nested
     generator per path vertex, on one set of uncovered edges; returns the
-    cover (or None) and the number of search nodes it spent."""
-    from gallai.search import BudgetExhaustedError, _paths_needed
+    cover (or None) and the number of search nodes it spent.  It prunes by
+    the bound of ``reference_lower_bound`` on the uncovered edges, kept
+    here by counters, not by the library's bound: so a wrong bound in the
+    library cannot prune both searches alike."""
+    from gallai.search import BudgetExhaustedError
 
     order = sorted({edge(*e) for e in edges})
     available = set(order)
@@ -715,7 +718,11 @@ def reference_cover_with_paths(edges, k: int, budget: int | None = None):
         uncovered edge comes before ``order[first]``."""
         if not available:
             return True
-        if remaining <= 0 or _paths_needed(len(available), live, odd) > remaining:
+        if remaining <= 0:
+            return False
+        # half the odd vertices, and the edges over the most a path can take
+        needed = max((odd + 1) // 2, -(-len(available) // (live - 1)))
+        if needed > remaining:
             return False
         while order[first] not in available:
             first += 1
@@ -1013,15 +1020,16 @@ def _ref_lift_c4_hub(hub, other, t1, t2, t3, decomps):
     return PathDecomposition(keep_pair + keep_rest + (first, second))
 
 
-def _ref_lift_c5_triangle(u, v, trio, child, decomps):
+def _ref_lift_c5_triangle(u, v, trio, degrees, decomps):
     d = decomps[0]
+    degree = dict(zip(trio, degrees))  # each trio vertex's child degree
 
     def holder(e):
         return _ref_find_edge_index(d, e)[0]
 
     roles = None
     for wr, xr, yr in itertools.permutations(trio):
-        if child.degree(wr) != 2:
+        if degree[wr] != 2:
             continue
         if holder(edge(xr, wr)) == holder(edge(wr, yr)):
             continue

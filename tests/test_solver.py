@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -22,7 +23,17 @@ from gallai import (
 )
 from gallai.paths import lower_bound
 from gallai.solver import solve_base
-from helpers import complete_graph, cycle, path_graph, petersen, random_cubic_graph, star
+from helpers import (
+    complete_graph,
+    cycle,
+    path_graph,
+    petersen,
+    random_caterpillar,
+    random_connected_graph,
+    random_cubic_graph,
+    random_regular_graph,
+    star,
+)
 
 
 def test_solve_examples():
@@ -203,6 +214,72 @@ def test_large_cubic_graph_solves_at_the_default_recursion_limit():
     assert report.valid and report.good
     assert len(result.decomposition) <= 1200
     assert result.trace.steps == () and result.trace.base_cases == ("search(k=1200)",)
+
+
+def test_no_released_graph_outlives_its_descent(monkeypatch):
+    # A path of 600 vertices reduces by C1 one vertex a level, down to one
+    # edge.  Each level of more than 64 vertices releases its graph, so at
+    # the one leaf the solve holds only the graphs of the levels of at most
+    # 64 vertices and the leaf: not one per level, 598, as when every frame
+    # kept its graph.
+    import gc
+
+    import gallai.solver
+
+    def graphs() -> int:
+        return sum(isinstance(x, Graph) for x in gc.get_objects())
+
+    real = gallai.solver._base_case
+    held = []
+
+    def counting(g, *args):
+        held.append(graphs() - before)
+        return real(g, *args)
+
+    monkeypatch.setattr(gallai.solver, "_base_case", counting)
+    g = path_graph(600)
+    before = graphs()  # the input's among them
+    assert len(solve(g).trace.steps) == 598
+    assert len(held) == 1 and held[0] < 80, held
+
+
+def test_every_restored_parent_is_exact(monkeypatch):
+    # Each lift's parent has the table, n and m that its reduce saw: as a
+    # mapping, since a restored table's re-inserted ids no longer ascend.
+    import gallai.solver
+
+    real_reduce, real_lift = gallai.solver.reduce, gallai.solver.lift
+    seen = {}  # id(plan) -> (plan, parent, its table, n, m)
+    released = collections.Counter()
+
+    def recording_reduce(g, occ):
+        plan = real_reduce(g, occ)
+        seen[id(plan)] = (plan, g, dict(g.adjacency()), g.n, g.m)
+        return plan
+
+    def comparing_lift(plan, stores):
+        _, parent, table, n, m = seen.pop(id(plan))
+        assert dict(plan.parent.adjacency()) == table, plan.tag
+        assert (plan.parent.n, plan.parent.m) == (n, m), plan.tag
+        if plan.parent is not parent:
+            released[plan.tag] += 1
+        return real_lift(plan, stores)
+
+    monkeypatch.setattr(gallai.solver, "reduce", recording_reduce)
+    monkeypatch.setattr(gallai.solver, "lift", comparing_lift)
+    rng = random.Random(3618)
+    graphs = [path_graph(70), path_graph(200)]
+    for n in (70, 120, 200):
+        graphs.append(random_regular_graph(rng, n, 4))
+        graphs.append(random_caterpillar(rng, n))
+    while len(graphs) < 12:
+        g = random_connected_graph(rng, 70, 200)
+        if g is not None:
+            graphs.append(g)
+    for g in graphs:
+        assert verify(g, solve(g).decomposition).good
+    assert not seen
+    assert released["C1"] and released["C3"] and released["C4"], released
 
 
 def test_min_decomposition_of_a_long_path():

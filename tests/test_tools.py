@@ -2,11 +2,18 @@
 the benchmark itself."""
 
 import ast
+import hashlib
 import importlib.util
 import json
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from gallai import Graph, solve
+from gallai.io import format_decomposition
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -127,6 +134,30 @@ def test_scale_probe_reports_levels_and_steps(monkeypatch):
     runs = probe.probe(801)["runs"]
     assert (runs["path-40"]["levels"], runs["path-40"]["steps"]) == (38, 38)
     assert (runs["regular3-20"]["levels"], runs["regular3-20"]["steps"]) == (0, 0)
+
+
+def test_scale_probe_solves_one_named_input_in_its_own_process():
+    # `--input` takes any order of a family the probe knows, solves that
+    # one input, and adds the process's peak RSS and the result's digest.
+    probe = _tool("scale_probe")
+    script = str(ROOT / "tools" / "scale_probe.py")
+    done = subprocess.run(
+        [sys.executable, script, "--input", "maxdeg5-90"],
+        capture_output=True, text=True, check=True,
+    )
+    doc = json.loads(done.stdout)
+    (name,) = doc["runs"]
+    run = doc["runs"][name]
+    assert name == "maxdeg5-90" and run["n"] == 90 and run["levels"] > 0
+    assert 0 < doc["peak_rss_mb"] < 1000
+    size, edges = probe.MAKERS["maxdeg5"](random.Random("801:maxdeg5-90"), 90)
+    d = solve(Graph.from_edges(size, edges)).decomposition
+    assert run["sha256"] == hashlib.sha256(format_decomposition(d).encode()).hexdigest()
+    refused = subprocess.run(
+        [sys.executable, script, "--input", "regular5-90"],
+        capture_output=True, text=True,
+    )
+    assert refused.returncode == 2 and "unknown input" in refused.stderr
 
 
 def test_census_probe_counts_each_order(monkeypatch):

@@ -1,13 +1,15 @@
 """Time ``solve`` on a few large generated graphs, and its layers.
 
-    python3 tools/scale_probe.py [--seed 801]
+    python3 tools/scale_probe.py [--seed 801] [--input NAME]
 
 Solves, once each, paths of n = 1000 to 8000, random max-degree-5 graphs
 of n = 800 to 3200, 4-regular graphs of n = 400 and 1600, a caterpillar of
 n = 1600 and cubic graphs of n = 2400 to 9600, drawn by the generators of
 ``perfbench/gen.py``, each from its own stream seeded by the seed and the
-input's name.  Wrappers on the names ``gallai.solver`` calls them by add
-up the time spent in ``reduce``, in ``detect``, in the structure check
+input's name.  ``--input NAME`` solves only the input NAME, a family
+and an order such as ``maxdeg5-6400``: any order of any family above.
+Wrappers on the names ``gallai.solver`` calls them by add up the time
+spent in ``reduce``, in ``detect``, in the structure check
 ``check_structure`` and in the exact search ``cover_with_paths``; wrappers
 on the detectors that ``detect`` runs, and on ``Graph.bridges``, split
 ``detect`` by configuration, and one on ``Graph.low_link`` times C4's
@@ -24,7 +26,11 @@ while each level removes one configuration) and the seconds of ``solve``
 (``bridges_s``, part of ``c2_s``), the remainder searches (``remainder_s``,
 part of ``reduce_s``), the structure check (``structure_s``),
 the search (``search_s``) and the collector's pauses during ``solve``
-(``gc_s``); wall clock, one process, unpinned.
+(``gc_s``), and the SHA-256 of ``format_decomposition`` of the result
+(``sha256``); wall clock, one process, unpinned.  The line also gives
+the process's peak resident set (``peak_rss_mb``, from
+``resource.getrusage``).  That figure only rises, so it describes one
+input only when ``--input`` solves one input in a process of its own.
 
 Standard library only; ``gallai`` is imported from ``src`` next to this
 directory, so the script measures the checkout it sits in.
@@ -34,9 +40,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import platform
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -49,6 +57,7 @@ import gen  # noqa: E402  (perfbench/gen.py)
 import gallai.reductions  # noqa: E402
 import gallai.solver  # noqa: E402
 from gallai import Graph, solve  # noqa: E402
+from gallai.io import format_decomposition  # noqa: E402
 
 # (name, family, n): the probe's inputs, smallest first in each family
 INPUTS = (
@@ -105,7 +114,19 @@ class Clock:
         return timed
 
 
-def probe(seed: int) -> dict:
+def parse_input(name: str) -> tuple[str, int]:
+    """``(family, n)`` of an input name such as ``maxdeg5-6400``."""
+    family, _, order = name.rpartition("-")
+    if family not in MAKERS or not order.isdigit():
+        raise ValueError(
+            f"unknown input {name!r}: expected FAMILY-N with FAMILY one of"
+            f" {', '.join(MAKERS)}"
+        )
+    return family, int(order)
+
+
+def probe(seed: int, inputs: list[tuple[str, int]] | None = None) -> dict:
+    """Solve each of ``inputs`` (default ``INPUTS``) once, timing its layers."""
     collector = Collector()
     layers = ("reduce", "detect", "check_structure", "cover_with_paths")
     clocks = {name: Clock(collector) for name in layers}
@@ -134,7 +155,7 @@ def probe(seed: int) -> dict:
     gc.callbacks.append(collector)
     runs = {}
     try:
-        for family, n in INPUTS:
+        for family, n in INPUTS if inputs is None else inputs:
             name = f"{family}-{n}"
             size, edges = MAKERS[family](random.Random(f"{seed}:{name}"), n)
             g = Graph.from_edges(size, edges)
@@ -161,6 +182,9 @@ def probe(seed: int) -> dict:
                 "structure_s": round(clocks["check_structure"].seconds, 4),
                 "search_s": round(clocks["cover_with_paths"].seconds, 4),
                 "gc_s": round(collector.seconds, 4),
+                "sha256": hashlib.sha256(
+                    format_decomposition(result.decomposition).encode()
+                ).hexdigest(),
             }
     finally:
         gc.callbacks.remove(collector)
@@ -169,14 +193,32 @@ def probe(seed: int) -> dict:
         gallai.reductions._DETECTORS = detectors
         Graph.bridges = bridges
         Graph.low_link = low_link
-    return {"seed": seed, "python": platform.python_version(), "runs": runs}
+    return {
+        "seed": seed,
+        "python": platform.python_version(),
+        "runs": runs,
+        # ru_maxrss counts kilobytes on Linux
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
+    }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=801)
+    parser.add_argument(
+        "--input", metavar="NAME",
+        help="solve only this input, e.g. maxdeg5-6400, in this process",
+    )
     args = parser.parse_args()
-    print(json.dumps(probe(args.seed)))
+    inputs = None
+    if args.input is not None:
+        try:
+            inputs = [parse_input(args.input)]
+        except ValueError as exc:
+            parser.error(str(exc))
+    print(json.dumps(probe(args.seed, inputs)))
 
 
 if __name__ == "__main__":
