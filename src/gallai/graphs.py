@@ -12,14 +12,20 @@ graph6 and the census take graphs on ``0..n-1`` only.
 Adjacency is stored as one sorted tuple of neighbour ids per vertex, keyed
 by id in ascending order, and the edge count ``m`` is kept alongside it.
 Degrees are at most 5 in the graphs the solver takes, so a degree is a
-``len`` and an adjacency test a short tuple scan.  A derived graph is one
-copy of the table that rewrites only the tuples of the vertices it
-touches; ``contract_edge`` is a call of ``delete_vertices(drop, add)``.
-Every derived graph is a new ``Graph``; values are safe to share between
-threads.  One graph breaks these rules, inside ``solve`` only: the
-parent that a lift restores from its child (``solver._restore``) is a
-graph over a working table that the next lift up writes, whose
-re-inserted ids no longer ascend, so only lookups read it.
+``len`` and an adjacency test a short tuple scan.  ``delete_vertices``
+derives a new ``Graph``, one copy of the table that rewrites only the
+tuples of the vertices it touches (``_rows``); ``contract_edge`` is a call
+of ``delete_vertices(drop, add)``.  A reduction's child is a graph over a
+view instead (``_cut``): its parent's table minus the removed vertices,
+with the rewritten tuples in front, built with no copy and valid while
+the parent's table is not written.  Values are safe to share between
+threads, but for what ``solve`` does inside one call.  It points each
+child it descends into at a table of its own (``_settle``), a copy of its
+view or the one working table of its chain, which it edits in place from
+parent to child and back (``solver._descend_in_place``); so a graph over
+that table changes with the next level down and with each lift.  And the
+parent that a lift restores (``solver._restore``) has re-inserted ids
+that no longer ascend, so only lookups read it.
 
 The connectivity queries never recurse and key their work by vertex id:
 ``joins`` is a breadth-first search that stops once it has seen the
@@ -198,17 +204,16 @@ class Graph:
         the vertices ``removed``, with a new tree from each of ``starts``,
         in order, that no earlier tree has reached.
 
-        It runs on an explicit stack of (vertex, preorder number, parent's
-        number, neighbour iterator).  ``low`` holds, by preorder number, the
-        least number that the vertex's subtree reaches by one edge other
-        than the tree edge to its parent; a removed vertex is numbered above
-        every vertex searched, so it never lowers a low.  When a vertex's
-        neighbours run out it is popped and its low passes to its parent;
-        the tree edge between them is a bridge exactly when that low is
-        above the parent's number.  The vertex's subtree is then the
-        preorder interval from its own number to the next number to be
-        given.  Linear in the size of what it searches, with no recursion
-        and nothing sized by the largest id.
+        It runs on an explicit stack with one tuple per suspended vertex
+        (``_low_link``).  A vertex's low is the least preorder number that
+        its subtree reaches by one edge other than the tree edge to its
+        parent; a removed vertex is numbered above every vertex searched,
+        so it never lowers a low.  When a vertex's neighbours run out it is
+        popped and its low passes to its parent; the tree edge between them
+        is a bridge exactly when that low is above the parent's number.
+        The vertex's subtree is then the preorder interval from its own
+        number to the next number to be given.  Linear in the size of what
+        it searches, with no recursion and nothing sized by the largest id.
         """
         pre = dict.fromkeys(removed, len(self._adj))
         for s in starts:
@@ -227,29 +232,12 @@ class Graph:
         unknown = [v for v in dropped if v not in self._adj]
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
+        rows, change = _rows(self._adj, dropped, add)
         adj = dict(self._adj)
-        m = self.m  # less each edge at a dropped vertex, plus each added one
-        touched: set[int] = set()
         for v in dropped:
-            for w in adj.pop(v):
-                if w not in dropped:
-                    touched.add(w)
-                    m -= 1
-                elif w < v:
-                    m -= 1
-        for w in touched:
-            adj[w] = tuple(x for x in adj[w] if x not in dropped)
-        for u, v in add:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u}, {v}) leaves the kept vertices")
-            if v in adj[u]:
-                raise ValueError(f"edge ({u}, {v}) already present")
-            adj[u] = tuple(sorted(adj[u] + (v,)))
-            adj[v] = tuple(sorted(adj[v] + (u,)))
-            m += 1
-        return _derived(adj, m)
+            del adj[v]
+        adj.update(rows)
+        return _derived(adj, self.m + change)
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge whose ends share no neighbour.
@@ -329,36 +317,43 @@ def _low_link(
     numbers the others it searches, and returns the bridges with their
     subtrees' intervals and each tree's first number.  ``bridges`` calls
     it directly, as the whole-graph search runs at many levels of a
-    solve."""
-    low: list[int] = []  # by preorder number
+    solve.
+
+    The vertex being searched lives in locals: its id ``v``, number ``i``,
+    low ``low``, parent's number ``p`` and neighbour iterator ``rest``.
+    Descending to a new vertex pushes those five as one tuple; popping one
+    back passes the finished vertex's low to its parent."""
     firsts: list[int] = []
     found: dict[Edge, tuple[int, int]] = {}
+    given = 0  # the next preorder number
     for root in starts:
         if root in pre:
             continue
-        pre[root] = i = len(low)
-        low.append(i)
-        firsts.append(i)
-        stack = [(root, i, -1, iter(adj[root]))]
-        while stack:
-            v, i, p, rest = stack[-1]
+        pre[root] = given
+        firsts.append(given)
+        v, i, low, p, rest = root, given, given, -1, iter(adj[root])
+        given += 1
+        stack: list[tuple[int, int, int, int, Iterator[int]]] = []
+        while True:
             for w in rest:
                 j = pre.get(w)
                 if j is None:
-                    pre[w] = j = len(low)
-                    low.append(j)
-                    stack.append((w, j, i, iter(adj[w])))
+                    pre[w] = given
+                    stack.append((v, i, low, p, rest))
+                    v, i, low, p, rest = w, given, given, i, iter(adj[w])
+                    given += 1
                     break
-                if j < low[i] and j != p:  # a back edge up the tree
-                    low[i] = j
+                if j < low and j != p:  # a back edge up the tree
+                    low = j
             else:
-                stack.pop()
-                if p < 0:
-                    continue
-                if low[i] < low[p]:
-                    low[p] = low[i]
-                elif low[i] > p:  # no edge from v's subtree reaches p or above
-                    found[edge(stack[-1][0], v)] = (i, len(low))
+                if not stack:
+                    break
+                child, child_low, child_i = v, low, i
+                v, i, low, p, rest = stack.pop()
+                if child_low < low:
+                    low = child_low
+                elif child_low > i:  # nothing below the child reaches v or above
+                    found[edge(v, child)] = (child_i, given)
     return found, firsts
 
 
@@ -378,6 +373,102 @@ def _derived(adj: dict[int, tuple[int, ...]], m: int) -> Graph:
     derives it from a valid graph."""
     g = object.__new__(Graph)
     _init(g, adj, m)
+    return g
+
+
+def _rows(
+    adj: Mapping[int, tuple[int, ...]], dropped: Collection[int], add: Iterable[Edge]
+) -> tuple[dict[int, tuple[int, ...]], int]:
+    """What deleting the vertices ``dropped`` and adding the edges ``add``
+    among the others rewrites in the table ``adj``: the new tuples of the
+    kept vertices next to a dropped one or at an added edge, and the change
+    in the edge count.  Raises ``ValueError`` on an added edge that is a
+    self-loop, leaves the kept vertices or is already present."""
+    rows: dict[int, tuple[int, ...]] = {}
+    change = 0  # less each edge at a dropped vertex, plus each added one
+    for v in dropped:
+        for w in adj[v]:
+            if w not in dropped:
+                rows[w] = ()
+                change -= 1
+            elif w < v:
+                change -= 1
+    for w in rows:
+        rows[w] = tuple(x for x in adj[w] if x not in dropped)
+    for u, v in add:
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if u in dropped or v in dropped or u not in adj or v not in adj:
+            raise ValueError(f"edge ({u}, {v}) leaves the kept vertices")
+        nu = rows[u] if u in rows else adj[u]
+        if v in nu:
+            raise ValueError(f"edge ({u}, {v}) already present")
+        nv = rows[v] if v in rows else adj[v]
+        rows[u] = tuple(sorted(nu + (v,)))
+        rows[v] = tuple(sorted(nv + (u,)))
+        change += 1
+    return rows, change
+
+
+class _Cut(Mapping):
+    """A read-only view of the table ``base`` minus the vertices ``removed``,
+    with ``rows`` in place of the tuples that the cut rewrites (``_rows``):
+    built in O(|rows|) steps, with no copy of ``base``, and ascending by id
+    as ``base`` is.  It stays valid while ``base`` is not written."""
+
+    __slots__ = ("base", "removed", "rows", "n")
+
+    def __init__(
+        self, base: Mapping[int, tuple[int, ...]], removed: Collection[int],
+        rows: dict[int, tuple[int, ...]],
+    ):
+        self.base, self.removed, self.rows = base, removed, rows
+        self.n = len(base) - len(removed)
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        row = self.rows.get(v)
+        if row is not None:
+            return row
+        if v in self.removed:
+            raise KeyError(v)
+        return self.base[v]
+
+    def __iter__(self) -> Iterator[int]:
+        removed = self.removed
+        return (v for v in self.base if v not in removed)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def table(self) -> dict[int, tuple[int, ...]]:
+        """The view copied out into a table of its own, ids ascending."""
+        adj = dict(self.base)
+        for v in self.removed:
+            del adj[v]
+        adj.update(self.rows)
+        return adj
+
+
+def _cut(
+    g: Graph, removed: Collection[int], rows: dict[int, tuple[int, ...]], change: int
+) -> Graph:
+    """``g`` minus ``removed`` with the ``rows`` and edge-count ``change``
+    that ``_rows`` gives, as a graph over a view of ``g``'s table
+    (``_Cut``): for a reduction's reads of its child, while ``g`` is not
+    written."""
+    return _derived(_Cut(g._adj, removed, rows), g.m + change)  # type: ignore[arg-type]
+
+
+def _settle(g: Graph, table: dict[int, tuple[int, ...]] | None = None) -> Graph:
+    """Point ``g`` at a table of its own and return it: ``table``, which
+    must hold exactly ``g``'s tuples in ascending id order, or else a copy
+    of ``g``'s table, such as a view's (``_cut``).  ``g``'s value does not
+    change, only where it is stored: so ``solve`` hands on the very child
+    graph that a reduction built, once nothing reads it as a view."""
+    if table is None:
+        adj = g._adj
+        table = adj.table() if isinstance(adj, _Cut) else dict(adj)
+    _set_adj(g, table)
     return g
 
 

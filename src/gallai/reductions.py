@@ -26,10 +26,11 @@ rewrite recipes are only guaranteed to apply when the earlier
 configurations are absent, so ``reduce`` re-checks the facts it relies on
 and fails loudly rather than patching around a priority violation.
 
-``reduce`` takes a connected parent and checks each child at its
-boundary.  Every child is built one way (``_child``): the parent minus a
-removed set S plus a synthetic edge for each route, a walk through S
-whose ends the parent does not join.  Lemma: every kept vertex then
+``reduce`` takes a connected parent, which it never writes, and checks
+each child at its boundary.  Every child is built one way (``_child``):
+the parent minus a removed set S plus a synthetic edge for each route, a
+walk through S whose ends the parent does not join, as a view of the
+parent's table that copies nothing.  Lemma: every kept vertex then
 reaches the boundary B = N(S) minus S without leaving the kept vertices,
 so the child is connected exactly when B lies in one of its components,
 and only the vertices of B change degree.  One search from a vertex of B
@@ -101,7 +102,7 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Union
 
-from .graphs import Edge, Graph, LowLink, edge
+from .graphs import Edge, Graph, LowLink, _cut, _rows, edge
 from .paths import Path, PathStore, spliced
 # imported only so the benchmark's tracer can hook ``reductions.verify``
 from .paths import verify  # noqa: F401
@@ -381,11 +382,15 @@ Route = tuple[int, ...]
 # but for the fields that ``solve`` releases: _finish checks a plan once,
 # and takes a child's bridges as the proof that it is connected.  As
 # ``solve`` descends into a child, it sets the child's ``graph`` and
-# ``bridges`` to None; it sets the ``parent`` of a large one-child plan to
-# None too, and points it at the restored parent just before the lift.
+# ``bridges`` to None and its ``removed`` to (); it sets the ``parent`` of
+# a one-child plan that it descends in place to None too, and points it
+# at the restored parent just before the lift.
 @dataclass(slots=True)
 class Child:
-    """One reduced graph, on its parent's vertex ids.
+    """One reduced graph, on its parent's vertex ids: ``graph`` is a view
+    of the parent's table (``graphs._cut``), read in place while the
+    parent is not written, and copied out only where ``solve`` keeps the
+    parent.
 
     A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
     walk through removed vertices.  Its ends are a synthetic edge, except
@@ -444,16 +449,20 @@ def _boundary(g: Graph, removed: set[int]) -> tuple[int, ...]:
 
 
 def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child:
-    """``g`` minus ``removed`` plus the synthetic edges, built in one copy
-    of the table: an edge joining the ends of each route that are not
-    adjacent in ``g``."""
+    """``g`` minus ``removed`` plus the synthetic edges, an edge joining
+    the ends of each route that are not adjacent in ``g``: a graph over a
+    view of ``g``'s table (``graphs._cut``) that rewrites only the tuples
+    of B, with no copy of the table."""
+    adj = g.adjacency()
     added = []
     for route in routes:
-        e = edge(route[0], route[-1])
-        if not g.has_edge(*e):
-            added.append(e)
-    sub = g.delete_vertices(removed, added)
-    return Child(sub, routes, tuple(added), _boundary(g, removed), removed)
+        a, b = edge(route[0], route[-1])
+        if b not in adj[a]:
+            added.append((a, b))
+    rows, change = _rows(adj, removed, added)
+    # the synthetic edges join vertices of B, so the rewritten rows are B's
+    sub = _cut(g, removed, rows, change)
+    return Child(sub, routes, tuple(added), tuple(sorted(rows)), removed)
 
 
 Part = tuple[tuple[int, ...], set[int]]
@@ -537,9 +546,9 @@ def inherited(
     child = plan.children[i]
     if plan.tag in ("C4", "C5"):
         near = frozenset(child.boundary)
-    elif near is not None:
-        adj = child.graph.adjacency()
-        near = frozenset(x for x in near if x in adj).union(child.boundary)
+    elif near is not None:  # vertices of the parent
+        removed = child.removed
+        near = frozenset(x for x in near if x not in removed).union(child.boundary)
     if plan.tag != "C1":
         return near, child.bridges
     if bridges is not None:
@@ -683,7 +692,8 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     # other split, some labelling's two synthetic edges join all the parts,
     # as the paired check asserts; parts are never adjacent, so it rests
     # only on which part holds each side neighbour and on the edges within
-    # parts.
+    # parts.  A breach of either lemma is a fault of the program, not of
+    # its input, so both checks raise ``solver.InternalError``.
     search = g.low_link(_boundary(g, {u, v}), {u, v})
     if len(search.firsts) == 1:
         return _reduce_c4_paired(g, occ, search)
@@ -695,7 +705,9 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     if not both:
         raise ReductionError(f"{occ}: the edge is a cut edge (C2 was skipped)")
     if len(both) + max(len(only_t), len(only_w)) > 3:
-        raise ReductionError(
+        from .solver import InternalError  # here: solver imports this module
+
+        raise InternalError(
             f"{occ}: the parts break the counting lemma"
             " (each part next to an end holds one of its three side neighbours)"
         )
@@ -769,7 +781,9 @@ def _reduce_c4_paired(g: Graph, occ: C4, search: LowLink) -> LiftPlan:
         if trees == 1:
             child = replace(child, bridges=frozenset(search.uncrossed(child.synthetic)))
         return _routed("C4", "paired_nonedges", g, (child,), (t3, u, v, w3))
-    raise ReductionError(
+    from .solver import InternalError  # here: solver imports this module
+
+    raise InternalError(
         f"{occ}: no reconnecting relabelling exists (the joining lemma gives one)"
     )
 

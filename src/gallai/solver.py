@@ -20,19 +20,26 @@ child is done.  Child graphs keep their parent's vertex ids, so every
 decomposition is in the ids of the input graph.
 
 A frame holds no graph that it will not read, so memory stays linear in
-n however long the chain.  Each child's graph is taken out of its plan
-as ``solve`` descends into it.  A one-child reduction of a graph with
-more than ``_KEPT_ORDER`` vertices also releases that graph: the frame
-keeps an undo record instead, the graph's ``m`` and its neighbour tuples
-of the removed set S and the boundary B.  When the child is lifted, the
-record is put back into one working table, copied once per run of lifts
-from the finished child, which re-inserts S and drops the synthetic
-edges at B, and the lift runs against a graph over that table.  So the
-input graph, and any graph that a frame still holds, is never written.
-Two-child plans (C2 and two C4 sub-cases) and graphs of at most
-``_KEPT_ORDER`` vertices keep their graph in the plan.  Only a two-child
-plan's frame keeps what its graph passed to ``detect``, for its second
-child to inherit.
+n however long the chain, and the descent copies no table per level.
+``reduce`` is pure: each child it builds is a graph over a view of its
+parent's table (``graphs._cut``), minus the removed set S and with new
+tuples for the boundary B, the only vertices whose tuples change.
+``solve`` owns one working table for its chain of one-child reductions;
+the input is copied once, and only if some level goes in place.  A
+one-child reduction of a graph with more than ``_KEPT_ORDER`` vertices
+edits that table into its child's (``_descend_in_place``): it pops S
+and rewrites B's tuples, and the parent's tuples that the edit
+overwrote are the frame's undo record, with the parent's ``m``.  When
+the child is lifted, the record is put back into the same table, which
+re-inserts S and drops the synthetic edges at B, and the lift runs
+against a graph over it (``_restore``).  A two-child plan (C2 and two C4
+sub-cases), and a graph of at most ``_KEPT_ORDER`` vertices, keeps its
+parent in the plan, and each child's graph is copied out of its view
+into a table of its own as ``solve`` descends into it (``_descend``).
+So the input graph, and any graph that a frame still holds, is never
+written.  Each child's graph, bridges and removed set leave its plan as
+``solve`` descends into it, and only a two-child plan's frame keeps what
+its graph passed to ``detect``, for its second child to inherit.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, _derived
+from .graphs import Edge, Graph, _derived, _settle
 from .paths import Path, PathDecomposition, PathStore, lower_bound, verify
 from .reductions import (
     LiftPlan,
@@ -103,23 +110,25 @@ def check_input(g: Graph) -> None:
 
 
 # A one-child reduction of a graph with more than this many vertices
-# releases the graph while its child is solved, and keeps an undo record
-# instead (``_release``).  Smaller graphs keep it: releasing at every
-# level made the benchmark's census workload (n <= 8, seed 801, five runs
-# a side on a 2-vCPU Xeon) 6 % slower in its median ``latency_p50_ms``,
-# 0.117 -> 0.124 ms, for the record and the restore at every level,
-# while the at most 64 small levels at the end of a chain hold at most 64
-# tables of at most 64 vertices each.
+# descends in place (``_descend_in_place``).  Smaller graphs keep their
+# graph, and their child is copied out of its view: descending in place at
+# every level made the benchmark's census workload (n <= 8, seed 801, six
+# pairs of runs on a 2-vCPU Xeon, ``tools/bench_pairs.py``) 3.9 % slower
+# in its median ``latency_p50_ms``, 0.1182 -> 0.1228 ms, and slower in
+# all six pairs, for the input copy, the undo record and the restore at
+# every level, while the at most 64 small levels at the end of a chain
+# copy at most 64 tables of at most 64 vertices each.
 _KEPT_ORDER = 64
 
-# What restores a released graph from its child: its ``m`` and its
-# neighbour tuples of the removed set S and the boundary B (``_release``).
-_Undo = tuple[int, dict[int, tuple[int, ...]]]
+# What restores a parent from its child in place: the working table, the
+# parent's ``m`` and its neighbour tuples of the removed set S and the
+# boundary B (``_descend_in_place``).
+_Undo = tuple[dict[int, tuple[int, ...]], int, dict[int, tuple[int, ...]]]
 
 # A pending reduction: its plan, the stores of its children solved so far,
 # the ``near`` and ``bridges`` that its graph passed to ``detect`` (kept
-# only for a second child to inherit from), and the undo record of its
-# released graph, or None where the plan keeps it.
+# only for a second child to inherit from), and the undo record of a plan
+# that descended in place, or None where the plan keeps its parent.
 _Frame = tuple[
     LiftPlan, list[PathStore], frozenset[int] | None, frozenset[Edge] | None,
     _Undo | None,
@@ -143,28 +152,28 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
             if len(plan.children) > 1:
                 stack.append((plan, [], near, bridges, None))
-            else:
-                undo = _release(plan) if graph.n > _KEPT_ORDER else None
+                graph, near, bridges = _descend(plan, 0, near, bridges)
+            elif graph.n > _KEPT_ORDER:
+                # the input is copied once, at its first level in place
+                table = dict(g.adjacency()) if graph is g else graph.adjacency()
+                graph, near, bridges, undo = _descend_in_place(
+                    plan, table, near, bridges  # type: ignore[arg-type]
+                )
                 stack.append((plan, [], None, None, undo))
-            graph, near, bridges = _descend(plan, 0, near, bridges)
+            else:
+                stack.append((plan, [], None, None, None))
+                graph, near, bridges = _descend(plan, 0, near, bridges)
             continue
         base, solved = _base_case(graph, leaf, budget)
         bases.append(base)
         if stack:
             solved = _load(graph, solved, base)
-        # Lift every reduction that this base case completes.  The released
-        # graphs among them are restored, innermost first, in one table
-        # copied from the first finished child that needs it: a table for
-        # the lifts' lookups only, never scanned in id order (``_restore``).
-        table = None
+        # Lift every reduction that this base case completes, restoring in
+        # its table the parent of each that descended in place.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
             plan, stores, _, _, undo = stack.pop()
-            if undo is None:
-                table = None  # the plan's own parent: no table of it is written
-            else:
-                if table is None:
-                    table = dict(solved.graph.adjacency())
-                plan.parent = _restore(table, undo)
+            if undo is not None:
+                plan.parent = _restore(undo)
             stores.append(solved)
             solved = lift(plan, stores)
         if not stack:
@@ -183,33 +192,51 @@ def _descend(
     plan: LiftPlan, i: int, near: frozenset[int] | None,
     bridges: frozenset[Edge] | None,
 ) -> tuple[Graph, frozenset[int] | None, frozenset[Edge] | None]:
-    """The graph of child i of ``plan`` and what it passes to ``detect``,
-    given what the plan's parent passed.  The graph and the bridges are
-    taken out of the child: the lift reads only its routes and synthetic
-    edges."""
+    """The graph of child i of ``plan``, copied out into a table of its
+    own, and what it passes to ``detect``, given what the plan's parent
+    passed.  The child's graph, bridges and removed set are taken out of
+    it: the lift reads only its routes and synthetic edges."""
     near, bridges = inherited(plan, i, near, bridges)
     child = plan.children[i]
-    graph, child.graph, child.bridges = child.graph, None, None
+    graph = _settle(child.graph)
+    child.graph = child.bridges = None  # type: ignore[assignment]
+    child.removed = ()
     return graph, near, bridges
 
 
-def _release(plan: LiftPlan) -> _Undo:
-    """Drop the ``parent`` of a one-child plan, and return the undo record
-    that restores it from the child: S and B are the only vertices whose
-    tuples differ."""
+def _descend_in_place(
+    plan: LiftPlan, table: dict[int, tuple[int, ...]],
+    near: frozenset[int] | None, bridges: frozenset[Edge] | None,
+) -> tuple[Graph, frozenset[int] | None, frozenset[Edge] | None, _Undo]:
+    """Edit ``table``, the working table that holds the parent of a
+    one-child ``plan``, into the table of its child: pop S and rewrite the
+    tuples of B, the only vertices whose tuples differ.  Returns the child
+    over ``table``, what it passes to ``detect``, and the undo record, the
+    parent's tuples that the edit overwrote.  The plan's parent is
+    released, and the child's graph, bridges and removed set are taken out
+    of it; the child's graph now stands over ``table``."""
+    near, bridges = inherited(plan, 0, near, bridges)
     parent, (child,) = plan.parent, plan.children
-    adj = parent.adjacency()
-    plan.parent = None
-    return parent.m, {v: adj[v] for v in (*child.removed, *child.boundary)}
+    graph = child.graph
+    rows = graph.adjacency()
+    old = {v: table.pop(v) for v in child.removed}
+    for b in child.boundary:
+        old[b] = table[b]
+        table[b] = rows[b]
+    _settle(graph, table)
+    plan.parent = None  # type: ignore[assignment]
+    child.graph = child.bridges = None  # type: ignore[assignment]
+    child.removed = ()
+    return graph, near, bridges, (table, parent.m, old)
 
 
-def _restore(table: dict[int, tuple[int, ...]], undo: _Undo) -> Graph:
-    """The released parent of a lift, rebuilt in ``table``, which holds its
-    child's tuples: putting back the parent's tuples re-inserts S and drops
-    the synthetic edges at B.  The table serves only the lift's lookups.
-    It is never scanned in id order, since S's ids, inserted last, no
-    longer ascend."""
-    m, tuples = undo
+def _restore(undo: _Undo) -> Graph:
+    """The parent of a plan that descended in place, rebuilt in its working
+    table, which holds its finished child's tuples: putting back the
+    parent's tuples re-inserts S and drops the synthetic edges at B.  The
+    restored table serves only the lift's lookups.  It is never scanned in
+    id order, since S's ids, inserted last, no longer ascend."""
+    table, m, tuples = undo
     table.update(tuples)
     return _derived(table, m)
 

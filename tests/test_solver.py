@@ -243,6 +243,91 @@ def test_no_released_graph_outlives_its_descent(monkeypatch):
     assert len(held) == 1 and held[0] < 80, held
 
 
+def test_no_removed_set_outlives_its_descent(monkeypatch):
+    # Each C1 level of a 600-vertex path removes a set of one vertex.  Once
+    # the child's tuples are in the working table, or copied out of its
+    # view, the set is dropped with the child's graph: at the one leaf the
+    # solve holds a few sets, not one per pending level, 598.
+    import gc
+
+    import gallai.solver
+
+    def sets() -> int:
+        return sum(type(x) is set for x in gc.get_objects())
+
+    real = gallai.solver._base_case
+    held = []
+
+    def counting(g, *args):
+        held.append(sets() - before)
+        return real(g, *args)
+
+    monkeypatch.setattr(gallai.solver, "_base_case", counting)
+    g = path_graph(600)
+    before = sets()
+    assert len(solve(g).trace.steps) == 598
+    assert len(held) == 1 and held[0] < 20, held
+
+
+def _descent_corpus():
+    """The census up to n = 7, and seeded graphs whose chains descend in
+    place through C1, C3 and C4 paired levels above 64 vertices, and copy
+    the two children of C2 joins above 64 vertices out of their views."""
+    for n in range(2, 8):
+        yield from (g for g in enumerate_connected(n, 5) if g.m)
+    rng = random.Random(5077)
+    for n in (70, 90, 130, 200):
+        yield random_caterpillar(rng, n)
+        yield random_regular_graph(rng, n, 4)
+        yield path_graph(n)
+    for _ in range(12):
+        g = random_connected_graph(rng, 70, 160)
+        if g is not None:
+            yield g
+
+
+def test_descent_in_place_matches_a_copy_and_writes_no_input(monkeypatch):
+    # `solve` never writes its input, `reduce` never writes its parent, and
+    # the graph that each level descending in place hands on is the
+    # parent minus S plus the synthetic edges, as `delete_vertices` builds
+    # it in a table of its own: the same tuples in the same id order.
+    import gallai.solver as solver
+
+    real_reduce, real_descend = solver.reduce, solver._descend_in_place
+    met = collections.Counter()
+
+    def snapshot(g):
+        return list(g.adjacency().items()), g.n, g.m
+
+    def pure_reduce(g, occ):
+        before = snapshot(g)
+        plan = real_reduce(g, occ)
+        assert snapshot(g) == before, (g, occ)
+        if len(plan.children) > 1 and g.n > 64:
+            met["two children above 64", plan.tag] += 1
+        return plan
+
+    def checked_descend(plan, table, near, bridges):
+        (child,) = plan.children
+        want = plan.parent.delete_vertices(child.removed, child.synthetic)
+        got = real_descend(plan, table, near, bridges)
+        graph = got[0]
+        assert graph.adjacency() is table
+        assert snapshot(graph) == snapshot(want), (plan.tag, plan.subcase)
+        met[plan.tag, plan.subcase] += 1
+        return got
+
+    monkeypatch.setattr(solver, "reduce", pure_reduce)
+    monkeypatch.setattr(solver, "_descend_in_place", checked_descend)
+    for g in _descent_corpus():
+        before = snapshot(g)
+        table = g.adjacency()
+        assert verify(g, solve(g).decomposition).good
+        assert g.adjacency() is table and snapshot(g) == before, g
+    assert met["C1", "splice"] and met["C4", "paired_nonedges"], met
+    assert met["C3", "sparse_ring"] and met["two children above 64", "C2"], met
+
+
 def test_every_restored_parent_is_exact(monkeypatch):
     # Each lift's parent has the table, n and m that its reduce saw: as a
     # mapping, since a restored table's re-inserted ids no longer ascend.

@@ -41,17 +41,20 @@ def _raises(source):
 
 
 def test_raise_lines_lists_every_raise_of_the_reductions_but_one():
-    # Every raise of reductions.py is a ReductionError or LiftError, or a
-    # refusal that `_c4_first` builds, except the ValueError of
-    # check_structure, which is not a reduction's guard.  In solver.py the
-    # InternalError raises are counted, and not the SolveError refusals of
-    # input outside the contract.
+    # Every raise of reductions.py is a ReductionError or LiftError, a
+    # refusal that `_c4_first` builds, or the InternalError of a C4 lemma
+    # check, except the ValueError of check_structure, which is not a
+    # reduction's guard.  In solver.py the InternalError raises are
+    # counted, and not the SolveError refusals of input outside the
+    # contract.
     tool = _tool("raise_lines")
     reductions, solver = tool.SOURCES
     assert (reductions.name, solver.name) == ("reductions.py", "solver.py")
     raises = _raises(reductions)
     (value_error,) = (n for n, line in raises.items() if "ValueError" in line)
     assert set(tool.raise_lines(reductions)) == raises.keys() - {value_error}
+    lemmas = {n for n, line in raises.items() if "InternalError" in line}
+    assert len(lemmas) == 2 and "InternalError" in tool.SOURCES[reductions]
     internal = {n for n, line in _raises(solver).items() if "InternalError" in line}
     assert len(internal) == 4
     assert set(tool.raise_lines(solver)) == internal

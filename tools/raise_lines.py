@@ -1,9 +1,9 @@
 """Count the raise lines of the library's guards that the test suite
-reaches: the ``raise ReductionError`` and ``raise LiftError`` lines of
-``src/gallai/reductions.py``, with the ``raise _c4_first(...)`` and
-``raise _lift_error(...)`` lines, whose helpers build a ``ReductionError``
-and a ``LiftError``; and the ``raise InternalError(...)`` lines of
-``src/gallai/solver.py``.
+reaches: the ``raise ReductionError``, ``raise LiftError`` and ``raise
+InternalError`` lines of ``src/gallai/reductions.py``, with the ``raise
+_c4_first(...)`` and ``raise _lift_error(...)`` lines, whose helpers build
+a ``ReductionError`` and a ``LiftError``; and the ``raise
+InternalError(...)`` lines of ``src/gallai/solver.py``.
 
     python3 tools/raise_lines.py [pytest arguments; default: -q tests]
 
@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # Each traced module's source, with the names whose raise lines it counts.
 SOURCES = {
     ROOT / "src" / "gallai" / "reductions.py": (
-        "ReductionError", "LiftError", "_c4_first", "_lift_error",
+        "ReductionError", "LiftError", "InternalError", "_c4_first",
+        "_lift_error",
     ),
     ROOT / "src" / "gallai" / "solver.py": ("InternalError",),
 }
