@@ -12,20 +12,20 @@ graph6 and the census take graphs on ``0..n-1`` only.
 Adjacency is stored as one sorted tuple of neighbour ids per vertex, keyed
 by id in ascending order, and the edge count ``m`` is kept alongside it.
 Degrees are at most 5 in the graphs the solver takes, so a degree is a
-``len`` and an adjacency test a short tuple scan.  ``delete_vertices``
-derives a new ``Graph``, one copy of the table that rewrites only the
-tuples of the vertices it touches (``_rows``); ``contract_edge`` is a call
-of ``delete_vertices(drop, add)``.  A reduction's child is a graph over a
-view instead (``_cut``): its parent's table minus the removed vertices,
-with the rewritten tuples in front, built with no copy and valid while
-the parent's table is not written.  Values are safe to share between
-threads, but for what ``solve`` does inside one call.  It points each
-child it descends into at a table of its own (``_settle``), a copy of its
-view or the one working table of its chain, which it edits in place from
-parent to child and back (``solver._descend_in_place``); so a graph over
-that table changes with the next level down and with each lift.  And the
-parent that a lift restores (``solver._restore``) has re-inserted ids
-that no longer ascend, so only lookups read it.
+``len`` and an adjacency test a short tuple scan.  A reduction's child is
+a graph over a view (``_cut``): its parent's table minus the removed
+vertices S, with the new tuples of the vertices that the cut touches in
+front (``_rows``), built with no copy and valid while the parent's table
+is not written.  One edit points such a graph at a table of its own
+(``_settle``): given a table that holds the parent's tuples, it pops S and
+writes the rewritten tuples, and the parent's tuples that it overwrote
+undo it.  ``delete_vertices`` is that edit on a copy of the table, and
+``contract_edge`` a call of ``delete_vertices(drop, add)``.  Values are
+safe to share between threads, but for what ``solve`` does inside one
+call: it edits one working table from parent to child and back, so a
+graph over that table changes with the next level down and with each
+lift, and a parent that a lift restores has re-inserted ids that no
+longer ascend, so only lookups read it.
 
 The connectivity queries never recurse and key their work by vertex id:
 ``joins`` is a breadth-first search that stops once it has seen the
@@ -232,12 +232,9 @@ class Graph:
         unknown = [v for v in dropped if v not in self._adj]
         if unknown:
             raise ValueError(f"vertices {sorted(unknown)} are not in the graph")
-        rows, change = _rows(self._adj, dropped, add)
-        adj = dict(self._adj)
-        for v in dropped:
-            del adj[v]
-        adj.update(rows)
-        return _derived(adj, self.m + change)
+        g = _cut(self, dropped, *_rows(self._adj, dropped, add))
+        _settle(g, dict(self._adj))
+        return g
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge whose ends share no neighbour.
@@ -440,14 +437,6 @@ class _Cut(Mapping):
     def __len__(self) -> int:
         return self.n
 
-    def table(self) -> dict[int, tuple[int, ...]]:
-        """The view copied out into a table of its own, ids ascending."""
-        adj = dict(self.base)
-        for v in self.removed:
-            del adj[v]
-        adj.update(self.rows)
-        return adj
-
 
 def _cut(
     g: Graph, removed: Collection[int], rows: dict[int, tuple[int, ...]], change: int
@@ -459,17 +448,25 @@ def _cut(
     return _derived(_Cut(g._adj, removed, rows), g.m + change)  # type: ignore[arg-type]
 
 
-def _settle(g: Graph, table: dict[int, tuple[int, ...]] | None = None) -> Graph:
-    """Point ``g`` at a table of its own and return it: ``table``, which
-    must hold exactly ``g``'s tuples in ascending id order, or else a copy
-    of ``g``'s table, such as a view's (``_cut``).  ``g``'s value does not
-    change, only where it is stored: so ``solve`` hands on the very child
-    graph that a reduction built, once nothing reads it as a view."""
-    if table is None:
-        adj = g._adj
-        table = adj.table() if isinstance(adj, _Cut) else dict(adj)
+def _settle(
+    g: Graph, table: dict[int, tuple[int, ...]]
+) -> dict[int, tuple[int, ...]]:
+    """Point ``g``, a graph over a view (``_cut``), at ``table``, which
+    holds the tuples of the view's base, ids ascending: pop the view's
+    removed set from ``table``, write its rows in their slots, and return
+    the tuples that this overwrote, which ``table.update`` puts back.
+    ``g``'s value does not change, only where it is stored: so ``solve``
+    hands on the very child graph that a reduction built."""
+    cut: _Cut = g._adj  # type: ignore[assignment]
+    # loops, not a comprehension, which costs a frame before Python 3.12
+    old: dict[int, tuple[int, ...]] = {}
+    for v in cut.removed:
+        old[v] = table.pop(v)
+    for b in cut.rows:
+        old[b] = table[b]
+    table.update(cut.rows)
     _set_adj(g, table)
-    return g
+    return old
 
 
 def _mask_table(adj_masks: Sequence[int]) -> tuple[dict[int, tuple[int, ...]], int]:

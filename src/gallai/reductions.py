@@ -106,7 +106,7 @@ from .graphs import Edge, Graph, LowLink, _cut, _rows, edge
 from .paths import Path, PathStore, spliced
 # imported only so the benchmark's tracer can hook ``reductions.verify``
 from .paths import verify  # noqa: F401
-from .search import cover_with_paths
+from .search import BudgetExhaustedError, cover_with_paths
 
 
 class ReductionError(RuntimeError):
@@ -389,8 +389,8 @@ Route = tuple[int, ...]
 class Child:
     """One reduced graph, on its parent's vertex ids: ``graph`` is a view
     of the parent's table (``graphs._cut``), read in place while the
-    parent is not written, and copied out only where ``solve`` keeps the
-    parent.
+    parent is not written, until ``solve`` descends into it and points it
+    at the parent's table edited into the child's, or at a copy of it.
 
     A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
     walk through removed vertices.  Its ends are a synthetic edge, except
@@ -939,7 +939,10 @@ def _lift_c5_triangle_repair(
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
     table = {x: tuple(sorted(nbrs[x])) for x in sorted(nbrs)}
-    cover = cover_with_paths(table, len(hosts) + 1, budget=_REPAIR_BUDGET)
+    try:
+        cover = cover_with_paths(table, len(hosts) + 1, budget=_REPAIR_BUDGET)
+    except BudgetExhaustedError as exc:  # the repair's own bound, not the user's
+        raise LiftError(f"triangle repair ran out of its budget: {exc}") from exc
     if cover is None:
         raise LiftError("triangle repair found no small re-partition")
     for sequence in cover:

@@ -20,26 +20,25 @@ child is done.  Child graphs keep their parent's vertex ids, so every
 decomposition is in the ids of the input graph.
 
 A frame holds no graph that it will not read, so memory stays linear in
-n however long the chain, and the descent copies no table per level.
-``reduce`` is pure: each child it builds is a graph over a view of its
-parent's table (``graphs._cut``), minus the removed set S and with new
-tuples for the boundary B, the only vertices whose tuples change.
-``solve`` owns one working table for its chain of one-child reductions;
-the input is copied once, and only if some level goes in place.  A
-one-child reduction of a graph with more than ``_KEPT_ORDER`` vertices
-edits that table into its child's (``_descend_in_place``): it pops S
-and rewrites B's tuples, and the parent's tuples that the edit
-overwrote are the frame's undo record, with the parent's ``m``.  When
-the child is lifted, the record is put back into the same table, which
-re-inserts S and drops the synthetic edges at B, and the lift runs
-against a graph over it (``_restore``).  A two-child plan (C2 and two C4
-sub-cases), and a graph of at most ``_KEPT_ORDER`` vertices, keeps its
-parent in the plan, and each child's graph is copied out of its view
-into a table of its own as ``solve`` descends into it (``_descend``).
+n however long the chain.  ``reduce`` is pure: each child it builds is a
+graph over a view of its parent's table (``graphs._cut``), minus the
+removed set S and with new tuples for the boundary B, the only vertices
+whose tuples change.  ``solve`` descends into every child by one edit
+(``_descend``, ``graphs._settle``): it pops S from a table that holds the
+parent's tuples, writes B's, and points the child's graph at that table.
+A one-child reduction of a graph with more than ``_KEPT_ORDER`` vertices
+makes the edit in place, in the table that its graph stands over, which
+``solve`` owns (the input's own table is copied first); the parent's
+tuples that the edit overwrote are the frame's undo record, with the
+parent's ``m``.  When the child is lifted, the record is put back into
+the same table, which re-inserts S and drops the synthetic edges at B,
+and the lift runs against a graph over it.  A two-child plan (C2 and two C4 sub-cases),
+and a graph of at most ``_KEPT_ORDER`` vertices, keeps its parent in the
+plan and makes the edit in a copy of the parent's table, one per child.
 So the input graph, and any graph that a frame still holds, is never
 written.  Each child's graph, bridges and removed set leave its plan as
-``solve`` descends into it, and only a two-child plan's frame keeps what
-its graph passed to ``detect``, for its second child to inherit.
+``solve`` descends into it, and only a frame that keeps its parent keeps
+what its graph passed to ``detect``, for a second child to inherit.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -110,7 +109,7 @@ def check_input(g: Graph) -> None:
 
 
 # A one-child reduction of a graph with more than this many vertices
-# descends in place (``_descend_in_place``).  Smaller graphs keep their
+# descends in place, editing the working table.  Smaller graphs keep their
 # graph, and their child is copied out of its view: descending in place at
 # every level made the benchmark's census workload (n <= 8, seed 801, six
 # pairs of runs on a 2-vCPU Xeon, ``tools/bench_pairs.py``) 3.9 % slower
@@ -120,15 +119,17 @@ def check_input(g: Graph) -> None:
 # copy at most 64 tables of at most 64 vertices each.
 _KEPT_ORDER = 64
 
+_Table = dict[int, tuple[int, ...]]
+
 # What restores a parent from its child in place: the working table, the
 # parent's ``m`` and its neighbour tuples of the removed set S and the
-# boundary B (``_descend_in_place``).
-_Undo = tuple[dict[int, tuple[int, ...]], int, dict[int, tuple[int, ...]]]
+# boundary B, which the descent overwrote (``graphs._settle``).
+_Undo = tuple[_Table, int, _Table]
 
 # A pending reduction: its plan, the stores of its children solved so far,
-# the ``near`` and ``bridges`` that its graph passed to ``detect`` (kept
-# only for a second child to inherit from), and the undo record of a plan
-# that descended in place, or None where the plan keeps its parent.
+# and either the ``near`` and ``bridges`` that its graph passed to
+# ``detect`` (for a second child to inherit from) where the plan keeps its
+# parent, or the undo record of a plan that descended in place.
 _Frame = tuple[
     LiftPlan, list[PathStore], frozenset[int] | None, frozenset[Edge] | None,
     _Undo | None,
@@ -150,37 +151,40 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            if len(plan.children) > 1:
+            table = graph.adjacency()
+            if len(plan.children) > 1 or graph.n <= _KEPT_ORDER:
                 stack.append((plan, [], near, bridges, None))
-                graph, near, bridges = _descend(plan, 0, near, bridges)
-            elif graph.n > _KEPT_ORDER:
-                # the input is copied once, at its first level in place
-                table = dict(g.adjacency()) if graph is g else graph.adjacency()
-                graph, near, bridges, undo = _descend_in_place(
-                    plan, table, near, bridges  # type: ignore[arg-type]
-                )
-                stack.append((plan, [], None, None, undo))
-            else:
-                stack.append((plan, [], None, None, None))
-                graph, near, bridges = _descend(plan, 0, near, bridges)
+                graph, near, bridges, _ = _descend(plan, 0, dict(table), near, bridges)
+            else:  # in place, but never in the input's own table
+                table, m = dict(table) if graph is g else table, graph.m
+                plan.parent = None  # type: ignore[assignment]
+                graph, near, bridges, old = _descend(plan, 0, table, near, bridges)
+                stack.append((plan, [], None, None, (table, m, old)))
             continue
         base, solved = _base_case(graph, leaf, budget)
         bases.append(base)
         if stack:
             solved = _load(graph, solved, base)
         # Lift every reduction that this base case completes, restoring in
-        # its table the parent of each that descended in place.
+        # its table the parent of each that descended in place: putting
+        # back the overwritten tuples re-inserts S and drops the synthetic
+        # edges at B.  S's ids, inserted last, no longer ascend, so the
+        # restored table serves only the lift's lookups.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
             plan, stores, _, _, undo = stack.pop()
             if undo is not None:
-                plan.parent = _restore(undo)
+                table, m, old = undo
+                table.update(old)
+                plan.parent = _derived(table, m)
             stores.append(solved)
             solved = lift(plan, stores)
         if not stack:
             break
         plan, stores, near, bridges, _ = stack[-1]
         stores.append(solved)
-        graph, near, bridges = _descend(plan, len(stores), near, bridges)
+        graph, near, bridges, _ = _descend(
+            plan, len(stores), dict(plan.parent.adjacency()), near, bridges
+        )
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
@@ -189,56 +193,22 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
 
 
 def _descend(
-    plan: LiftPlan, i: int, near: frozenset[int] | None,
+    plan: LiftPlan, i: int, table: _Table, near: frozenset[int] | None,
     bridges: frozenset[Edge] | None,
-) -> tuple[Graph, frozenset[int] | None, frozenset[Edge] | None]:
-    """The graph of child i of ``plan``, copied out into a table of its
-    own, and what it passes to ``detect``, given what the plan's parent
-    passed.  The child's graph, bridges and removed set are taken out of
-    it: the lift reads only its routes and synthetic edges."""
+) -> tuple[Graph, frozenset[int] | None, frozenset[Edge] | None, _Table]:
+    """The graph of child i of ``plan`` over ``table``, which held its
+    parent's tuples and is edited into the child's (``graphs._settle``);
+    what the child passes to ``detect``, given what the plan's parent
+    passed; and the parent's tuples that the edit overwrote.  The child's
+    graph, bridges and removed set are taken out of it: the lift reads
+    only its routes and synthetic edges."""
     near, bridges = inherited(plan, i, near, bridges)
     child = plan.children[i]
-    graph = _settle(child.graph)
-    child.graph = child.bridges = None  # type: ignore[assignment]
-    child.removed = ()
-    return graph, near, bridges
-
-
-def _descend_in_place(
-    plan: LiftPlan, table: dict[int, tuple[int, ...]],
-    near: frozenset[int] | None, bridges: frozenset[Edge] | None,
-) -> tuple[Graph, frozenset[int] | None, frozenset[Edge] | None, _Undo]:
-    """Edit ``table``, the working table that holds the parent of a
-    one-child ``plan``, into the table of its child: pop S and rewrite the
-    tuples of B, the only vertices whose tuples differ.  Returns the child
-    over ``table``, what it passes to ``detect``, and the undo record, the
-    parent's tuples that the edit overwrote.  The plan's parent is
-    released, and the child's graph, bridges and removed set are taken out
-    of it; the child's graph now stands over ``table``."""
-    near, bridges = inherited(plan, 0, near, bridges)
-    parent, (child,) = plan.parent, plan.children
     graph = child.graph
-    rows = graph.adjacency()
-    old = {v: table.pop(v) for v in child.removed}
-    for b in child.boundary:
-        old[b] = table[b]
-        table[b] = rows[b]
-    _settle(graph, table)
-    plan.parent = None  # type: ignore[assignment]
+    old = _settle(graph, table)
     child.graph = child.bridges = None  # type: ignore[assignment]
     child.removed = ()
-    return graph, near, bridges, (table, parent.m, old)
-
-
-def _restore(undo: _Undo) -> Graph:
-    """The parent of a plan that descended in place, rebuilt in its working
-    table, which holds its finished child's tuples: putting back the
-    parent's tuples re-inserts S and drops the synthetic edges at B.  The
-    restored table serves only the lift's lookups.  It is never scanned in
-    id order, since S's ids, inserted last, no longer ascend."""
-    table, m, tuples = undo
-    table.update(tuples)
-    return _derived(table, m)
+    return graph, near, bridges, old
 
 
 def _leaf(g: Graph) -> str | None:

@@ -198,6 +198,16 @@ def test_run_check_records_a_failed_solve_and_goes_on(
         assert (record.paths is None) == (record.graph_id in failed)
 
 
+def test_run_check_books_an_exhausted_triangle_repair_as_an_error(monkeypatch):
+    # The C5 triangle repair's search runs under a budget of its own, not
+    # the user's: running out of it is a failed lift, not a `budget` finding.
+    monkeypatch.setattr(gallai.reductions, "_REPAIR_BUDGET", 0)
+    report = run_check([("EJ~w", parse_graph6("EJ~w"))])
+    assert [(f.kind, f.message) for f in report.findings] == [
+        ("error", "triangle repair ran out of its budget: search budget 0 exhausted")
+    ]
+
+
 def test_run_check_finds_solve_and_verify_in_the_module_once_per_graph(
     monkeypatch,
 ):

@@ -286,14 +286,26 @@ def _descent_corpus():
             yield g
 
 
+def _cut_by_hand(parent, removed, synthetic):
+    """The parent table's items minus ``removed`` plus the ``synthetic``
+    edges, with sets, in the parent's id order."""
+    nbrs = {v: set(ws) - set(removed) for v, ws in parent if v not in removed}
+    for a, b in synthetic:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [(v, tuple(sorted(ws))) for v, ws in nbrs.items()]
+
+
 def test_descent_in_place_matches_a_copy_and_writes_no_input(monkeypatch):
     # `solve` never writes its input, `reduce` never writes its parent, and
-    # the graph that each level descending in place hands on is the
-    # parent minus S plus the synthetic edges, as `delete_vertices` builds
-    # it in a table of its own: the same tuples in the same id order.
+    # every descent, in the working table or in a copy of it, hands on a
+    # graph over the table it was given that is the parent minus S plus the
+    # synthetic edges, as plain set code builds it: the same tuples in the
+    # same id order.  Its record puts the parent back, and a plan that
+    # keeps its parent descends in a table that is not the parent's.
     import gallai.solver as solver
 
-    real_reduce, real_descend = solver.reduce, solver._descend_in_place
+    real_reduce, real_descend = solver.reduce, solver._descend
     met = collections.Counter()
 
     def snapshot(g):
@@ -307,25 +319,39 @@ def test_descent_in_place_matches_a_copy_and_writes_no_input(monkeypatch):
             met["two children above 64", plan.tag] += 1
         return plan
 
-    def checked_descend(plan, table, near, bridges):
-        (child,) = plan.children
-        want = plan.parent.delete_vertices(child.removed, child.synthetic)
-        got = real_descend(plan, table, near, bridges)
-        graph = got[0]
+    def checked_descend(plan, i, table, near, bridges):
+        child, kept = plan.children[i], plan.parent
+        parent = list(table.items())
+        if kept is not None:
+            assert table is not kept.adjacency() and parent == snapshot(kept)[0]
+        want = _cut_by_hand(parent, child.removed, child.synthetic)
+        got = real_descend(plan, i, table, near, bridges)
+        graph, old = got[0], got[3]
         assert graph.adjacency() is table
-        assert snapshot(graph) == snapshot(want), (plan.tag, plan.subcase)
-        met[plan.tag, plan.subcase] += 1
+        m = sum(len(ws) for _, ws in want) // 2
+        assert snapshot(graph) == (want, len(want), m), (plan.tag, plan.subcase)
+        restored = dict(table)
+        restored.update(old)
+        assert restored == dict(parent), (plan.tag, plan.subcase)
+        if kept is not None:
+            assert snapshot(kept)[0] == parent, (plan.tag, plan.subcase)
+        where = "copy" if kept is not None else "in place"
+        met[where, plan.tag, plan.subcase, i] += 1
         return got
 
     monkeypatch.setattr(solver, "reduce", pure_reduce)
-    monkeypatch.setattr(solver, "_descend_in_place", checked_descend)
+    monkeypatch.setattr(solver, "_descend", checked_descend)
     for g in _descent_corpus():
         before = snapshot(g)
         table = g.adjacency()
         assert verify(g, solve(g).decomposition).good
         assert g.adjacency() is table and snapshot(g) == before, g
-    assert met["C1", "splice"] and met["C4", "paired_nonedges"], met
-    assert met["C3", "sparse_ring"] and met["two children above 64", "C2"], met
+    assert met["in place", "C1", "splice", 0], met
+    assert met["in place", "C4", "paired_nonedges", 0], met
+    assert met["in place", "C3", "sparse_ring", 0], met
+    assert met["copy", "C2", "join", 0] and met["copy", "C2", "join", 1], met
+    assert met["copy", "C1", "splice", 0], met
+    assert met["two children above 64", "C2"], met
 
 
 def test_every_restored_parent_is_exact(monkeypatch):

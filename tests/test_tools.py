@@ -137,6 +137,8 @@ def test_scale_probe_reports_levels_and_steps(monkeypatch):
     runs = probe.probe(801)["runs"]
     assert (runs["path-40"]["levels"], runs["path-40"]["steps"]) == (38, 38)
     assert (runs["regular3-20"]["levels"], runs["regular3-20"]["steps"]) == (0, 0)
+    # a cubic graph has no configuration, so no child to descend into
+    assert "descend_s" in runs["path-40"] and runs["regular3-20"]["descend_s"] == 0.0
 
 
 def test_scale_probe_solves_one_named_input_in_its_own_process():

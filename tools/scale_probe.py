@@ -10,7 +10,8 @@ input's name.  ``--input NAME`` solves only the input NAME, a family
 and an order such as ``maxdeg5-6400``: any order of any family above.
 Wrappers on the names ``gallai.solver`` calls them by add up the time
 spent in ``reduce``, in ``detect``, in the structure check
-``check_structure`` and in the exact search ``cover_with_paths``; wrappers
+``check_structure``, in the exact search ``cover_with_paths`` and in the
+descents ``_descend``, which edit or copy each child's table; wrappers
 on the detectors that ``detect`` runs, and on ``Graph.bridges``, split
 ``detect`` by configuration, and one on ``Graph.low_link`` times C4's
 searches of the remainder g - {u, v}, which ``reduce`` runs: only the
@@ -25,9 +26,10 @@ while each level removes one configuration) and the seconds of ``solve``
 ``detect_c1`` to ``detect_c5`` (``c1_s`` to ``c5_s``), ``Graph.bridges``
 (``bridges_s``, part of ``c2_s``), the remainder searches (``remainder_s``,
 part of ``reduce_s``), the structure check (``structure_s``),
-the search (``search_s``) and the collector's pauses during ``solve``
-(``gc_s``), and the SHA-256 of ``format_decomposition`` of the result
-(``sha256``); wall clock, one process, unpinned.  The line also gives
+the search (``search_s``), the descents (``descend_s``) and the
+collector's pauses during ``solve`` (``gc_s``), and the SHA-256 of
+``format_decomposition`` of the result (``sha256``); wall clock, one
+process, unpinned.  The line also gives
 the process's peak resident set (``peak_rss_mb``, from
 ``resource.getrusage``).  That figure only rises, so it describes one
 input only when ``--input`` solves one input in a process of its own.
@@ -128,7 +130,7 @@ def parse_input(name: str) -> tuple[str, int]:
 def probe(seed: int, inputs: list[tuple[str, int]] | None = None) -> dict:
     """Solve each of ``inputs`` (default ``INPUTS``) once, timing its layers."""
     collector = Collector()
-    layers = ("reduce", "detect", "check_structure", "cover_with_paths")
+    layers = ("reduce", "detect", "check_structure", "cover_with_paths", "_descend")
     clocks = {name: Clock(collector) for name in layers}
     originals = {name: getattr(gallai.solver, name) for name in clocks}
     for name, clock in clocks.items():
@@ -182,6 +184,7 @@ def probe(seed: int, inputs: list[tuple[str, int]] | None = None) -> dict:
                 "structure_s": round(clocks["check_structure"].seconds, 4),
                 "search_s": round(clocks["cover_with_paths"].seconds, 4),
                 "gc_s": round(collector.seconds, 4),
+                "descend_s": round(clocks["_descend"].seconds, 4),
                 "sha256": hashlib.sha256(
                     format_decomposition(result.decomposition).encode()
                 ).hexdigest(),
