@@ -15,17 +15,17 @@ Degrees are at most 5 in the graphs the solver takes, so a degree is a
 ``len`` and an adjacency test a short tuple scan.  A reduction's child is
 a graph over a view (``_cut``): its parent's table minus the removed
 vertices S, with the new tuples of the vertices that the cut touches in
-front (``_rows``), built with no copy and valid while the parent's table
-is not written.  One edit points such a graph at a table of its own
-(``_settle``): given a table that holds the parent's tuples, it pops S and
-writes the rewritten tuples, and the parent's tuples that it overwrote
-undo it.  ``delete_vertices`` is that edit on a copy of the table, and
-``contract_edge`` a call of ``delete_vertices(drop, add)``.  Values are
-safe to share between threads, but for what ``solve`` does inside one
-call: it edits one working table from parent to child and back, so a
-graph over that table changes with the next level down and with each
-lift, and a parent that a lift restores has re-inserted ids that no
-longer ascend, so only lookups read it.
+front (``_rows``), built with no copy and read while the parent's table
+holds the parent's tuples.  One edit points such a graph at a table of
+its own (``_settle``): given a table that holds the parent's tuples, it
+pops S and writes the rewritten tuples, and the parent's tuples that it
+overwrote undo it.  ``delete_vertices`` is that edit on a copy of the
+table, and ``contract_edge`` a call of ``delete_vertices(drop, add)``.
+Values are safe to share between threads, but for what ``solve`` does
+inside one call: it edits one working table from parent to child and
+back, so a graph over it changes with each descent and each restore.  A
+restored parent's re-inserted ids no longer ascend, so only lookups read
+it; a second child descends into it restored with S in ascending order.
 
 The connectivity queries never recurse and key their work by vertex id:
 ``joins`` is a breadth-first search that stops once it has seen the
@@ -411,7 +411,8 @@ class _Cut(Mapping):
     """A read-only view of the table ``base`` minus the vertices ``removed``,
     with ``rows`` in place of the tuples that the cut rewrites (``_rows``):
     built in O(|rows|) steps, with no copy of ``base``, and ascending by id
-    as ``base`` is.  It stays valid while ``base`` is not written."""
+    as ``base`` is.  It stays valid while ``base`` holds the tuples that it
+    held when the view was built."""
 
     __slots__ = ("base", "removed", "rows", "n")
 
@@ -452,11 +453,12 @@ def _settle(
     g: Graph, table: dict[int, tuple[int, ...]]
 ) -> dict[int, tuple[int, ...]]:
     """Point ``g``, a graph over a view (``_cut``), at ``table``, which
-    holds the tuples of the view's base, ids ascending: pop the view's
-    removed set from ``table``, write its rows in their slots, and return
-    the tuples that this overwrote, which ``table.update`` puts back.
-    ``g``'s value does not change, only where it is stored: so ``solve``
-    hands on the very child graph that a reduction built."""
+    holds the tuples of the view's base, in an id order that ``g`` then
+    takes: pop the view's removed set from ``table``, write its rows in
+    their slots, and return the tuples that this overwrote, which
+    ``table.update`` puts back.  ``g``'s value does not change, only where
+    it is stored: so ``solve`` hands on the very child graph that a
+    reduction built."""
     cut: _Cut = g._adj  # type: ignore[assignment]
     # loops, not a comprehension, which costs a frame before Python 3.12
     old: dict[int, tuple[int, ...]] = {}

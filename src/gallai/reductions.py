@@ -39,6 +39,14 @@ child.  C2 takes its two sides from one low-link search of g - v from u:
 its one tree is u's side of uv, and uv is a cut edge exactly when no
 other neighbour of v lies in it.
 
+Lemma: the two children of a two-child plan (the C2 join, the C4 hub
+split and four components) share no vertex, so each one's S holds the
+other: C2's second child keeps v's side, the first child's S; ``rest``
+keeps the ``pair``'s S minus the hub; ``far`` keeps the parts next to one
+end alone, which ``near`` removes.  So ``solve`` can descend into the
+second child in the table that the first child's descent edited and then
+restored.
+
 The same picture bounds where a child can hold a C3.  Every synthetic
 edge has both ends in B, so an edge of the child with neither end in B
 is an edge of the parent whose ends keep their neighbour tuples, and
@@ -382,15 +390,15 @@ Route = tuple[int, ...]
 # but for the fields that ``solve`` releases: _finish checks a plan once,
 # and takes a child's bridges as the proof that it is connected.  As
 # ``solve`` descends into a child, it sets the child's ``graph`` and
-# ``bridges`` to None and its ``removed`` to (); it sets the ``parent`` of
-# a one-child plan that it descends in place to None too, and points it
-# at the restored parent just before the lift.
+# ``bridges`` to None and its ``removed`` to (); it sets the plan's
+# ``parent`` to None too, and points it at the restored parent just
+# before the lift.
 @dataclass(slots=True)
 class Child:
     """One reduced graph, on its parent's vertex ids: ``graph`` is a view
     of the parent's table (``graphs._cut``), read in place while the
-    parent is not written, until ``solve`` descends into it and points it
-    at the parent's table edited into the child's, or at a copy of it.
+    table holds the parent's tuples, until ``solve`` descends into it and
+    points it at the parent's table edited into the child's.
 
     A route ``(a, ..., b)`` says that the child edge a-b is lifted as that
     walk through removed vertices.  Its ends are a synthetic edge, except

@@ -19,26 +19,23 @@ parent passed to ``detect``, and the frame is lifted as soon as its last
 child is done.  Child graphs keep their parent's vertex ids, so every
 decomposition is in the ids of the input graph.
 
-A frame holds no graph that it will not read, so memory stays linear in
-n however long the chain.  ``reduce`` is pure: each child it builds is a
-graph over a view of its parent's table (``graphs._cut``), minus the
-removed set S and with new tuples for the boundary B, the only vertices
-whose tuples change.  ``solve`` descends into every child by one edit
-(``_descend``, ``graphs._settle``): it pops S from a table that holds the
-parent's tuples, writes B's, and points the child's graph at that table.
-A one-child reduction of a graph with more than ``_KEPT_ORDER`` vertices
-makes the edit in place, in the table that its graph stands over, which
-``solve`` owns (the input's own table is copied first); the parent's
-tuples that the edit overwrote are the frame's undo record, with the
-parent's ``m``.  When the child is lifted, the record is put back into
-the same table, which re-inserts S and drops the synthetic edges at B,
-and the lift runs against a graph over it.  A two-child plan (C2 and two C4 sub-cases),
-and a graph of at most ``_KEPT_ORDER`` vertices, keeps its parent in the
-plan and makes the edit in a copy of the parent's table, one per child.
-So the input graph, and any graph that a frame still holds, is never
-written.  Each child's graph, bridges and removed set leave its plan as
-``solve`` descends into it, and only a frame that keeps its parent keeps
-what its graph passed to ``detect``, for a second child to inherit.
+A frame holds no graph, so memory stays linear in n however long the
+chain.  ``reduce`` is pure: each child it builds is a graph over a view of
+its parent's table (``graphs._cut``), minus the removed set S and with
+new tuples for the boundary B, the only vertices whose tuples change.
+``solve`` descends into every child by one edit of one working table
+(``_descend``, ``graphs._settle``), the input's copied at the first
+reduction: it pops S, writes B's tuples and points the child's graph at
+the table, and the parent's tuples that it overwrote, with the parent's
+``m``, are the frame's undo record.  Putting it back re-inserts S and
+drops the synthetic edges at B: before the lift, which runs against a
+graph over the restored table, and between the two children of a plan
+(C2 and two C4 sub-cases), with S in ascending order.  The two children
+share no vertex, so the second child's S pops every id that the first
+one's levels re-inserted, and its own ids ascend.  Each child's graph,
+bridges and removed set leave its plan as ``solve`` descends into it,
+and only a two-child frame keeps what its graph passed to ``detect``,
+for its second child to inherit.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -108,31 +105,20 @@ def check_input(g: Graph) -> None:
         raise SolveError("max degree exceeds 5")
 
 
-# A one-child reduction of a graph with more than this many vertices
-# descends in place, editing the working table.  Smaller graphs keep their
-# graph, and their child is copied out of its view: descending in place at
-# every level made the benchmark's census workload (n <= 8, seed 801, six
-# pairs of runs on a 2-vCPU Xeon, ``tools/bench_pairs.py``) 3.9 % slower
-# in its median ``latency_p50_ms``, 0.1182 -> 0.1228 ms, and slower in
-# all six pairs, for the input copy, the undo record and the restore at
-# every level, while the at most 64 small levels at the end of a chain
-# copy at most 64 tables of at most 64 vertices each.
-_KEPT_ORDER = 64
-
 _Table = dict[int, tuple[int, ...]]
 
-# What restores a parent from its child in place: the working table, the
+# What restores a parent from its child in the working table: the
 # parent's ``m`` and its neighbour tuples of the removed set S and the
 # boundary B, which the descent overwrote (``graphs._settle``).
-_Undo = tuple[_Table, int, _Table]
+_Undo = tuple[int, _Table]
 
 # A pending reduction: its plan, the stores of its children solved so far,
-# and either the ``near`` and ``bridges`` that its graph passed to
-# ``detect`` (for a second child to inherit from) where the plan keeps its
-# parent, or the undo record of a plan that descended in place.
+# the ``near`` and ``bridges`` that its graph passed to ``detect`` where a
+# second child will inherit from them (None otherwise), and the undo record
+# of the child that it descended into last.
 _Frame = tuple[
     LiftPlan, list[PathStore], frozenset[int] | None, frozenset[Edge] | None,
-    _Undo | None,
+    _Undo,
 ]
 
 
@@ -145,46 +131,46 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
     bases: list[str] = []
     stack: list[_Frame] = []  # innermost last
     graph, near, bridges = g, None, None
+    table: _Table  # the working table that every graph but g stands over
     while True:
         leaf = _leaf(graph)
         occ = None if leaf else detect(graph, near, bridges)
         if occ is not None:
             plan = reduce(graph, occ)
             steps.append(ReductionStep(graph.n, plan.tag, plan.subcase))
-            table = graph.adjacency()
-            if len(plan.children) > 1 or graph.n <= _KEPT_ORDER:
-                stack.append((plan, [], near, bridges, None))
-                graph, near, bridges, _ = _descend(plan, 0, dict(table), near, bridges)
-            else:  # in place, but never in the input's own table
-                table, m = dict(table) if graph is g else table, graph.m
-                plan.parent = None  # type: ignore[assignment]
-                graph, near, bridges, old = _descend(plan, 0, table, near, bridges)
-                stack.append((plan, [], None, None, (table, m, old)))
+            if graph is g:  # the input's table is never written
+                table = dict(g.adjacency())
+            m = graph.m
+            kept = (near, bridges) if len(plan.children) > 1 else (None, None)
+            graph, near, bridges, old = _descend(plan, 0, table, near, bridges)
+            stack.append((plan, [], *kept, (m, old)))
             continue
         base, solved = _base_case(graph, leaf, budget)
         bases.append(base)
         if stack:
             solved = _load(graph, solved, base)
-        # Lift every reduction that this base case completes, restoring in
-        # its table the parent of each that descended in place: putting
-        # back the overwritten tuples re-inserts S and drops the synthetic
-        # edges at B.  S's ids, inserted last, no longer ascend, so the
-        # restored table serves only the lift's lookups.
+        # Lift every reduction that this base case completes, restoring its
+        # parent first: putting back the overwritten tuples re-inserts S and
+        # drops the synthetic edges at B.  S's ids, inserted last, no longer
+        # ascend, so the restored table serves only the lift's lookups.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
-            plan, stores, _, _, undo = stack.pop()
-            if undo is not None:
-                table, m, old = undo
-                table.update(old)
-                plan.parent = _derived(table, m)
+            plan, stores, _, _, (m, old) = stack.pop()
+            table.update(old)
+            plan.parent = _derived(table, m)
             stores.append(solved)
             solved = lift(plan, stores)
         if not stack:
             break
-        plan, stores, near, bridges, _ = stack[-1]
+        # The next child of a two-child plan: restore the parent with S
+        # inserted ascending, which the child's own S then pops (the two
+        # children share no vertex), and descend into it.
+        plan, stores, kept_near, kept_bridges, (m, old) = stack[-1]
         stores.append(solved)
-        graph, near, bridges, _ = _descend(
-            plan, len(stores), dict(plan.parent.adjacency()), near, bridges
+        table.update(sorted(old.items()))
+        graph, near, bridges, old = _descend(
+            plan, len(stores), table, kept_near, kept_bridges
         )
+        stack[-1] = (plan, stores, kept_near, kept_bridges, (m, old))
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
@@ -200,13 +186,14 @@ def _descend(
     parent's tuples and is edited into the child's (``graphs._settle``);
     what the child passes to ``detect``, given what the plan's parent
     passed; and the parent's tuples that the edit overwrote.  The child's
-    graph, bridges and removed set are taken out of it: the lift reads
-    only its routes and synthetic edges."""
+    graph, bridges and removed set, and the plan's parent, are taken out:
+    the lift reads the child's routes and synthetic edges, and a parent
+    re-derived over the restored table."""
     near, bridges = inherited(plan, i, near, bridges)
     child = plan.children[i]
     graph = child.graph
     old = _settle(graph, table)
-    child.graph = child.bridges = None  # type: ignore[assignment]
+    child.graph = child.bridges = plan.parent = None  # type: ignore[assignment]
     child.removed = ()
     return graph, near, bridges, old
 

@@ -11,9 +11,9 @@ and an order such as ``maxdeg5-6400``: any order of any family above.
 Wrappers on the names ``gallai.solver`` calls them by add up the time
 spent in ``reduce``, in ``detect``, in the structure check
 ``check_structure``, in the exact search ``cover_with_paths`` and in the
-descents ``_descend``, which edit or copy each child's table; wrappers
-on the detectors that ``detect`` runs, and on ``Graph.bridges``, split
-``detect`` by configuration, and one on ``Graph.low_link`` times C4's
+descents ``_descend``, which edit the working table into each child's;
+wrappers on the detectors that ``detect`` runs, and on ``Graph.bridges``,
+split ``detect`` by configuration, and one on ``Graph.low_link`` times C4's
 searches of the remainder g - {u, v}, which ``reduce`` runs: only the
 calls that remove two vertices, so C2's search of g - v, which removes
 one, is not counted.  A callback in ``gc.callbacks`` adds up the
