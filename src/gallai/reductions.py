@@ -390,9 +390,8 @@ Route = tuple[int, ...]
 # but for the fields that ``solve`` releases: _finish checks a plan once,
 # and takes a child's bridges as the proof that it is connected.  As
 # ``solve`` descends into a child, it sets the child's ``graph`` and
-# ``bridges`` to None and its ``removed`` to (); it sets the plan's
-# ``parent`` to None too, and points it at the restored parent just
-# before the lift.
+# ``bridges`` to None, and the plan's ``parent`` too, which it points at
+# the restored parent just before the lift.
 @dataclass(slots=True)
 class Child:
     """One reduced graph, on its parent's vertex ids: ``graph`` is a view
@@ -407,9 +406,10 @@ class Child:
     the edges that ``_child`` added: every edge of the child that is not an
     edge of the parent.  No lift may leave one covered.  ``boundary``
     lists, ascending, the child's vertices that have a neighbour among the
-    removed vertices S of the parent, B = N(S) minus S, and ``removed``
-    is S.  Only the vertices of B can have gained or lost edges, so the
-    parent is the child with the parent's tuples of S and B put back.
+    removed vertices S of the parent, B = N(S) minus S; S itself is held
+    by the view alone.  Only the vertices of B can have gained or lost
+    edges, so the parent is the child with the parent's tuples of S and B
+    put back.
     ``bridges``, where the reduction's own search found them, are all the
     child's bridges.  They are also the proof that the child is connected,
     so only a reduction whose own search reached every vertex the child
@@ -422,7 +422,6 @@ class Child:
     routes: tuple[Route, ...] = ()
     synthetic: tuple[Edge, ...] = ()
     boundary: tuple[int, ...] = ()
-    removed: Collection[int] = ()
     bridges: frozenset[Edge] | None = None
 
 
@@ -450,12 +449,6 @@ def _routed(
     return LiftPlan(tag, subcase, g, children, rewrite, (len(added), len(added)))
 
 
-def _boundary(g: Graph, removed: set[int]) -> tuple[int, ...]:
-    """N(removed) minus ``removed``, ascending: in O(|removed|) steps."""
-    adj = g.adjacency()
-    return tuple(sorted({w for x in removed for w in adj[x] if w not in removed}))
-
-
 def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child:
     """``g`` minus ``removed`` plus the synthetic edges, an edge joining
     the ends of each route that are not adjacent in ``g``: a graph over a
@@ -470,7 +463,7 @@ def _child(g: Graph, removed: set[int], routes: tuple[Route, ...] = ()) -> Child
     rows, change = _rows(adj, removed, added)
     # the synthetic edges join vertices of B, so the rewritten rows are B's
     sub = _cut(g, removed, rows, change)
-    return Child(sub, routes, tuple(added), tuple(sorted(rows)), removed)
+    return Child(sub, routes, tuple(added), tuple(sorted(rows)))
 
 
 Part = tuple[tuple[int, ...], set[int]]
@@ -549,14 +542,14 @@ def inherited(
     past C4 and C5, whose detection found C3 absent.  A C1 child has the
     parent's bridges by the C1 carry, with no copy unless vu, and so uw,
     is among them; any other child has the ones its reduction found, if
-    any.
+    any, and the parent's ``bridges`` are not read.
     """
     child = plan.children[i]
     if plan.tag in ("C4", "C5"):
         near = frozenset(child.boundary)
     elif near is not None:  # vertices of the parent
-        removed = child.removed
-        near = frozenset(x for x in near if x not in removed).union(child.boundary)
+        adj = child.graph.adjacency()
+        near = frozenset(x for x in near if x in adj).union(child.boundary)
     if plan.tag != "C1":
         return near, child.bridges
     if bridges is not None:
@@ -702,11 +695,11 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
     # only on which part holds each side neighbour and on the edges within
     # parts.  A breach of either lemma is a fault of the program, not of
     # its input, so both checks raise ``solver.InternalError``.
-    search = g.low_link(_boundary(g, {u, v}), {u, v})
+    ts, ws = set(g.neighbors(u)) - {v}, set(g.neighbors(v)) - {u}
+    search = g.low_link(sorted(ts | ws), {u, v})
     if len(search.firsts) == 1:
         return _reduce_c4_paired(g, occ, search)
     parts = search.parts()
-    ts, ws = set(g.neighbors(u)) - {v}, set(g.neighbors(v)) - {u}
     both = [p for p in parts if ts.intersection(p[0]) and ws.intersection(p[0])]
     only_t = [p for p in parts if not ws.intersection(p[0])]
     only_w = [p for p in parts if not ts.intersection(p[0])]
@@ -720,9 +713,9 @@ def _reduce_c4(g: Graph, occ: C4) -> LiftPlan:
             " (each part next to an end holds one of its three side neighbours)"
         )
     if len(only_t) == 2:
-        return _reduce_c4_hub(g, u, v, only_t, both, only_w)
+        return _reduce_c4_hub(g, u, v, ts, only_t, both, only_w)
     if len(only_w) == 2:
-        return _reduce_c4_hub(g, v, u, only_w, both, only_t)
+        return _reduce_c4_hub(g, v, u, ws, only_w, both, only_t)
     if len(parts) == 4:
         return _reduce_c4_four(g, occ, ts, ws, both, only_t, only_w)
     return _reduce_c4_paired(g, occ, search)
@@ -745,13 +738,12 @@ def _reduce_c4_triple(g: Graph, occ: C4, commons: tuple[int, ...]) -> LiftPlan:
 
 
 def _reduce_c4_hub(
-    g: Graph, hub: int, other: int,
+    g: Graph, hub: int, other: int, side: set[int],
     lone: list[Part], both: list[Part], beyond: list[Part],
 ) -> LiftPlan:
     # parts next to the hub alone (two), to both ends (one), and to the
-    # other end alone: the hub's three side neighbours lie one in each of
-    # the first three
-    side = set(g.neighbors(hub)) - {other}
+    # other end alone: the hub's three side neighbours, ``side``, lie one
+    # in each of the first three
     lone = _ascending(lone)
     (t1,), (t2,), (t3,) = (side.intersection(starts) for starts, _ in lone + both)
     pair = _child(g, {hub, other} | _held(both + beyond), ((t1, hub, t2),))
@@ -827,14 +819,16 @@ def _reduce_c5(g: Graph, occ: C5) -> LiftPlan:
     corners other than u of degree 2.
     """
     corners = (occ.u, occ.v, occ.w)
+    shared = False  # some pair shares a vertex besides the third corner
     for a, b in itertools.combinations(sorted(corners), 2):
-        if len(g.common_neighbors(a, b)) == 3:
-            return _reduce_c5_common3(g, occ, a, b)
-    for a, b in itertools.combinations(corners, 2):
-        if len(g.common_neighbors(a, b)) != 1:  # the third corner is common
-            raise ReductionError(
-                f"{occ}: corners share an outside neighbour (C3/C4 order broken)"
-            )
+        common = g.common_neighbors(a, b)
+        if len(common) == 3:
+            return _reduce_c5_common3(g, occ, a, b, common)
+        shared = shared or len(common) != 1
+    if shared:
+        raise ReductionError(
+            f"{occ}: corners share an outside neighbour (C3/C4 order broken)"
+        )
     fours = sorted(c for c in corners if g.degree(c) == 4)
     if len(fours) >= 2:
         raise _c4_first(occ, *fours[:2], "two corners have degree 4")
@@ -846,10 +840,12 @@ def _c4_first(occ: C5, a: int, b: int, why: str) -> ReductionError:
     return ReductionError(f"{occ}: {why} (C4 present: {C4(a, b)})")
 
 
-def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
-    """The corner pair (a, b) sees three common vertices, one of them the
-    third corner; the sub-case depends on the gaps among those three."""
-    trio = sorted(g.common_neighbors(a, b))
+def _reduce_c5_common3(
+    g: Graph, occ: C5, a: int, b: int, trio: tuple[int, ...]
+) -> LiftPlan:
+    """The corner pair (a, b) sees the ``trio``, three common vertices
+    ascending, one of them the third corner; the sub-case depends on the
+    gaps among those three."""
     missing = [
         (p, q) for p, q in itertools.combinations(trio, 2) if not g.has_edge(p, q)
     ]
@@ -862,7 +858,7 @@ def _reduce_c5_common3(g: Graph, occ: C5, a: int, b: int) -> LiftPlan:
         return _routed("C5", "one_gap", g, (child,), (x, b, apex, a, y))
     child = _child(g, {a, b})
     degrees = tuple(map(child.graph.degree, trio))
-    rewrite = functools.partial(_lift_c5_triangle, a, b, tuple(trio), degrees)
+    rewrite = functools.partial(_lift_c5_triangle, a, b, trio, degrees)
     return LiftPlan("C5", "common_triangle", g, (child,), rewrite, (1, 1))
 
 

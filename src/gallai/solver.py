@@ -32,10 +32,12 @@ drops the synthetic edges at B: before the lift, which runs against a
 graph over the restored table, and between the two children of a plan
 (C2 and two C4 sub-cases), with S in ascending order.  The two children
 share no vertex, so the second child's S pops every id that the first
-one's levels re-inserted, and its own ids ascend.  Each child's graph,
-bridges and removed set leave its plan as ``solve`` descends into it,
-and only a two-child frame keeps what its graph passed to ``detect``,
-for its second child to inherit.
+one's levels re-inserted, and its own ids ascend.  Each child's graph
+and bridges leave its plan as ``solve`` descends into it, and S stays
+only in the view that its graph was built over.  A frame keeps its
+plan, its children's stores, its undo record and, for a two-child plan,
+the ``near`` that its graph passed to ``detect``: ``inherited`` reads a
+parent's bridges only for C1, which has one child.
 
 A base case that a lift consumes is loaded through the checked
 ``PathStore.load``, and each lift edits the store of its first child in
@@ -113,13 +115,10 @@ _Table = dict[int, tuple[int, ...]]
 _Undo = tuple[int, _Table]
 
 # A pending reduction: its plan, the stores of its children solved so far,
-# the ``near`` and ``bridges`` that its graph passed to ``detect`` where a
-# second child will inherit from them (None otherwise), and the undo record
-# of the child that it descended into last.
-_Frame = tuple[
-    LiftPlan, list[PathStore], frozenset[int] | None, frozenset[Edge] | None,
-    _Undo,
-]
+# the ``near`` that its graph passed to ``detect`` where a second child
+# will inherit from it (None otherwise), and the undo record of the child
+# that it descended into last.
+_Frame = tuple[LiftPlan, list[PathStore], frozenset[int] | None, _Undo]
 
 
 def solve(g: Graph, budget: int | None = None) -> SolveResult:
@@ -141,9 +140,9 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
             if graph is g:  # the input's table is never written
                 table = dict(g.adjacency())
             m = graph.m
-            kept = (near, bridges) if len(plan.children) > 1 else (None, None)
+            kept = near if len(plan.children) > 1 else None
             graph, near, bridges, old = _descend(plan, 0, table, near, bridges)
-            stack.append((plan, [], *kept, (m, old)))
+            stack.append((plan, [], kept, (m, old)))
             continue
         base, solved = _base_case(graph, leaf, budget)
         bases.append(base)
@@ -154,7 +153,7 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
         # drops the synthetic edges at B.  S's ids, inserted last, no longer
         # ascend, so the restored table serves only the lift's lookups.
         while stack and len(stack[-1][1]) + 1 == len(stack[-1][0].children):
-            plan, stores, _, _, (m, old) = stack.pop()
+            plan, stores, _, (m, old) = stack.pop()
             table.update(old)
             plan.parent = _derived(table, m)
             stores.append(solved)
@@ -164,13 +163,11 @@ def solve(g: Graph, budget: int | None = None) -> SolveResult:
         # The next child of a two-child plan: restore the parent with S
         # inserted ascending, which the child's own S then pops (the two
         # children share no vertex), and descend into it.
-        plan, stores, kept_near, kept_bridges, (m, old) = stack[-1]
+        plan, stores, kept, (m, old) = stack[-1]
         stores.append(solved)
         table.update(sorted(old.items()))
-        graph, near, bridges, old = _descend(
-            plan, len(stores), table, kept_near, kept_bridges
-        )
-        stack[-1] = (plan, stores, kept_near, kept_bridges, (m, old))
+        graph, near, bridges, old = _descend(plan, len(stores), table, kept, None)
+        stack[-1] = (plan, stores, kept, (m, old))
     d = solved if isinstance(solved, PathDecomposition) else solved.decomposition()
     report = verify(g, d)
     if not (report.valid and report.good):
@@ -185,16 +182,15 @@ def _descend(
     """The graph of child i of ``plan`` over ``table``, which held its
     parent's tuples and is edited into the child's (``graphs._settle``);
     what the child passes to ``detect``, given what the plan's parent
-    passed; and the parent's tuples that the edit overwrote.  The child's
-    graph, bridges and removed set, and the plan's parent, are taken out:
-    the lift reads the child's routes and synthetic edges, and a parent
-    re-derived over the restored table."""
-    near, bridges = inherited(plan, i, near, bridges)
+    passed, read once the table holds the child; and the parent's tuples
+    that the edit overwrote.  The child's graph and bridges, and the
+    plan's parent, are taken out: the lift reads the child's routes and
+    synthetic edges, and a parent re-derived over the restored table."""
     child = plan.children[i]
     graph = child.graph
     old = _settle(graph, table)
+    near, bridges = inherited(plan, i, near, bridges)
     child.graph = child.bridges = plan.parent = None  # type: ignore[assignment]
-    child.removed = ()
     return graph, near, bridges, old
 
 

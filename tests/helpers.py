@@ -738,6 +738,47 @@ def reference_cover_with_paths(edges, k: int, budget: int | None = None):
     return (cover if solve(0, k) else None), spent
 
 
+def all_decompositions(g: Graph, k: int, cap: int) -> list[PathDecomposition]:
+    """The decompositions of ``g`` into at most ``k`` paths, each listed
+    once, up to the first ``cap``: the least uncovered edge is covered by
+    every simple path of uncovered edges through it in turn, and the rest
+    recursively.  Plain set code that shares nothing with ``search.py``."""
+    uncovered = set(g.edges())
+    paths: list[tuple[int, ...]] = []
+    found: list[PathDecomposition] = []
+
+    def longer(seq: tuple[int, ...]):
+        """``seq`` and every simple extension of it past its last vertex
+        along uncovered edges."""
+        yield seq
+        end = seq[-1]
+        for w in g.neighbors(end):
+            if w not in seq and edge(end, w) in uncovered:
+                yield from longer(seq + (w,))
+
+    def cover() -> None:
+        if len(found) == cap:
+            return
+        if not uncovered:
+            found.append(PathDecomposition(tuple(map(Path, paths))))
+            return
+        if len(paths) == k:
+            return
+        a, b = min(uncovered)
+        # each path through ab once: its b side, then its a side
+        through = [p[::-1] for right in longer((a, b)) for p in longer(right[::-1])]
+        for p in through:
+            steps = {edge(x, y) for x, y in zip(p, p[1:])}
+            uncovered.difference_update(steps)
+            paths.append(p)
+            cover()
+            paths.pop()
+            uncovered.update(steps)
+
+    cover()
+    return found
+
+
 def reference_detect_c1(g: Graph):
     from gallai.reductions import C1
 

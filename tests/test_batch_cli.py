@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -439,6 +440,25 @@ def test_cli_verify_uncovered(tmp_path, capsys):
     d = write(tmp_path, "d.txt", "0 1 2\n")
     assert main(["verify", g, d]) == 1
     assert "uncovered_edge" in capsys.readouterr().out
+
+
+def test_cli_verify_refuses_two_graphs(tmp_path, capsys):
+    g = write(tmp_path, "two.g6", "A_\nBw\n")
+    d = write(tmp_path, "d.txt", "0 1\n")
+    assert main(["verify", g, d]) == 2
+    assert "verify expects exactly one graph" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_input_with_no_graphs(tmp_path, capsys):
+    path = write(tmp_path, "blank.g6", "\n\n")
+    assert main(["solve", path]) == 2
+    assert "no graphs in input" in capsys.readouterr().err
+
+
+def test_cli_reads_a_dash_from_standard_input(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(cycle(4)) + "\n"))
+    assert main(["solve", "-"]) == 0
+    assert "paths=2" in capsys.readouterr().out
 
 
 def test_cli_check_internal_and_report(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from gallai import Graph, canonical_form, enumerate_connected, run_floor_search
 from gallai.graphs import _derived, edge
-from gallai.reductions import check_structure
+from gallai.reductions import C1, check_structure, reduce
 from helpers import (
     MaskGraph,
     complete_graph,
@@ -350,6 +350,22 @@ def test_common_neighbors():
     assert complete_graph(3).common_neighbors(0, 1) == (2,)
     assert cycle(4).common_neighbors(0, 2) == (1, 3)
     assert len(complete_graph(5).common_neighbors(0, 1)) == 3
+
+
+def test_graph_is_immutable():
+    g = cycle(4)
+    with pytest.raises(AttributeError, match="Graph is immutable"):
+        g.n = 5
+
+
+def test_a_child_view_refuses_the_vertices_of_its_removed_set():
+    # A reduction's child is a view of its parent's table minus S, which
+    # answers for a vertex of S as for any id outside the graph.
+    (child,) = reduce(cycle(5), C1(0)).children
+    assert list(child.graph.vertices()) == [1, 2, 3, 4]
+    assert 0 not in child.graph.adjacency()
+    with pytest.raises(ValueError, match="vertex 0 is not in the graph"):
+        child.graph.neighbors(0)
 
 
 def test_graph_validation():

@@ -14,7 +14,7 @@ from gallai import (
     parse_graph6,
     write_graph6,
 )
-from gallai.graphs import edge
+from gallai.graphs import _derived, edge
 from gallai.paths import decomposition
 from helpers import complete_graph, cycle, petersen, reference_parse_graph6
 
@@ -128,6 +128,14 @@ def test_write_graph6_needs_ids_up_to_order():
         write_graph6(g)
 
 
+def test_write_graph6_refuses_an_order_past_the_extended_header():
+    # 258,047 is the largest order that '~' and three bytes express; the
+    # edgeless graph is built as its table, which the refusal never reads.
+    g = _derived(dict.fromkeys(range(258_048), ()), 0)
+    with pytest.raises(FormatError, match="order 258048 exceeds"):
+        write_graph6(g)
+
+
 def test_parse_edgelist():
     g = parse_edgelist("0 1\n1 2")
     assert g.n == 3 and g.m == 2
@@ -179,3 +187,8 @@ def test_parse_decomposition_comments_and_errors():
         parse_decomposition("0 1 x\n")
     # a repeated vertex parses; the verifier is the place that reports it
     assert len(parse_decomposition("0 1 0\n")) == 1
+
+
+def test_parse_decomposition_refuses_a_negative_id():
+    with pytest.raises(FormatError, match="line 2: negative vertex id"):
+        parse_decomposition("0 1\n2 -3\n")

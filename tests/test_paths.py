@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai import Graph, Path, PathDecomposition, verify
-from gallai.paths import PathStore, decomposition, lower_bound, path
+from gallai.paths import PathStore, decomposition, lower_bound, path, spliced
 from helpers import (
     complete_graph,
     cycle,
@@ -250,6 +250,12 @@ def test_path_store_edits_keep_ids_order_and_index():
     assert verify(g, store.decomposition()).valid
     with pytest.raises(ValueError, match="on no path"):
         store.holder((0, 3))
+
+
+@pytest.mark.parametrize("route", [(0, 5, 2), (7, 5, 1)])
+def test_spliced_refuses_a_route_whose_ends_are_not_a_step(route):
+    with pytest.raises(ValueError, match=r"is not a step of the path \(0, 1, 2\)"):
+        spliced((0, 1, 2), route)
 
 
 def test_path_store_merges_only_a_newer_store():

@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from gallai import (
-    Graph, ReductionError, detect, enumerate_connected, reductions, solve, verify,
+    Graph, Path, PathDecomposition, ReductionError, detect, enumerate_connected,
+    reductions, solve, verify,
 )
 from gallai.graphs import edge
 from gallai.reductions import (
@@ -26,6 +27,7 @@ from gallai.reductions import (
     reduce,
 )
 from helpers import (
+    all_decompositions,
     complete_graph,
     cycle,
     delete_edges,
@@ -40,6 +42,7 @@ from helpers import (
     reference_c4_labelling,
     reference_components,
     reference_core_is_forest,
+    relabeled,
     searched_components,
     two_cliques_with_bridge,
 )
@@ -448,6 +451,54 @@ def test_every_occurrence_round_trips_on_random_graphs():
             assert verify(g, lifted).valid
             trips += 1
     assert trips > 100
+
+
+# -- every lift against every child decomposition ---------------------------
+
+
+def _lifts_of_every_child_decomposition(g, lifts):
+    """Reduce ``g`` by ``detect``'s occurrence and lift every combination
+    of its children's decompositions into at most ceil(n/2) paths (the
+    first 2,000 per child), as listed and with every path and the path
+    order reversed; each lift must be good.  Counts them by sub-case."""
+    occ = detect(g)
+    if occ is None:
+        return
+    plan = reduce(g, occ)
+    each = [
+        all_decompositions(c.graph, (c.graph.n + 1) // 2, 2000)
+        for c in plan.children
+    ]
+    for decomps in itertools.product(*each):
+        flipped = [
+            PathDecomposition(tuple(Path(p.vertices[::-1]) for p in d.paths[::-1]))
+            for d in decomps
+        ]
+        for shown in (list(decomps), flipped):
+            lifted = load_and_lift(occ, plan, shown)
+            assert verify(g, lifted).good, (g, occ, shown)
+            lifts[plan.tag, plan.subcase] += 1
+
+
+def test_every_lift_of_every_child_decomposition_is_good():
+    # The promise that makes a configuration reducible: any good
+    # decomposition of the children lifts to a good one of the parent, not
+    # only the one that `solve` gives them.  Every census graph up to
+    # n = 6, and a seeded sample at n = 7 under seeded relabellings, since
+    # `detect` breaks ties by id.
+    census = Counter()
+    for n in range(2, 7):
+        for g in enumerate_connected(n, 5):
+            _lifts_of_every_child_decomposition(g, census)
+    assert sum(census.values()) == 5418, census
+    assert {tag for tag, _ in census} == {"C1", "C3", "C4", "C5"}, census
+    sample = Counter()
+    rng = random.Random(801)
+    for g in rng.sample(enumerate_connected(7, 5), 10):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        _lifts_of_every_child_decomposition(relabeled(g, order), sample)
+    assert sample["C4", "paired_nonedges"], sample
 
 
 # -- the C5 sub-cases that a C4 shadows --------------------------------------

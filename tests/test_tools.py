@@ -46,10 +46,13 @@ def test_raise_lines_lists_every_raise_of_the_reductions_but_one():
     # check, except the ValueError of check_structure, which is not a
     # reduction's guard.  In solver.py the InternalError raises are
     # counted, and not the SolveError refusals of input outside the
-    # contract.
+    # contract.  The guards of graphs, paths, io and cli follow.
     tool = _tool("raise_lines")
-    reductions, solver = tool.SOURCES
+    reductions, solver, *guarded = tool.SOURCES
     assert (reductions.name, solver.name) == ("reductions.py", "solver.py")
+    assert [source.name for source in guarded] == [
+        "graphs.py", "paths.py", "io.py", "cli.py",
+    ]
     raises = _raises(reductions)
     (value_error,) = (n for n, line in raises.items() if "ValueError" in line)
     assert set(tool.raise_lines(reductions)) == raises.keys() - {value_error}

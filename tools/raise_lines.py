@@ -2,14 +2,16 @@
 reaches: the ``raise ReductionError``, ``raise LiftError`` and ``raise
 InternalError`` lines of ``src/gallai/reductions.py``, with the ``raise
 _c4_first(...)`` and ``raise _lift_error(...)`` lines, whose helpers build
-a ``ReductionError`` and a ``LiftError``; and the ``raise
-InternalError(...)`` lines of ``src/gallai/solver.py``.
+a ``ReductionError`` and a ``LiftError``; the ``raise InternalError(...)``
+lines of ``src/gallai/solver.py``; and the ``ValueError``, ``KeyError``,
+``AttributeError`` and ``FormatError`` raises of ``graphs.py``,
+``paths.py``, ``io.py`` and ``cli.py``, as ``SOURCES`` lists them.
 
     python3 tools/raise_lines.py [pytest arguments; default: -q tests]
 
 The raise lines are read from each module's syntax tree.  A
 ``sys.settrace`` hook (no ``coverage`` package needed) traces only the
-frames of those two modules while pytest runs the suite in this process;
+frames of those modules while pytest runs the suite in this process;
 the script then prints, for each module apart, the raise lines reached
 out of the total, and each line missed with its text.  Tests that run the
 library in a subprocess are not seen.
@@ -35,6 +37,10 @@ SOURCES = {
         "_lift_error",
     ),
     ROOT / "src" / "gallai" / "solver.py": ("InternalError",),
+    ROOT / "src" / "gallai" / "graphs.py": ("ValueError", "KeyError", "AttributeError"),
+    ROOT / "src" / "gallai" / "paths.py": ("ValueError",),
+    ROOT / "src" / "gallai" / "io.py": ("FormatError", "ValueError"),
+    ROOT / "src" / "gallai" / "cli.py": ("FormatError", "ValueError"),
 }
 
 
